@@ -39,6 +39,7 @@ from .errors import (
 )
 from .estimator import MaximinEstimator
 from .geometry import (
+    Face,
     MaggingDifferential,
     SigmaMetric,
     affine_project,
@@ -60,7 +61,6 @@ from .linmodel import (
 )
 from .magging import (
     MaggingSolution,
-    active_set,
     brute_force_oracle,
     explained_variance,
     maximin_point,
@@ -100,6 +100,7 @@ __all__ = [
     "DegenerateGeometryError",
     "DimensionError",
     "EstimationError",
+    "Face",
     "GroupBoxes",
     "GroupedDataset",
     "GroupEstimates",
@@ -111,7 +112,6 @@ __all__ = [
     "SigmaMetric",
     "SingularFitError",
     "TIE_PROBE_LEVEL",
-    "active_set",
     "affine_project",
     "analyze_dataset",
     "assemble_W",

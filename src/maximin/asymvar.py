@@ -21,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import chi2_quantile
-from .errors import DimensionError, RankError
-from .geometry import SigmaMetric, affine_project, dmagging_dB
-
-_RANK_RTOL = 1e-12
+from .errors import DimensionError
+from .geometry import Face, SigmaMetric
 
 # Probe level for the vertex tie test below. This classifies columns as
 # statistically indistinguishable; it is not a user-facing inference level.
@@ -74,50 +72,14 @@ def gaussian_population_C(Sigma, M, G):
     return (np.outer(s, s) + float(M @ s) * Sigma) / G
 
 
-def fourth_moment_reference(X, G):
-    """Rank-4 empirical tensor c[i, j, k, l], for validation only (p <= 4).
-
-    c[i, j, k, l] is the sample covariance of X_i X_j with X_k X_l over
-    the rows, divided by G. Contracting with M in j and l reproduces
-    empirical_C; the production path never builds this tensor.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    p = X.shape[1]
-    if p > 4:
-        raise DimensionError("reference tensor limited to p <= 4")
-    prods = X[:, :, None] * X[:, None, :]
-    flat = prods.reshape(X.shape[0], p * p)
-    flat = flat - flat.mean(axis=0)
-    cov = (flat.T @ flat) / X.shape[0]
-    return cov.reshape(p, p, p, p) / G
-
-
 def sigma_term_V(B_active, Sigma, C_hat):
-    """Metric-fluctuation summand of W.
+    """Metric-fluctuation summand of W for the active columns B_active.
 
-    Args:
-        B_active: active columns, shape (p, G').
-        Sigma: the metric the maximin point was computed under.
-        C_hat: p x p fourth-moment covariance from empirical_C.
-
-    Returns:
-        D (D^T Sigma D)^{-1} D^T C_hat D (D^T Sigma D)^{-1} D^T for the
-        difference matrix D; the zero matrix when G' == 1.
+    D (D^T Sigma D)^{-1} D^T C_hat D (D^T Sigma D)^{-1} D^T for the
+    difference matrix D, with C_hat from empirical_C; the zero matrix
+    for a single column. Raises RankError when D is rank deficient.
     """
-    metric = SigmaMetric.ensure(Sigma)
-    B = np.atleast_2d(np.asarray(B_active, dtype=float))
-    p, Gp = B.shape
-    if Gp == 1:
-        return np.zeros((p, p))
-    C_hat = np.asarray(C_hat, dtype=float)
-    D = B[:, 1:] - B[:, :1]
-    s = np.linalg.svd(D, compute_uv=False)
-    if s[-1] <= _RANK_RTOL * s[0]:
-        raise RankError("active-column differences are rank deficient")
-    gram = D.T @ metric.Sigma @ D
-    P = D @ np.linalg.solve(gram, D.T)
-    V = P @ C_hat @ P
-    return (V + V.T) / 2.0
+    return Face(B_active, Sigma).term_V(C_hat)
 
 
 def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g=None):
@@ -149,25 +111,19 @@ def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g=None):
     if n <= 0 or sigma2 <= 0.0:
         return ()
     active = tuple(active)
-    face = B[:, list(active)].T
+    face = Face(B[:, list(active)], metric)
     if Sigma_g is None:
         scales = np.full(G, sigma2 * p / n)
     else:
-        scales = np.empty(G)
-        for g in range(G):
-            gram = np.asarray(Sigma_g[g], dtype=float)
-            scales[g] = sigma2 * float(np.trace(
-                np.linalg.solve(gram, metric.Sigma))) / n
+        grams = np.asarray(Sigma_g, dtype=float)
+        inv_traces = np.trace(np.linalg.solve(grams, metric.Sigma), axis1=1, axis2=2)
+        scales = sigma2 * inv_traces / n
     quant = chi2_quantile(p, TIE_PROBE_LEVEL) / p
     s_face = max(scales[g] for g in active)
-    out = []
-    for h in range(G):
-        if h in active:
-            continue
-        d = B[:, h] - affine_project(B[:, h], face, metric)
-        if float(d @ (metric.Sigma @ d)) <= (scales[h] + s_face) * quant:
-            out.append(h)
-    return tuple(out)
+    R = face.complement @ (B - face.B[:, :1])
+    tied = np.einsum("pg,pg->g", R, metric.Sigma @ R) <= (scales + s_face) * quant
+    tied[list(active)] = False
+    return tuple(int(h) for h in np.flatnonzero(tied))
 
 
 def assemble_W(estimates, solution, differential, C_hat, Sigma=None):
@@ -191,8 +147,8 @@ def assemble_W(estimates, solution, differential, C_hat, Sigma=None):
         the Jacobians and inflate W along the ambiguous directions. A
         cleanly isolated vertex means the estimate equals one group's
         least squares and W falls back to sigma^2 Sigma^{-1} with the
-        vertex_mode flag raised. Interior solutions always use the
-        provided differential as is.
+        vertex_mode flag raised. Interior solutions use the provided
+        differential and its face as they are.
     """
     if Sigma is None:
         Sigma = estimates.Sigma_hat
@@ -226,23 +182,15 @@ def assemble_W(estimates, solution, differential, C_hat, Sigma=None):
         )
     if tied:
         used = tuple(sorted(set(active).union(tied)))
-        B_used = Bhat[:, list(used)]
-        jacobians = [
-            dmagging_dB(B_used, metric, j, solution.M) for j in range(len(used))
-        ]
+        face = Face(Bhat[:, list(used)], metric)
+        jacobians = face.jacobians(solution.M)
     else:
         used = active
-        B_used = Bhat[:, list(used)]
-        jacobians = differential.dB
-    term_B = np.zeros((p, p))
-    for J in jacobians:
-        term_B += J @ sigma_inv @ J.T
-    term_B *= sigma2
+        face = differential.face
+        jacobians = np.asarray(differential.dB)
+    term_B = sigma2 * np.einsum("gij,glj->il", jacobians @ sigma_inv, jacobians)
     term_B = (term_B + term_B.T) / 2.0
-    if known:
-        term_V = np.zeros((p, p))
-    else:
-        term_V = sigma_term_V(B_used, metric, C_used)
+    term_V = np.zeros((p, p)) if known else face.term_V(C_used)
     W = term_B + term_V
     return AsymptoticCovariance(
         W=(W + W.T) / 2.0,

@@ -4,7 +4,7 @@ Everything here lives in the metric <x, y> = x^T Sigma y. The maximin
 point M of an active column set B is characterized by Sigma-
 orthogonality of M to every difference of active columns, and near a
 well-separated configuration the map (B, Sigma) -> M is differentiable.
-Its two closed-form differentials are implemented below:
+Its two closed-form differentials are:
 
 * dmagging_dB: the p x p Jacobian of M with respect to one active
   column b_g,
@@ -18,10 +18,34 @@ Its two closed-form differentials are implemented below:
   vanish.
 
 * dmagging_dSigma: the response of M to a symmetric perturbation Delta
-  of the metric, -D (D^T Sigma D)^{ -1} D^T Delta M with D the matrix
+  of the metric, -D (D^T Sigma D)^{-1} D^T Delta M with D the matrix
   of active-column differences.
+
+All of these, the projections and the metric term of the covariance
+are views of one ``Face``, which factorises the face once: the thin SVD
+D = U S V^T of D = (b_2 - b_1, ..., b_k - b_1) gives the rank check,
+and the Cholesky factor R of U^T Sigma U (as well conditioned as Sigma,
+whatever the spectrum of D) gives the Sigma-orthonormal basis
+E = U R^{-T} of the difference span. So the Gram Gamma = D^T Sigma D
+has D Gamma^{-1} D^T = E E^T and Pi_B = I - E E^T Sigma. With
+N = [-1^T; I] (weights summing to zero, D = B N), Q = N Gamma^{-1} N^T
+is the top-left block of the inverse of the bordered Gram
+K = [[B^T Sigma B, 1], [1^T, 0]], and yields every leave-one-out
+residual at once:
+
+    |u_g|^2 = 1 / Q_gg,        u_g = D Gamma^{-1} N^T e_g / Q_gg.
+
+With r = Pi_B (M - b_1) the residual of M off the face and
+t_g = <M - b_g, u_g> + |u_g|^2,
+
+    |w_g|^2 = |r|^2 + t_g^2 / |u_g|^2,
+
+which is exact even when weights below the activity threshold put M
+slightly off the face. When M = B alpha lies on the face (r = 0),
+w_g = alpha_g u_g, so |w_g| / |u_g| = alpha_g.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +53,12 @@ import scipy.linalg
 
 from .errors import DefinitenessError, DegenerateGeometryError, RankError
 
-# Relative cutoff for pseudo-inverse pivots and rank decisions.
+# Relative cutoff for rank decisions on D.
 _RANK_RTOL = 1e-12
+
+# Projections drop singular values of D below this fraction of the
+# largest (a pseudo-inverse cutoff of _RANK_RTOL on the Gram's spectrum).
+_PINV_RTOL = _RANK_RTOL ** 0.5
 
 # Residual norms below this mean the configuration is degenerate.
 _DEGENERACY_TOL = 1e-10
@@ -58,11 +86,13 @@ class SigmaMetric:
         object.__setattr__(self, "_factor", factor)
 
     @classmethod
-    def ensure(cls, sigma):
-        """Wrap a raw matrix, passing an existing metric through."""
-        if isinstance(sigma, cls):
-            return sigma
-        return cls(sigma)
+    def ensure(cls, sigma, p=None):
+        """Wrap a raw matrix (checked to be p x p if p is given) once."""
+        metric = sigma if isinstance(sigma, cls) else cls(sigma)
+        if p is not None and metric.p != p:
+            raise DefinitenessError(
+                f"Sigma must be {p} x {p}, got {metric.Sigma.shape}")
+        return metric
 
     @property
     def p(self):
@@ -83,42 +113,123 @@ class SigmaMetric:
         return self.solve(np.eye(self.p))
 
 
+class Face:
+    """The affine hull of the used columns B_A, factorised once.
+
+    Projections follow pseudo-inverse semantics and never raise.
+    Jacobians raise DegenerateGeometryError for a single column or when
+    a column lies within 1e-10 of the hull of the others; the metric
+    response and term_V raise RankError when D is rank deficient.
+    """
+
+    def __init__(self, B_active, metric):
+        self.metric = metric = SigmaMetric.ensure(metric)
+        self.B = np.atleast_2d(np.asarray(B_active, dtype=float))
+        self.p, self.k = self.B.shape
+        D = self.B[:, 1:] - self.B[:, :1]
+        if self.k == 1:  # a single point: nothing to factorise
+            empty = np.zeros((0, 0))
+            U, self._s, self._Vt, self._Rinv = D, np.zeros(0), empty, empty
+        else:
+            U, self._s, self._Vt = np.linalg.svd(D, full_matrices=False)
+            self._Rinv = np.linalg.inv(np.linalg.cholesky(U.T @ metric.Sigma @ U))
+        self._E = U @ self._Rinv.T
+        rank = int(np.sum(self._s > _PINV_RTOL * self._s.max(initial=0.0)))
+        self._E_kept = self._E[:, :rank]
+
+    def project(self, x):
+        """Sigma-orthogonal projection of x onto the face's affine hull."""
+        base, E = self.B[:, 0], self._E_kept
+        d = np.asarray(x, dtype=float) - base
+        return base + E @ (E.T @ (self.metric.Sigma @ d))
+
+    @functools.cached_property
+    def complement(self):
+        """Pi_B = I - E E^T Sigma."""
+        return np.eye(self.p) - self._E_kept @ (self._E_kept.T @ self.metric.Sigma)
+
+    def _full_rank_basis(self):
+        """E after the rank check on D; empty for a single column."""
+        s = self._s
+        if s.size < self.k - 1 or (s.size and s[-1] <= _RANK_RTOL * s[0]):
+            raise RankError("active-column differences are rank deficient")
+        return self._E
+
+    @functools.cached_property
+    def _residuals(self):
+        """Leave-one-out residuals u_g as columns, and their norms."""
+        if self.k - 1 <= self.p:
+            Vt = self._Vt
+            with np.errstate(divide="ignore", invalid="ignore"):
+                Y = (np.vstack([-Vt.sum(axis=1), Vt.T]) / self._s) @ self._Rinv.T
+                q = np.einsum("gm,gm->g", Y, Y)
+                U, unorm = self._E @ Y.T / q, 1.0 / np.sqrt(q)
+            if np.all(unorm >= _DEGENERACY_TOL):
+                return U, unorm
+        # Degenerate or wide faces: project each column onto the others.
+        U = np.column_stack([
+            b - Face(np.delete(self.B, g, axis=1), self.metric).project(b)
+            for g, b in enumerate(self.B.T)
+        ])
+        return U, np.sqrt(np.einsum("pg,pg->g", U, self.metric.Sigma @ U))
+
+    def jacobians(self, M, columns=None):
+        """Stacked J_g for the given columns (all by default), (c, p, p)."""
+        if self.k < 2:
+            raise DegenerateGeometryError(
+                "vertex solution: the maximin map is not differentiable for a"
+                " single active column"
+            )
+        cols = list(range(self.k)) if columns is None else list(columns)
+        U, unorm = self._residuals
+        for g in cols:
+            if unorm[g] < _DEGENERACY_TOL:
+                raise DegenerateGeometryError(
+                    f"active column {g} lies in the affine hull of the others"
+                )
+        metric, M = self.metric, np.asarray(M, dtype=float)
+        U, unorm = U[:, cols], unorm[cols]
+        Pi = self.complement
+        r = Pi @ (M - self.B[:, 0])
+        SU = metric.Sigma @ U
+        t = M @ SU - np.einsum("pg,pg->g", self.B[:, cols], SU) + unorm**2
+        wnorm = np.sqrt(metric.inner(r, r) + (t / unorm) ** 2)
+        outer = (U / unorm**2).T[:, :, None] * (metric.Sigma @ M)
+        return (wnorm / unorm)[:, None, None] * Pi - outer
+
+    def dsigma(self, M, Delta):
+        """-D Gamma^{-1} D^T Delta M = -E E^T Delta M; zero for one column."""
+        Delta = np.asarray(Delta, dtype=float)
+        if Delta.shape != (self.p, self.p):
+            raise RankError(f"Delta must be {self.p} x {self.p}")
+        scale = float(np.max(np.abs(Delta))) or 1.0
+        if np.max(np.abs(Delta - Delta.T)) > 1e-8 * scale:
+            raise ValueError("Delta must be symmetric")
+        E = self._full_rank_basis()
+        return -E @ (E.T @ (Delta @ np.asarray(M, dtype=float)))
+
+    def term_V(self, C_hat):
+        """P C_hat P with P = D Gamma^{-1} D^T = E E^T; zero for one column."""
+        E = self._full_rank_basis()
+        P = E @ E.T
+        V = P @ np.asarray(C_hat, dtype=float) @ P
+        return (V + V.T) / 2.0
+
+
 def affine_project(x, points, metric):
     """Project x onto the affine hull of the given points, Sigma-orthogonally.
 
     points is a sequence of p-vectors (or a (k, p) array). Rank-deficient
-    spans are handled by the pseudo-inverse; the result is idempotent and
+    spans are handled like a pseudo-inverse; the result is idempotent and
     its residual is Sigma-orthogonal to every difference of points.
     """
-    metric = SigmaMetric.ensure(metric)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x = np.asarray(x, dtype=float)
-    base = pts[0]
-    if pts.shape[0] == 1:
-        return base.copy()
-    D = (pts[1:] - base).T
-    gram = D.T @ metric.Sigma @ D
-    coef = np.linalg.pinv(gram, rcond=_RANK_RTOL, hermitian=True)
-    return base + D @ (coef @ (D.T @ (metric.Sigma @ (x - base))))
-
-
-def _complement_projector(B, metric):
-    """Matrix of the Sigma-orthogonal projector onto span(b_g - b_1)^perp."""
-    metric = SigmaMetric.ensure(metric)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    p = B.shape[0]
-    if B.shape[1] <= 1:
-        return np.eye(p)
-    D = B[:, 1:] - B[:, :1]
-    gram = D.T @ metric.Sigma @ D
-    coef = np.linalg.pinv(gram, rcond=_RANK_RTOL, hermitian=True)
-    return np.eye(p) - D @ coef @ D.T @ metric.Sigma
+    return Face(pts.T, metric).project(x)
 
 
 def complement_project(v, B, metric):
     """Apply the projector onto the Sigma-complement of the difference span."""
-    v = np.asarray(v, dtype=float)
-    return _complement_projector(B, metric) @ v
+    return Face(B, metric).complement @ np.asarray(v, dtype=float)
 
 
 def dmagging_dB(B_active, Sigma, g, M):
@@ -145,34 +256,10 @@ def dmagging_dB(B_active, Sigma, g, M):
         For vertex solutions (G' < 2) or when column g lies in the
         affine hull of the others, where no derivative exists.
     """
-    metric = SigmaMetric.ensure(Sigma)
-    B = np.atleast_2d(np.asarray(B_active, dtype=float))
-    p, Gp = B.shape
-    if Gp < 2:
-        raise DegenerateGeometryError(
-            "vertex solution: the maximin map is not differentiable for a"
-            " single active column"
-        )
-    if not 0 <= g < Gp:
-        raise IndexError(f"column index {g} outside 0..{Gp - 1}")
-    M = np.asarray(M, dtype=float)
-    others = np.delete(B, g, axis=1).T
-    u = B[:, g] - affine_project(B[:, g], others, metric)
-    nu = metric.norm(u)
-    if nu < _DEGENERACY_TOL:
-        raise DegenerateGeometryError(
-            f"active column {g} lies in the affine hull of the others"
-        )
-    w = M - affine_project(M, others, metric)
-    proj = _complement_projector(B, metric)
-    term1 = -np.outer(u, metric.Sigma @ M) / nu**2
-    term2 = (metric.norm(w) / nu) * proj
-    return term1 + term2
-
-
-def _difference_matrix(B):
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    return B[:, 1:] - B[:, :1]
+    face = Face(B_active, Sigma)
+    if face.k >= 2 and not 0 <= g < face.k:
+        raise IndexError(f"column index {g} outside 0..{face.k - 1}")
+    return face.jacobians(M, [g])[0]
 
 
 def dmagging_dSigma(B_active, Sigma, M, Delta):
@@ -187,24 +274,7 @@ def dmagging_dSigma(B_active, Sigma, M, Delta):
     RankError
         If D is not of full column rank.
     """
-    metric = SigmaMetric.ensure(Sigma)
-    B = np.atleast_2d(np.asarray(B_active, dtype=float))
-    p, Gp = B.shape
-    M = np.asarray(M, dtype=float)
-    Delta = np.asarray(Delta, dtype=float)
-    if Delta.shape != (p, p):
-        raise RankError(f"Delta must be {p} x {p}")
-    scale = float(np.max(np.abs(Delta))) or 1.0
-    if np.max(np.abs(Delta - Delta.T)) > 1e-8 * scale:
-        raise ValueError("Delta must be symmetric")
-    if Gp == 1:
-        return np.zeros(p)
-    D = _difference_matrix(B)
-    s = np.linalg.svd(D, compute_uv=False)
-    if s[-1] <= _RANK_RTOL * s[0]:
-        raise RankError("active-column differences are rank deficient")
-    gram = D.T @ metric.Sigma @ D
-    return -D @ np.linalg.solve(gram, D.T @ (Delta @ M))
+    return Face(B_active, Sigma).dsigma(M, Delta)
 
 
 @dataclass(frozen=True)
@@ -213,12 +283,13 @@ class MaggingDifferential:
 
     dB holds the Jacobian for each active column, ordered like active.
     dSigma maps a symmetric p x p direction to the induced movement of
-    the maximin point.
+    the maximin point. face is the factorised active face they come from.
     """
 
     active: tuple
     dB: tuple
     dSigma: object
+    face: Face
 
     def apply_dB(self, g, v):
         """Movement of M when active column g moves along v."""
@@ -232,14 +303,11 @@ def magging_differential(B, Sigma, solution):
     the active columns recorded on the solution (inactive columns have
     zero derivative and are omitted).
     """
-    metric = SigmaMetric.ensure(Sigma)
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    sub = B[:, list(solution.active)]
-    jacobians = tuple(
-        dmagging_dB(sub, metric, i, solution.M) for i in range(sub.shape[1])
+    face = Face(B[:, list(solution.active)], Sigma)
+    return MaggingDifferential(
+        active=solution.active,
+        dB=tuple(face.jacobians(solution.M)),
+        dSigma=functools.partial(face.dsigma, solution.M),
+        face=face,
     )
-
-    def dsigma(Delta):
-        return dmagging_dSigma(sub, metric, solution.M, Delta)
-
-    return MaggingDifferential(active=solution.active, dB=jacobians, dSigma=dsigma)

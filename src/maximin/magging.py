@@ -19,14 +19,17 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import BudgetError, ConvergenceError, DefinitenessError
+from .errors import BudgetError, ConvergenceError
+from .geometry import SigmaMetric
 
 DEFAULT_ACTIVITY_THRESHOLD = 1e-6
 
 # Weights this far below zero are treated as boundary, not infeasible.
 _FEAS_TOL = 1e-12
+
+# Largest G the exhaustive oracle enumerates (2^G - 1 faces).
+ORACLE_MAX_G = 15
 
 
 @dataclass(frozen=True)
@@ -138,20 +141,6 @@ def _simplex_qp(H, c=None, max_iter=None, tol=None):
     )
 
 
-def _check_sigma(Sigma, p):
-    Sigma = np.asarray(Sigma, dtype=float)
-    if Sigma.shape != (p, p):
-        raise DefinitenessError(f"Sigma must be {p} x {p}, got {Sigma.shape}")
-    scale = float(np.max(np.abs(Sigma))) or 1.0
-    if np.max(np.abs(Sigma - Sigma.T)) > 1e-10 * scale:
-        raise DefinitenessError("Sigma is not symmetric")
-    try:
-        scipy.linalg.cho_factor(Sigma)
-    except scipy.linalg.LinAlgError:
-        raise DefinitenessError("Sigma is not positive definite") from None
-    return (Sigma + Sigma.T) / 2.0
-
-
 def maximin_point(B, Sigma, activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
     """Compute the maximin point of the columns of B under Sigma.
 
@@ -159,8 +148,9 @@ def maximin_point(B, Sigma, activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
     ----------
     B : ndarray, shape (p, G)
         Per-group coefficient vectors as columns.
-    Sigma : ndarray, shape (p, p)
-        Symmetric positive definite metric.
+    Sigma : ndarray, shape (p, p), or SigmaMetric
+        Symmetric positive definite metric; pass a SigmaMetric to reuse
+        its factorization.
     activity_threshold : float
         Weights above this count as active.
 
@@ -177,8 +167,7 @@ def maximin_point(B, Sigma, activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
         attached to the exception.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    p, G = B.shape
-    Sigma = _check_sigma(Sigma, p)
+    Sigma = SigmaMetric.ensure(Sigma, B.shape[0]).Sigma
     if not 0.0 < activity_threshold < 1.0:
         raise ValueError("activity_threshold must lie in (0, 1)")
     H = B.T @ Sigma @ B
@@ -217,13 +206,13 @@ def brute_force_oracle(B, Sigma):
     Enumerates every nonempty subset of columns, solves the equality-
     constrained minimum-norm problem on its affine hull, and keeps the
     best candidate whose weights are all nonnegative. Exponential in G,
-    hence the G <= 15 cap; intended for validation, not production.
+    hence the ORACLE_MAX_G cap; intended for validation, not production.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     p, G = B.shape
-    if G > 15:
-        raise BudgetError(f"brute force supports G <= 15, got {G}")
-    Sigma = _check_sigma(Sigma, p)
+    if G > ORACLE_MAX_G:
+        raise BudgetError(f"brute force supports G <= {ORACLE_MAX_G}, got {G}")
+    Sigma = SigmaMetric.ensure(Sigma, p).Sigma
     H = B.T @ Sigma @ B
     H = (H + H.T) / 2.0
     best_obj = np.inf
@@ -258,9 +247,3 @@ def explained_variance(b, b_g, Sigma):
     Sigma = np.asarray(Sigma, dtype=float)
     return float(2.0 * b @ Sigma @ b_g - b @ Sigma @ b)
 
-
-def active_set(solution, threshold=DEFAULT_ACTIVITY_THRESHOLD):
-    """Indices whose weight exceeds the threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    return tuple(int(g) for g in np.flatnonzero(solution.alpha > threshold))

@@ -26,16 +26,24 @@ class Analysis:
     sigma_used: np.ndarray
 
 
+def _solve(dataset, ridge_jitter, known_sigma, activity_threshold):
+    """Fit, factor the metric once, solve: (estimates, solution, metric, sigma)."""
+    estimates = linmodel.fit(dataset, ridge_jitter)
+    sigma = estimates.Sigma_hat if known_sigma is None else np.asarray(
+        known_sigma, dtype=float)
+    metric = geometry.SigmaMetric(sigma)
+    solution = magging.maximin_point(estimates.Bhat, metric, activity_threshold)
+    return estimates, solution, metric, sigma
+
+
 def estimate_dataset(dataset, ridge_jitter=0.0, known_sigma=None,
                      activity_threshold=magging.DEFAULT_ACTIVITY_THRESHOLD):
     """Fit and solve the maximin program; no covariance assembly.
 
     Returns (estimates, solution, sigma_used).
     """
-    estimates = linmodel.fit(dataset, ridge_jitter)
-    sigma = estimates.Sigma_hat if known_sigma is None else np.asarray(
-        known_sigma, dtype=float)
-    solution = magging.maximin_point(estimates.Bhat, sigma, activity_threshold)
+    estimates, solution, _, sigma = _solve(
+        dataset, ridge_jitter, known_sigma, activity_threshold)
     return estimates, solution, sigma
 
 
@@ -45,13 +53,14 @@ def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
 
     Returns an Analysis bundle. Degeneracy, rank, conditioning and
     convergence problems propagate as their specific exception types so
-    callers can count or surface them.
+    callers can count or surface them. One SigmaMetric serves the solve,
+    the differential and the covariance assembly.
     """
-    estimates, solution, sigma = estimate_dataset(
+    estimates, solution, metric, sigma = _solve(
         dataset, ridge_jitter, known_sigma, activity_threshold)
     if len(solution.active) > 1:
         differential = geometry.magging_differential(
-            estimates.Bhat, sigma, solution)
+            estimates.Bhat, metric, solution)
     else:
         differential = None
     if known_sigma is None:
@@ -59,7 +68,7 @@ def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
     else:
         C_hat = None
     covariance = asymvar.assemble_W(
-        estimates, solution, differential, C_hat, Sigma=sigma)
+        estimates, solution, differential, C_hat, Sigma=metric)
     region = confidence.build_region(solution.M, covariance, dataset.n, alpha)
     region.flags["sigma2_approximate"] = bool(estimates.sigma2_approximate)
     return Analysis(

@@ -44,8 +44,8 @@ def maximin_norm_gap(B, B_prime, Sigma0):
     metric = SigmaMetric.ensure(Sigma0)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Bp = np.atleast_2d(np.asarray(B_prime, dtype=float))
-    norm = metric.norm(maximin_point(B, metric.Sigma).M)
-    norm_p = metric.norm(maximin_point(Bp, metric.Sigma).M)
+    norm = metric.norm(maximin_point(B, metric).M)
+    norm_p = metric.norm(maximin_point(Bp, metric).M)
     bound = max(metric.norm(Bp[:, g] - B[:, g]) for g in range(B.shape[1]))
     return abs(norm_p - norm), bound
 
@@ -181,7 +181,7 @@ def covering_region(boxes, Sigma0, target_eps, budget=DEFAULT_BUDGET):
     centers = flat.reshape(-1, G, p).transpose(0, 2, 1)
     shells = np.empty(centers.shape[0])
     for k in range(centers.shape[0]):
-        shells[k] = metric.norm(maximin_point(centers[k], metric.Sigma).M)
+        shells[k] = metric.norm(maximin_point(centers[k], metric).M)
     return CoveringRegion(
         centers=centers,
         radii=np.full(centers.shape[0], float(target_eps)),
@@ -192,8 +192,9 @@ def covering_region(boxes, Sigma0, target_eps, budget=DEFAULT_BUDGET):
     )
 
 
-def _hull_distance(B, Sigma, M):
+def _hull_distance(B, metric, M):
     """Sigma-norm distance from M to the convex hull of B's columns."""
+    Sigma = metric.Sigma
     H = B.T @ Sigma @ B
     H = (H + H.T) / 2.0
     c = -2.0 * (B.T @ (Sigma @ M))
@@ -211,6 +212,6 @@ def contains_relaxed(region, M):
         eps = region.radii[k]
         if abs(norm - region.shells[k]) > eps + _SLACK:
             continue
-        if _hull_distance(region.centers[k], metric.Sigma, M) <= eps + _SLACK:
+        if _hull_distance(region.centers[k], metric, M) <= eps + _SLACK:
             return True
     return False

@@ -6,7 +6,6 @@ import pytest
 from maximin.asymvar import (
     assemble_W,
     empirical_C,
-    fourth_moment_reference,
     gaussian_population_C,
     sigma_term_V,
     tied_neighbors,
@@ -16,6 +15,7 @@ from maximin.geometry import SigmaMetric, magging_differential
 from maximin.linmodel import ScenarioSpec, fit, generate
 from maximin.magging import maximin_point
 from maximin.pipeline import analyze_dataset
+from reference import fourth_moment_reference
 
 
 def test_empirical_C_matches_tensor_contraction():

@@ -159,6 +159,23 @@ def test_simulate_json_format(capsys):
     assert payload["cells"][0]["replicates"] == 5
 
 
+def test_simulate_beyond_the_oracle_budget(capsys):
+    # G = 20 groups exceed the exhaustive oracle's G <= 15 budget; the
+    # analytic reference is certified by its KKT conditions instead
+    code = main(
+        [
+            "simulate",
+            "--tables", "1",
+            "--p-values", "20",
+            "--n-values", "50",
+            "--replicates", "2",
+        ]
+    )
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[1].startswith("1,20,50,2,")
+
+
 def test_simulate_config_file_with_flag_overrides(tmp_path, capsys):
     config = tmp_path / "grid.json"
     config.write_text(

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maximin.errors import BudgetError, DefinitenessError
-from maximin.magging import (
-    active_set,
-    brute_force_oracle,
-    explained_variance,
-    maximin_point,
-)
+from maximin.magging import brute_force_oracle, explained_variance, maximin_point
 
 
 def test_symmetric_basis_splits_weight_evenly():
@@ -94,11 +89,10 @@ def test_sigma_validation():
 def test_activity_threshold_validation():
     with pytest.raises(ValueError):
         maximin_point(np.eye(2), np.eye(2), activity_threshold=0.0)
-    sol = maximin_point(np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
-        active_set(sol, threshold=1.0)
-    assert active_set(sol) == (0, 1)
-    assert active_set(sol, threshold=0.6) == ()
+        maximin_point(np.eye(2), np.eye(2), activity_threshold=1.0)
+    assert maximin_point(np.eye(2), np.eye(2)).active == (0, 1)
+    assert maximin_point(np.eye(2), np.eye(2), activity_threshold=0.6).active == ()
 
 
 def test_explained_variance_formula():
