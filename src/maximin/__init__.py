@@ -39,7 +39,6 @@ from .errors import (
 )
 from .estimator import MaximinEstimator
 from .geometry import (
-    Face,
     MaggingDifferential,
     SigmaMetric,
     affine_project,
@@ -100,7 +99,6 @@ __all__ = [
     "DegenerateGeometryError",
     "DimensionError",
     "EstimationError",
-    "Face",
     "GroupBoxes",
     "GroupedDataset",
     "GroupEstimates",

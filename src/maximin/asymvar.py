@@ -116,7 +116,8 @@ def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g=None):
         scales = np.full(G, sigma2 * p / n)
     else:
         grams = np.asarray(Sigma_g, dtype=float)
-        inv_traces = np.trace(np.linalg.solve(grams, metric.Sigma), axis1=1, axis2=2)
+        rhs = np.broadcast_to(metric.Sigma, grams.shape)
+        inv_traces = np.trace(np.linalg.solve(grams, rhs), axis1=1, axis2=2)
         scales = sigma2 * inv_traces / n
     quant = chi2_quantile(p, TIE_PROBE_LEVEL) / p
     s_face = max(scales[g] for g in active)
@@ -147,8 +148,9 @@ def assemble_W(estimates, solution, differential, C_hat, Sigma=None):
         the Jacobians and inflate W along the ambiguous directions. A
         cleanly isolated vertex means the estimate equals one group's
         least squares and W falls back to sigma^2 Sigma^{-1} with the
-        vertex_mode flag raised. Interior solutions use the provided
-        differential and its face as they are.
+        vertex_mode flag raised. Interior solutions use the Jacobians of
+        the provided differential; term_V reuses its face only when that
+        face was built under this same metric.
     """
     if Sigma is None:
         Sigma = estimates.Sigma_hat
@@ -168,29 +170,17 @@ def assemble_W(estimates, solution, differential, C_hat, Sigma=None):
             Bhat, active, metric, sigma2, estimates.n,
             Sigma_g=estimates.Sigma_g_hat,
         )
+    used = tuple(sorted(set(active).union(tied))) if tied else active
     if vertex and not tied:
-        W = sigma2 * sigma_inv
-        return AsymptoticCovariance(
-            W=W,
-            term_B=W.copy(),
-            term_V=np.zeros((p, p)),
-            C_hat=C_used,
-            sigma2_used=sigma2,
-            active_used=active,
-            vertex_mode=True,
-            known_sigma=known,
-        )
-    if tied:
-        used = tuple(sorted(set(active).union(tied)))
-        face = Face(Bhat[:, list(used)], metric)
-        jacobians = face.jacobians(solution.M)
+        term_B, term_V = sigma2 * sigma_inv, np.zeros((p, p))
     else:
-        used = active
-        face = differential.face
-        jacobians = np.asarray(differential.dB)
-    term_B = sigma2 * np.einsum("gij,glj->il", jacobians @ sigma_inv, jacobians)
-    term_B = (term_B + term_B.T) / 2.0
-    term_V = np.zeros((p, p)) if known else face.term_V(C_used)
+        face = getattr(differential, "_face", None)
+        if tied or face is None or face.metric is not metric:
+            face = Face(Bhat[:, list(used)], metric)
+        jacobians = face.jacobians(solution.M) if tied else np.asarray(differential.dB)
+        term_B = sigma2 * np.einsum("gij,glj->il", jacobians @ sigma_inv, jacobians)
+        term_B = (term_B + term_B.T) / 2.0
+        term_V = np.zeros((p, p)) if known else face.term_V(C_used)
     W = term_B + term_V
     return AsymptoticCovariance(
         W=(W + W.T) / 2.0,

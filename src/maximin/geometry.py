@@ -46,7 +46,7 @@ w_g = alpha_g u_g, so |w_g| / |u_g| = alpha_g.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -173,14 +173,18 @@ class Face:
         ])
         return U, np.sqrt(np.einsum("pg,pg->g", U, self.metric.Sigma @ U))
 
-    def jacobians(self, M, columns=None):
-        """Stacked J_g for the given columns (all by default), (c, p, p)."""
+    def jacobians(self, M):
+        """Stacked J_g for every column, shape (k, p, p)."""
+        return self._jacobians(M, range(self.k))
+
+    def _jacobians(self, M, cols):
+        """Stacked J_g for the given columns; checks only those columns."""
         if self.k < 2:
             raise DegenerateGeometryError(
                 "vertex solution: the maximin map is not differentiable for a"
                 " single active column"
             )
-        cols = list(range(self.k)) if columns is None else list(columns)
+        cols = list(cols)
         U, unorm = self._residuals
         for g in cols:
             if unorm[g] < _DEGENERACY_TOL:
@@ -259,7 +263,7 @@ def dmagging_dB(B_active, Sigma, g, M):
     face = Face(B_active, Sigma)
     if face.k >= 2 and not 0 <= g < face.k:
         raise IndexError(f"column index {g} outside 0..{face.k - 1}")
-    return face.jacobians(M, [g])[0]
+    return face._jacobians(M, [g])[0]
 
 
 def dmagging_dSigma(B_active, Sigma, M, Delta):
@@ -283,13 +287,14 @@ class MaggingDifferential:
 
     dB holds the Jacobian for each active column, ordered like active.
     dSigma maps a symmetric p x p direction to the induced movement of
-    the maximin point. face is the factorised active face they come from.
+    the maximin point. _face is the factorised active face they come
+    from, when known.
     """
 
     active: tuple
     dB: tuple
     dSigma: object
-    face: Face
+    _face: Face = field(default=None, repr=False, compare=False)
 
     def apply_dB(self, g, v):
         """Movement of M when active column g moves along v."""
@@ -309,5 +314,5 @@ def magging_differential(B, Sigma, solution):
         active=solution.active,
         dB=tuple(face.jacobians(solution.M)),
         dSigma=functools.partial(face.dsigma, solution.M),
-        face=face,
+        _face=face,
     )

@@ -35,12 +35,7 @@ from .errors import (
     SingularFitError,
 )
 from .linmodel import ScenarioSpec, generate, true_coefficients
-from .magging import (
-    DEFAULT_ACTIVITY_THRESHOLD,
-    ORACLE_MAX_G,
-    _simplex_qp,
-    brute_force_oracle,
-)
+from .magging import DEFAULT_ACTIVITY_THRESHOLD, _simplex_qp, brute_force_oracle
 
 _REPLICATE_ERRORS = (
     SingularFitError,
@@ -135,8 +130,7 @@ def _kkt_certifies(B, M, tol=1e-8):
 def _verify_true_maximin(spec):
     """One-time cross-check of the analytic reference point.
 
-    Up to ORACLE_MAX_G groups the exhaustive oracle must reproduce it;
-    beyond its budget a KKT certificate stands in.
+    The simplex-QP KKT conditions must certify it, at any G.
     For the shared-plus-noise rule the check uses a canonical draw with
     mixed signs; same-signed draws have a different maximin point, and
     scoring against e_1 on them is a deliberate reporting convention.
@@ -158,11 +152,7 @@ def _verify_true_maximin(spec):
     else:
         B = true_coefficients(spec)
     M0 = true_maximin(spec)
-    if spec.G <= ORACLE_MAX_G:
-        ok = np.allclose(brute_force_oracle(B, np.eye(spec.p)), M0, atol=1e-8)
-    else:
-        ok = _kkt_certifies(B, M0)
-    if not ok:
+    if not _kkt_certifies(B, M0):
         raise AssertionError(
             f"analytic maximin reference fails its cross-check for {key}"
         )

@@ -35,9 +35,9 @@ def test_face_matches_reference_on_separated_instances(seed, sigma2):
     diff = magging_differential(B, metric, sol)
     for i, J in enumerate(diff.dB):
         assert _close(J, ref.dmagging_dB(sub, metric, i, sol.M))
-    assert _close(diff.face.complement, ref.complement_projector(sub, metric))
+    assert _close(diff._face.complement, ref.complement_projector(sub, metric))
     x = B @ np.linspace(1.0, 2.0, B.shape[1])
-    assert _close(diff.face.project(x), ref.affine_project(x, sub.T, metric))
+    assert _close(diff._face.project(x), ref.affine_project(x, sub.T, metric))
     C = gaussian_population_C(Sigma, sol.M, B.shape[1])
     assert _close(sigma_term_V(sub, metric, C), ref.sigma_term_V(sub, metric, C))
     W = assemble_W(_Estimates(B, Sigma, sigma2), sol, diff, C, Sigma=metric).W
@@ -107,3 +107,19 @@ def test_degenerate_faces_raise_like_the_reference(seed, p, extra, offset):
         assert _outcome(sigma_term_V, B, metric, C) == _outcome(
             ref.sigma_term_V, B, metric, C)
 
+
+
+def test_assemble_W_term_V_follows_its_own_metric():
+    # A differential built under another metric, or one without a face,
+    # must not leak that metric into term_V.
+    [(B, Sigma, sol)] = separated_instances(1, seed=3)
+    sub = B[:, list(sol.active)]
+    other = SigmaMetric(2.0 * Sigma)
+    metric = SigmaMetric(Sigma)
+    C = gaussian_population_C(Sigma, sol.M, B.shape[1])
+    expected = ref.sigma_term_V(sub, metric, C)
+    diff = magging_differential(B, other, sol)
+    bare = SimpleNamespace(active=diff.active, dB=diff.dB)
+    for d in (diff, bare):
+        cov = assemble_W(_Estimates(B, Sigma, 1.0), sol, d, C, Sigma=metric)
+        assert _close(cov.term_V, expected)
