@@ -152,9 +152,7 @@ def _flat_csv(pairs):
     return "\n".join(lines) + "\n"
 
 
-def _estimate_payload(dataset, analysis):
-    est = analysis.estimates
-    sol = analysis.solution
+def _estimate_payload(dataset, est, sol, known_sigma):
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
@@ -176,7 +174,7 @@ def _estimate_payload(dataset, analysis):
             "unique_weights": sol.unique_weights,
             "vertex_mode": len(sol.active) == 1,
             "sigma2_approximate": est.sigma2_approximate,
-            "known_sigma": analysis.covariance.known_sigma,
+            "known_sigma": known_sigma,
         },
     }
 
@@ -186,10 +184,10 @@ def cmd_estimate(args, parser):
         parser.error("--jitter must be >= 0")
     dataset = _load_dataset(args.inputs)
     known = _load_matrix(args.known_sigma) if args.known_sigma else None
-    analysis = pipeline.analyze_dataset(
+    estimates, solution, _ = pipeline.estimate_dataset(
         dataset, ridge_jitter=args.jitter, known_sigma=known
     )
-    payload = _estimate_payload(dataset, analysis)
+    payload = _estimate_payload(dataset, estimates, solution, known is not None)
     if args.format == "json":
         _emit(_json_text(payload), args.out)
     else:
@@ -221,7 +219,9 @@ def cmd_region(args, parser):
         "W": analysis.covariance.W.tolist(),
         "term_B": analysis.covariance.term_B.tolist(),
         "term_V": analysis.covariance.term_V.tolist(),
-        "estimate": _estimate_payload(dataset, analysis),
+        "estimate": _estimate_payload(
+            dataset, analysis.estimates, analysis.solution, known is not None
+        ),
     }
     if args.format == "json":
         _emit(_json_text(payload), args.out)

@@ -11,6 +11,7 @@ gamma, seeded by the Wilson-Hilferty cube approximation; the iteration
 is deterministic and stops at an absolute CDF error of 1e-12.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,8 +42,12 @@ def _chi2_pdf(dof, x):
     return math.exp((k - 1.0) * math.log(x) - x / 2.0 - math.lgamma(k) - k * math.log(2.0))
 
 
+@functools.lru_cache(maxsize=256)
 def chi2_quantile(dof, prob):
     """Value tau with P[chi2_dof <= tau] = prob.
+
+    Pure in (dof, prob), so results are memoised: a coverage run asks
+    for the same few quantiles once per replicate.
 
     Parameters
     ----------

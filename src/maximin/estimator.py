@@ -10,6 +10,7 @@ class clone-friendly for pipeline tooling.
 import numpy as np
 
 from . import pipeline
+from .geometry import SigmaMetric
 from .linmodel import GroupedDataset
 from .magging import DEFAULT_ACTIVITY_THRESHOLD
 from .validation import (
@@ -103,6 +104,7 @@ class MaximinEstimator:
             activity_threshold=self.activity_threshold,
         )
         self._dataset = dataset
+        self._known_sigma = sigma
         self.groups_ = labels
         self.estimates_ = estimates
         self.solution_ = solution
@@ -130,20 +132,19 @@ class MaximinEstimator:
     def confidence_region(self, alpha=None):
         """Confidence ellipsoid for the true maximin effect.
 
-        Runs the covariance assembly on the data seen at fit time.
-        alpha defaults to the constructor value.
+        Runs the covariance assembly on the data, fit and solution from
+        fit time; nothing is refit. alpha defaults to the constructor
+        value.
         """
         self._check_fitted()
         level = self.alpha if alpha is None else alpha
-        sigma = self.known_sigma
-        if sigma is not None:
-            sigma = as_spd_matrix(sigma, self._dataset.p)
-        analysis = pipeline.analyze_dataset(
+        covariance, region = pipeline.infer(
             self._dataset,
-            alpha=level,
-            ridge_jitter=self.ridge_jitter,
-            known_sigma=sigma,
-            activity_threshold=self.activity_threshold,
+            self.estimates_,
+            self.solution_,
+            SigmaMetric(self.sigma_used_),
+            level,
+            self._known_sigma,
         )
-        self.covariance_ = analysis.covariance
-        return analysis.region
+        self.covariance_ = covariance
+        return region

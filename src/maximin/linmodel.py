@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CsvFormatError, DimensionError, SingularFitError
+from .validation import check_equal_sizes
 
 COEFFICIENT_RULES = ("basis-vectors", "shared-plus-noise", "identical", "custom")
 DESIGN_RULES = ("iid-normal", "per-group-scaled-normal")
@@ -214,7 +215,10 @@ def fit(dataset, ridge_jitter=0.0):
 
     Each coefficient vector solves (X_g^T X_g / n + jitter Id) b =
     X_g^T y_g / n. With jitter 0 a singular (or numerically rank-
-    deficient) scatter raises SingularFitError naming the group.
+    deficient) scatter raises SingularFitError naming the first such
+    group. All groups go through one batched pass over the (G, n, p)
+    stack: Grams, one Cholesky for the rank check, one solve. Sigma_hat
+    is the mean of the group scatters, X^T X / (nG) + jitter Id.
 
     Parameters
     ----------
@@ -229,45 +233,65 @@ def fit(dataset, ridge_jitter=0.0):
     if ridge_jitter < 0:
         raise ValueError("ridge_jitter must be >= 0")
     n, p, G = dataset.n, dataset.p, dataset.G
-    Bhat = np.empty((p, G))
-    Sigma_g = []
-    rss = 0.0
-    for g, (X, y) in enumerate(dataset.groups):
-        S = (X.T @ X) / n + ridge_jitter * np.eye(p)
-        try:
-            factor = scipy.linalg.cho_factor(S, lower=True)
-        except scipy.linalg.LinAlgError:
-            raise SingularFitError(
-                f"group {dataset.labels[g]}: design scatter is singular;"
-                " a positive ridge_jitter is required",
-                group=dataset.labels[g],
-            ) from None
-        pivots = np.abs(np.diag(factor[0])) ** 2
-        if pivots.min() <= _PIVOT_RTOL * pivots.max():
-            raise SingularFitError(
-                f"group {dataset.labels[g]}: design scatter is numerically"
-                " rank-deficient",
-                group=dataset.labels[g],
-            )
-        b = scipy.linalg.cho_solve(factor, (X.T @ y) / n)
-        Bhat[:, g] = b
-        Sigma_g.append(S)
-        r = y - X @ b
-        rss += float(r @ r)
-    X_all = dataset.design_stack()
-    Sigma_hat = (X_all.T @ X_all) / (n * G) + ridge_jitter * np.eye(p)
+    X = np.stack([X_g for X_g, _ in dataset.groups])
+    y = np.stack([y_g for _, y_g in dataset.groups])
+    Xt = X.transpose(0, 2, 1)
+    S = (Xt @ X) / n + ridge_jitter * np.eye(p)
+    rhs = (Xt @ y[:, :, None]) / n
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(S), axis1=1, axis2=2) ** 2
+        ok = pivots.min(axis=1) > _PIVOT_RTOL * pivots.max(axis=1)
+    except np.linalg.LinAlgError:
+        ok = np.zeros(G, dtype=bool)
+    if not (ok.all() and np.isfinite(rhs).all()):
+        _raise_first_failure(S, rhs, ok, dataset.labels)
+    coef = np.linalg.solve(S, rhs)
+    r = y - (X @ coef)[:, :, 0]
+    rss = float(np.sum(r * r))
     approximate = p >= n
     dof = G * n if approximate else G * (n - p)
     sigma2 = rss / dof
     return GroupEstimates(
-        Bhat=Bhat,
-        Sigma_hat=Sigma_hat,
-        Sigma_g_hat=tuple(Sigma_g),
+        Bhat=coef[:, :, 0].T,
+        Sigma_hat=S.mean(axis=0),
+        Sigma_g_hat=tuple(S),
         sigma2_hat=sigma2,
         ridge_jitter_used=float(ridge_jitter),
         n=n,
         sigma2_approximate=approximate,
         labels=dataset.labels,
+    )
+
+
+def _raise_first_failure(S, rhs, ok, labels):
+    """Raise what the first failing group of a fit raises.
+
+    Runs the checks group by group, in order: a scatter that cannot be
+    factored is singular, a pivot ratio at or below _PIVOT_RTOL is
+    numerically rank-deficient, and non-finite input raises ValueError.
+    ok is the batched pivot verdict: should every group pass the per-
+    group checks, the first group ok fails is reported as rank-deficient.
+    """
+    for g, S_g in enumerate(S):
+        try:
+            factor = scipy.linalg.cho_factor(S_g, lower=True)
+        except scipy.linalg.LinAlgError:
+            raise SingularFitError(
+                f"group {labels[g]}: design scatter is singular;"
+                " a positive ridge_jitter is required",
+                group=labels[g],
+            ) from None
+        pivots = np.abs(np.diag(factor[0])) ** 2
+        if pivots.min() <= _PIVOT_RTOL * pivots.max():
+            _rank_deficient(labels[g])
+        np.asarray_chkfinite(rhs[g])
+    _rank_deficient(labels[int(np.argmin(ok))])
+
+
+def _rank_deficient(label):
+    raise SingularFitError(
+        f"group {label}: design scatter is numerically rank-deficient",
+        group=label,
     )
 
 
@@ -295,11 +319,31 @@ def _read_rows(path):
     return rows
 
 
-def _check_equal_sizes(order, buckets):
-    sizes = {label: len(buckets[label]) for label in order}
-    if len(set(sizes.values())) > 1:
-        detail = ", ".join(f"{k}={v}" for k, v in sizes.items())
-        raise CsvFormatError(f"groups must have equal sizes, got {detail}")
+def _parse_groups(rows, pred_idx, y_idx, g_idx=None):
+    """Parse the data rows below the header into per-group columns.
+
+    Returns {label: (X rows, y values)} in order of first appearance;
+    the label is a row's g_idx cell, or None for every row when g_idx is
+    None. Blank lines are skipped; a row with the wrong field count or a
+    cell that is not a number raises CsvFormatError naming its line.
+    """
+    header = rows[0]
+    buckets = {}
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"line {line_no}: expected {len(header)} fields, got {len(row)}",
+                line=line_no,
+            )
+        label = None if g_idx is None else row[g_idx]
+        bucket = buckets.get(label)
+        if bucket is None:
+            bucket = buckets[label] = ([], [])
+        bucket[0].append([_parse_cell(row[j], line_no, header[j]) for j in pred_idx])
+        bucket[1].append(_parse_cell(row[y_idx], line_no, "y"))
+    return buckets
 
 
 def load_grouped_csv(path):
@@ -320,32 +364,14 @@ def load_grouped_csv(path):
     if not predictors:
         raise CsvFormatError(f"{path}: no predictor columns found", line=1)
     pred_idx = [header.index(c) for c in predictors]
-    order = []
-    buckets = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"line {line_no}: expected {len(header)} fields, got {len(row)}",
-                line=line_no,
-            )
-        label = row[g_idx]
-        if label not in buckets:
-            order.append(label)
-            buckets[label] = []
-        x = [_parse_cell(row[j], line_no, header[j]) for j in pred_idx]
-        y = _parse_cell(row[y_idx], line_no, "y")
-        buckets[label].append((x, y))
-    if not order:
+    buckets = _parse_groups(rows, pred_idx, y_idx, g_idx)
+    if not buckets:
         raise CsvFormatError(f"{path}: no data rows", line=2)
-    _check_equal_sizes(order, buckets)
-    groups = []
-    for label in order:
-        X = np.array([x for x, _ in buckets[label]], dtype=float)
-        y = np.array([v for _, v in buckets[label]], dtype=float)
-        groups.append((X, y))
-    return GroupedDataset(tuple(groups), labels=tuple(order))
+    check_equal_sizes({label: len(y) for label, (_, y) in buckets.items()}, CsvFormatError)
+    groups = tuple(
+        (np.array(X, dtype=float), np.array(y, dtype=float)) for X, y in buckets.values()
+    )
+    return GroupedDataset(groups, labels=tuple(buckets))
 
 
 def load_group_csvs(paths):
@@ -374,23 +400,12 @@ def load_group_csvs(paths):
             )
         y_idx = header.index("y")
         pred_idx = [header.index(c) for c in predictors]
-        X_rows, y_vals = [], []
-        for line_no, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}",
-                    line=line_no,
-                )
-            X_rows.append([_parse_cell(row[j], line_no, header[j]) for j in pred_idx])
-            y_vals.append(_parse_cell(row[y_idx], line_no, "y"))
-        if not X_rows:
+        buckets = _parse_groups(rows, pred_idx, y_idx)
+        if not buckets:
             raise CsvFormatError(f"{path}: no data rows", line=2)
+        X_rows, y_vals = buckets[None]
         groups.append((np.array(X_rows), np.array(y_vals)))
         labels.append(os.path.splitext(os.path.basename(path))[0])
     sizes = {lab: g[0].shape[0] for lab, g in zip(labels, groups)}
-    if len(set(sizes.values())) > 1:
-        detail = ", ".join(f"{k}={v}" for k, v in sizes.items())
-        raise CsvFormatError(f"groups must have equal sizes, got {detail}")
+    check_equal_sizes(sizes, CsvFormatError)
     return GroupedDataset(tuple(groups), labels=tuple(labels))

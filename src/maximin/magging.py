@@ -5,18 +5,40 @@ definite Sigma, the maximin point is argmin over the convex hull of the
 columns of b^T Sigma b. In weight space that is the simplex-constrained
 quadratic program
 
-    minimize  a^T H a,  H = B^T Sigma B,  over  a >= 0, sum(a) = 1,
+    minimize  a^T H a + c^T a,  H = B^T Sigma B,  over  a >= 0, sum(a) = 1,
 
-solved here by a primal active-set method: hold a working set of
-nonzero weights, solve the equality-constrained subproblem through its
-KKT system, step to the nearest feasibility boundary when the solution
-leaves the simplex, and grow the working set by the most negative
-multiplier otherwise. Exact linear solves make the method finite for
-the small G this package targets.
+with c = 0 for the maximin point and c = -2 B^T Sigma m for the Sigma-
+distance from m to the hull. Two solvers share one entry point,
+stacked_simplex_qp, which takes a stack of such programs:
+
+- Face enumeration, for G <= ENUMERATION_MAX_G. The optimum lies on a
+  face spanned by at most p + 1 affinely independent columns
+  (Caratheodory's theorem in R^p), and on that face it is the solution
+  of the face's equality-constrained KKT system. Every face of at most
+  p + 1 columns, of every program in the stack, is padded to one size
+  and solved in a single np.linalg.solve; the face whose weights are
+  nonnegative and whose objective is lowest wins. Singular faces
+  (duplicated columns) are discarded, never raised.
+- A primal active-set method, for larger G: hold a working set of
+  nonzero weights, solve the equality-constrained subproblem through
+  its KKT system, step to the nearest feasibility boundary when the
+  solution leaves the simplex, and grow the working set by the most
+  negative multiplier otherwise. Exact linear solves make the method
+  finite. It runs on each program of the stack in turn.
+
+The switch sits at the measured single-call crossover. With p = G, 50
+random programs per G, one BLAS thread, NumPy 2.4 on a 2-core Xeon VM,
+enumeration took 78/84/100/104/204/409/804 us per program at
+G = 2..8 against 155/200/254/264/329/361/439 us for the active-set
+loop (1.4 to 4.0 iterations): enumeration wins up to G = 6 and loses
+from G = 7, where the face count (2^G - 1 at p >= G - 1) outgrows the
+loop's few iterations.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +53,9 @@ _FEAS_TOL = 1e-12
 # Largest G the exhaustive oracle enumerates (2^G - 1 faces).
 ORACLE_MAX_G = 15
 
+# Largest G whose programs stacked_simplex_qp solves by face enumeration.
+ENUMERATION_MAX_G = 6
+
 
 @dataclass(frozen=True)
 class MaggingSolution:
@@ -39,7 +64,9 @@ class MaggingSolution:
     active holds the indices g with alpha_g above the activity
     threshold. unique_weights reports whether the active columns are
     linearly independent, in which case the weight vector (not just the
-    point) is unique.
+    point) is unique. kkt_residual is measured on the face the solver
+    returned. iterations counts the faces solved when G is at most
+    ENUMERATION_MAX_G, and the active-set iterations otherwise.
     """
 
     M: np.ndarray
@@ -85,8 +112,9 @@ def _residual(H, c, gamma, support):
 def _simplex_qp(H, c=None, max_iter=None, tol=None):
     """Solve min gamma^T H gamma + c^T gamma over the probability simplex.
 
-    Returns (gamma, kkt_residual, iterations). H must be symmetric
-    positive semidefinite; c defaults to zero.
+    Returns (gamma, support, iterations), support being the final
+    working set; _residual(H, c, gamma, support) is the KKT residual.
+    H must be symmetric positive semidefinite; c defaults to zero.
     """
     G = H.shape[0]
     if c is None:
@@ -97,7 +125,7 @@ def _simplex_qp(H, c=None, max_iter=None, tol=None):
         scale = max(abs(np.trace(H)) / G, float(np.max(np.abs(c))) if G else 0.0)
         tol = 1e-10 * scale
     if G == 1:
-        return np.ones(1), 0.0, 0
+        return np.ones(1), [0], 0
     start = int(np.argmin(np.diag(H) + c))
     gamma = np.zeros(G)
     gamma[start] = 1.0
@@ -113,13 +141,13 @@ def _simplex_qp(H, c=None, max_iter=None, tol=None):
             obj = float(gamma @ H @ gamma + c @ gamma)
             if obj < best_obj:
                 best_obj, best = obj, gamma.copy()
-            res, grad, lam = _residual(H, c, gamma, free)
+            _, grad, lam = _residual(H, c, gamma, free)
             rest = [g for g in range(G) if g not in free]
             if not rest:
-                return gamma, res, it
+                return gamma, free, it
             j = rest[int(np.argmin(grad[rest]))]
             if lam - grad[j] <= tol:
-                return gamma, res, it
+                return gamma, free, it
             free.append(j)
         else:
             # Step from the current face iterate toward x until the first
@@ -139,6 +167,132 @@ def _simplex_qp(H, c=None, max_iter=None, tol=None):
     raise ConvergenceError(
         f"simplex QP did not converge within {max_iter} iterations", best=best
     )
+
+
+class _Faces(NamedTuple):
+    scale: np.ndarray
+    base: np.ndarray
+    cslots: np.ndarray
+    cscale: np.ndarray
+    rhs: np.ndarray
+    onehot: np.ndarray
+    members: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _face_table(G, size):
+    """Bordered KKT systems of every face of at most size columns of G.
+
+    Each face is padded to size slots plus the border. A face's system
+    is base + scale * H[cslots, cslots] with right-hand side rhs -
+    cscale * c[cslots], so padded slots get an identity row and a zero
+    right-hand side and solve to weight exactly 0. onehot (F, size, G)
+    maps slot weights onto columns; members (F, G) marks each face's
+    columns.
+    """
+    faces = [f for k in range(1, size + 1) for f in itertools.combinations(range(G), k)]
+    F, K = len(faces), size
+    cslots = np.zeros((F, K + 1), dtype=int)
+    real = np.zeros((F, K + 1), dtype=bool)
+    onehot = np.zeros((F, K, G))
+    for i, face in enumerate(faces):
+        cslots[i, :len(face)] = face
+        real[i, :len(face)] = True
+        onehot[i, range(len(face)), face] = 1.0
+    pad = ~real
+    pad[:, K] = False
+    base = np.zeros((F, K + 1, K + 1))
+    base[:, range(K), range(K)] = pad[:, :K]
+    base[:, :, K] = real
+    base[:, K, :] = real
+    # A leading stack axis keeps rhs.ndim == kkt.ndim, which NumPy 1.x
+    # needs to read rhs as a stack of column vectors.
+    rhs = np.zeros((1, F, K + 1, 1))
+    rhs[..., K, 0] = 1.0
+    table = _Faces(
+        scale=2.0 * (real[:, :, None] & real[:, None, :]),
+        base=base,
+        cslots=cslots,
+        cscale=real.astype(float),
+        rhs=rhs,
+        onehot=onehot,
+        members=onehot.any(axis=1),
+    )
+    for value in table:
+        value.flags.writeable = False
+    return table
+
+
+def _solve_or_nan(A, b):
+    """np.linalg.solve over a stack; a singular system comes back as NaN."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        b = np.broadcast_to(b, A.shape[:-1] + b.shape[-1:])
+        out = np.full(b.shape, np.nan)
+        for i in np.ndindex(A.shape[:-2]):
+            try:
+                out[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def stacked_simplex_qp(H, p, c=None):
+    """Solve a stack of simplex QPs  min a^T H_r a + c_r^T a  over the simplex.
+
+    Parameters
+    ----------
+    H : ndarray, shape (R, G, G)
+        Symmetric positive semidefinite, H_r = B_r^T Sigma B_r for points
+        B_r with p rows.
+    p : int
+        Dimension of the points. Faces of more than p + 1 columns are
+        never enumerated (Caratheodory), which is exact when every c_r
+        lies in the row space of B_r, as c_r = -2 B_r^T Sigma m does.
+    c : ndarray, shape (R, G), optional
+        Linear terms; zero by default.
+
+    Returns
+    -------
+    (gamma, support, iterations)
+        gamma (R, G) optimal weights; support (R, G) marks the face each
+        solution was read from, the set _residual measures the KKT
+        conditions on; iterations (R,) counts faces solved for G <=
+        ENUMERATION_MAX_G and active-set iterations above it.
+
+    Raises
+    ------
+    ConvergenceError
+        From the active-set path (G > ENUMERATION_MAX_G), for the first
+        program that hits the iteration cap.
+    """
+    H = np.asarray(H, dtype=float)
+    R, G, _ = H.shape
+    if c is not None:
+        c = np.asarray(c, dtype=float)
+    if G > ENUMERATION_MAX_G:
+        gamma = np.empty((R, G))
+        support = np.zeros((R, G), dtype=bool)
+        iterations = np.empty(R, dtype=int)
+        for r in range(R):
+            gamma[r], free, iterations[r] = _simplex_qp(H[r], None if c is None else c[r])
+            support[r, free] = True
+        return gamma, support, iterations
+    t = _face_table(G, min(G, p + 1))
+    F, K = t.onehot.shape[:2]
+    kkt = t.base + t.scale * H[:, t.cslots[:, :, None], t.cslots[:, None, :]]
+    rhs = t.rhs if c is None else t.rhs - (t.cscale * c[:, t.cslots])[..., None]
+    x = _solve_or_nan(kkt, rhs)[..., :K, 0]
+    feasible = np.all(x >= -_FEAS_TOL, axis=-1)
+    w = np.clip(x, 0.0, None)
+    w /= np.where(feasible, w.sum(axis=-1), 1.0)[..., None]
+    half_grad = 0.5 * (kkt[..., :K, :K] @ w[..., None])[..., 0] - rhs[..., :K, 0]
+    obj = np.sum(w * half_grad, axis=-1)
+    # Vertices always solve to weight 1, so every row keeps a finite entry.
+    best = np.argmin(np.where(feasible & np.isfinite(obj), obj, np.inf), axis=1)
+    gamma = (w[np.arange(R), best][:, None, :] @ t.onehot[best])[:, 0, :]
+    return gamma, t.members[best], np.full(R, F)
 
 
 def maximin_point(B, Sigma, activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
@@ -173,11 +327,14 @@ def maximin_point(B, Sigma, activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
     H = B.T @ Sigma @ B
     H = (H + H.T) / 2.0
     try:
-        alpha, res, iterations = _simplex_qp(H)
+        gamma, support, iterations = stacked_simplex_qp(H[None], B.shape[0])
     except ConvergenceError as err:
         err.best = _package(B, Sigma, H, err.best, np.inf, 0, activity_threshold)
         raise
-    return _package(B, Sigma, H, alpha, res, iterations, activity_threshold)
+    alpha = gamma[0]
+    free = [int(g) for g in np.flatnonzero(support[0])]
+    res, _, _ = _residual(H, np.zeros(B.shape[1]), alpha, free)
+    return _package(B, Sigma, H, alpha, res, int(iterations[0]), activity_threshold)
 
 
 def _package(B, Sigma, H, alpha, res, iterations, threshold):

@@ -47,17 +47,14 @@ def estimate_dataset(dataset, ridge_jitter=0.0, known_sigma=None,
     return estimates, solution, sigma
 
 
-def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
-                    activity_threshold=magging.DEFAULT_ACTIVITY_THRESHOLD):
-    """Full pass from raw dataset to confidence region.
+def infer(dataset, estimates, solution, metric, alpha, known_sigma):
+    """Confidence region for a solved dataset: (covariance, region).
 
-    Returns an Analysis bundle. Degeneracy, rank, conditioning and
-    convergence problems propagate as their specific exception types so
-    callers can count or surface them. One SigmaMetric serves the solve,
-    the differential and the covariance assembly.
+    Differentiates the maximin map at the solution, estimates the
+    metric-fluctuation term C_hat (skipped under a known Sigma),
+    assembles W and builds the ellipsoid. metric is the SigmaMetric the
+    solution was computed under.
     """
-    estimates, solution, metric, sigma = _solve(
-        dataset, ridge_jitter, known_sigma, activity_threshold)
     if len(solution.active) > 1:
         differential = geometry.magging_differential(
             estimates.Bhat, metric, solution)
@@ -71,6 +68,22 @@ def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
         estimates, solution, differential, C_hat, Sigma=metric)
     region = confidence.build_region(solution.M, covariance, dataset.n, alpha)
     region.flags["sigma2_approximate"] = bool(estimates.sigma2_approximate)
+    return covariance, region
+
+
+def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
+                    activity_threshold=magging.DEFAULT_ACTIVITY_THRESHOLD):
+    """Full pass from raw dataset to confidence region.
+
+    Returns an Analysis bundle. Degeneracy, rank, conditioning and
+    convergence problems propagate as their specific exception types so
+    callers can count or surface them. One SigmaMetric serves the solve,
+    the differential and the covariance assembly.
+    """
+    estimates, solution, metric, sigma = _solve(
+        dataset, ridge_jitter, known_sigma, activity_threshold)
+    covariance, region = infer(
+        dataset, estimates, solution, metric, alpha, known_sigma)
     return Analysis(
         estimates=estimates,
         solution=solution,

@@ -27,11 +27,17 @@ import numpy as np
 from .confidence import chi2_quantile
 from .errors import BudgetError
 from .geometry import SigmaMetric
-from .magging import _simplex_qp, maximin_point
+from .magging import maximin_point, stacked_simplex_qp
 
 DEFAULT_BUDGET = 10**6
 
 _SLACK = 1e-9
+
+# Shell-passing pieces per stacked hull-distance solve in contains_relaxed.
+# Larger chunks amortise the per-solve overhead but waste the tail of a
+# chunk after an early hit; at G = 6 a chunk holds 64 x 63 bordered 7 x 7
+# systems, about 1.6 MB.
+_CHUNK = 64
 
 
 def maximin_norm_gap(B, B_prime, Sigma0):
@@ -192,26 +198,31 @@ def covering_region(boxes, Sigma0, target_eps, budget=DEFAULT_BUDGET):
     )
 
 
-def _hull_distance(B, metric, M):
-    """Sigma-norm distance from M to the convex hull of B's columns."""
-    Sigma = metric.Sigma
-    H = B.T @ Sigma @ B
-    H = (H + H.T) / 2.0
-    c = -2.0 * (B.T @ (Sigma @ M))
-    gamma, _, _ = _simplex_qp(H, c)
-    d2 = float(gamma @ H @ gamma + c @ gamma + M @ Sigma @ M)
-    return math.sqrt(max(d2, 0.0))
-
-
 def contains_relaxed(region, M):
-    """Whether M satisfies some piece's shell and inflated-hull conditions."""
+    """Whether M satisfies some piece's shell and inflated-hull conditions.
+
+    The hull test is the Sigma-distance from M to the hull of a piece's
+    columns, a simplex QP with linear term -2 B^T Sigma M. Pieces that
+    pass the shell test are tested in fixed-size chunks, in piece order,
+    one stacked solve per chunk, stopping at the first chunk with a hit.
+    """
     metric = SigmaMetric(region.Sigma0)
     M = np.asarray(M, dtype=float)
     norm = metric.norm(M)
-    for k in range(region.pieces):
-        eps = region.radii[k]
-        if abs(norm - region.shells[k]) > eps + _SLACK:
-            continue
-        if _hull_distance(region.centers[k], metric, M) <= eps + _SLACK:
+    passing = np.flatnonzero(np.abs(norm - region.shells) <= region.radii + _SLACK)
+    Sigma = metric.Sigma
+    SM = Sigma @ M
+    MSM = float(M @ SM)
+    p = region.centers.shape[1]
+    for start in range(0, passing.size, _CHUNK):
+        pieces = passing[start:start + _CHUNK]
+        B = region.centers[pieces]
+        Bt = B.transpose(0, 2, 1)
+        H = Bt @ Sigma @ B
+        H = (H + H.transpose(0, 2, 1)) / 2.0
+        c = -2.0 * (Bt @ SM)
+        gamma, _, _ = stacked_simplex_qp(H, p, c)
+        d2 = np.sum(gamma * ((H @ gamma[:, :, None])[:, :, 0] + c), axis=1) + MSM
+        if np.any(np.sqrt(np.maximum(d2, 0.0)) <= region.radii[pieces] + _SLACK):
             return True
     return False

@@ -34,6 +34,13 @@ def check_same_length(n_rows, v, name="y"):
         )
 
 
+def check_equal_sizes(sizes, error):
+    """Raise error(message) unless every group (label -> size) has one size."""
+    if len(set(sizes.values())) > 1:
+        detail = ", ".join(f"{k}={v}" for k, v in sizes.items())
+        raise error(f"groups must have equal sizes, got {detail}")
+
+
 def split_groups(X, y, groups):
     """Split rows by group label, in order of first appearance.
 
@@ -59,9 +66,7 @@ def split_groups(X, y, groups):
         mask = groups == label
         sizes[label] = int(mask.sum())
         parts.append((X[mask], y[mask]))
-    if len(set(sizes.values())) > 1:
-        detail = ", ".join(f"{k}={v}" for k, v in sizes.items())
-        raise DimensionError(f"groups must have equal sizes, got {detail}")
+    check_equal_sizes(sizes, DimensionError)
     return tuple(str(label) for label in order), parts
 
 

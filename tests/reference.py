@@ -3,13 +3,26 @@
 The pseudo-inverse bodies below are the straightforward per-column
 evaluations the Face kernel in ``maximin.geometry`` replaced: every
 Jacobian refactorises the Gram of the remaining columns from scratch.
-They stay here as the oracle for the differential tests.
+fit, hull_distance and contains_relaxed are the group-by-group and
+piece-by-piece loops the batched versions in ``maximin.linmodel`` and
+``maximin.relaxation`` replaced. They stay here as the oracles for the
+differential tests.
 """
 
-import numpy as np
+import math
 
-from maximin.errors import DegenerateGeometryError, DimensionError, RankError
+import numpy as np
+import scipy.linalg
+
+from maximin.errors import (
+    DegenerateGeometryError,
+    DimensionError,
+    RankError,
+    SingularFitError,
+)
 from maximin.geometry import SigmaMetric
+from maximin.linmodel import GroupEstimates
+from maximin.magging import _simplex_qp
 
 _RANK_RTOL = 1e-12
 _DEGENERACY_TOL = 1e-10
@@ -112,3 +125,72 @@ def fourth_moment_reference(X, G):
     flat = flat - flat.mean(axis=0)
     cov = (flat.T @ flat) / X.shape[0]
     return cov.reshape(p, p, p, p) / G
+
+
+def fit(dataset, ridge_jitter=0.0):
+    """Per-group least squares, one Cholesky factor per group."""
+    n, p, G = dataset.n, dataset.p, dataset.G
+    Bhat = np.empty((p, G))
+    Sigma_g = []
+    rss = 0.0
+    for g, (X, y) in enumerate(dataset.groups):
+        S = (X.T @ X) / n + ridge_jitter * np.eye(p)
+        try:
+            factor = scipy.linalg.cho_factor(S, lower=True)
+        except scipy.linalg.LinAlgError:
+            raise SingularFitError(
+                f"group {dataset.labels[g]}: design scatter is singular;"
+                " a positive ridge_jitter is required",
+                group=dataset.labels[g],
+            ) from None
+        pivots = np.abs(np.diag(factor[0])) ** 2
+        if pivots.min() <= 1e-12 * pivots.max():
+            raise SingularFitError(
+                f"group {dataset.labels[g]}: design scatter is numerically"
+                " rank-deficient",
+                group=dataset.labels[g],
+            )
+        b = scipy.linalg.cho_solve(factor, (X.T @ y) / n)
+        Bhat[:, g] = b
+        Sigma_g.append(S)
+        r = y - X @ b
+        rss += float(r @ r)
+    X_all = dataset.design_stack()
+    Sigma_hat = (X_all.T @ X_all) / (n * G) + ridge_jitter * np.eye(p)
+    approximate = p >= n
+    dof = G * n if approximate else G * (n - p)
+    return GroupEstimates(
+        Bhat=Bhat,
+        Sigma_hat=Sigma_hat,
+        Sigma_g_hat=tuple(Sigma_g),
+        sigma2_hat=rss / dof,
+        ridge_jitter_used=float(ridge_jitter),
+        n=n,
+        sigma2_approximate=approximate,
+        labels=dataset.labels,
+    )
+
+
+def hull_distance(B, metric, M):
+    """Sigma-norm distance from M to the convex hull of B's columns."""
+    Sigma = metric.Sigma
+    H = B.T @ Sigma @ B
+    H = (H + H.T) / 2.0
+    c = -2.0 * (B.T @ (Sigma @ M))
+    gamma, _, _ = _simplex_qp(H, c)
+    d2 = float(gamma @ H @ gamma + c @ gamma + M @ Sigma @ M)
+    return math.sqrt(max(d2, 0.0))
+
+
+def contains_relaxed(region, M, slack=1e-9):
+    """Piece-by-piece membership: shell test, then one hull QP per piece."""
+    metric = SigmaMetric(region.Sigma0)
+    M = np.asarray(M, dtype=float)
+    norm = metric.norm(M)
+    for k in range(region.pieces):
+        eps = region.radii[k]
+        if abs(norm - region.shells[k]) > eps + slack:
+            continue
+        if hull_distance(region.centers[k], metric, M) <= eps + slack:
+            return True
+    return False

@@ -46,6 +46,20 @@ def test_estimate_json_payload(data_csv, capsys):
     assert payload["diagnostics"]["kkt_residual"] <= 1e-8
 
 
+def test_estimate_survives_a_failing_inference_step(tmp_path, capsys):
+    # the active column lies in the affine hull of the others, so the
+    # differential behind the region fails; the point estimate must not
+    path = tmp_path / "hull.csv"
+    spec = ScenarioSpec(p=2, G=6, n=4, coefficient_rule="shared-plus-noise", seed=9)
+    ds = _write_grouped_csv(path, spec)
+    assert main(["estimate", str(path)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["active"] == [ds.labels[2]]
+    assert payload["diagnostics"]["known_sigma"] is False
+    assert main(["region", str(path)]) != EXIT_OK
+    capsys.readouterr()
+
+
 def test_estimate_csv_format_and_out_file(data_csv, tmp_path, capsys):
     out = tmp_path / "result.csv"
     assert main(["estimate", str(data_csv), "--format", "csv", "--out", str(out)]) == EXIT_OK

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maximin import linmodel
 from maximin.errors import DimensionError
 from maximin.estimator import MaximinEstimator
 from maximin.linmodel import ScenarioSpec, generate
@@ -72,6 +73,22 @@ def test_confidence_region_and_covariance_attribute():
     assert est.covariance_.W.shape == (3, 3)
     wider = est.confidence_region(alpha=0.01)
     assert wider.radius2 > region.radius2
+
+
+def test_confidence_region_reuses_the_fit(monkeypatch):
+    ds, X, y, labels = _rows(ScenarioSpec(p=3, G=3, n=200, seed=25))
+    est = MaximinEstimator().fit(X, y, labels)
+    expected = analyze_dataset(ds).region
+
+    def refit(*args, **kwargs):
+        raise AssertionError("confidence_region refit the data")
+
+    monkeypatch.setattr(linmodel, "fit", refit)
+    region = est.confidence_region()
+    for field in ("center", "precision", "eigenvalues", "axes"):
+        assert np.array_equal(getattr(region, field), getattr(expected, field))
+    assert region.radius2 == expected.radius2
+    assert region.flags == expected.flags
 
 
 def test_known_metric_switch():
