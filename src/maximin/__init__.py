@@ -14,7 +14,6 @@ from .asymvar import (
     assemble_W,
     empirical_C,
     gaussian_population_C,
-    sigma_term_V,
     tied_neighbors,
 )
 from .confidence import (
@@ -41,17 +40,13 @@ from .estimator import MaximinEstimator
 from .geometry import (
     MaggingDifferential,
     SigmaMetric,
-    affine_project,
-    complement_project,
     dmagging_dB,
-    dmagging_dSigma,
     magging_differential,
 )
 from .linmodel import (
     GroupedDataset,
     GroupEstimates,
     ScenarioSpec,
-    bagging,
     fit,
     generate,
     load_group_csvs,
@@ -61,7 +56,6 @@ from .linmodel import (
 from .magging import (
     MaggingSolution,
     brute_force_oracle,
-    explained_variance,
     maximin_point,
 )
 from .pipeline import Analysis, analyze_dataset, estimate_dataset
@@ -110,23 +104,18 @@ __all__ = [
     "SigmaMetric",
     "SingularFitError",
     "TIE_PROBE_LEVEL",
-    "affine_project",
     "analyze_dataset",
     "assemble_W",
-    "bagging",
     "brute_force_oracle",
     "build_region",
     "chi2_cdf",
     "chi2_quantile",
-    "complement_project",
     "contains",
     "contains_relaxed",
     "covering_region",
     "dmagging_dB",
-    "dmagging_dSigma",
     "empirical_C",
     "estimate_dataset",
-    "explained_variance",
     "fit",
     "gaussian_population_C",
     "generate",
@@ -142,7 +131,6 @@ __all__ = [
     "run_cell",
     "run_grid",
     "scenario_presets",
-    "sigma_term_V",
     "tied_neighbors",
     "true_coefficients",
     "true_maximin",

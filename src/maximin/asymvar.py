@@ -72,16 +72,6 @@ def gaussian_population_C(Sigma, M, G):
     return (np.outer(s, s) + float(M @ s) * Sigma) / G
 
 
-def sigma_term_V(B_active, Sigma, C_hat):
-    """Metric-fluctuation summand of W for the active columns B_active.
-
-    D (D^T Sigma D)^{-1} D^T C_hat D (D^T Sigma D)^{-1} D^T for the
-    difference matrix D, with C_hat from empirical_C; the zero matrix
-    for a single column. Raises RankError when D is rank deficient.
-    """
-    return Face(B_active, Sigma).term_V(C_hat)
-
-
 def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g=None):
     """Inactive columns the data cannot separate from the active face.
 

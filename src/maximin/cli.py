@@ -9,26 +9,33 @@ Commands:
 Exit codes: 0 success, 1 usage, 2 CSV parse failure (with line and
 column when known), 3 singular per-group fit (naming the group),
 4 ill-conditioned covariance (with eigenvalue diagnostics), 5 budget
-or size limits exceeded.
+or size limits exceeded, 6 degenerate geometry (the maximin map is not
+differentiable at the solution), 7 rank-deficient active face, 8 solver
+did not converge, 9 a covariance that must be positive definite is not.
 """
 
 import argparse
 import json
+import operator
 import os
 import sys
 
 import numpy as np
 
 from . import pipeline, simulate
-from .confidence import chi2_cdf, chi2_quantile, contains, max_eigenvalue
+from .confidence import max_eigenvalue
 from .errors import (
     BudgetError,
     ConditioningError,
+    ConvergenceError,
     CsvFormatError,
+    DefinitenessError,
+    DegenerateGeometryError,
     EstimationError,
+    RankError,
     SingularFitError,
 )
-from .linmodel import load_group_csvs, load_grouped_csv
+from .linmodel import _parse_cell, _read_rows, load_group_csvs, load_grouped_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +43,10 @@ EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_CONDITIONING = 4
 EXIT_BUDGET = 5
+EXIT_DEGENERATE = 6
+EXIT_RANK = 7
+EXIT_CONVERGENCE = 8
+EXIT_DEFINITENESS = 9
 
 SEED_ENV_VAR = "MAXIMIN_CI_SEED"
 
@@ -108,23 +119,17 @@ def _resolve_seed(explicit, parser):
 
 def _load_matrix(path):
     """Known-sigma file: JSON 2-d array, or a bare CSV grid of numbers."""
+    if not path.endswith(".json"):
+        return np.asarray([
+            [_parse_cell(cell, line_no, column) for column, cell in enumerate(row, 1)]
+            for line_no, row in enumerate(_read_rows(path), 1) if row
+        ], dtype=float)
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    if path.endswith(".json"):
-        data = json.loads(text)
+        data = json.load(handle)
+    try:
         return np.asarray(data, dtype=float)
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError:
-            raise CsvFormatError(
-                f"{path}: line {line_no}: matrix entries must be numbers",
-                line=line_no,
-            ) from None
-    return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: expected a JSON array of numbers") from None
 
 
 def _load_dataset(inputs):
@@ -152,6 +157,17 @@ def _flat_csv(pairs):
     return "\n".join(lines) + "\n"
 
 
+def _unique_weights(Bhat, active):
+    """Whether the active columns are linearly independent.
+
+    Only then are the weights, not just the maximin point, unique.
+    """
+    if not active:
+        return False
+    s = np.linalg.svd(Bhat[:, list(active)], compute_uv=False)
+    return bool(np.sum(s > 1e-12 * s[0]) == len(active))
+
+
 def _estimate_payload(dataset, est, sol, known_sigma):
     return {
         "schema_version": SCHEMA_VERSION,
@@ -171,7 +187,7 @@ def _estimate_payload(dataset, est, sol, known_sigma):
         "diagnostics": {
             "objective": sol.objective,
             "kkt_residual": sol.kkt_residual,
-            "unique_weights": sol.unique_weights,
+            "unique_weights": _unique_weights(est.Bhat, sol.active),
             "vertex_mode": len(sol.active) == 1,
             "sigma2_approximate": est.sigma2_approximate,
             "known_sigma": known_sigma,
@@ -243,10 +259,24 @@ def cmd_region(args, parser):
 
 
 def _parse_int_list(text, name, parser):
+    """A comma-separated flag value as integers; None when the flag is absent."""
+    if text is None:
+        return None
     try:
         return [int(part) for part in str(text).split(",") if part != ""]
     except ValueError:
         parser.error(f"{name} must be a comma-separated list of integers")
+
+
+def _int_list(value):
+    """A --config list of integers."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return [operator.index(v) for v in value]
+
+
+def _optional_int(value):
+    return None if value is None else operator.index(value)
 
 
 def cmd_simulate(args, parser):
@@ -254,29 +284,29 @@ def cmd_simulate(args, parser):
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
             config = json.load(handle)
-    tables = (
-        _parse_int_list(args.tables, "--tables", parser)
-        if args.tables is not None
-        else config.get("tables", [1])
-    )
-    p_values = (
-        _parse_int_list(args.p_values, "--p-values", parser)
-        if args.p_values is not None
-        else config.get("p_values", [3])
-    )
-    n_values = (
-        _parse_int_list(args.n_values, "--n-values", parser)
-        if args.n_values is not None
-        else config.get("n_values", [100])
-    )
-    replicates = (
-        args.replicates if args.replicates is not None
-        else int(config.get("replicates", 100))
-    )
-    alpha = args.alpha if args.alpha is not None else float(config.get("alpha", 0.05))
-    seed = args.seed if args.seed is not None else config.get("seed")
-    seed = _resolve_seed(seed, parser)
-    jobs = args.jobs if args.jobs is not None else int(config.get("parallelism", 1))
+        if not isinstance(config, dict):
+            parser.error("--config must hold a JSON object")
+
+    def setting(flag, key, default, convert):
+        """The flag when given, else the --config field (or default) through convert."""
+        if flag is not None:
+            return flag
+        value = config.get(key, default)
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            parser.error(f"--config field {key!r} is malformed: {value!r}")
+
+    tables = setting(_parse_int_list(args.tables, "--tables", parser),
+                     "tables", [1], _int_list)
+    p_values = setting(_parse_int_list(args.p_values, "--p-values", parser),
+                       "p_values", [3], _int_list)
+    n_values = setting(_parse_int_list(args.n_values, "--n-values", parser),
+                       "n_values", [100], _int_list)
+    replicates = setting(args.replicates, "replicates", 100, int)
+    alpha = setting(args.alpha, "alpha", 0.05, float)
+    seed = _resolve_seed(setting(args.seed, "seed", None, _optional_int), parser)
+    jobs = setting(args.jobs, "parallelism", 1, int)
     if not 0.0 < alpha < 1.0:
         parser.error("--alpha must lie strictly inside (0, 1)")
     if replicates < 0:
@@ -301,111 +331,46 @@ def cmd_simulate(args, parser):
     return EXIT_OK
 
 
-def _check_battery(seed):
-    """Yield (name, passed) pairs for the self-test corpus."""
-    from .linmodel import ScenarioSpec, fit, generate
-    from .magging import brute_force_oracle, maximin_point
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 99))))
-
-    def qp_matches_oracle():
-        for _ in range(50):
-            p = int(rng.integers(2, 5))
-            G = int(rng.integers(2, 6))
-            B = rng.standard_normal((p, G))
-            A = rng.standard_normal((p, p))
-            Sigma = A @ A.T + 0.5 * np.eye(p)
-            sol = maximin_point(B, Sigma)
-            M_ref = brute_force_oracle(B, Sigma)
-            d = sol.M - M_ref
-            if np.sqrt(d @ Sigma @ d) > 1e-6:
-                return False
-        return True
-
-    def chi2_round_trip():
-        for dof in range(1, 11):
-            for prob in (0.5, 0.9, 0.95, 0.99):
-                if abs(chi2_cdf(dof, chi2_quantile(dof, prob)) - prob) > 1e-8:
-                    return False
-        return True
-
-    def derivative_spot_check():
-        from .geometry import dmagging_dB
-
-        h = 1e-6
-        count = 0
-        while count < 10:
-            p = int(rng.integers(2, 4))
-            G = int(rng.integers(2, 5))
-            B = rng.standard_normal((p, G)) + 2.0
-            Sigma = np.eye(p)
-            sol = maximin_point(B, Sigma)
-            if len(sol.active) < 2 or min(sol.alpha[list(sol.active)]) < 0.05:
-                continue
-            sub = B[:, list(sol.active)]
-            J = dmagging_dB(sub, Sigma, 0, sol.M)
-            E = rng.standard_normal(p)
-            E /= np.linalg.norm(E)
-            Bp, Bm = B.copy(), B.copy()
-            Bp[:, sol.active[0]] += h * E
-            Bm[:, sol.active[0]] -= h * E
-            fd = (maximin_point(Bp, Sigma).M - maximin_point(Bm, Sigma).M) / (2 * h)
-            if np.linalg.norm(fd - J @ E) > 1e-4 * max(np.linalg.norm(fd), 1e-8):
-                return False
-            count += 1
-        return True
-
-    def population_reference():
-        # Symmetric three-group configuration has a closed covariance form.
-        from .asymvar import assemble_W, gaussian_population_C
-        from .geometry import magging_differential
-
-        B = np.eye(3)
-        Sigma = np.eye(3)
-        sol = maximin_point(B, Sigma)
-        diff = magging_differential(B, Sigma, sol)
-        C = gaussian_population_C(Sigma, sol.M, 3)
-
-        class _Est:
-            Bhat = B
-            Sigma_hat = Sigma
-            sigma2_hat = 1.0
-
-        W = assemble_W(_Est(), sol, diff, C, Sigma=Sigma).W
-        expected = (4.0 / 9.0) * np.eye(3) - np.ones((3, 3)) / 27.0
-        return bool(np.allclose(W, expected, atol=1e-10))
-
-    def simulation_determinism():
-        spec = ScenarioSpec(p=2, G=2, n=40, seed=seed)
-        r1 = simulate.run_cell(spec, 20, 0.05)
-        r2 = simulate.run_cell(spec, 20, 0.05)
-        return (
-            r1.covered == r2.covered
-            and r1.mean_max_eigenvalue == r2.mean_max_eigenvalue
-        )
-
-    def fit_round_trip():
-        spec = ScenarioSpec(p=3, G=3, n=200, noise_sd=1e-12, seed=seed)
-        dataset, B0 = generate(spec)
-        est = fit(dataset)
-        return bool(np.allclose(est.Bhat, B0, atol=1e-8))
-
-    yield "magging matches exhaustive oracle", qp_matches_oracle()
-    yield "chi-squared quantile round trip", chi2_round_trip()
-    yield "maximin derivative matches finite differences", derivative_spot_check()
-    yield "population covariance closed form", population_reference()
-    yield "simulation is seed-deterministic", simulation_determinism()
-    yield "noiseless fit recovers coefficients", fit_round_trip()
-
-
 def cmd_check(args, parser):
+    from .selfcheck import battery
+
     seed = _resolve_seed(args.seed, parser)
     failures = 0
-    for name, passed in _check_battery(seed):
+    for name, passed in battery(seed):
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
         if not passed:
             failures += 1
     return EXIT_OK if failures == 0 else EXIT_USAGE
+
+
+def _csv_message(err):
+    where = ""
+    if err.line is not None:
+        where = f" (line {err.line}"
+        where += f", column {err.column})" if err.column else ")"
+    return f"CSV error{where}: {err}"
+
+
+def _conditioning_message(err):
+    eigs = ""
+    if err.eigenvalues is not None:
+        eigs = " eigenvalues=" + ",".join(f"{v:.3e}" for v in err.eigenvalues)
+    return f"conditioning: {err}{eigs}"
+
+
+# Exit code and stderr message for each failure with its own code. main
+# looks an error's classes up in method resolution order; anything else
+# it catches is a usage error.
+_FAILURES = {
+    CsvFormatError: (EXIT_PARSE, _csv_message),
+    SingularFitError: (EXIT_SINGULAR, "singular fit: {}".format),
+    ConditioningError: (EXIT_CONDITIONING, _conditioning_message),
+    BudgetError: (EXIT_BUDGET, "budget: {}".format),
+    DegenerateGeometryError: (EXIT_DEGENERATE, "degenerate geometry: {}".format),
+    RankError: (EXIT_RANK, "rank: {}".format),
+    ConvergenceError: (EXIT_CONVERGENCE, "convergence: {}".format),
+    DefinitenessError: (EXIT_DEFINITENESS, "definiteness: {}".format),
+}
 
 
 def main(argv=None):
@@ -424,31 +389,13 @@ def main(argv=None):
         return cmd_check(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except CsvFormatError as err:
-        where = ""
-        if err.line is not None:
-            where = f" (line {err.line}"
-            where += f", column {err.column})" if err.column else ")"
-        print(f"maximin: CSV error{where}: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except SingularFitError as err:
-        print(f"maximin: singular fit: {err}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except ConditioningError as err:
-        eigs = ""
-        if err.eigenvalues is not None:
-            eigs = " eigenvalues=" + ",".join(f"{v:.3e}" for v in err.eigenvalues)
-        print(f"maximin: conditioning: {err}{eigs}", file=sys.stderr)
-        return EXIT_CONDITIONING
-    except BudgetError as err:
-        print(f"maximin: budget: {err}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FileNotFoundError as err:
-        print(f"maximin: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EstimationError, ValueError, json.JSONDecodeError) as err:
-        print(f"maximin: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    except (EstimationError, FileNotFoundError, ValueError) as err:
+        code, message = next(
+            (_FAILURES[cls] for cls in type(err).__mro__ if cls in _FAILURES),
+            (EXIT_USAGE, str),
+        )
+        print(f"maximin: {message(err)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

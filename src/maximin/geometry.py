@@ -17,7 +17,7 @@ Its two closed-form differentials are:
   the difference span. Derivatives with respect to inactive columns
   vanish.
 
-* dmagging_dSigma: the response of M to a symmetric perturbation Delta
+* Face.dsigma: the response of M to a symmetric perturbation Delta
   of the metric, -D (D^T Sigma D)^{-1} D^T Delta M with D the matrix
   of active-column differences.
 
@@ -220,22 +220,6 @@ class Face:
         return (V + V.T) / 2.0
 
 
-def affine_project(x, points, metric):
-    """Project x onto the affine hull of the given points, Sigma-orthogonally.
-
-    points is a sequence of p-vectors (or a (k, p) array). Rank-deficient
-    spans are handled like a pseudo-inverse; the result is idempotent and
-    its residual is Sigma-orthogonal to every difference of points.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return Face(pts.T, metric).project(x)
-
-
-def complement_project(v, B, metric):
-    """Apply the projector onto the Sigma-complement of the difference span."""
-    return Face(B, metric).complement @ np.asarray(v, dtype=float)
-
-
 def dmagging_dB(B_active, Sigma, g, M):
     """Jacobian of the maximin point with respect to active column g.
 
@@ -264,21 +248,6 @@ def dmagging_dB(B_active, Sigma, g, M):
     if face.k >= 2 and not 0 <= g < face.k:
         raise IndexError(f"column index {g} outside 0..{face.k - 1}")
     return face._jacobians(M, [g])[0]
-
-
-def dmagging_dSigma(B_active, Sigma, M, Delta):
-    """Response of the maximin point to a metric perturbation Delta.
-
-    Evaluates -D (D^T Sigma D)^{-1} D^T Delta M for the active-column
-    difference matrix D. Returns the zero vector for a single active
-    column (a vertex is locally constant in Sigma).
-
-    Raises
-    ------
-    RankError
-        If D is not of full column rank.
-    """
-    return Face(B_active, Sigma).dsigma(M, Delta)
 
 
 @dataclass(frozen=True)

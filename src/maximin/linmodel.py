@@ -295,11 +295,6 @@ def _rank_deficient(label):
     )
 
 
-def bagging(estimates):
-    """Plain average of the per-group coefficient vectors."""
-    return estimates.Bhat.mean(axis=1)
-
-
 def _parse_cell(raw, line_no, column):
     try:
         return float(raw)

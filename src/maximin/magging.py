@@ -62,9 +62,7 @@ class MaggingSolution:
     """Maximin point with its convex weights and solver diagnostics.
 
     active holds the indices g with alpha_g above the activity
-    threshold. unique_weights reports whether the active columns are
-    linearly independent, in which case the weight vector (not just the
-    point) is unique. kkt_residual is measured on the face the solver
+    threshold. kkt_residual is measured on the face the solver
     returned. iterations counts the faces solved when G is at most
     ENUMERATION_MAX_G, and the active-set iterations otherwise.
     """
@@ -74,7 +72,6 @@ class MaggingSolution:
     active: tuple
     objective: float
     kkt_residual: float
-    unique_weights: bool
     iterations: int = 0
 
 
@@ -329,30 +326,22 @@ def maximin_point(B, Sigma, activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
     try:
         gamma, support, iterations = stacked_simplex_qp(H[None], B.shape[0])
     except ConvergenceError as err:
-        err.best = _package(B, Sigma, H, err.best, np.inf, 0, activity_threshold)
+        err.best = _package(B, Sigma, err.best, np.inf, 0, activity_threshold)
         raise
     alpha = gamma[0]
     free = [int(g) for g in np.flatnonzero(support[0])]
     res, _, _ = _residual(H, np.zeros(B.shape[1]), alpha, free)
-    return _package(B, Sigma, H, alpha, res, int(iterations[0]), activity_threshold)
+    return _package(B, Sigma, alpha, res, int(iterations[0]), activity_threshold)
 
 
-def _package(B, Sigma, H, alpha, res, iterations, threshold):
+def _package(B, Sigma, alpha, res, iterations, threshold):
     M = B @ alpha
-    active = tuple(int(g) for g in np.flatnonzero(alpha > threshold))
-    sub = B[:, active]
-    if sub.shape[1] == 0:
-        unique = False
-    else:
-        s = np.linalg.svd(sub, compute_uv=False)
-        unique = bool(np.sum(s > 1e-12 * s[0]) == sub.shape[1])
     return MaggingSolution(
         M=M,
         alpha=alpha,
-        active=active,
+        active=tuple(int(g) for g in np.flatnonzero(alpha > threshold)),
         objective=float(M @ Sigma @ M),
         kkt_residual=float(res),
-        unique_weights=unique,
         iterations=iterations,
     )
 
@@ -392,15 +381,4 @@ def brute_force_oracle(B, Sigma):
                 best_obj = obj
                 best_M = B[:, idx] @ gamma
     return best_M
-
-
-def explained_variance(b, b_g, Sigma):
-    """Variance a regression vector b explains in a group with truth b_g.
-
-    Evaluates 2 b^T Sigma b_g - b^T Sigma b.
-    """
-    b = np.asarray(b, dtype=float)
-    b_g = np.asarray(b_g, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    return float(2.0 * b @ Sigma @ b_g - b @ Sigma @ b)
 

@@ -1,50 +1,4 @@
-"""Shared test helpers: instance corpus and acceptance reporting."""
-
-import numpy as np
-
-from maximin.geometry import SigmaMetric, affine_project
-from maximin.magging import maximin_point
-
-
-def separated_instances(count, seed, min_weight=0.05, min_residual=0.1,
-                        p_range=(2, 4), G_range=(2, 5)):
-    """Seeded (B, Sigma, solution) triples with stable interior optima.
-
-    Instances are filtered so the maximin point sits strictly inside a
-    face: at least two active columns, every active weight at least
-    min_weight, every active column at Sigma-distance at least
-    min_residual from the affine hull of the other active columns, and
-    no stray weight on inactive columns. On such instances the maximin
-    map is differentiable and finite differences are trustworthy.
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 41))))
-    out = []
-    while len(out) < count:
-        p = int(rng.integers(p_range[0], p_range[1] + 1))
-        G = int(rng.integers(G_range[0], G_range[1] + 1))
-        # Shifting the cloud off the origin favors non-vertex optima.
-        B = rng.standard_normal((p, G)) + 2.0
-        A = rng.standard_normal((p, p))
-        Sigma = A @ A.T + 0.5 * np.eye(p)
-        solution = maximin_point(B, Sigma)
-        act = list(solution.active)
-        if len(act) < 2 or min(solution.alpha[act]) < min_weight:
-            continue
-        inactive = [g for g in range(G) if g not in act]
-        if inactive and max(solution.alpha[inactive]) > 1e-10:
-            continue
-        metric = SigmaMetric(Sigma)
-        sub = B[:, act]
-        residuals = []
-        for i in range(len(act)):
-            others = np.delete(sub, i, axis=1).T
-            residuals.append(
-                metric.norm(sub[:, i] - affine_project(sub[:, i], others, metric))
-            )
-        if min(residuals) >= min_residual:
-            out.append((B, Sigma, solution))
-    return out
-
+"""Shared test helper: acceptance reporting."""
 
 _CRITERION_LINES = []
 

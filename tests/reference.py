@@ -6,7 +6,8 @@ Jacobian refactorises the Gram of the remaining columns from scratch.
 fit, hull_distance and contains_relaxed are the group-by-group and
 piece-by-piece loops the batched versions in ``maximin.linmodel`` and
 ``maximin.relaxation`` replaced. They stay here as the oracles for the
-differential tests.
+differential tests. explained_variance states the objective the maximin
+point is defined by, for the defining-property test.
 """
 
 import math
@@ -107,6 +108,17 @@ def assemble_W(B_used, Sigma, M, sigma2, C_hat):
     term_B = sigma2 * (term_B + term_B.T) / 2.0
     W = term_B + sigma_term_V(B_used, metric, C_hat)
     return (W + W.T) / 2.0
+
+
+def explained_variance(b, b_g, Sigma):
+    """Variance a regression vector b explains in a group with truth b_g.
+
+    Evaluates 2 b^T Sigma b_g - b^T Sigma b.
+    """
+    b = np.asarray(b, dtype=float)
+    b_g = np.asarray(b_g, dtype=float)
+    Sigma = np.asarray(Sigma, dtype=float)
+    return float(2.0 * b @ Sigma @ b_g - b @ Sigma @ b)
 
 
 def fourth_moment_reference(X, G):

@@ -10,17 +10,22 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import record_criterion, separated_instances
+from conftest import record_criterion
 from maximin.asymvar import assemble_W, gaussian_population_C
-from maximin.confidence import chi2_cdf, chi2_quantile
-from maximin.geometry import SigmaMetric, magging_differential
+from maximin.geometry import magging_differential
 from maximin.linmodel import GroupEstimates, generate, fit
-from maximin.magging import brute_force_oracle, maximin_point
+from maximin.magging import maximin_point
 from maximin.relaxation import (
     contains_relaxed,
     covering_region,
     group_confidence_boxes,
     maximin_norm_gap,
+)
+from maximin.selfcheck import (
+    chi2_round_trip_error,
+    finite_difference_errors,
+    oracle_gap,
+    separated_instances,
 )
 from maximin.simulate import (
     _derive_seed,
@@ -155,33 +160,7 @@ def test_criterion_07_population_covariance_matches_monte_carlo():
 def test_criterion_08_differentials_match_finite_differences():
     instances = separated_instances(200, seed=MASTER_SEED)
     rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED, 42)))
-    h = 1.0e-6
-    worst = 0.0
-    checked = 0
-    failed = 0
-    for B, Sigma, solution in instances:
-        diff = magging_differential(B, Sigma, solution)
-        p = B.shape[0]
-        for pos, g in enumerate(diff.active):
-            d = rng.standard_normal(p)
-            d /= np.linalg.norm(d)
-            B2 = B.copy()
-            B2[:, g] += h * d
-            fd = (maximin_point(B2, Sigma).M - solution.M) / h
-            err = np.linalg.norm(diff.dB[pos] @ d - fd)
-            rel = err / max(np.linalg.norm(fd), 1e-8)
-            worst = max(worst, rel)
-            failed += rel > 1e-4
-            checked += 1
-        A = rng.standard_normal((p, p))
-        Delta = (A + A.T) / 2.0
-        Delta /= np.linalg.norm(Delta)
-        fd = (maximin_point(B, Sigma + h * Delta).M - solution.M) / h
-        err = np.linalg.norm(diff.dSigma(Delta) - fd)
-        rel = err / max(np.linalg.norm(fd), 1e-8)
-        worst = max(worst, rel)
-        failed += rel > 1e-4
-        checked += 1
+    checked, failed, worst = finite_difference_errors(instances, rng, h=1.0e-6, tol=1e-4)
     ok = failed == 0
     _finish(8, "differentials vs finite differences",
             ok, f"{checked} checks, {failed} over tolerance,"
@@ -190,19 +169,7 @@ def test_criterion_08_differentials_match_finite_differences():
 
 def test_criterion_09_solver_agrees_with_oracle():
     rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED, 9)))
-    worst_gap = 0.0
-    worst_kkt = 0.0
-    for _ in range(1000):
-        p = int(rng.integers(1, 6))
-        G = int(rng.integers(1, 7))
-        B = rng.standard_normal((p, G))
-        A = rng.standard_normal((p, p))
-        Sigma = A @ A.T + 0.5 * np.eye(p)
-        solution = maximin_point(B, Sigma)
-        oracle = brute_force_oracle(B, Sigma)
-        metric = SigmaMetric(Sigma)
-        worst_gap = max(worst_gap, float(metric.norm(solution.M - oracle)))
-        worst_kkt = max(worst_kkt, solution.kkt_residual)
+    worst_gap, worst_kkt = oracle_gap(rng, 1000, p_range=(1, 5), G_range=(1, 6))
     ok = worst_gap <= 1e-6 and worst_kkt <= 1e-8
     _finish(9, "active-set solver vs enumeration oracle",
             ok, f"worst metric gap={worst_gap:.2e} (<= 1e-6),"
@@ -242,11 +209,7 @@ def test_criterion_10_relaxation_bound_and_membership():
 
 
 def test_criterion_11_chi_square_round_trip():
-    worst = 0.0
-    for dof in range(1, 51):
-        for prob in (0.5, 0.9, 0.95, 0.99):
-            x = chi2_quantile(dof, prob)
-            worst = max(worst, abs(chi2_cdf(dof, x) - prob))
+    worst = chi2_round_trip_error(range(1, 51))
     ok = worst <= 1e-8
     _finish(11, "chi-square quantile round trip",
             ok, f"worst CDF error={worst:.2e} target <= 1e-8")

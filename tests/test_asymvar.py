@@ -7,11 +7,10 @@ from maximin.asymvar import (
     assemble_W,
     empirical_C,
     gaussian_population_C,
-    sigma_term_V,
     tied_neighbors,
 )
 from maximin.errors import DimensionError
-from maximin.geometry import SigmaMetric, magging_differential
+from maximin.geometry import Face, SigmaMetric, magging_differential
 from maximin.linmodel import ScenarioSpec, fit, generate
 from maximin.magging import maximin_point
 from maximin.pipeline import analyze_dataset
@@ -55,13 +54,13 @@ def test_empirical_C_converges_to_population():
 
 
 def test_sigma_term_V_vanishes_for_single_column():
-    V = sigma_term_V(np.array([[1.0], [2.0]]), np.eye(2), np.eye(2))
+    V = Face(np.array([[1.0], [2.0]]), np.eye(2)).term_V(np.eye(2))
     assert np.array_equal(V, np.zeros((2, 2)))
 
 
 def test_sigma_term_V_lives_in_the_difference_span():
     B = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    V = sigma_term_V(B, np.eye(3), np.eye(3))
+    V = Face(B, np.eye(3)).term_V(np.eye(3))
     assert np.allclose(V, V.T)
     # directions orthogonal to b_2 - b_1 are annihilated on both sides
     for null in (np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])):

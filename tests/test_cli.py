@@ -5,15 +5,22 @@ import json
 import numpy as np
 import pytest
 
+from maximin import pipeline
 from maximin.cli import (
     EXIT_BUDGET,
     EXIT_CONDITIONING,
+    EXIT_CONVERGENCE,
+    EXIT_DEFINITENESS,
+    EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RANK,
     EXIT_SINGULAR,
     EXIT_USAGE,
+    _unique_weights,
     main,
 )
+from maximin.errors import ConvergenceError, RankError
 from maximin.linmodel import ScenarioSpec, generate
 
 
@@ -44,6 +51,13 @@ def test_estimate_json_payload(data_csv, capsys):
     assert abs(sum(payload["weights"]) - 1.0) < 1e-9
     assert set(payload["active"]).issubset({"g1", "g2"})
     assert payload["diagnostics"]["kkt_residual"] <= 1e-8
+
+
+def test_unique_weights_needs_independent_active_columns():
+    assert _unique_weights(np.eye(3), (0, 1, 2))
+    # collinear active columns: many weight vectors give the same point
+    assert not _unique_weights(np.array([[1.0, -1.0], [0.0, 0.0]]), (0, 1))
+    assert not _unique_weights(np.eye(2), ())
 
 
 def test_estimate_survives_a_failing_inference_step(tmp_path, capsys):
@@ -261,7 +275,7 @@ def test_parse_failures_exit_two(tmp_path, capsys):
     data = tmp_path / "ok.csv"
     _write_grouped_csv(data, ScenarioSpec(p=2, G=2, n=10, seed=33))
     assert main(["region", str(data), "--known-sigma", str(matrix)]) == EXIT_PARSE
-    capsys.readouterr()
+    assert "(line 1, column 2)" in capsys.readouterr().err
 
 
 def test_singular_fit_exits_three(tmp_path, capsys):
@@ -288,8 +302,58 @@ def test_degenerate_covariance_exits_four(tmp_path, capsys):
     assert "conditioning" in capsys.readouterr().err
 
 
+def test_degenerate_geometry_exits_six(tmp_path, capsys):
+    # the lone active column lies in the affine hull of the others
+    path = tmp_path / "hull.csv"
+    spec = ScenarioSpec(p=2, G=6, n=4, coefficient_rule="shared-plus-noise", seed=9)
+    _write_grouped_csv(path, spec)
+    assert main(["region", str(path)]) == EXIT_DEGENERATE
+    assert "degenerate geometry" in capsys.readouterr().err
+
+
+def test_indefinite_known_sigma_exits_nine(data_csv, tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text("[[1, 2], [2, 1]]", encoding="utf-8")
+    assert main(["region", str(data_csv), "--known-sigma", str(sigma)]) == EXIT_DEFINITENESS
+    assert "not positive definite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (RankError("active-column differences are rank deficient"), EXIT_RANK),
+    (ConvergenceError("simplex QP did not converge"), EXIT_CONVERGENCE),
+])
+def test_solver_errors_have_their_own_exit_codes(data_csv, monkeypatch, capsys,
+                                                 error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(pipeline, "analyze_dataset", fail)
+    assert main(["region", str(data_csv)]) == code
+    assert str(error) in capsys.readouterr().err
+
+
+def test_malformed_known_sigma_json_is_a_usage_error(data_csv, tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text('{"a": 1}', encoding="utf-8")
+    assert main(["region", str(data_csv), "--known-sigma", str(sigma)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("maximin: ")
+
+
+@pytest.mark.parametrize("config", ["[1, 2]", '{"tables": 5}', '{"seed": "x"}'])
+def test_malformed_simulate_config_is_a_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "grid.json"
+    path.write_text(config, encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--replicates", "1"]) == EXIT_USAGE
+    assert "maximin: error: --config" in capsys.readouterr().err
+
+
 def test_check_battery_passes(capsys):
     assert main(["check", "--seed", "0"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  magging matches exhaustive oracle",
+        "PASS  chi-squared quantile round trip",
+        "PASS  maximin derivative matches finite differences",
+        "PASS  population covariance closed form",
+        "PASS  simulation is seed-deterministic",
+        "PASS  noiseless fit recovers coefficients",
+    ]

@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import separated_instances
-from maximin.asymvar import assemble_W, gaussian_population_C, sigma_term_V
+from maximin.asymvar import assemble_W, gaussian_population_C
 from maximin.errors import DegenerateGeometryError, RankError
 from maximin.geometry import Face, SigmaMetric, dmagging_dB, magging_differential
+from maximin.selfcheck import separated_instances
 
 _RTOL = 1e-10
 
@@ -39,7 +39,7 @@ def test_face_matches_reference_on_separated_instances(seed, sigma2):
     x = B @ np.linspace(1.0, 2.0, B.shape[1])
     assert _close(diff._face.project(x), ref.affine_project(x, sub.T, metric))
     C = gaussian_population_C(Sigma, sol.M, B.shape[1])
-    assert _close(sigma_term_V(sub, metric, C), ref.sigma_term_V(sub, metric, C))
+    assert _close(diff._face.term_V(C), ref.sigma_term_V(sub, metric, C))
     W = assemble_W(_Estimates(B, Sigma, sigma2), sol, diff, C, Sigma=metric).W
     assert _close(W, ref.assemble_W(sub, metric, sol.M, sigma2, C))
 
@@ -104,7 +104,7 @@ def test_degenerate_faces_raise_like_the_reference(seed, p, extra, offset):
     assert _outcome(magging_differential, B, metric, solution) == first
     if k <= p + 1:
         C = np.eye(p)
-        assert _outcome(sigma_term_V, B, metric, C) == _outcome(
+        assert _outcome(Face(B, metric).term_V, C) == _outcome(
             ref.sigma_term_V, B, metric, C)
 
 

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import separated_instances
 from maximin.errors import DefinitenessError, DegenerateGeometryError, RankError
-from maximin.geometry import (
-    SigmaMetric,
-    affine_project,
-    complement_project,
-    dmagging_dB,
-    dmagging_dSigma,
-    magging_differential,
-)
+from maximin.geometry import Face, SigmaMetric, dmagging_dB, magging_differential
 from maximin.magging import maximin_point
+from maximin.selfcheck import separated_instances
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +39,7 @@ def test_metric_operations():
 def test_affine_project_single_point():
     metric = SigmaMetric(np.eye(2))
     pts = np.array([[1.0, 2.0]])
-    out = affine_project(np.array([5.0, 5.0]), pts, metric)
+    out = Face(pts.T, metric).project(np.array([5.0, 5.0]))
     assert np.array_equal(out, pts[0])
 
 
@@ -59,8 +52,9 @@ def test_affine_project_idempotent_and_orthogonal():
         A = rng.standard_normal((p, p))
         metric = SigmaMetric(A @ A.T + 0.5 * np.eye(p))
         x = rng.standard_normal(p)
-        proj = affine_project(x, pts, metric)
-        again = affine_project(proj, pts, metric)
+        face = Face(pts.T, metric)
+        proj = face.project(x)
+        again = face.project(proj)
         assert np.allclose(proj, again, atol=1e-9)
         # residual is Sigma-orthogonal to every difference of points
         for i in range(1, k):
@@ -71,23 +65,23 @@ def test_affine_project_idempotent_and_orthogonal():
 def test_affine_project_handles_duplicate_points():
     metric = SigmaMetric(np.eye(2))
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    proj = affine_project(np.array([0.5, 2.0]), pts, metric)
+    proj = Face(pts.T, metric).project(np.array([0.5, 2.0]))
     assert np.allclose(proj, [0.5, 0.0])
 
 
 def test_complement_project_kills_difference_directions():
     B = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    metric = SigmaMetric(np.eye(3))
-    assert np.allclose(complement_project(np.array([1.0, 0.0, 0.0]), B, metric), 0.0)
-    assert np.allclose(complement_project(np.array([0.0, 1.0, 0.0]), B, metric), 0.0)
+    Pi = Face(B, SigmaMetric(np.eye(3))).complement
+    assert np.allclose(Pi @ np.array([1.0, 0.0, 0.0]), 0.0)
+    assert np.allclose(Pi @ np.array([0.0, 1.0, 0.0]), 0.0)
     e3 = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(complement_project(e3, B, metric), e3)
+    assert np.allclose(Pi @ e3, e3)
 
 
 def test_complement_project_single_column_is_identity():
     metric = SigmaMetric(np.eye(2))
     v = np.array([3.0, -1.0])
-    assert np.array_equal(complement_project(v, np.array([[1.0], [2.0]]), metric), v)
+    assert np.array_equal(Face(np.array([[1.0], [2.0]]), metric).complement @ v, v)
 
 
 def test_jacobian_rejects_degenerate_configurations():
@@ -138,7 +132,7 @@ def test_metric_derivative_matches_finite_differences(corpus):
         Delta = (Z + Z.T) / 2.0
         Delta /= np.linalg.norm(Delta)
         sub = B[:, list(sol.active)]
-        dv = dmagging_dSigma(sub, Sigma, sol.M, Delta)
+        dv = Face(sub, Sigma).dsigma(sol.M, Delta)
         fd = (
             maximin_point(B, Sigma + h * Delta).M
             - maximin_point(B, Sigma - h * Delta).M
@@ -150,16 +144,16 @@ def test_metric_derivative_validation():
     metric = SigmaMetric(np.eye(2))
     M = np.array([0.5, 0.5])
     single = np.array([[1.0], [0.0]])
-    assert np.array_equal(dmagging_dSigma(single, metric, single[:, 0], np.eye(2)), np.zeros(2))
-    B = np.eye(2)
+    assert np.array_equal(Face(single, metric).dsigma(single[:, 0], np.eye(2)), np.zeros(2))
+    face = Face(np.eye(2), metric)
     with pytest.raises(RankError):
-        dmagging_dSigma(B, metric, M, np.eye(3))
+        face.dsigma(M, np.eye(3))
     with pytest.raises(ValueError):
-        dmagging_dSigma(B, metric, M, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        face.dsigma(M, np.array([[0.0, 1.0], [0.0, 0.0]]))
     # duplicated columns make the difference matrix rank deficient
     bad = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(RankError):
-        dmagging_dSigma(bad, metric, np.zeros(2), np.eye(2))
+        Face(bad, metric).dsigma(np.zeros(2), np.eye(2))
 
 
 def test_differential_bundle_is_indexed_by_active_set():

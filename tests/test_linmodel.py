@@ -9,7 +9,6 @@ from maximin.errors import CsvFormatError, DimensionError, SingularFitError
 from maximin.linmodel import (
     GroupedDataset,
     ScenarioSpec,
-    bagging,
     fit,
     generate,
     load_group_csvs,
@@ -137,14 +136,6 @@ def test_fit_rejects_negative_jitter():
     ds, _ = generate(ScenarioSpec(p=2, G=2, n=10, seed=0))
     with pytest.raises(ValueError):
         fit(ds, ridge_jitter=-0.1)
-
-
-def test_bagging_is_the_column_mean():
-    ds, _ = generate(
-        ScenarioSpec(p=2, G=3, n=50, seed=2, coefficient_rule="identical")
-    )
-    est = fit(ds)
-    assert np.allclose(bagging(est), est.Bhat.mean(axis=1))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
