@@ -117,13 +117,24 @@ def _resolve_seed(explicit, parser):
         parser.error(f"${SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
+def _matrix_row(row, line_no, width):
+    if len(row) != width:
+        raise CsvFormatError(
+            f"line {line_no}: expected {width} fields, got {len(row)}", line=line_no
+        )
+    return [_parse_cell(cell, line_no, column) for column, cell in enumerate(row, 1)]
+
+
 def _load_matrix(path):
     """Known-sigma file: JSON 2-d array, or a bare CSV grid of numbers."""
     if not path.endswith(".json"):
-        return np.asarray([
-            [_parse_cell(cell, line_no, column) for column, cell in enumerate(row, 1)]
-            for line_no, row in enumerate(_read_rows(path), 1) if row
-        ], dtype=float)
+        rows = [(line_no, row) for line_no, row in enumerate(_read_rows(path), 1)
+                if any(cell.strip() for cell in row)]
+        try:
+            return np.asarray([_matrix_row(row, line_no, len(rows[0][1]))
+                               for line_no, row in rows], dtype=float)
+        except CsvFormatError as err:
+            raise CsvFormatError(f"{path}: {err}", err.line, err.column) from None
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     try:

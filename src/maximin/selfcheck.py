@@ -17,14 +17,13 @@ from .linmodel import ScenarioSpec, fit, generate
 from .magging import brute_force_oracle, maximin_point
 
 
-def separated_instances(count, seed, min_weight=0.05, min_residual=0.1,
-                        p_range=(2, 4), G_range=(2, 5)):
+def separated_instances(count, seed, p_range=(2, 4), G_range=(2, 5)):
     """Seeded (B, Sigma, solution) triples with stable interior optima.
 
     Instances are filtered so the maximin point sits strictly inside a
     face: at least two active columns, every active weight at least
-    min_weight, every active column at Sigma-distance at least
-    min_residual from the affine hull of the other active columns, and
+    0.05, every active column at Sigma-distance at least 0.1 from the
+    affine hull of the other active columns, and
     no stray weight on inactive columns. On such instances the maximin
     map is differentiable and finite differences are trustworthy.
     """
@@ -39,7 +38,7 @@ def separated_instances(count, seed, min_weight=0.05, min_residual=0.1,
         Sigma = A @ A.T + 0.5 * np.eye(p)
         solution = maximin_point(B, Sigma)
         act = list(solution.active)
-        if len(act) < 2 or min(solution.alpha[act]) < min_weight:
+        if len(act) < 2 or min(solution.alpha[act]) < 0.05:
             continue
         inactive = [g for g in range(G) if g not in act]
         if inactive and max(solution.alpha[inactive]) > 1e-10:
@@ -50,7 +49,7 @@ def separated_instances(count, seed, min_weight=0.05, min_residual=0.1,
             metric.norm(sub[:, i] - Face(np.delete(sub, i, axis=1), metric).project(sub[:, i]))
             for i in range(len(act))
         ]
-        if min(residuals) >= min_residual:
+        if min(residuals) >= 0.1:
             out.append((B, Sigma, solution))
     return out
 
@@ -88,14 +87,16 @@ def chi2_round_trip_error(dofs):
     return worst
 
 
-def finite_difference_errors(instances, rng, h=1.0e-6, tol=1.0e-4):
+def finite_difference_errors(instances, rng):
     """Both differentials against forward differences of maximin_point.
 
     For every (B, Sigma, solution) instance, each active column moves
     along one random unit direction and Sigma along one random unit
-    symmetric direction. Returns (checks made, checks whose relative
-    error exceeds tol, worst relative error).
+    symmetric direction, with step 1e-6. Returns (checks made, checks
+    whose relative error exceeds 1e-4, worst relative error).
     """
+    h = 1.0e-6
+    tol = 1.0e-4
     worst = 0.0
     checked = 0
     failed = 0

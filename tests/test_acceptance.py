@@ -160,7 +160,7 @@ def test_criterion_07_population_covariance_matches_monte_carlo():
 def test_criterion_08_differentials_match_finite_differences():
     instances = separated_instances(200, seed=MASTER_SEED)
     rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED, 42)))
-    checked, failed, worst = finite_difference_errors(instances, rng, h=1.0e-6, tol=1e-4)
+    checked, failed, worst = finite_difference_errors(instances, rng)
     ok = failed == 0
     _finish(8, "differentials vs finite differences",
             ok, f"{checked} checks, {failed} over tolerance,"

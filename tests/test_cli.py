@@ -122,7 +122,8 @@ def test_region_known_sigma_drops_fluctuation_term(data_csv, tmp_path, capsys):
     assert payload["estimate"]["diagnostics"]["known_sigma"]
 
     sigma_csv = tmp_path / "sigma.csv"
-    sigma_csv.write_text("1,0\n0,1\n", encoding="utf-8")
+    # a line of only spaces is skipped like an empty one
+    sigma_csv.write_text("1,0\n   \n0,1\n", encoding="utf-8")
     assert main(["region", str(data_csv), "--known-sigma", str(sigma_csv)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert np.allclose(np.array(payload["term_V"]), 0.0)
@@ -275,7 +276,15 @@ def test_parse_failures_exit_two(tmp_path, capsys):
     data = tmp_path / "ok.csv"
     _write_grouped_csv(data, ScenarioSpec(p=2, G=2, n=10, seed=33))
     assert main(["region", str(data), "--known-sigma", str(matrix)]) == EXIT_PARSE
-    assert "(line 1, column 2)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "(line 1, column 2)" in err
+    assert str(matrix) in err
+
+    matrix.write_text("1,0\n0\n", encoding="utf-8")
+    assert main(["region", str(data), "--known-sigma", str(matrix)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "(line 2)" in err
+    assert str(matrix) in err
 
 
 def test_singular_fit_exits_three(tmp_path, capsys):
