@@ -37,12 +37,7 @@ from .errors import (
     SingularFitError,
 )
 from .estimator import MaximinEstimator
-from .geometry import (
-    MaggingDifferential,
-    SigmaMetric,
-    dmagging_dB,
-    magging_differential,
-)
+from .geometry import Face, SigmaMetric
 from .linmodel import (
     GroupedDataset,
     GroupEstimates,
@@ -93,10 +88,10 @@ __all__ = [
     "DegenerateGeometryError",
     "DimensionError",
     "EstimationError",
+    "Face",
     "GroupBoxes",
     "GroupedDataset",
     "GroupEstimates",
-    "MaggingDifferential",
     "MaggingSolution",
     "MaximinEstimator",
     "RankError",
@@ -113,7 +108,6 @@ __all__ = [
     "contains",
     "contains_relaxed",
     "covering_region",
-    "dmagging_dB",
     "empirical_C",
     "estimate_dataset",
     "fit",
@@ -124,7 +118,6 @@ __all__ = [
     "group_confidence_boxes",
     "load_group_csvs",
     "load_grouped_csv",
-    "magging_differential",
     "max_eigenvalue",
     "maximin_norm_gap",
     "maximin_point",

@@ -3,14 +3,15 @@
 The covariance of sqrt(n) (M_hat - M) splits into two parts:
 
 * a coefficient-fluctuation term: per-group least-squares noise with
-  covariance sigma^2 Sigma^{-1} pushed through the maximin Jacobians,
-  summed over active groups;
+  covariance sigma^2 Sigma^{-1} pushed through the maximin Jacobians
+  (``Face.jacobians``), summed over active groups;
 
 * a metric-fluctuation term V: the pooled covariance estimate wiggles
   by a fourth-moment CLT, and the maximin point responds through the
-  dSigma differential. V compresses to a sandwich of the empirical
-  covariance C of the vectors (1/sqrt(G)) x_k (x_k . M) between hull
-  projectors, so the fourth-moment tensor never has to be materialized.
+  metric differential (``Face.dsigma``). V compresses to a sandwich of
+  the empirical covariance C of the vectors (1/sqrt(G)) x_k (x_k . M)
+  between hull projectors (``Face.term_V``), so the fourth-moment tensor
+  never has to be materialized.
 
 When the design covariance is known exactly (so nothing is plugged in
 for it), V is identically zero and only the first term remains.
@@ -72,7 +73,7 @@ def gaussian_population_C(Sigma, M, G):
     return (np.outer(s, s) + float(M @ s) * Sigma) / G
 
 
-def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g=None):
+def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g):
     """Inactive columns the data cannot separate from the active face.
 
     A column whose squared metric distance to the affine hull of the
@@ -83,32 +84,28 @@ def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g=None):
         dist_Sigma^2(b_h, face) <= (s_h^2 + max_{g active} s_g^2)
                                    * chi2_p(TIE_PROBE_LEVEL) / p
 
-    where s_g^2 is the expected squared metric error of column g. With
-    the per-group design grams ``Sigma_g`` (as fitted, ridge included)
-    the exact fixed-design value s_g^2 = sigma^2 tr(Sigma Sigma_g^{-1})/n
-    is used; without them the large-sample value sigma^2 p / n stands
-    in. Either way the bound shrinks like 1/n, so ties vanish for
-    separated columns as the sample grows.
+    where s_g^2 = sigma^2 tr(Sigma Sigma_g^{-1}) / n is the expected
+    squared metric error of column g under the fixed design, computed
+    from the per-group design grams ``Sigma_g`` (as fitted, ridge
+    included). The bound shrinks like 1/n, so ties vanish for separated
+    columns as the sample grows.
 
     Returns:
         Sorted tuple of tied column indices, disjoint from ``active``.
     """
     metric = SigmaMetric.ensure(Sigma)
     B = np.atleast_2d(np.asarray(Bhat, dtype=float))
-    p, G = B.shape
+    p = B.shape[0]
     n = int(n)
     sigma2 = float(sigma2)
     if n <= 0 or sigma2 <= 0.0:
         return ()
     active = tuple(active)
     face = Face(B[:, list(active)], metric)
-    if Sigma_g is None:
-        scales = np.full(G, sigma2 * p / n)
-    else:
-        grams = np.asarray(Sigma_g, dtype=float)
-        rhs = np.broadcast_to(metric.Sigma, grams.shape)
-        inv_traces = np.trace(np.linalg.solve(grams, rhs), axis1=1, axis2=2)
-        scales = sigma2 * inv_traces / n
+    grams = np.asarray(Sigma_g, dtype=float)
+    rhs = np.broadcast_to(metric.Sigma, grams.shape)
+    inv_traces = np.trace(np.linalg.solve(grams, rhs), axis1=1, axis2=2)
+    scales = sigma2 * inv_traces / n
     quant = chi2_quantile(p, TIE_PROBE_LEVEL) / p
     s_face = max(scales[g] for g in active)
     R = face.complement @ (B - face.B[:, :1])
@@ -117,30 +114,29 @@ def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g=None):
     return tuple(int(h) for h in np.flatnonzero(tied))
 
 
-def assemble_W(estimates, solution, differential, C_hat, Sigma=None):
+def assemble_W(estimates, solution, C_hat, Sigma=None):
     """Assemble the plug-in covariance of sqrt(n) (M_hat - M).
 
     Args:
         estimates: GroupEstimates from the fit.
         solution: MaggingSolution for the maximin point.
-        differential: MaggingDifferential at the solution.
         C_hat: output of empirical_C, or None for the known-covariance
             mode where the metric term vanishes.
         Sigma: metric actually used for the solve; defaults to the
             pooled estimate on ``estimates``.
 
     Returns:
-        AsymptoticCovariance. A single-column active set has no
-        Jacobian. When ``tied_neighbors`` finds columns the data cannot
-        separate from the winner, the winner and its ties are treated
-        as jointly active and the assembly differentiates through that
-        enlarged face; the near ties carry small hull distances into
-        the Jacobians and inflate W along the ambiguous directions. A
-        cleanly isolated vertex means the estimate equals one group's
-        least squares and W falls back to sigma^2 Sigma^{-1} with the
-        vertex_mode flag raised. Interior solutions use the Jacobians of
-        the provided differential; term_V reuses its face only when that
-        face was built under this same metric.
+        AsymptoticCovariance. The Jacobians and term_V come from one
+        ``Face`` built here, under this metric, on the columns the
+        assembly differentiates through. An interior solution uses its
+        active columns. A single-column active set has no Jacobian: when
+        ``tied_neighbors`` finds columns the data cannot separate from
+        the winner, the winner and its ties are treated as jointly
+        active and the face is the enlarged one; the near ties carry
+        small hull distances into the Jacobians and inflate W along the
+        ambiguous directions. A cleanly isolated vertex means the
+        estimate equals one group's least squares and W falls back to
+        sigma^2 Sigma^{-1} with the vertex_mode flag raised.
     """
     if Sigma is None:
         Sigma = estimates.Sigma_hat
@@ -157,17 +153,13 @@ def assemble_W(estimates, solution, differential, C_hat, Sigma=None):
     tied = ()
     if vertex:
         tied = tied_neighbors(
-            Bhat, active, metric, sigma2, estimates.n,
-            Sigma_g=estimates.Sigma_g_hat,
-        )
+            Bhat, active, metric, sigma2, estimates.n, estimates.Sigma_g_hat)
     used = tuple(sorted(set(active).union(tied))) if tied else active
-    if vertex and not tied:
+    if len(used) == 1:
         term_B, term_V = sigma2 * sigma_inv, np.zeros((p, p))
     else:
-        face = getattr(differential, "_face", None)
-        if tied or face is None or face.metric is not metric:
-            face = Face(Bhat[:, list(used)], metric)
-        jacobians = face.jacobians(solution.M) if tied else np.asarray(differential.dB)
+        face = Face(Bhat[:, list(used)], metric)
+        jacobians = face.jacobians(solution.M)
         term_B = sigma2 * np.einsum("gij,glj->il", jacobians @ sigma_inv, jacobians)
         term_B = (term_B + term_B.T) / 2.0
         term_V = np.zeros((p, p)) if known else face.term_V(C_used)

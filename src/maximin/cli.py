@@ -36,6 +36,7 @@ from .errors import (
     SingularFitError,
 )
 from .linmodel import _parse_cell, _read_rows, load_group_csvs, load_grouped_csv
+from .validation import as_spd_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,22 +126,24 @@ def _matrix_row(row, line_no, width):
     return [_parse_cell(cell, line_no, column) for column, cell in enumerate(row, 1)]
 
 
-def _load_matrix(path):
-    """Known-sigma file: JSON 2-d array, or a bare CSV grid of numbers."""
+def _load_matrix(path, p):
+    """Known-sigma file (JSON 2-d array or bare CSV grid) as a finite p x p matrix."""
     if not path.endswith(".json"):
         rows = [(line_no, row) for line_no, row in enumerate(_read_rows(path), 1)
                 if any(cell.strip() for cell in row)]
         try:
-            return np.asarray([_matrix_row(row, line_no, len(rows[0][1]))
-                               for line_no, row in rows], dtype=float)
+            matrix = [_matrix_row(row, line_no, len(rows[0][1]))
+                      for line_no, row in rows]
         except CsvFormatError as err:
             raise CsvFormatError(f"{path}: {err}", err.line, err.column) from None
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    else:
+        with open(path, encoding="utf-8") as handle:
+            matrix = json.load(handle)
     try:
-        return np.asarray(data, dtype=float)
+        matrix = np.asarray(matrix, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: expected a JSON array of numbers") from None
+    return as_spd_matrix(matrix, p)
 
 
 def _load_dataset(inputs):
@@ -210,7 +213,7 @@ def cmd_estimate(args, parser):
     if args.jitter < 0:
         parser.error("--jitter must be >= 0")
     dataset = _load_dataset(args.inputs)
-    known = _load_matrix(args.known_sigma) if args.known_sigma else None
+    known = _load_matrix(args.known_sigma, dataset.p) if args.known_sigma else None
     estimates, solution, _ = pipeline.estimate_dataset(
         dataset, ridge_jitter=args.jitter, known_sigma=known
     )
@@ -234,7 +237,7 @@ def cmd_region(args, parser):
     if args.jitter < 0:
         parser.error("--jitter must be >= 0")
     dataset = _load_dataset(args.inputs)
-    known = _load_matrix(args.known_sigma) if args.known_sigma else None
+    known = _load_matrix(args.known_sigma, dataset.p) if args.known_sigma else None
     analysis = pipeline.analyze_dataset(
         dataset, alpha=args.alpha, ridge_jitter=args.jitter, known_sigma=known
     )

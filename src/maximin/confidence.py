@@ -5,14 +5,11 @@ The region for the true maximin effect is
     { M : (M_hat - M)^T W^{-1} (M_hat - M) <= tau / n }
 
 with tau the (1 - alpha) quantile of chi squared with p degrees of
-freedom and W the plug-in asymptotic covariance. Quantiles are found by
-a bracketed Newton/bisection hybrid on the regularized lower incomplete
-gamma, seeded by the Wilson-Hilferty cube approximation; the iteration
-is deterministic and stops at an absolute CDF error of 1e-12.
+freedom and W the plug-in asymptotic covariance. Quantiles invert the
+regularized lower incomplete gamma with SciPy's gammaincinv.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +20,6 @@ from .errors import ConditioningError
 # Refuse to invert W beyond this eigenvalue ratio.
 CONDITION_LIMIT = 1e12
 
-_CDF_TOL = 1e-12
-
 
 def chi2_cdf(dof, x):
     """CDF of chi squared with ``dof`` degrees of freedom at x."""
@@ -33,13 +28,6 @@ def chi2_cdf(dof, x):
     if x <= 0:
         return 0.0
     return float(scipy.special.gammainc(dof / 2.0, x / 2.0))
-
-
-def _chi2_pdf(dof, x):
-    if x <= 0:
-        return 0.0
-    k = dof / 2.0
-    return math.exp((k - 1.0) * math.log(x) - x / 2.0 - math.lgamma(k) - k * math.log(2.0))
 
 
 @functools.lru_cache(maxsize=256)
@@ -59,41 +47,15 @@ def chi2_quantile(dof, prob):
     Returns
     -------
     float
-        Quantile with absolute CDF error at most 1e-10.
+        Twice the inverse regularized lower incomplete gamma at
+        (dof / 2, prob).
     """
     dof = int(dof)
     if dof < 1:
         raise ValueError("dof must be >= 1")
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie strictly inside (0, 1)")
-    lo, hi = 0.0, float(dof + 10.0 * math.sqrt(2.0 * dof) + 10.0)
-    while chi2_cdf(dof, hi) < prob:
-        hi *= 2.0
-    # Wilson-Hilferty starting point, clipped into the bracket.
-    z = math.sqrt(2.0) * scipy.special.erfinv(2.0 * prob - 1.0)
-    x = dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
-    x = min(max(x, lo + 1e-12), hi)
-    for _ in range(200):
-        err = chi2_cdf(dof, x) - prob
-        if abs(err) <= _CDF_TOL:
-            break
-        if err > 0:
-            hi = x
-        else:
-            lo = x
-        slope = _chi2_pdf(dof, x)
-        if slope > 0:
-            step = x - err / slope
-        else:
-            step = 0.5 * (lo + hi)
-        # Fall back to bisection whenever Newton leaves the bracket.
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if hi - lo < 1e-14 * max(hi, 1.0):
-            x = 0.5 * (lo + hi)
-            break
-        x = step
-    return float(x)
+    return 2.0 * float(scipy.special.gammaincinv(dof / 2.0, prob))
 
 
 @dataclass(frozen=True)

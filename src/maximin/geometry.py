@@ -4,10 +4,10 @@ Everything here lives in the metric <x, y> = x^T Sigma y. The maximin
 point M of an active column set B is characterized by Sigma-
 orthogonality of M to every difference of active columns, and near a
 well-separated configuration the map (B, Sigma) -> M is differentiable.
-Its two closed-form differentials are:
+Both closed-form differentials are methods of ``Face``:
 
-* dmagging_dB: the p x p Jacobian of M with respect to one active
-  column b_g,
+* Face.jacobians: the p x p Jacobian of M with respect to each active
+  column b_g, stacked over the columns,
 
       J_g = -u_g (Sigma M)^T / |u_g|^2  +  (|w_g| / |u_g|) Pi_B,
 
@@ -21,8 +21,8 @@ Its two closed-form differentials are:
   of the metric, -D (D^T Sigma D)^{-1} D^T Delta M with D the matrix
   of active-column differences.
 
-All of these, the projections and the metric term of the covariance
-are views of one ``Face``, which factorises the face once: the thin SVD
+These, the projections and the metric term of the covariance all read
+one factorisation of the face, made when the ``Face`` is built: the thin SVD
 D = U S V^T of D = (b_2 - b_1, ..., b_k - b_1) gives the rank check,
 and the Cholesky factor R of U^T Sigma U (as well conditioned as Sigma,
 whatever the spectrum of D) gives the Sigma-orthonormal basis
@@ -46,7 +46,7 @@ w_g = alpha_g u_g, so |w_g| / |u_g| = alpha_g.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -175,28 +175,22 @@ class Face:
 
     def jacobians(self, M):
         """Stacked J_g for every column, shape (k, p, p)."""
-        return self._jacobians(M, range(self.k))
-
-    def _jacobians(self, M, cols):
-        """Stacked J_g for the given columns; checks only those columns."""
         if self.k < 2:
             raise DegenerateGeometryError(
                 "vertex solution: the maximin map is not differentiable for a"
                 " single active column"
             )
-        cols = list(cols)
         U, unorm = self._residuals
-        for g in cols:
-            if unorm[g] < _DEGENERACY_TOL:
-                raise DegenerateGeometryError(
-                    f"active column {g} lies in the affine hull of the others"
-                )
+        bad = np.flatnonzero(unorm < _DEGENERACY_TOL)
+        if bad.size:
+            raise DegenerateGeometryError(
+                f"active column {bad[0]} lies in the affine hull of the others"
+            )
         metric, M = self.metric, np.asarray(M, dtype=float)
-        U, unorm = U[:, cols], unorm[cols]
         Pi = self.complement
         r = Pi @ (M - self.B[:, 0])
         SU = metric.Sigma @ U
-        t = M @ SU - np.einsum("pg,pg->g", self.B[:, cols], SU) + unorm**2
+        t = M @ SU - np.einsum("pg,pg->g", self.B, SU) + unorm**2
         wnorm = np.sqrt(metric.inner(r, r) + (t / unorm) ** 2)
         outer = (U / unorm**2).T[:, :, None] * (metric.Sigma @ M)
         return (wnorm / unorm)[:, None, None] * Pi - outer
@@ -219,69 +213,3 @@ class Face:
         V = P @ np.asarray(C_hat, dtype=float) @ P
         return (V + V.T) / 2.0
 
-
-def dmagging_dB(B_active, Sigma, g, M):
-    """Jacobian of the maximin point with respect to active column g.
-
-    Parameters
-    ----------
-    B_active : ndarray, shape (p, G')
-        The active columns only, G' >= 2.
-    Sigma : ndarray or SigmaMetric
-    g : int
-        Column index into B_active.
-    M : ndarray
-        The maximin point of B_active under Sigma.
-
-    Returns
-    -------
-    ndarray, shape (p, p)
-        Acts on a direction v (a perturbation of column g) from the right.
-
-    Raises
-    ------
-    DegenerateGeometryError
-        For vertex solutions (G' < 2) or when column g lies in the
-        affine hull of the others, where no derivative exists.
-    """
-    face = Face(B_active, Sigma)
-    if face.k >= 2 and not 0 <= g < face.k:
-        raise IndexError(f"column index {g} outside 0..{face.k - 1}")
-    return face._jacobians(M, [g])[0]
-
-
-@dataclass(frozen=True)
-class MaggingDifferential:
-    """Differentials of the maximin map at one solution.
-
-    dB holds the Jacobian for each active column, ordered like active.
-    dSigma maps a symmetric p x p direction to the induced movement of
-    the maximin point. _face is the factorised active face they come
-    from, when known.
-    """
-
-    active: tuple
-    dB: tuple
-    dSigma: object
-    _face: Face = field(default=None, repr=False, compare=False)
-
-    def apply_dB(self, g, v):
-        """Movement of M when active column g moves along v."""
-        return self.dB[self.active.index(g)] @ np.asarray(v, dtype=float)
-
-
-def magging_differential(B, Sigma, solution):
-    """Bundle both differentials of the maximin map at a solution.
-
-    B is the full p x G matrix; differentials are taken with respect to
-    the active columns recorded on the solution (inactive columns have
-    zero derivative and are omitted).
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    face = Face(B[:, list(solution.active)], Sigma)
-    return MaggingDifferential(
-        active=solution.active,
-        dB=tuple(face.jacobians(solution.M)),
-        dSigma=functools.partial(face.dsigma, solution.M),
-        _face=face,
-    )

@@ -13,6 +13,7 @@ seed and groups can be generated independently and in any order.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -297,13 +298,15 @@ def _rank_deficient(label):
 
 def _parse_cell(raw, line_no, column):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise CsvFormatError(
-            f"line {line_no}, column {column!r}: cannot parse {raw!r} as a number",
-            line=line_no,
-            column=column,
-        ) from None
+        problem = f"cannot parse {raw!r} as a number"
+    else:
+        if math.isfinite(value):
+            return value
+        problem = f"{raw!r} is not a finite number"
+    raise CsvFormatError(
+        f"line {line_no}, column {column!r}: {problem}", line=line_no, column=column)
 
 
 def _read_rows(path):
@@ -320,7 +323,7 @@ def _parse_groups(rows, pred_idx, y_idx, g_idx=None):
     Returns {label: (X rows, y values)} in order of first appearance;
     the label is a row's g_idx cell, or None for every row when g_idx is
     None. Blank lines are skipped; a row with the wrong field count or a
-    cell that is not a number raises CsvFormatError naming its line.
+    cell that is not a finite number raises CsvFormatError naming its line.
     """
     header = rows[0]
     buckets = {}

@@ -2,8 +2,8 @@
 
 One replicate of the full analysis is: fit per-group least squares,
 solve the maximin weight program under the pooled (or supplied) metric,
-differentiate the maximin map at the solution, assemble the plug-in
-covariance and build the confidence ellipsoid. Supplying known_sigma
+assemble the plug-in covariance (which differentiates the maximin map
+at the solution) and build the confidence ellipsoid. Supplying known_sigma
 switches every step onto the exact metric and drops the metric-
 fluctuation term of the covariance.
 """
@@ -50,22 +50,15 @@ def estimate_dataset(dataset, ridge_jitter=0.0, known_sigma=None,
 def infer(dataset, estimates, solution, metric, alpha, known_sigma):
     """Confidence region for a solved dataset: (covariance, region).
 
-    Differentiates the maximin map at the solution, estimates the
-    metric-fluctuation term C_hat (skipped under a known Sigma),
-    assembles W and builds the ellipsoid. metric is the SigmaMetric the
-    solution was computed under.
+    Estimates the metric-fluctuation term C_hat (skipped under a known
+    Sigma), assembles W and builds the ellipsoid. metric is the
+    SigmaMetric the solution was computed under.
     """
-    if len(solution.active) > 1:
-        differential = geometry.magging_differential(
-            estimates.Bhat, metric, solution)
-    else:
-        differential = None
     if known_sigma is None:
         C_hat = asymvar.empirical_C(dataset.design_stack(), solution.M, dataset.G)
     else:
         C_hat = None
-    covariance = asymvar.assemble_W(
-        estimates, solution, differential, C_hat, Sigma=metric)
+    covariance = asymvar.assemble_W(estimates, solution, C_hat, Sigma=metric)
     region = confidence.build_region(solution.M, covariance, dataset.n, alpha)
     region.flags["sigma2_approximate"] = bool(estimates.sigma2_approximate)
     return covariance, region
@@ -77,8 +70,8 @@ def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
 
     Returns an Analysis bundle. Degeneracy, rank, conditioning and
     convergence problems propagate as their specific exception types so
-    callers can count or surface them. One SigmaMetric serves the solve,
-    the differential and the covariance assembly.
+    callers can count or surface them. One SigmaMetric serves the solve
+    and the covariance assembly.
     """
     estimates, solution, metric, sigma = _solve(
         dataset, ridge_jitter, known_sigma, activity_threshold)

@@ -71,7 +71,11 @@ def split_groups(X, y, groups):
 
 
 def as_spd_matrix(S, p, name="known_sigma"):
-    """Validate shape and symmetry of a user-supplied metric."""
+    """Validate shape and finiteness of a user-supplied metric.
+
+    Symmetry and definiteness are checked where the metric is factorised
+    (``SigmaMetric``), which raises DefinitenessError.
+    """
     S = np.asarray(S, dtype=float)
     if S.shape != (p, p):
         raise DimensionError(f"{name} must be {p} x {p}, got {S.shape}")

@@ -12,7 +12,6 @@ import numpy as np
 
 from conftest import record_criterion
 from maximin.asymvar import assemble_W, gaussian_population_C
-from maximin.geometry import magging_differential
 from maximin.linmodel import GroupEstimates, generate, fit
 from maximin.magging import maximin_point
 from maximin.relaxation import (
@@ -129,7 +128,6 @@ def test_criterion_07_population_covariance_matches_monte_carlo():
     Sigma0 = np.eye(p)
     M0 = np.full(p, 1.0 / p)
     sol0 = maximin_point(B0, Sigma0)
-    diff0 = magging_differential(B0, Sigma0, sol0)
     population = GroupEstimates(
         Bhat=B0,
         Sigma_hat=Sigma0,
@@ -140,7 +138,7 @@ def test_criterion_07_population_covariance_matches_monte_carlo():
         labels=("g1", "g2", "g3"),
     )
     C0 = gaussian_population_C(Sigma0, M0, p)
-    W_pop = assemble_W(population, sol0, diff0, C0, Sigma=Sigma0).W
+    W_pop = assemble_W(population, sol0, C0, Sigma=Sigma0).W
 
     base = cell_seed(MASTER_SEED, 1, 3, n)
     seeds = [_derive_seed(base, "c7", rep) for rep in range(reps)]

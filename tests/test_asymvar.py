@@ -10,11 +10,11 @@ from maximin.asymvar import (
     tied_neighbors,
 )
 from maximin.errors import DimensionError
-from maximin.geometry import Face, SigmaMetric, magging_differential
+from maximin.geometry import Face, SigmaMetric
 from maximin.linmodel import ScenarioSpec, fit, generate
 from maximin.magging import maximin_point
 from maximin.pipeline import analyze_dataset
-from reference import fourth_moment_reference
+from reference import assemble_W as reference_W, fourth_moment_reference
 
 
 def test_empirical_C_matches_tensor_contraction():
@@ -88,9 +88,8 @@ def test_assembled_W_matches_hand_derived_symmetric_case():
     B = np.eye(3)
     Sigma = np.eye(3)
     sol = maximin_point(B, Sigma)
-    diff = magging_differential(B, Sigma, sol)
     C = gaussian_population_C(Sigma, sol.M, 3)
-    cov = assemble_W(_population_estimates(B, Sigma), sol, diff, C, Sigma=Sigma)
+    cov = assemble_W(_population_estimates(B, Sigma), sol, C, Sigma=Sigma)
     expected = (4.0 / 9.0) * np.eye(3) - np.ones((3, 3)) / 27.0
     assert np.allclose(cov.W, expected, atol=1e-10)
     assert np.allclose(cov.W, cov.term_B + cov.term_V)
@@ -103,8 +102,7 @@ def test_known_metric_drops_the_fluctuation_term():
     B = np.eye(3)
     Sigma = np.eye(3)
     sol = maximin_point(B, Sigma)
-    diff = magging_differential(B, Sigma, sol)
-    cov = assemble_W(_population_estimates(B, Sigma), sol, diff, None, Sigma=Sigma)
+    cov = assemble_W(_population_estimates(B, Sigma), sol, None, Sigma=Sigma)
     assert cov.known_sigma
     assert np.array_equal(cov.term_V, np.zeros((3, 3)))
     assert np.allclose(cov.W, cov.term_B)
@@ -115,53 +113,71 @@ def test_isolated_vertex_falls_back_to_group_noise():
     Sigma = np.eye(2)
     sol = maximin_point(B, Sigma)
     assert sol.active == (0,)
-    est = _population_estimates(B, Sigma, sigma2=0.01, n=100_000)
+    est = _population_estimates(B, Sigma, sigma2=0.01, n=100_000,
+                                Sigma_g=(Sigma,) * 3)
     C = np.eye(2) * 0.01
-    cov = assemble_W(est, sol, None, C, Sigma=Sigma)
+    cov = assemble_W(est, sol, C, Sigma=Sigma)
     assert cov.vertex_mode
     assert cov.active_used == (0,)
     assert np.allclose(cov.W, 0.01 * np.eye(2))
     assert np.array_equal(cov.term_V, np.zeros((2, 2)))
 
 
-def test_tied_vertex_switches_to_the_cluster_jacobians():
+def _tied_vertex():
     # two statistically indistinguishable short columns and one far one
     B = np.array([[0.5, 0.5001, 5.0], [0.0, 0.001, 1.0]])
     Sigma = np.eye(2)
     sol = maximin_point(B, Sigma)
-    assert len(sol.active) == 1
-    est = _population_estimates(B, Sigma, sigma2=1.0, n=50)
+    est = _population_estimates(B, Sigma, sigma2=1.0, n=50, Sigma_g=(Sigma,) * 3)
     C = gaussian_population_C(Sigma, sol.M, 3)
-    cov = assemble_W(est, sol, None, C, Sigma=Sigma)
+    return est, sol, C
+
+
+def test_tied_vertex_switches_to_the_cluster_jacobians():
+    est, sol, C = _tied_vertex()
+    assert len(sol.active) == 1
+    cov = assemble_W(est, sol, C, Sigma=est.Sigma_hat)
     assert cov.vertex_mode
     assert set(cov.active_used) == {0, 1}
     # the near tie inflates the variance well past the fallback scale
-    fallback = np.linalg.eigvalsh(1.0 * np.linalg.inv(Sigma))[-1]
+    fallback = np.linalg.eigvalsh(1.0 * np.linalg.inv(est.Sigma_hat))[-1]
     assert np.linalg.eigvalsh(cov.W)[-1] > 10.0 * fallback
+
+
+def test_tied_vertex_W_matches_the_per_column_reference():
+    est, sol, C = _tied_vertex()
+    metric = SigmaMetric(est.Sigma_hat)
+    cov = assemble_W(est, sol, C, Sigma=metric)
+    used = list(cov.active_used)
+    expected = reference_W(est.Bhat[:, used], metric, sol.M, est.sigma2_hat, C)
+    assert np.linalg.norm(cov.W - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_tied_neighbors_distance_gate():
     Sigma = np.eye(2)
     close = np.array([[0.5, 0.5001, 5.0], [0.0, 0.001, 1.0]])
-    assert tied_neighbors(close, (0,), Sigma, sigma2=1.0, n=50) == (1,)
+    grams = (Sigma,) * 3
+    assert tied_neighbors(close, (0,), Sigma, sigma2=1.0, n=50, Sigma_g=grams) == (1,)
     # a tie vanishes once the sample pins the columns down
-    assert tied_neighbors(close, (0,), Sigma, sigma2=1.0, n=10**9) == ()
+    assert tied_neighbors(close, (0,), Sigma, sigma2=1.0, n=10**9, Sigma_g=grams) == ()
     far = np.array([[0.5, 3.0], [0.0, 4.0]])
-    assert tied_neighbors(far, (0,), Sigma, sigma2=1.0, n=50) == ()
+    assert tied_neighbors(far, (0,), Sigma, sigma2=1.0, n=50, Sigma_g=grams[:2]) == ()
 
 
 def test_tied_neighbors_edge_conditions():
     B = np.array([[0.5, 0.5001], [0.0, 0.001]])
-    assert tied_neighbors(B, (0,), np.eye(2), sigma2=0.0, n=50) == ()
-    assert tied_neighbors(B, (0,), np.eye(2), sigma2=1.0, n=0) == ()
-    assert tied_neighbors(B, (0, 1), np.eye(2), sigma2=1.0, n=50) == ()
+    Sigma = np.eye(2)
+    grams = (Sigma,) * 2
+    assert tied_neighbors(B, (0,), Sigma, sigma2=0.0, n=50, Sigma_g=grams) == ()
+    assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=0, Sigma_g=grams) == ()
+    assert tied_neighbors(B, (0, 1), Sigma, sigma2=1.0, n=50, Sigma_g=grams) == ()
 
 
 def test_tied_neighbors_uses_per_group_scales_when_available():
     B = np.array([[0.5, 0.9], [0.0, 0.0]])
     Sigma = np.eye(2)
-    # pooled scale alone says separated at this n
-    assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=2000) == ()
+    # designs as strong as the pooled one say separated at this n
+    assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=2000, Sigma_g=(Sigma,) * 2) == ()
     # a weak group-1 design inflates its error scale and restores the tie
     weak = (np.eye(2) * 1e-3, np.eye(2) * 1e-3)
     assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=2000, Sigma_g=weak) == (1,)
@@ -193,8 +209,7 @@ def test_monte_carlo_covariance_tracks_assembled_W():
     B = np.eye(3)
     Sigma = np.eye(3)
     sol = maximin_point(B, Sigma)
-    diff = magging_differential(B, Sigma, sol)
     C = gaussian_population_C(Sigma, sol.M, 3)
-    W_pop = assemble_W(_population_estimates(B, Sigma), sol, diff, C, Sigma=Sigma).W
+    W_pop = assemble_W(_population_estimates(B, Sigma), sol, C, Sigma=Sigma).W
     rel = np.linalg.norm(mc_cov - W_pop) / np.linalg.norm(W_pop)
     assert rel <= 0.30

@@ -286,6 +286,26 @@ def test_parse_failures_exit_two(tmp_path, capsys):
     assert "(line 2)" in err
     assert str(matrix) in err
 
+    # cells that parse as floats but are not finite carry their location too
+    for cell in ("nan", "inf", "-Infinity", "1e999"):
+        bad.write_text(f"group,x1,x2,y\na,1,2,3\na,{cell},0.1,0.2\n", encoding="utf-8")
+        assert main(["estimate", str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "(line 3, column x1)" in err
+        assert "not a finite number" in err
+
+    north, south = tmp_path / "north.csv", tmp_path / "south.csv"
+    north.write_text("x1,y\n1,2\n2,3\n", encoding="utf-8")
+    south.write_text("x1,y\n1,2\n2,inf\n", encoding="utf-8")
+    assert main(["estimate", str(north), str(south)]) == EXIT_PARSE
+    assert "(line 3, column y)" in capsys.readouterr().err
+
+    matrix.write_text("1,0\n0,inf\n", encoding="utf-8")
+    assert main(["region", str(data), "--known-sigma", str(matrix)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "(line 2, column 2)" in err
+    assert str(matrix) in err
+
 
 def test_singular_fit_exits_three(tmp_path, capsys):
     # two rows per group cannot identify three coefficients
@@ -322,9 +342,11 @@ def test_degenerate_geometry_exits_six(tmp_path, capsys):
 
 def test_indefinite_known_sigma_exits_nine(data_csv, tmp_path, capsys):
     sigma = tmp_path / "sigma.json"
-    sigma.write_text("[[1, 2], [2, 1]]", encoding="utf-8")
-    assert main(["region", str(data_csv), "--known-sigma", str(sigma)]) == EXIT_DEFINITENESS
-    assert "not positive definite" in capsys.readouterr().err
+    for text, message in (("[[1, 2], [2, 1]]", "not positive definite"),
+                          ("[[1, 0.5], [0, 1]]", "not symmetric")):
+        sigma.write_text(text, encoding="utf-8")
+        assert main(["region", str(data_csv), "--known-sigma", str(sigma)]) == EXIT_DEFINITENESS
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error, code", [
@@ -346,6 +368,16 @@ def test_malformed_known_sigma_json_is_a_usage_error(data_csv, tmp_path, capsys)
     sigma.write_text('{"a": 1}', encoding="utf-8")
     assert main(["region", str(data_csv), "--known-sigma", str(sigma)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("maximin: ")
+
+    # the wrong shape for the data, or a non-finite entry
+    for text, message in (
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "known_sigma must be 2 x 2, got (3, 3)"),
+        ("[[1, NaN], [NaN, 1]]", "known_sigma contains NaN or infinite entries"),
+    ):
+        sigma.write_text(text, encoding="utf-8")
+        for command in ("estimate", "region"):
+            assert main([command, str(data_csv), "--known-sigma", str(sigma)]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"maximin: {message}\n"
 
 
 @pytest.mark.parametrize("config", ["[1, 2]", '{"tables": 5}', '{"seed": "x"}'])

@@ -1,7 +1,5 @@
 """Differential tests: the Face kernel against the per-column references."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +8,7 @@ from hypothesis import strategies as st
 import reference as ref
 from maximin.asymvar import assemble_W, gaussian_population_C
 from maximin.errors import DegenerateGeometryError, RankError
-from maximin.geometry import Face, SigmaMetric, dmagging_dB, magging_differential
+from maximin.geometry import Face, SigmaMetric
 from maximin.selfcheck import separated_instances
 
 _RTOL = 1e-10
@@ -32,15 +30,15 @@ def test_face_matches_reference_on_separated_instances(seed, sigma2):
                                             G_range=(2, 7))
     sub = B[:, list(sol.active)]
     metric = SigmaMetric(Sigma)
-    diff = magging_differential(B, metric, sol)
-    for i, J in enumerate(diff.dB):
+    face = Face(sub, metric)
+    for i, J in enumerate(face.jacobians(sol.M)):
         assert _close(J, ref.dmagging_dB(sub, metric, i, sol.M))
-    assert _close(diff._face.complement, ref.complement_projector(sub, metric))
+    assert _close(face.complement, ref.complement_projector(sub, metric))
     x = B @ np.linspace(1.0, 2.0, B.shape[1])
-    assert _close(diff._face.project(x), ref.affine_project(x, sub.T, metric))
+    assert _close(face.project(x), ref.affine_project(x, sub.T, metric))
     C = gaussian_population_C(Sigma, sol.M, B.shape[1])
-    assert _close(diff._face.term_V(C), ref.sigma_term_V(sub, metric, C))
-    W = assemble_W(_Estimates(B, Sigma, sigma2), sol, diff, C, Sigma=metric).W
+    assert _close(face.term_V(C), ref.sigma_term_V(sub, metric, C))
+    W = assemble_W(_Estimates(B, Sigma, sigma2), sol, C, Sigma=metric).W
     assert _close(W, ref.assemble_W(sub, metric, sol.M, sigma2, C))
 
 
@@ -95,31 +93,11 @@ def test_degenerate_faces_raise_like_the_reference(seed, p, extra, offset):
         b = B[:, g]
         r = metric.norm(b - ref.affine_project(b, np.delete(B, g, 1).T, metric))
         assume(r < 1e-12 or r > 1e-8)
-    for g in range(k):
-        assert _outcome(dmagging_dB, B, metric, g, M) == _outcome(
-            ref.dmagging_dB, B, metric, g, M)
     first = next((o for g in range(k)
                   if (o := _outcome(ref.dmagging_dB, B, metric, g, M))), None)
-    solution = SimpleNamespace(active=tuple(range(k)), M=M)
-    assert _outcome(magging_differential, B, metric, solution) == first
+    assert _outcome(Face(B, metric).jacobians, M) == first
     if k <= p + 1:
         C = np.eye(p)
         assert _outcome(Face(B, metric).term_V, C) == _outcome(
             ref.sigma_term_V, B, metric, C)
 
-
-
-def test_assemble_W_term_V_follows_its_own_metric():
-    # A differential built under another metric, or one without a face,
-    # must not leak that metric into term_V.
-    [(B, Sigma, sol)] = separated_instances(1, seed=3)
-    sub = B[:, list(sol.active)]
-    other = SigmaMetric(2.0 * Sigma)
-    metric = SigmaMetric(Sigma)
-    C = gaussian_population_C(Sigma, sol.M, B.shape[1])
-    expected = ref.sigma_term_V(sub, metric, C)
-    diff = magging_differential(B, other, sol)
-    bare = SimpleNamespace(active=diff.active, dB=diff.dB)
-    for d in (diff, bare):
-        cov = assemble_W(_Estimates(B, Sigma, 1.0), sol, d, C, Sigma=metric)
-        assert _close(cov.term_V, expected)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maximin.errors import DefinitenessError, DegenerateGeometryError, RankError
-from maximin.geometry import Face, SigmaMetric, dmagging_dB, magging_differential
+from maximin.geometry import Face, SigmaMetric
 from maximin.magging import maximin_point
 from maximin.selfcheck import separated_instances
 
@@ -87,28 +87,26 @@ def test_complement_project_single_column_is_identity():
 def test_jacobian_rejects_degenerate_configurations():
     metric = SigmaMetric(np.eye(2))
     with pytest.raises(DegenerateGeometryError):
-        dmagging_dB(np.array([[1.0], [0.0]]), metric, 0, np.array([1.0, 0.0]))
-    # middle column sits inside the hull of the others
+        Face(np.array([[1.0], [0.0]]), metric).jacobians(np.array([1.0, 0.0]))
+    # collinear columns: each lies in the affine hull of the other two
     B = np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
-    with pytest.raises(DegenerateGeometryError):
-        dmagging_dB(B, metric, 2, np.zeros(2))
-    with pytest.raises(IndexError):
-        dmagging_dB(np.eye(2), metric, 5, np.full(2, 0.5))
+    with pytest.raises(DegenerateGeometryError, match="active column 0"):
+        Face(B, metric).jacobians(np.zeros(2))
 
 
 def test_jacobian_matches_finite_differences(corpus):
     h = 1e-6
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 2))))
     for B, Sigma, sol in corpus:
-        diff = magging_differential(B, Sigma, sol)
-        for i, g in enumerate(sol.active):
+        jacobians = Face(B[:, list(sol.active)], Sigma).jacobians(sol.M)
+        for J, g in zip(jacobians, sol.active):
             E = rng.standard_normal(B.shape[0])
             E /= np.linalg.norm(E)
             Bp, Bm = B.copy(), B.copy()
             Bp[:, g] += h * E
             Bm[:, g] -= h * E
             fd = (maximin_point(Bp, Sigma).M - maximin_point(Bm, Sigma).M) / (2 * h)
-            err = np.linalg.norm(fd - diff.dB[i] @ E)
+            err = np.linalg.norm(fd - J @ E)
             assert err <= 1e-4 * max(np.linalg.norm(fd), 1e-8)
 
 
@@ -155,14 +153,3 @@ def test_metric_derivative_validation():
     with pytest.raises(RankError):
         Face(bad, metric).dsigma(np.zeros(2), np.eye(2))
 
-
-def test_differential_bundle_is_indexed_by_active_set():
-    B = np.eye(3)
-    sol = maximin_point(B, np.eye(3))
-    diff = magging_differential(B, np.eye(3), sol)
-    assert diff.active == sol.active
-    assert len(diff.dB) == len(sol.active)
-    v = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(diff.apply_dB(1, v), diff.dB[1] @ v)
-    moved = diff.dSigma(np.diag([1.0, 0.0, 0.0]))
-    assert moved.shape == (3,)
