@@ -114,7 +114,7 @@ def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g):
     return tuple(int(h) for h in np.flatnonzero(tied))
 
 
-def assemble_W(estimates, solution, C_hat, Sigma=None):
+def assemble_W(estimates, solution, C_hat, Sigma):
     """Assemble the plug-in covariance of sqrt(n) (M_hat - M).
 
     Args:
@@ -122,8 +122,8 @@ def assemble_W(estimates, solution, C_hat, Sigma=None):
         solution: MaggingSolution for the maximin point.
         C_hat: output of empirical_C, or None for the known-covariance
             mode where the metric term vanishes.
-        Sigma: metric actually used for the solve; defaults to the
-            pooled estimate on ``estimates``.
+        Sigma: metric the solution was computed under, as a matrix or
+            a SigmaMetric.
 
     Returns:
         AsymptoticCovariance. The Jacobians and term_V come from one
@@ -138,8 +138,6 @@ def assemble_W(estimates, solution, C_hat, Sigma=None):
         estimate equals one group's least squares and W falls back to
         sigma^2 Sigma^{-1} with the vertex_mode flag raised.
     """
-    if Sigma is None:
-        Sigma = estimates.Sigma_hat
     metric = SigmaMetric.ensure(Sigma)
     p = metric.p
     sigma2 = float(estimates.sigma2_hat)

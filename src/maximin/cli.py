@@ -11,7 +11,8 @@ column when known), 3 singular per-group fit (naming the group),
 4 ill-conditioned covariance (with eigenvalue diagnostics), 5 budget
 or size limits exceeded, 6 degenerate geometry (the maximin map is not
 differentiable at the solution), 7 rank-deficient active face, 8 solver
-did not converge, 9 a covariance that must be positive definite is not.
+did not converge, 9 a covariance that must be positive definite is not,
+10 a self-check of ``check`` failed.
 """
 
 import argparse
@@ -48,6 +49,7 @@ EXIT_DEGENERATE = 6
 EXIT_RANK = 7
 EXIT_CONVERGENCE = 8
 EXIT_DEFINITENESS = 9
+EXIT_CHECK_FAILED = 10
 
 SEED_ENV_VAR = "MAXIMIN_CI_SEED"
 
@@ -266,7 +268,7 @@ def cmd_region(args, parser):
     print(
         f"confidence level {region.level:g}, n={region.n_used},"
         f" semi-axes [{axes}],"
-        f" max eigenvalue {max_eigenvalue(analysis.covariance):.6g}",
+        f" max eigenvalue {max_eigenvalue(analysis.covariance.W):.6g}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -354,7 +356,7 @@ def cmd_check(args, parser):
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
         if not passed:
             failures += 1
-    return EXIT_OK if failures == 0 else EXIT_USAGE
+    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
 def _csv_message(err):
@@ -403,7 +405,7 @@ def main(argv=None):
         return cmd_check(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (EstimationError, FileNotFoundError, ValueError) as err:
+    except (EstimationError, OSError, ValueError) as err:
         code, message = next(
             (_FAILURES[cls] for cls in type(err).__mro__ if cls in _FAILURES),
             (EXIT_USAGE, str),

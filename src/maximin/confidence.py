@@ -109,13 +109,17 @@ def build_region(M_hat, W, n, alpha):
     ----------
     M_hat : ndarray
         Center of the region.
-    W : AsymptoticCovariance or ndarray
-        Plug-in covariance of sqrt(n) (M_hat - M). Flags carried by an
-        AsymptoticCovariance propagate onto the region.
+    W : ndarray, shape (p, p)
+        Plug-in covariance of sqrt(n) (M_hat - M).
     n : int
         Per-group sample size.
     alpha : float
         Miscoverage level in (0, 1).
+
+    Returns
+    -------
+    ConfidenceRegion
+        With empty flags; pipeline.infer fills them in.
 
     Raises
     ------
@@ -128,16 +132,10 @@ def build_region(M_hat, W, n, alpha):
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    flags = {}
-    W_matrix = W
-    if hasattr(W, "W"):
-        flags["vertex_mode"] = bool(W.vertex_mode)
-        flags["known_sigma"] = bool(W.known_sigma)
-        W_matrix = W.W
-    W_matrix = np.asarray(W_matrix, dtype=float)
+    W = np.asarray(W, dtype=float)
     M_hat = np.asarray(M_hat, dtype=float)
     p = M_hat.shape[0]
-    vals, vecs = np.linalg.eigh((W_matrix + W_matrix.T) / 2.0)
+    vals, vecs = np.linalg.eigh((W + W.T) / 2.0)
     if vals[0] <= 0 or vals[-1] / vals[0] > CONDITION_LIMIT:
         raise ConditioningError(
             "covariance is numerically singular; eigenvalue range"
@@ -158,18 +156,15 @@ def build_region(M_hat, W, n, alpha):
         eigenvalues=vals[order] / n,
         axes=vecs[:, order],
         tau=tau,
-        flags=flags,
     )
 
 
 def contains(region, M):
-    """Membership test. Returns (inside, quadratic-form value)."""
-    value = region.quadratic_form(M)
-    return value <= region.radius2, value
+    """Whether M lies in the region (quadratic form at most radius2)."""
+    return region.quadratic_form(M) <= region.radius2
 
 
 def max_eigenvalue(W):
-    """Largest eigenvalue of a covariance (matrix or AsymptoticCovariance)."""
-    W_matrix = W.W if hasattr(W, "W") else W
-    W_matrix = np.asarray(W_matrix, dtype=float)
-    return float(np.linalg.eigvalsh((W_matrix + W_matrix.T) / 2.0)[-1])
+    """Largest eigenvalue of a covariance matrix."""
+    W = np.asarray(W, dtype=float)
+    return float(np.linalg.eigvalsh((W + W.T) / 2.0)[-1])

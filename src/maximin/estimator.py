@@ -10,9 +10,7 @@ class clone-friendly for pipeline tooling.
 import numpy as np
 
 from . import pipeline
-from .geometry import SigmaMetric
 from .linmodel import GroupedDataset
-from .magging import DEFAULT_ACTIVITY_THRESHOLD
 from .validation import (
     as_float_matrix,
     as_float_vector,
@@ -36,8 +34,6 @@ class MaximinEstimator:
         Exact design covariance, if available. Supplying it switches
         all geometry onto this metric and drops the metric-fluctuation
         part of the asymptotic covariance.
-    activity_threshold : float
-        Weight cutoff separating active from inactive groups.
 
     Attributes
     ----------
@@ -46,25 +42,18 @@ class MaximinEstimator:
     weights_ : ndarray
         Convex combination weights over groups.
     active_ : tuple
-        Labels of groups with weight above the threshold.
+        Labels of groups with weight above magging.ACTIVITY_THRESHOLD.
     estimates_ : GroupEstimates
     solution_ : MaggingSolution
     groups_ : tuple of group labels in fit order.
     """
 
-    _parameter_names = (
-        "alpha",
-        "ridge_jitter",
-        "known_sigma",
-        "activity_threshold",
-    )
+    _parameter_names = ("alpha", "ridge_jitter", "known_sigma")
 
-    def __init__(self, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
-                 activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
+    def __init__(self, alpha=0.05, ridge_jitter=0.0, known_sigma=None):
         self.alpha = alpha
         self.ridge_jitter = ridge_jitter
         self.known_sigma = known_sigma
-        self.activity_threshold = activity_threshold
 
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._parameter_names}
@@ -97,18 +86,16 @@ class MaximinEstimator:
         sigma = self.known_sigma
         if sigma is not None:
             sigma = as_spd_matrix(sigma, dataset.p)
-        estimates, solution, sigma_used = pipeline.estimate_dataset(
-            dataset,
-            ridge_jitter=self.ridge_jitter,
-            known_sigma=sigma,
-            activity_threshold=self.activity_threshold,
+        estimates, solution, metric = pipeline.estimate_dataset(
+            dataset, ridge_jitter=self.ridge_jitter, known_sigma=sigma
         )
         self._dataset = dataset
         self._known_sigma = sigma
+        self._metric = metric
         self.groups_ = labels
         self.estimates_ = estimates
         self.solution_ = solution
-        self.sigma_used_ = sigma_used
+        self.sigma_used_ = metric.Sigma
         self.coef_ = solution.M.copy()
         self.weights_ = solution.alpha.copy()
         self.active_ = tuple(labels[g] for g in solution.active)
@@ -132,9 +119,9 @@ class MaximinEstimator:
     def confidence_region(self, alpha=None):
         """Confidence ellipsoid for the true maximin effect.
 
-        Runs the covariance assembly on the data, fit and solution from
-        fit time; nothing is refit. alpha defaults to the constructor
-        value.
+        Runs the covariance assembly on the data, fit, solution and
+        factorised metric from fit time; nothing is refit. alpha
+        defaults to the constructor value.
         """
         self._check_fitted()
         level = self.alpha if alpha is None else alpha
@@ -142,7 +129,7 @@ class MaximinEstimator:
             self._dataset,
             self.estimates_,
             self.solution_,
-            SigmaMetric(self.sigma_used_),
+            self._metric,
             level,
             self._known_sigma,
         )

@@ -40,7 +40,7 @@ t_g = <M - b_g, u_g> + |u_g|^2,
 
     |w_g|^2 = |r|^2 + t_g^2 / |u_g|^2,
 
-which is exact even when weights below the activity threshold put M
+which is exact even when weights below magging.ACTIVITY_THRESHOLD put M
 slightly off the face. When M = B alpha lies on the face (r = 0),
 w_g = alpha_g u_g, so |w_g| / |u_g| = alpha_g.
 """

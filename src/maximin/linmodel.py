@@ -23,8 +23,7 @@ import scipy.linalg
 from .errors import CsvFormatError, DimensionError, SingularFitError
 from .validation import check_equal_sizes
 
-COEFFICIENT_RULES = ("basis-vectors", "shared-plus-noise", "identical", "custom")
-DESIGN_RULES = ("iid-normal", "per-group-scaled-normal")
+COEFFICIENT_RULES = ("basis-vectors", "shared-plus-noise", "identical")
 
 # Relative pivot threshold for the factorization-based rank check.
 _PIVOT_RTOL = 1e-12
@@ -99,30 +98,24 @@ class ScenarioSpec:
 
     coefficient_rule fixes the true p x G coefficient matrix given
     (p, G, seed): "basis-vectors" takes b_g = e_g, "identical" takes
-    b_g = e_1, "shared-plus-noise" takes b_g = e_1 + z_g e_2 with z_g
-    standard normal, and "custom" uses the coefficients field verbatim.
-    design_rule "iid-normal" draws every design entry from one shared
-    standard normal (the common-distribution scenario the asymptotics
-    assume); "per-group-scaled-normal" gives each group its own scale.
+    b_g = e_1, and "shared-plus-noise" takes b_g = e_1 + z_g e_2 with
+    z_g standard normal. Every design entry is an independent standard
+    normal, the common-distribution scenario the asymptotics assume.
     """
 
     p: int
     G: int
     n: int
     coefficient_rule: str = "basis-vectors"
-    design_rule: str = "iid-normal"
     noise_sd: float = 1.0
     seed: int = 0
     ridge_jitter: float = 0.0
-    coefficients: object = None
 
     def __post_init__(self):
         if self.p < 1 or self.G < 1 or self.n < 1:
             raise DimensionError("p, G and n must all be >= 1")
         if self.coefficient_rule not in COEFFICIENT_RULES:
             raise ValueError(f"unknown coefficient_rule {self.coefficient_rule!r}")
-        if self.design_rule not in DESIGN_RULES:
-            raise ValueError(f"unknown design_rule {self.design_rule!r}")
         if not self.noise_sd > 0:
             raise ValueError("noise_sd must be > 0")
         if self.ridge_jitter < 0:
@@ -133,11 +126,6 @@ class ScenarioSpec:
             raise DimensionError("basis-vectors needs G <= p")
         if self.coefficient_rule == "shared-plus-noise" and self.p < 2:
             raise DimensionError("shared-plus-noise needs p >= 2")
-        if self.coefficient_rule == "custom":
-            B = np.asarray(self.coefficients, dtype=float)
-            if B.shape != (self.p, self.G):
-                raise DimensionError("custom coefficients must be p x G")
-            object.__setattr__(self, "coefficients", B)
 
 
 def true_coefficients(spec):
@@ -149,13 +137,11 @@ def true_coefficients(spec):
         B = np.zeros((p, G))
         B[0, :] = 1.0
         return B
-    if spec.coefficient_rule == "shared-plus-noise":
-        z = _stream(spec.seed, 0).standard_normal(G)
-        B = np.zeros((p, G))
-        B[0, :] = 1.0
-        B[1, :] = z
-        return B
-    return spec.coefficients.copy()
+    z = _stream(spec.seed, 0).standard_normal(G)
+    B = np.zeros((p, G))
+    B[0, :] = 1.0
+    B[1, :] = z
+    return B
 
 
 def generate(spec):
@@ -174,8 +160,6 @@ def generate(spec):
     groups = []
     for g in range(spec.G):
         X = _stream(spec.seed, 1, g).standard_normal((spec.n, spec.p))
-        if spec.design_rule == "per-group-scaled-normal":
-            X = X * (1.0 + (g + 1) / (2.0 * spec.G))
         eps = _stream(spec.seed, 2, g).standard_normal(spec.n)
         y = X @ B0[:, g] + spec.noise_sd * eps
         groups.append((X, y))
@@ -310,8 +294,13 @@ def _parse_cell(raw, line_no, column):
 
 
 def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as err:
+        byte = err.object[err.start]
+        raise CsvFormatError(
+            f"{path}: not UTF-8 text (byte 0x{byte:02x}: {err.reason})") from None
     if not rows or not any(rows):
         raise CsvFormatError(f"{path}: empty file", line=1)
     return rows

@@ -45,7 +45,8 @@ import numpy as np
 from .errors import BudgetError, ConvergenceError
 from .geometry import SigmaMetric
 
-DEFAULT_ACTIVITY_THRESHOLD = 1e-6
+# Weights above this count as active.
+ACTIVITY_THRESHOLD = 1e-6
 
 # Weights this far below zero are treated as boundary, not infeasible.
 _FEAS_TOL = 1e-12
@@ -61,9 +62,9 @@ ENUMERATION_MAX_G = 6
 class MaggingSolution:
     """Maximin point with its convex weights and solver diagnostics.
 
-    active holds the indices g with alpha_g above the activity
-    threshold. kkt_residual is measured on the face the solver
-    returned. iterations counts the faces solved when G is at most
+    active holds the indices g with alpha_g above ACTIVITY_THRESHOLD.
+    kkt_residual is measured on the face the solver returned.
+    iterations counts the faces solved when G is at most
     ENUMERATION_MAX_G, and the active-set iterations otherwise.
     """
 
@@ -106,21 +107,20 @@ def _residual(H, c, gamma, support):
     return res, grad, lam
 
 
-def _simplex_qp(H, c=None, max_iter=None, tol=None):
+def _simplex_qp(H, c=None):
     """Solve min gamma^T H gamma + c^T gamma over the probability simplex.
 
     Returns (gamma, support, iterations), support being the final
     working set; _residual(H, c, gamma, support) is the KKT residual.
-    H must be symmetric positive semidefinite; c defaults to zero.
+    H must be symmetric positive semidefinite; c defaults to zero. The
+    loop stops after 100 G iterations; a multiplier gap of at most 1e-10
+    times the larger of |trace(H)| / G and max|c| counts as optimal.
     """
     G = H.shape[0]
     if c is None:
         c = np.zeros(G)
-    if max_iter is None:
-        max_iter = 100 * G
-    if tol is None:
-        scale = max(abs(np.trace(H)) / G, float(np.max(np.abs(c))) if G else 0.0)
-        tol = 1e-10 * scale
+    max_iter = 100 * G
+    tol = 1e-10 * max(abs(np.trace(H)) / G, float(np.max(np.abs(c))) if G else 0.0)
     if G == 1:
         return np.ones(1), [0], 0
     start = int(np.argmin(np.diag(H) + c))
@@ -292,7 +292,7 @@ def stacked_simplex_qp(H, p, c=None):
     return gamma, t.members[best], np.full(R, F)
 
 
-def maximin_point(B, Sigma, activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
+def maximin_point(B, Sigma):
     """Compute the maximin point of the columns of B under Sigma.
 
     Parameters
@@ -302,12 +302,11 @@ def maximin_point(B, Sigma, activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
     Sigma : ndarray, shape (p, p), or SigmaMetric
         Symmetric positive definite metric; pass a SigmaMetric to reuse
         its factorization.
-    activity_threshold : float
-        Weights above this count as active.
 
     Returns
     -------
     MaggingSolution
+        Its active set holds the weights above ACTIVITY_THRESHOLD.
 
     Raises
     ------
@@ -319,27 +318,25 @@ def maximin_point(B, Sigma, activity_threshold=DEFAULT_ACTIVITY_THRESHOLD):
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Sigma = SigmaMetric.ensure(Sigma, B.shape[0]).Sigma
-    if not 0.0 < activity_threshold < 1.0:
-        raise ValueError("activity_threshold must lie in (0, 1)")
     H = B.T @ Sigma @ B
     H = (H + H.T) / 2.0
     try:
         gamma, support, iterations = stacked_simplex_qp(H[None], B.shape[0])
     except ConvergenceError as err:
-        err.best = _package(B, Sigma, err.best, np.inf, 0, activity_threshold)
+        err.best = _package(B, Sigma, err.best, np.inf, 0)
         raise
     alpha = gamma[0]
     free = [int(g) for g in np.flatnonzero(support[0])]
     res, _, _ = _residual(H, np.zeros(B.shape[1]), alpha, free)
-    return _package(B, Sigma, alpha, res, int(iterations[0]), activity_threshold)
+    return _package(B, Sigma, alpha, res, int(iterations[0]))
 
 
-def _package(B, Sigma, alpha, res, iterations, threshold):
+def _package(B, Sigma, alpha, res, iterations):
     M = B @ alpha
     return MaggingSolution(
         M=M,
         alpha=alpha,
-        active=tuple(int(g) for g in np.flatnonzero(alpha > threshold)),
+        active=tuple(int(g) for g in np.flatnonzero(alpha > ACTIVITY_THRESHOLD)),
         objective=float(M @ Sigma @ M),
         kkt_residual=float(res),
         iterations=iterations,

@@ -26,25 +26,16 @@ class Analysis:
     sigma_used: np.ndarray
 
 
-def _solve(dataset, ridge_jitter, known_sigma, activity_threshold):
-    """Fit, factor the metric once, solve: (estimates, solution, metric, sigma)."""
-    estimates = linmodel.fit(dataset, ridge_jitter)
-    sigma = estimates.Sigma_hat if known_sigma is None else np.asarray(
-        known_sigma, dtype=float)
-    metric = geometry.SigmaMetric(sigma)
-    solution = magging.maximin_point(estimates.Bhat, metric, activity_threshold)
-    return estimates, solution, metric, sigma
-
-
-def estimate_dataset(dataset, ridge_jitter=0.0, known_sigma=None,
-                     activity_threshold=magging.DEFAULT_ACTIVITY_THRESHOLD):
+def estimate_dataset(dataset, ridge_jitter=0.0, known_sigma=None):
     """Fit and solve the maximin program; no covariance assembly.
 
-    Returns (estimates, solution, sigma_used).
+    Returns (estimates, solution, metric), metric being the SigmaMetric
+    the program was solved under: the pooled estimate, or known_sigma.
     """
-    estimates, solution, _, sigma = _solve(
-        dataset, ridge_jitter, known_sigma, activity_threshold)
-    return estimates, solution, sigma
+    estimates = linmodel.fit(dataset, ridge_jitter)
+    sigma = estimates.Sigma_hat if known_sigma is None else known_sigma
+    metric = geometry.SigmaMetric(sigma)
+    return estimates, magging.maximin_point(estimates.Bhat, metric), metric
 
 
 def infer(dataset, estimates, solution, metric, alpha, known_sigma):
@@ -52,20 +43,24 @@ def infer(dataset, estimates, solution, metric, alpha, known_sigma):
 
     Estimates the metric-fluctuation term C_hat (skipped under a known
     Sigma), assembles W and builds the ellipsoid. metric is the
-    SigmaMetric the solution was computed under.
+    SigmaMetric the solution was computed under. The region's flags
+    record vertex_mode, known_sigma and sigma2_approximate.
     """
     if known_sigma is None:
         C_hat = asymvar.empirical_C(dataset.design_stack(), solution.M, dataset.G)
     else:
         C_hat = None
     covariance = asymvar.assemble_W(estimates, solution, C_hat, Sigma=metric)
-    region = confidence.build_region(solution.M, covariance, dataset.n, alpha)
-    region.flags["sigma2_approximate"] = bool(estimates.sigma2_approximate)
+    region = confidence.build_region(solution.M, covariance.W, dataset.n, alpha)
+    region.flags.update(
+        vertex_mode=covariance.vertex_mode,
+        known_sigma=covariance.known_sigma,
+        sigma2_approximate=bool(estimates.sigma2_approximate),
+    )
     return covariance, region
 
 
-def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
-                    activity_threshold=magging.DEFAULT_ACTIVITY_THRESHOLD):
+def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None):
     """Full pass from raw dataset to confidence region.
 
     Returns an Analysis bundle. Degeneracy, rank, conditioning and
@@ -73,8 +68,7 @@ def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
     callers can count or surface them. One SigmaMetric serves the solve
     and the covariance assembly.
     """
-    estimates, solution, metric, sigma = _solve(
-        dataset, ridge_jitter, known_sigma, activity_threshold)
+    estimates, solution, metric = estimate_dataset(dataset, ridge_jitter, known_sigma)
     covariance, region = infer(
         dataset, estimates, solution, metric, alpha, known_sigma)
     return Analysis(
@@ -82,5 +76,5 @@ def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None,
         solution=solution,
         covariance=covariance,
         region=region,
-        sigma_used=sigma,
+        sigma_used=metric.Sigma,
     )

@@ -29,7 +29,8 @@ from .errors import BudgetError
 from .geometry import SigmaMetric
 from .magging import maximin_point, stacked_simplex_qp
 
-DEFAULT_BUDGET = 10**6
+# Most lattice centers covering_region builds before raising BudgetError.
+BUDGET = 10**6
 
 _SLACK = 1e-9
 
@@ -151,13 +152,13 @@ class CoveringRegion:
         }
 
 
-def covering_region(boxes, Sigma0, target_eps, budget=DEFAULT_BUDGET):
+def covering_region(boxes, Sigma0, target_eps):
     """Cover the coefficient boxes by a lattice and precompute the pieces.
 
     The lattice spacing is chosen so that any point of a cell is within
     target_eps of the cell center in max-column Sigma0-norm. Raises
-    BudgetError when the covering would need more than ``budget``
-    centers; enlarging target_eps shrinks the lattice.
+    BudgetError when the covering would need more than BUDGET centers;
+    enlarging target_eps shrinks the lattice.
     """
     if target_eps <= 0:
         raise ValueError("target_eps must be > 0")
@@ -173,9 +174,9 @@ def covering_region(boxes, Sigma0, target_eps, budget=DEFAULT_BUDGET):
             r = boxes.halfwidths[j, g]
             count = max(1, math.ceil(2.0 * r / h))
             total *= count
-            if total > budget:
+            if total > BUDGET:
                 raise BudgetError(
-                    f"covering needs more than {budget} centers at"
+                    f"covering needs more than {BUDGET} centers at"
                     f" eps={target_eps}; increase target_eps"
                 )
             if count == 1:

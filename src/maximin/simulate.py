@@ -35,7 +35,7 @@ from .errors import (
     SingularFitError,
 )
 from .linmodel import ScenarioSpec, generate, true_coefficients
-from .magging import DEFAULT_ACTIVITY_THRESHOLD, _simplex_qp, brute_force_oracle
+from .magging import ACTIVITY_THRESHOLD, _simplex_qp
 
 _REPLICATE_ERRORS = (
     SingularFitError,
@@ -93,33 +93,36 @@ def scenario_presets(table, p, n):
 
 
 def true_maximin(spec):
-    """Analytic maximin effect of a scenario under the identity metric."""
+    """Analytic maximin effect of a scenario under the identity metric.
+
+    The mean of e_1 .. e_G for basis vectors, e_1 for the other rules.
+    """
     p, G = spec.p, spec.G
     if spec.coefficient_rule == "basis-vectors":
         M = np.zeros(p)
         M[:G] = 1.0 / G
         return M
-    if spec.coefficient_rule in ("identical", "shared-plus-noise"):
-        M = np.zeros(p)
-        M[0] = 1.0
-        return M
-    return brute_force_oracle(spec.coefficients, np.eye(p))
+    M = np.zeros(p)
+    M[0] = 1.0
+    return M
 
 
 _verified_rules = set()
 
 
-def _kkt_certifies(B, M, tol=1e-8):
+def _kkt_certifies(B, M):
     """Whether M is the minimum-norm point of the hull of B's columns.
 
     Checks the KKT conditions of the simplex QP under the identity
-    metric: M = B alpha with alpha on the simplex, and
-    <b_g - M, M> >= -tol for every column, with equality on the support
-    of alpha. The QP is convex, so they are necessary and sufficient.
+    metric, to within tol = 1e-8: M = B alpha with alpha on the simplex,
+    and <b_g - M, M> >= -tol for every column, with equality on the
+    support of alpha. The QP is convex, so they are necessary and
+    sufficient.
     """
+    tol = 1e-8
     alpha, _, _ = _simplex_qp(B.T @ B, -2.0 * (B.T @ M))
     gaps = B.T @ M - M @ M
-    support = alpha > DEFAULT_ACTIVITY_THRESHOLD
+    support = alpha > ACTIVITY_THRESHOLD
     return bool(
         np.linalg.norm(B @ alpha - M) <= tol
         and gaps.min() >= -tol
@@ -175,9 +178,9 @@ def _run_one(spec, alpha, M0):
     analysis = pipeline.analyze_dataset(
         dataset, alpha=alpha, ridge_jitter=spec.ridge_jitter
     )
-    covered, _ = confidence.contains(analysis.region, M0)
-    eig = confidence.max_eigenvalue(analysis.covariance)
-    return bool(covered), float(eig), bool(analysis.covariance.vertex_mode)
+    covered = confidence.contains(analysis.region, M0)
+    eig = confidence.max_eigenvalue(analysis.covariance.W)
+    return covered, eig, analysis.covariance.vertex_mode
 
 
 def _run_block(spec, alpha, M0, items):

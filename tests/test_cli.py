@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from maximin import pipeline
+from maximin import pipeline, selfcheck
 from maximin.cli import (
     EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
     EXIT_CONDITIONING,
     EXIT_CONVERGENCE,
     EXIT_DEFINITENESS,
@@ -263,6 +264,19 @@ def test_usage_errors(data_csv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["input", "known-sigma", "out"])
+def test_directory_paths_exit_one(data_csv, tmp_path, capsys, where):
+    args = {
+        "input": ["estimate", str(tmp_path)],
+        "known-sigma": ["region", str(data_csv), "--known-sigma", str(tmp_path)],
+        "out": ["estimate", str(data_csv), "--out", str(tmp_path)],
+    }[where]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("maximin: ")
+    assert "directory" in err
+
+
 def test_parse_failures_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("group,x1,y\na,1,1\na,oops,2\n", encoding="utf-8")
@@ -305,6 +319,18 @@ def test_parse_failures_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "(line 2, column 2)" in err
     assert str(matrix) in err
+
+    # bytes that are not UTF-8, in a data file and in a known-sigma CSV
+    bad.write_bytes(b"group,x1,y\na,1,1\na,\xff,2\n")
+    assert main(["estimate", str(bad)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "not UTF-8" in err
+    matrix.write_bytes(b"1,0\n0,\xff\n")
+    assert main(["region", str(data), "--known-sigma", str(matrix)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(matrix) in err
+    assert "not UTF-8" in err
 
 
 def test_singular_fit_exits_three(tmp_path, capsys):
@@ -398,3 +424,9 @@ def test_check_battery_passes(capsys):
         "PASS  simulation is seed-deterministic",
         "PASS  noiseless fit recovers coefficients",
     ]
+
+
+def test_failing_check_has_its_own_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, "battery", lambda seed: iter([("broken", False)]))
+    assert main(["check"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == "FAIL  broken\n"

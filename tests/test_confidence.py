@@ -8,7 +8,6 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maximin.asymvar import AsymptoticCovariance
 from maximin.confidence import (
     build_region,
     chi2_cdf,
@@ -17,6 +16,8 @@ from maximin.confidence import (
     max_eigenvalue,
 )
 from maximin.errors import ConditioningError
+from maximin.linmodel import GroupedDataset
+from maximin.pipeline import analyze_dataset
 
 
 def test_quantile_agrees_with_independent_implementation():
@@ -68,8 +69,9 @@ def test_region_geometry_fields():
     # eigenvalues describe W / n, sorted descending
     assert np.allclose(region.eigenvalues, [0.04, 0.01])
     assert np.allclose(region.semi_axes(), np.sqrt(tau * np.array([0.04, 0.01])))
-    inside, value = contains(region, center)
-    assert inside and value == 0.0
+    assert contains(region, center) is True
+    assert region.quadratic_form(center) == 0.0
+    assert max_eigenvalue(W) == pytest.approx(4.0)
     assert json.dumps(region.to_dict())
 
 
@@ -78,27 +80,28 @@ def test_region_membership_boundary():
     r = np.sqrt(region.radius2)
     # exactly-on-edge points round either way; step in by one part in 1e9
     just_inside = np.array([r * (1.0 - 1e-9), 0.0])
-    inside, value = contains(region, just_inside)
-    assert inside
-    assert value == pytest.approx(region.radius2, rel=1e-6)
-    assert not contains(region, np.array([1.001 * r, 0.0]))[0]
+    assert contains(region, just_inside)
+    assert region.quadratic_form(just_inside) == pytest.approx(region.radius2, rel=1e-6)
+    assert not contains(region, np.array([1.001 * r, 0.0]))
 
 
-def test_region_flags_propagate_from_covariance():
-    cov = AsymptoticCovariance(
-        W=np.eye(2),
-        term_B=np.eye(2),
-        term_V=np.zeros((2, 2)),
-        C_hat=np.zeros((2, 2)),
-        sigma2_used=1.0,
-        active_used=(0,),
-        vertex_mode=True,
-        known_sigma=True,
-    )
-    region = build_region(np.zeros(2), cov, n=10, alpha=0.1)
-    assert region.flags == {"vertex_mode": True, "known_sigma": True}
-    bare = build_region(np.zeros(2), np.eye(2), n=10, alpha=0.1)
-    assert bare.flags == {}
+def test_region_flags_come_from_the_analysis():
+    # b_1 is the point of the segment [b_1, b_2] nearest the origin, so
+    # the maximin point is the vertex b_1 alone
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((6, 2))))
+    groups = []
+    for b in ((1.0, 0.0), (2.0, 1.0)):
+        X = rng.standard_normal((50, 2))
+        groups.append((X, X @ np.array(b) + 0.1 * rng.standard_normal(50)))
+    dataset = GroupedDataset(tuple(groups))
+    pooled = analyze_dataset(dataset)
+    assert pooled.solution.active == (0,)
+    assert pooled.region.flags == {
+        "vertex_mode": True, "known_sigma": False, "sigma2_approximate": False}
+    known = analyze_dataset(dataset, known_sigma=np.eye(2))
+    assert known.region.flags["known_sigma"] is True
+    assert known.region.flags["vertex_mode"] is True
+    assert build_region(np.zeros(2), np.eye(2), n=10, alpha=0.1).flags == {}
 
 
 def test_region_rejects_bad_covariances():
@@ -125,19 +128,6 @@ def test_region_covers_at_the_nominal_rate_for_exact_gaussians():
     for _ in range(draws):
         M_hat = M0 + (L @ rng.standard_normal(3)) / np.sqrt(n)
         region = build_region(M_hat, W, n=n, alpha=0.05)
-        hits += contains(region, M0)[0]
+        hits += contains(region, M0)
     assert abs(hits / draws - 0.95) <= 0.012
 
-
-def test_max_eigenvalue_accepts_both_forms():
-    W = np.diag([3.0, 1.0])
-    assert max_eigenvalue(W) == pytest.approx(3.0)
-    cov = AsymptoticCovariance(
-        W=W,
-        term_B=W,
-        term_V=np.zeros((2, 2)),
-        C_hat=np.zeros((2, 2)),
-        sigma2_used=1.0,
-        active_used=(0, 1),
-    )
-    assert max_eigenvalue(cov) == pytest.approx(3.0)

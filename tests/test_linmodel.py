@@ -62,10 +62,6 @@ def test_scenario_validation():
         ScenarioSpec(p=2, G=2, n=10, seed=-1)
     with pytest.raises(ValueError):
         ScenarioSpec(p=2, G=2, n=10, ridge_jitter=-1e-6)
-    with pytest.raises(DimensionError):
-        ScenarioSpec(
-            p=2, G=2, n=10, coefficient_rule="custom", coefficients=np.ones((3, 2))
-        )
 
 
 def test_coefficient_rules():
@@ -81,10 +77,6 @@ def test_coefficient_rules():
     assert np.array_equal(B, true_coefficients(spec))
     other = ScenarioSpec(p=3, G=4, n=5, coefficient_rule="shared-plus-noise", seed=4)
     assert not np.array_equal(B[1], true_coefficients(other)[1])
-
-    custom = np.arange(6.0).reshape(2, 3)
-    spec = ScenarioSpec(p=2, G=3, n=5, coefficient_rule="custom", coefficients=custom)
-    assert np.array_equal(true_coefficients(spec), custom)
 
 
 def test_generate_is_seed_deterministic():

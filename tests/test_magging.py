@@ -84,15 +84,6 @@ def test_sigma_validation():
         maximin_point(B, np.eye(3))
 
 
-def test_activity_threshold_validation():
-    with pytest.raises(ValueError):
-        maximin_point(np.eye(2), np.eye(2), activity_threshold=0.0)
-    with pytest.raises(ValueError):
-        maximin_point(np.eye(2), np.eye(2), activity_threshold=1.0)
-    assert maximin_point(np.eye(2), np.eye(2)).active == (0, 1)
-    assert maximin_point(np.eye(2), np.eye(2), activity_threshold=0.6).active == ()
-
-
 def test_explained_variance_formula():
     b = np.array([1.0, 0.0])
     b_g = np.array([0.5, 2.0])

@@ -108,7 +108,7 @@ def test_covering_budget_is_enforced():
     est, _ = _fitted()
     boxes = group_confidence_boxes(est, alpha=0.05)
     with pytest.raises(BudgetError):
-        covering_region(boxes, np.eye(2), target_eps=1e-4, budget=1000)
+        covering_region(boxes, np.eye(2), target_eps=1e-4)
     with pytest.raises(ValueError):
         covering_region(boxes, np.eye(2), target_eps=0.0)
 

@@ -54,19 +54,6 @@ def test_reference_points_match_the_exhaustive_oracle():
     M = true_maximin(s3)
     assert np.allclose(M, np.eye(5)[:, 0])
 
-    custom = ScenarioSpec(
-        p=2,
-        G=2,
-        n=10,
-        coefficient_rule="custom",
-        coefficients=np.array([[1.0, -1.0], [0.5, 0.5]]),
-    )
-    assert np.allclose(
-        true_maximin(custom),
-        brute_force_oracle(custom.coefficients, np.eye(2)),
-        atol=1e-10,
-    )
-
 
 def test_shared_noise_rule_redraws_per_replicate():
     spec = scenario_presets(2, 3, 30)
