@@ -32,13 +32,11 @@ TIE_PROBE_LEVEL = 0.95
 
 @dataclass(frozen=True)
 class AsymptoticCovariance:
-    """W and its two summands, plus the ingredients used to build them."""
+    """W, its two summands, the columns differentiated through and the mode flags."""
 
     W: np.ndarray
     term_B: np.ndarray
     term_V: np.ndarray
-    C_hat: np.ndarray
-    sigma2_used: float
     active_used: tuple
     vertex_mode: bool = False
     known_sigma: bool = False
@@ -143,7 +141,6 @@ def assemble_W(estimates, solution, C_hat, Sigma):
     sigma2 = float(estimates.sigma2_hat)
     active = tuple(solution.active)
     known = C_hat is None
-    C_used = np.zeros((p, p)) if known else np.asarray(C_hat, dtype=float)
     sigma_inv = metric.inverse()
     sigma_inv = (sigma_inv + sigma_inv.T) / 2.0
     Bhat = np.atleast_2d(np.asarray(estimates.Bhat, dtype=float))
@@ -160,14 +157,12 @@ def assemble_W(estimates, solution, C_hat, Sigma):
         jacobians = face.jacobians(solution.M)
         term_B = sigma2 * np.einsum("gij,glj->il", jacobians @ sigma_inv, jacobians)
         term_B = (term_B + term_B.T) / 2.0
-        term_V = np.zeros((p, p)) if known else face.term_V(C_used)
+        term_V = np.zeros((p, p)) if known else face.term_V(C_hat)
     W = term_B + term_V
     return AsymptoticCovariance(
         W=(W + W.T) / 2.0,
         term_B=term_B,
         term_V=term_V,
-        C_hat=C_used,
-        sigma2_used=sigma2,
         active_used=used,
         vertex_mode=vertex,
         known_sigma=known,

@@ -1,24 +1,28 @@
 """Command line entry points.
 
 Commands:
-    estimate   maximin point and weights from CSV data
-    region     confidence ellipsoid from CSV data
-    simulate   Monte-Carlo coverage grids
+    estimate   maximin point and weights from CSV data, as JSON
+    region     confidence ellipsoid from CSV data, as JSON
+    simulate   Monte-Carlo coverage grids, as CSV or JSON
     check      self-test battery over the invariant corpus
 
-Exit codes: 0 success, 1 usage, 2 CSV parse failure (with line and
-column when known), 3 singular per-group fit (naming the group),
-4 ill-conditioned covariance (with eigenvalue diagnostics), 5 budget
-or size limits exceeded, 6 degenerate geometry (the maximin map is not
-differentiable at the solution), 7 rank-deficient active face, 8 solver
-did not converge, 9 a covariance that must be positive definite is not,
+Every setting is a flag with its default in the parser. Every input
+file is CSV: one grouped file with a ``group`` column or one file per
+group, and for ``--known-sigma`` a headerless grid of the p x p matrix.
+
+Exit codes: 0 success, 1 usage, 2 CSV parse failure in a data or
+known-sigma file (naming the file, and the line and column when known),
+3 singular per-group fit (naming the group), 4 ill-conditioned
+covariance (with eigenvalue diagnostics), 5 budget or size limits
+exceeded, 6 degenerate geometry (the maximin map is not differentiable
+at the solution), 7 rank-deficient active face, 8 solver did not
+converge, 9 a covariance that must be positive definite is not,
 10 a self-check of ``check`` failed.
 """
 
 import argparse
 import json
-import operator
-import os
+import math
 import sys
 
 import numpy as np
@@ -36,7 +40,7 @@ from .errors import (
     RankError,
     SingularFitError,
 )
-from .linmodel import _parse_cell, _read_rows, load_group_csvs, load_grouped_csv
+from .linmodel import load_group_csvs, load_grouped_csv, load_matrix_csv
 from .validation import as_spd_matrix
 
 EXIT_OK = 0
@@ -51,8 +55,6 @@ EXIT_CONVERGENCE = 8
 EXIT_DEFINITENESS = 9
 EXIT_CHECK_FAILED = 10
 
-SEED_ENV_VAR = "MAXIMIN_CI_SEED"
-
 # Guard against accidentally enormous simulation requests.
 GRID_WORK_BUDGET = 10**7
 
@@ -66,6 +68,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_list(text):
+    """A comma-separated flag value as a list of integers."""
+    try:
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers, got {text!r}") from None
+
+
 def build_parser():
     parser = _Parser(prog="maximin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,8 +87,7 @@ def build_parser():
         p.add_argument("--jitter", type=float, default=0.0,
                        help="ridge jitter added to covariance diagonals")
         p.add_argument("--known-sigma", metavar="PATH", default=None,
-                       help="file with the exact design covariance (JSON or CSV)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+                       help="headerless CSV grid holding the exact design covariance")
         p.add_argument("--out", metavar="PATH", default=None,
                        help="output file; stdout when omitted")
 
@@ -89,69 +99,36 @@ def build_parser():
     p_reg.add_argument("--alpha", type=float, default=0.05)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo coverage grid")
-    p_sim.add_argument("--config", metavar="PATH", default=None,
-                       help="JSON grid config; flags below override its fields")
-    p_sim.add_argument("--tables", default=None,
+    p_sim.add_argument("--tables", type=_int_list, default=[1],
                        help="comma-separated table ids, e.g. 1,3")
-    p_sim.add_argument("--p-values", default=None, help="comma-separated p grid")
-    p_sim.add_argument("--n-values", default=None, help="comma-separated n grid")
-    p_sim.add_argument("--replicates", type=int, default=None)
-    p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help=f"master seed; falls back to ${SEED_ENV_VAR}, then 0")
-    p_sim.add_argument("--jobs", type=int, default=None)
+    p_sim.add_argument("--p-values", type=_int_list, default=[3],
+                       help="comma-separated p grid")
+    p_sim.add_argument("--n-values", type=_int_list, default=[100],
+                       help="comma-separated n grid")
+    p_sim.add_argument("--replicates", type=int, default=100)
+    p_sim.add_argument("--alpha", type=float, default=0.05)
+    p_sim.add_argument("--seed", type=int, default=0, help="master seed")
+    p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--out", metavar="PATH", default=None)
 
     p_chk = sub.add_parser("check", help="run the self-test battery")
-    p_chk.add_argument("--seed", type=int, default=None)
+    p_chk.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _resolve_seed(explicit, parser):
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        parser.error(f"${SEED_ENV_VAR} must be an integer, got {env!r}")
-
-
-def _matrix_row(row, line_no, width):
-    if len(row) != width:
-        raise CsvFormatError(
-            f"line {line_no}: expected {width} fields, got {len(row)}", line=line_no
-        )
-    return [_parse_cell(cell, line_no, column) for column, cell in enumerate(row, 1)]
-
-
-def _load_matrix(path, p):
-    """Known-sigma file (JSON 2-d array or bare CSV grid) as a finite p x p matrix."""
-    if not path.endswith(".json"):
-        rows = [(line_no, row) for line_no, row in enumerate(_read_rows(path), 1)
-                if any(cell.strip() for cell in row)]
-        try:
-            matrix = [_matrix_row(row, line_no, len(rows[0][1]))
-                      for line_no, row in rows]
-        except CsvFormatError as err:
-            raise CsvFormatError(f"{path}: {err}", err.line, err.column) from None
+def _load_inputs(args, parser):
+    """The dataset and the known Sigma (or None) that estimate and region read."""
+    if not 0 <= args.jitter < math.inf:
+        parser.error("--jitter must be finite and >= 0")
+    if len(args.inputs) == 1:
+        dataset = load_grouped_csv(args.inputs[0])
     else:
-        with open(path, encoding="utf-8") as handle:
-            matrix = json.load(handle)
-    try:
-        matrix = np.asarray(matrix, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: expected a JSON array of numbers") from None
-    return as_spd_matrix(matrix, p)
-
-
-def _load_dataset(inputs):
-    if len(inputs) == 1:
-        return load_grouped_csv(inputs[0])
-    return load_group_csvs(inputs)
+        dataset = load_group_csvs(args.inputs)
+    known = None
+    if args.known_sigma:
+        known = as_spd_matrix(load_matrix_csv(args.known_sigma), dataset.p)
+    return dataset, known
 
 
 def _emit(text, out_path):
@@ -164,13 +141,6 @@ def _emit(text, out_path):
 
 def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _flat_csv(pairs):
-    lines = ["key,value"]
-    for key, value in pairs:
-        lines.append(f"{key},{value!r}" if isinstance(value, str) else f"{key},{value}")
-    return "\n".join(lines) + "\n"
 
 
 def _unique_weights(Bhat, active):
@@ -212,34 +182,19 @@ def _estimate_payload(dataset, est, sol, known_sigma):
 
 
 def cmd_estimate(args, parser):
-    if args.jitter < 0:
-        parser.error("--jitter must be >= 0")
-    dataset = _load_dataset(args.inputs)
-    known = _load_matrix(args.known_sigma, dataset.p) if args.known_sigma else None
+    dataset, known = _load_inputs(args, parser)
     estimates, solution, _ = pipeline.estimate_dataset(
         dataset, ridge_jitter=args.jitter, known_sigma=known
     )
     payload = _estimate_payload(dataset, estimates, solution, known is not None)
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        pairs = [("M[%d]" % i, v) for i, v in enumerate(payload["M"])]
-        pairs += [
-            (f"weight[{label}]", w)
-            for label, w in zip(payload["groups"], payload["weights"])
-        ]
-        pairs += [("objective", payload["diagnostics"]["objective"])]
-        _emit(_flat_csv(pairs), args.out)
+    _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
 def cmd_region(args, parser):
     if not 0.0 < args.alpha < 1.0:
         parser.error("--alpha must lie strictly inside (0, 1)")
-    if args.jitter < 0:
-        parser.error("--jitter must be >= 0")
-    dataset = _load_dataset(args.inputs)
-    known = _load_matrix(args.known_sigma, dataset.p) if args.known_sigma else None
+    dataset, known = _load_inputs(args, parser)
     analysis = pipeline.analyze_dataset(
         dataset, alpha=args.alpha, ridge_jitter=args.jitter, known_sigma=known
     )
@@ -255,15 +210,7 @@ def cmd_region(args, parser):
             dataset, analysis.estimates, analysis.solution, known is not None
         ),
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        pairs = [("center[%d]" % i, v) for i, v in enumerate(region.center.tolist())]
-        pairs += [
-            ("semi_axis[%d]" % i, v) for i, v in enumerate(region.semi_axes().tolist())
-        ]
-        pairs += [("radius2", region.radius2), ("level", region.level)]
-        _emit(_flat_csv(pairs), args.out)
+    _emit(_json_text(payload), args.out)
     axes = ", ".join(f"{v:.6g}" for v in region.semi_axes())
     print(
         f"confidence level {region.level:g}, n={region.n_used},"
@@ -274,70 +221,22 @@ def cmd_region(args, parser):
     return EXIT_OK
 
 
-def _parse_int_list(text, name, parser):
-    """A comma-separated flag value as integers; None when the flag is absent."""
-    if text is None:
-        return None
-    try:
-        return [int(part) for part in str(text).split(",") if part != ""]
-    except ValueError:
-        parser.error(f"{name} must be a comma-separated list of integers")
-
-
-def _int_list(value):
-    """A --config list of integers."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    return [operator.index(v) for v in value]
-
-
-def _optional_int(value):
-    return None if value is None else operator.index(value)
-
-
 def cmd_simulate(args, parser):
-    config = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            config = json.load(handle)
-        if not isinstance(config, dict):
-            parser.error("--config must hold a JSON object")
-
-    def setting(flag, key, default, convert):
-        """The flag when given, else the --config field (or default) through convert."""
-        if flag is not None:
-            return flag
-        value = config.get(key, default)
-        try:
-            return convert(value)
-        except (TypeError, ValueError):
-            parser.error(f"--config field {key!r} is malformed: {value!r}")
-
-    tables = setting(_parse_int_list(args.tables, "--tables", parser),
-                     "tables", [1], _int_list)
-    p_values = setting(_parse_int_list(args.p_values, "--p-values", parser),
-                       "p_values", [3], _int_list)
-    n_values = setting(_parse_int_list(args.n_values, "--n-values", parser),
-                       "n_values", [100], _int_list)
-    replicates = setting(args.replicates, "replicates", 100, int)
-    alpha = setting(args.alpha, "alpha", 0.05, float)
-    seed = _resolve_seed(setting(args.seed, "seed", None, _optional_int), parser)
-    jobs = setting(args.jobs, "parallelism", 1, int)
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < args.alpha < 1.0:
         parser.error("--alpha must lie strictly inside (0, 1)")
-    if replicates < 0:
+    if args.replicates < 0:
         parser.error("--replicates must be >= 0")
-    if jobs < 1:
+    if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    cells = len(tables) * len(p_values) * len(n_values)
-    if cells * max(replicates, 1) > GRID_WORK_BUDGET:
+    cells = len(args.tables) * len(args.p_values) * len(args.n_values)
+    if cells * max(args.replicates, 1) > GRID_WORK_BUDGET:
         raise BudgetError(
-            f"grid asks for {cells} cells x {replicates} replicates,"
+            f"grid asks for {cells} cells x {args.replicates} replicates,"
             f" beyond the {GRID_WORK_BUDGET} work budget"
         )
     results = simulate.run_grid(
-        tables, p_values, n_values, replicates, alpha=alpha,
-        master_seed=seed, parallelism=jobs,
+        args.tables, args.p_values, args.n_values, args.replicates,
+        alpha=args.alpha, master_seed=args.seed, parallelism=args.jobs,
         progress=lambda line: print(line, file=sys.stderr),
     )
     if args.format == "csv":
@@ -350,9 +249,8 @@ def cmd_simulate(args, parser):
 def cmd_check(args, parser):
     from .selfcheck import battery
 
-    seed = _resolve_seed(args.seed, parser)
     failures = 0
-    for name, passed in battery(seed):
+    for name, passed in battery(args.seed):
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
         if not passed:
             failures += 1

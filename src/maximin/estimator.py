@@ -95,7 +95,6 @@ class MaximinEstimator:
         self.groups_ = labels
         self.estimates_ = estimates
         self.solution_ = solution
-        self.sigma_used_ = metric.Sigma
         self.coef_ = solution.M.copy()
         self.weights_ = solution.alpha.copy()
         self.active_ = tuple(labels[g] for g in solution.active)

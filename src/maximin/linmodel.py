@@ -118,8 +118,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown coefficient_rule {self.coefficient_rule!r}")
         if not self.noise_sd > 0:
             raise ValueError("noise_sd must be > 0")
-        if self.ridge_jitter < 0:
-            raise ValueError("ridge_jitter must be >= 0")
+        if not 0 <= self.ridge_jitter < math.inf:
+            raise ValueError("ridge_jitter must be finite and >= 0")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.coefficient_rule == "basis-vectors" and self.G > self.p:
@@ -209,14 +209,14 @@ def fit(dataset, ridge_jitter=0.0):
     ----------
     dataset : GroupedDataset
     ridge_jitter : float
-        Nonnegative diagonal loading applied to all covariances.
+        Finite nonnegative diagonal loading applied to all covariances.
 
     Returns
     -------
     GroupEstimates
     """
-    if ridge_jitter < 0:
-        raise ValueError("ridge_jitter must be >= 0")
+    if not 0 <= ridge_jitter < math.inf:
+        raise ValueError("ridge_jitter must be finite and >= 0")
     n, p, G = dataset.n, dataset.p, dataset.G
     X = np.stack([X_g for X_g, _ in dataset.groups])
     y = np.stack([y_g for _, y_g in dataset.groups])
@@ -293,7 +293,13 @@ def _parse_cell(raw, line_no, column):
         f"line {line_no}, column {column!r}: {problem}", line=line_no, column=column)
 
 
-def _read_rows(path):
+def _read_table(path):
+    """The CSV rows of path and the index of its first non-blank row.
+
+    A blank row holds nothing but whitespace; an empty line is one.
+    Bytes that are not UTF-8 and a file without a non-blank row raise
+    CsvFormatError naming path.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
@@ -301,36 +307,82 @@ def _read_rows(path):
         byte = err.object[err.start]
         raise CsvFormatError(
             f"{path}: not UTF-8 text (byte 0x{byte:02x}: {err.reason})") from None
-    if not rows or not any(rows):
-        raise CsvFormatError(f"{path}: empty file", line=1)
-    return rows
+    for start, row in enumerate(rows):
+        if "".join(row).strip():
+            return rows, start
+    raise CsvFormatError(f"{path}: empty file", line=1)
 
 
-def _parse_groups(rows, pred_idx, y_idx, g_idx=None):
-    """Parse the data rows below the header into per-group columns.
+def _parse_rows(path, rows, start, columns, names, key=None):
+    """Parse rows[start:] into lists of floats, bucketed by a key cell.
 
-    Returns {label: (X rows, y values)} in order of first appearance;
-    the label is a row's g_idx cell, or None for every row when g_idx is
-    None. Blank lines are skipped; a row with the wrong field count or a
-    cell that is not a finite number raises CsvFormatError naming its line.
+    Every row must have len(names) fields. A row yields the numbers in
+    its ``columns`` cells, in that order, and goes to the bucket named
+    by its ``key`` cell (None for every row when key is None); buckets
+    keep the order of first appearance. Blank rows are skipped; a row
+    is tested for blankness only when it fails to parse, so the common
+    path pays nothing for the test. Any other row with the wrong field
+    count, or with a cell that is not a finite number, raises
+    CsvFormatError naming path, the line and the cell's ``names`` entry.
     """
-    header = rows[0]
+    width = len(names)
     buckets = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"line {line_no}: expected {len(header)} fields, got {len(row)}",
-                line=line_no,
-            )
-        label = None if g_idx is None else row[g_idx]
+    for line_no, row in enumerate(rows[start:], start + 1):
+        try:
+            if len(row) != width:
+                raise CsvFormatError(
+                    f"line {line_no}: expected {width} fields, got {len(row)}",
+                    line=line_no,
+                )
+            values = [_parse_cell(row[j], line_no, names[j]) for j in columns]
+        except CsvFormatError as err:
+            if not "".join(row).strip():
+                continue
+            raise CsvFormatError(f"{path}: {err}", err.line, err.column) from None
+        label = None if key is None else row[key]
         bucket = buckets.get(label)
         if bucket is None:
-            bucket = buckets[label] = ([], [])
-        bucket[0].append([_parse_cell(row[j], line_no, header[j]) for j in pred_idx])
-        bucket[1].append(_parse_cell(row[y_idx], line_no, "y"))
+            bucket = buckets[label] = []
+        bucket.append(values)
     return buckets
+
+
+def _load_table(path, grouped):
+    """The predictor names and per-group (X, y) arrays of one data CSV.
+
+    The first non-blank row is the header. Its names must be distinct,
+    one must be ``y`` and at least one other must be a predictor. A
+    grouped file needs a ``group`` column and a per-group file must not
+    have one. Returns (predictors, {label: (X, y)}) with labels in order
+    of first appearance; a per-group file's only label is None.
+    """
+    rows, start = _read_table(path)
+    header = rows[start]
+    line = start + 1
+    repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+    if repeated is not None:
+        raise CsvFormatError(
+            f"{path}: column {repeated!r} appears more than once", line=line)
+    if grouped and "group" not in header:
+        raise CsvFormatError(f"{path}: header must contain a 'group' column", line=line)
+    if not grouped and "group" in header:
+        raise CsvFormatError(
+            f"{path}: per-group files must not contain a 'group' column", line=line)
+    if "y" not in header:
+        raise CsvFormatError(f"{path}: header must contain a 'y' column", line=line)
+    predictors = [c for c in header if c not in ("group", "y")]
+    if not predictors:
+        raise CsvFormatError(f"{path}: no predictor columns found", line=line)
+    columns = [header.index(c) for c in predictors] + [header.index("y")]
+    key = header.index("group") if grouped else None
+    buckets = _parse_rows(path, rows, start + 1, columns, header, key)
+    if not buckets:
+        raise CsvFormatError(f"{path}: no data rows", line=line + 1)
+    groups = {}
+    for label, values in buckets.items():
+        table = np.array(values, dtype=float)
+        groups[label] = (table[:, :-1], table[:, -1])
+    return predictors, groups
 
 
 def load_grouped_csv(path):
@@ -339,26 +391,10 @@ def load_grouped_csv(path):
     The header row is required. The response column must be named ``y``;
     every remaining non-group column is a predictor, in header order.
     """
-    rows = _read_rows(path)
-    header = rows[0]
-    if "group" not in header:
-        raise CsvFormatError(f"{path}: header must contain a 'group' column", line=1)
-    if "y" not in header:
-        raise CsvFormatError(f"{path}: header must contain a 'y' column", line=1)
-    g_idx = header.index("group")
-    y_idx = header.index("y")
-    predictors = [c for c in header if c not in ("group", "y")]
-    if not predictors:
-        raise CsvFormatError(f"{path}: no predictor columns found", line=1)
-    pred_idx = [header.index(c) for c in predictors]
-    buckets = _parse_groups(rows, pred_idx, y_idx, g_idx)
-    if not buckets:
-        raise CsvFormatError(f"{path}: no data rows", line=2)
-    check_equal_sizes({label: len(y) for label, (_, y) in buckets.items()}, CsvFormatError)
-    groups = tuple(
-        (np.array(X, dtype=float), np.array(y, dtype=float)) for X, y in buckets.values()
-    )
-    return GroupedDataset(groups, labels=tuple(buckets))
+    _, groups = _load_table(path, grouped=True)
+    check_equal_sizes({label: len(y) for label, (_, y) in groups.items()},
+                      lambda message: CsvFormatError(f"{path}: {message}"))
+    return GroupedDataset(tuple(groups.values()), labels=tuple(groups))
 
 
 def load_group_csvs(paths):
@@ -367,17 +403,7 @@ def load_group_csvs(paths):
     groups = []
     labels = []
     for path in paths:
-        rows = _read_rows(path)
-        header = rows[0]
-        if "group" in header:
-            raise CsvFormatError(
-                f"{path}: per-group files must not contain a 'group' column", line=1
-            )
-        if "y" not in header:
-            raise CsvFormatError(f"{path}: header must contain a 'y' column", line=1)
-        predictors = [c for c in header if c != "y"]
-        if not predictors:
-            raise CsvFormatError(f"{path}: no predictor columns found", line=1)
+        predictors, table = _load_table(path, grouped=False)
         if expected is None:
             expected = predictors
         elif predictors != expected:
@@ -385,14 +411,21 @@ def load_group_csvs(paths):
                 f"{path}: predictor columns {predictors} differ from {expected}",
                 line=1,
             )
-        y_idx = header.index("y")
-        pred_idx = [header.index(c) for c in predictors]
-        buckets = _parse_groups(rows, pred_idx, y_idx)
-        if not buckets:
-            raise CsvFormatError(f"{path}: no data rows", line=2)
-        X_rows, y_vals = buckets[None]
-        groups.append((np.array(X_rows), np.array(y_vals)))
+        groups.append(table[None])
         labels.append(os.path.splitext(os.path.basename(path))[0])
-    sizes = {lab: g[0].shape[0] for lab, g in zip(labels, groups)}
+    sizes = {lab: len(y) for lab, (_, y) in zip(labels, groups)}
     check_equal_sizes(sizes, CsvFormatError)
     return GroupedDataset(tuple(groups), labels=tuple(labels))
+
+
+def load_matrix_csv(path):
+    """Read a headerless CSV grid of finite numbers as a 2-d array.
+
+    The rows share the field count of the first non-blank one; blank
+    rows are skipped and errors name path, line and column number, as
+    for the data loaders. The CLI reads ``--known-sigma`` with it.
+    """
+    rows, start = _read_table(path)
+    width = len(rows[start])
+    buckets = _parse_rows(path, rows, start, range(width), range(1, width + 1))
+    return np.array(buckets[None], dtype=float)

@@ -10,8 +10,6 @@ fluctuation term of the covariance.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import asymvar, confidence, geometry, linmodel, magging
 
 
@@ -23,7 +21,6 @@ class Analysis:
     solution: object
     covariance: object
     region: object
-    sigma_used: np.ndarray
 
 
 def estimate_dataset(dataset, ridge_jitter=0.0, known_sigma=None):
@@ -76,5 +73,4 @@ def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None):
         solution=solution,
         covariance=covariance,
         region=region,
-        sigma_used=metric.Sigma,
     )

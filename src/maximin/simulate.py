@@ -55,7 +55,6 @@ CSV_HEADER = "table,p,n,replicates,coverage,halfwidth,degenerate_count,mean_max_
 class CoverageReport:
     """Aggregate of one simulation cell."""
 
-    scenario: ScenarioSpec
     replicates: int
     covered: int
     coverage: float
@@ -248,7 +247,6 @@ def run_cell(spec, replicates, alpha, jobs=1):
         halfwidth = float("nan")
     mean_eig = float(eigs.mean()) if eigs.size else float("nan")
     return CoverageReport(
-        scenario=spec,
         replicates=replicates,
         covered=covered,
         coverage=coverage,

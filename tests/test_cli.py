@@ -19,6 +19,7 @@ from maximin.cli import (
     EXIT_SINGULAR,
     EXIT_USAGE,
     _unique_weights,
+    build_parser,
     main,
 )
 from maximin.errors import ConvergenceError, RankError
@@ -75,14 +76,13 @@ def test_estimate_survives_a_failing_inference_step(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_estimate_csv_format_and_out_file(data_csv, tmp_path, capsys):
-    out = tmp_path / "result.csv"
-    assert main(["estimate", str(data_csv), "--format", "csv", "--out", str(out)]) == EXIT_OK
+def test_estimate_out_file_holds_the_stdout_json(data_csv, tmp_path, capsys):
+    assert main(["estimate", str(data_csv)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / "result.json"
+    assert main(["estimate", str(data_csv), "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == ""
-    lines = out.read_text(encoding="utf-8").strip().split("\n")
-    assert lines[0] == "key,value"
-    assert any(line.startswith("M[0],") for line in lines)
-    assert any(line.startswith("objective,") for line in lines)
+    assert out.read_text(encoding="utf-8") == printed
 
 
 def test_estimate_accepts_per_group_files(tmp_path, capsys):
@@ -115,26 +115,18 @@ def test_region_json_payload(data_csv, capsys):
 
 
 def test_region_known_sigma_drops_fluctuation_term(data_csv, tmp_path, capsys):
-    sigma_json = tmp_path / "sigma.json"
-    sigma_json.write_text("[[1.0, 0.0], [0.0, 1.0]]", encoding="utf-8")
-    assert main(["region", str(data_csv), "--known-sigma", str(sigma_json)]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
+    sigma_csv = tmp_path / "sigma.csv"
+    sigma_csv.write_text("1.0,0.0\n0.0,1.0\n", encoding="utf-8")
+    assert main(["region", str(data_csv), "--known-sigma", str(sigma_csv)]) == EXIT_OK
+    plain = capsys.readouterr().out
+    payload = json.loads(plain)
     assert np.allclose(np.array(payload["term_V"]), 0.0)
     assert payload["estimate"]["diagnostics"]["known_sigma"]
 
-    sigma_csv = tmp_path / "sigma.csv"
     # a line of only spaces is skipped like an empty one
-    sigma_csv.write_text("1,0\n   \n0,1\n", encoding="utf-8")
+    sigma_csv.write_text("1,0\n   \n0,1\n\n", encoding="utf-8")
     assert main(["region", str(data_csv), "--known-sigma", str(sigma_csv)]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert np.allclose(np.array(payload["term_V"]), 0.0)
-
-
-def test_region_csv_format(data_csv, capsys):
-    assert main(["region", str(data_csv), "--format", "csv"]) == EXIT_OK
-    out = capsys.readouterr().out.strip().split("\n")
-    assert out[0] == "key,value"
-    assert any(line.startswith("radius2,") for line in out)
+    assert capsys.readouterr().out == plain
 
 
 def test_simulate_csv_grid(tmp_path, capsys):
@@ -206,37 +198,13 @@ def test_simulate_beyond_the_oracle_budget(capsys):
     assert lines[1].startswith("1,20,50,2,")
 
 
-def test_simulate_config_file_with_flag_overrides(tmp_path, capsys):
-    config = tmp_path / "grid.json"
-    config.write_text(
-        json.dumps(
-            {
-                "tables": [1],
-                "p_values": [2],
-                "n_values": [30],
-                "replicates": 3,
-                "seed": 5,
-            }
-        ),
-        encoding="utf-8",
-    )
-    assert main(["simulate", "--config", str(config), "--replicates", "6"]) == EXIT_OK
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[1].split(",")[3] == "6"
-
-
-def test_simulate_seed_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("MAXIMIN_CI_SEED", "11")
-    args = ["simulate", "--tables", "1", "--p-values", "2", "--n-values", "30",
-            "--replicates", "4"]
-    assert main(args) == EXIT_OK
-    via_env = capsys.readouterr().out
-    monkeypatch.delenv("MAXIMIN_CI_SEED")
-    assert main([*args, "--seed", "11"]) == EXIT_OK
-    assert capsys.readouterr().out == via_env
-
-    monkeypatch.setenv("MAXIMIN_CI_SEED", "not-a-number")
-    assert main(args) == EXIT_USAGE
+def test_simulate_defaults_live_in_the_parser():
+    args = build_parser().parse_args(["simulate"])
+    assert (args.tables, args.p_values, args.n_values) == ([1], [3], [100])
+    assert (args.replicates, args.alpha, args.seed, args.jobs) == (100, 0.05, 0, 1)
+    assert args.format == "csv"
+    assert build_parser().parse_args(["check"]).seed == 0
+    assert build_parser().parse_args(["simulate", "--n-values", "30,,60"]).n_values == [30, 60]
 
 
 def test_simulate_work_budget(capsys):
@@ -258,8 +226,15 @@ def test_usage_errors(data_csv, capsys):
     assert main(["estimate"]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
     assert main(["region", str(data_csv), "--alpha", "2.0"]) == EXIT_USAGE
-    assert main(["estimate", str(data_csv), "--jitter", "-1"]) == EXIT_USAGE
+    for jitter in ("-1", "nan", "inf"):
+        assert main(["estimate", str(data_csv), "--jitter", jitter]) == EXIT_USAGE
+        assert main(["region", str(data_csv), "--jitter", jitter]) == EXIT_USAGE
+        assert "--jitter must be finite and >= 0" in capsys.readouterr().err
     assert main(["simulate", "--tables", "1,x"]) == EXIT_USAGE
+    assert "comma-separated list of integers" in capsys.readouterr().err
+    # one form per input: no output format on estimate, no config file
+    assert main(["estimate", str(data_csv), "--format", "csv"]) == EXIT_USAGE
+    assert main(["simulate", "--config", "grid.json"]) == EXIT_USAGE
     assert main(["estimate", "/nonexistent/file.csv"]) == EXIT_USAGE
     capsys.readouterr()
 
@@ -284,6 +259,16 @@ def test_parse_failures_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 3" in err
     assert "x1" in err
+    assert str(bad) in err
+
+    # a repeated header name is refused, whichever column it repeats
+    for header, column in (("group,x1,x1,y", "x1"), ("group,x1,y,y", "y"),
+                           ("group,x1,group,y", "group")):
+        bad.write_text(f"{header}\na,1,2,3\nb,2,1,3\n", encoding="utf-8")
+        assert main(["estimate", str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"column {column!r} appears more than once" in err
+        assert str(bad) in err
 
     matrix = tmp_path / "sigma.csv"
     matrix.write_text("1,zz\n0,1\n", encoding="utf-8")
@@ -312,13 +297,26 @@ def test_parse_failures_exit_two(tmp_path, capsys):
     north.write_text("x1,y\n1,2\n2,3\n", encoding="utf-8")
     south.write_text("x1,y\n1,2\n2,inf\n", encoding="utf-8")
     assert main(["estimate", str(north), str(south)]) == EXIT_PARSE
-    assert "(line 3, column y)" in capsys.readouterr().err
-
-    matrix.write_text("1,0\n0,inf\n", encoding="utf-8")
-    assert main(["region", str(data), "--known-sigma", str(matrix)]) == EXIT_PARSE
     err = capsys.readouterr().err
-    assert "(line 2, column 2)" in err
-    assert str(matrix) in err
+    assert "(line 3, column y)" in err
+    assert str(south) in err
+
+    for text in ("1,0\n0,inf\n", "1,nan\nnan,1\n"):
+        matrix.write_text(text, encoding="utf-8")
+        assert main(["region", str(data), "--known-sigma", str(matrix)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "column 2)" in err
+        assert "not a finite number" in err
+        assert str(matrix) in err
+
+    # text that is not a CSV grid of numbers, and a file of blank lines
+    for text, message in (('{"a": 1}', "cannot parse"), ("[[1, 0], [0, 1]]", "cannot parse"),
+                          ("\n  \n\n", "empty file")):
+        matrix.write_text(text, encoding="utf-8")
+        assert main(["region", str(data), "--known-sigma", str(matrix)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert message in err
+        assert str(matrix) in err
 
     # bytes that are not UTF-8, in a data file and in a known-sigma CSV
     bad.write_bytes(b"group,x1,y\na,1,1\na,\xff,2\n")
@@ -367,9 +365,9 @@ def test_degenerate_geometry_exits_six(tmp_path, capsys):
 
 
 def test_indefinite_known_sigma_exits_nine(data_csv, tmp_path, capsys):
-    sigma = tmp_path / "sigma.json"
-    for text, message in (("[[1, 2], [2, 1]]", "not positive definite"),
-                          ("[[1, 0.5], [0, 1]]", "not symmetric")):
+    sigma = tmp_path / "sigma.csv"
+    for text, message in (("1,2\n2,1\n", "not positive definite"),
+                          ("1,0.5\n0,1\n", "not symmetric")):
         sigma.write_text(text, encoding="utf-8")
         assert main(["region", str(data_csv), "--known-sigma", str(sigma)]) == EXIT_DEFINITENESS
         assert message in capsys.readouterr().err
@@ -389,29 +387,16 @@ def test_solver_errors_have_their_own_exit_codes(data_csv, monkeypatch, capsys,
     assert str(error) in capsys.readouterr().err
 
 
-def test_malformed_known_sigma_json_is_a_usage_error(data_csv, tmp_path, capsys):
-    sigma = tmp_path / "sigma.json"
-    sigma.write_text('{"a": 1}', encoding="utf-8")
-    assert main(["region", str(data_csv), "--known-sigma", str(sigma)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("maximin: ")
-
-    # the wrong shape for the data, or a non-finite entry
+def test_known_sigma_of_the_wrong_shape_is_a_usage_error(data_csv, tmp_path, capsys):
+    sigma = tmp_path / "sigma.csv"
     for text, message in (
-        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "known_sigma must be 2 x 2, got (3, 3)"),
-        ("[[1, NaN], [NaN, 1]]", "known_sigma contains NaN or infinite entries"),
+        ("1,0,0\n0,1,0\n0,0,1\n", "known_sigma must be 2 x 2, got (3, 3)"),
+        ("1,0,0\n0,1,0\n", "known_sigma must be 2 x 2, got (2, 3)"),
     ):
         sigma.write_text(text, encoding="utf-8")
         for command in ("estimate", "region"):
             assert main([command, str(data_csv), "--known-sigma", str(sigma)]) == EXIT_USAGE
             assert capsys.readouterr().err == f"maximin: {message}\n"
-
-
-@pytest.mark.parametrize("config", ["[1, 2]", '{"tables": 5}', '{"seed": "x"}'])
-def test_malformed_simulate_config_is_a_usage_error(tmp_path, capsys, config):
-    path = tmp_path / "grid.json"
-    path.write_text(config, encoding="utf-8")
-    assert main(["simulate", "--config", str(path), "--replicates", "1"]) == EXIT_USAGE
-    assert "maximin: error: --config" in capsys.readouterr().err
 
 
 def test_check_battery_passes(capsys):

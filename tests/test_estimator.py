@@ -99,6 +99,8 @@ def test_known_metric_switch():
     assert np.array_equal(est.covariance_.term_V, np.zeros((2, 2)))
     with pytest.raises(DimensionError):
         MaximinEstimator(known_sigma=np.eye(3)).fit(X, y, labels)
+    with pytest.raises(ValueError, match="known_sigma contains NaN or infinite entries"):
+        MaximinEstimator(known_sigma=[[1.0, np.nan], [np.nan, 1.0]]).fit(X, y, labels)
 
 
 def test_input_validation():

@@ -13,6 +13,7 @@ from maximin.linmodel import (
     generate,
     load_group_csvs,
     load_grouped_csv,
+    load_matrix_csv,
     true_coefficients,
 )
 
@@ -60,8 +61,9 @@ def test_scenario_validation():
         ScenarioSpec(p=2, G=2, n=10, noise_sd=0.0)
     with pytest.raises(ValueError):
         ScenarioSpec(p=2, G=2, n=10, seed=-1)
-    with pytest.raises(ValueError):
-        ScenarioSpec(p=2, G=2, n=10, ridge_jitter=-1e-6)
+    for jitter in (-1e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ridge_jitter must be finite and >= 0"):
+            ScenarioSpec(p=2, G=2, n=10, ridge_jitter=jitter)
 
 
 def test_coefficient_rules():
@@ -126,8 +128,9 @@ def test_fit_ridge_handles_n_below_p():
 
 def test_fit_rejects_negative_jitter():
     ds, _ = generate(ScenarioSpec(p=2, G=2, n=10, seed=0))
-    with pytest.raises(ValueError):
-        fit(ds, ridge_jitter=-0.1)
+    for jitter in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ridge_jitter must be finite and >= 0"):
+            fit(ds, ridge_jitter=jitter)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -180,6 +183,10 @@ def test_grouped_csv_header_problems(tmp_path):
     _write(f, "")
     with pytest.raises(CsvFormatError):
         load_grouped_csv(str(f))
+    _write(f, "group,x1,x1,y\na,1,2,3\n")
+    with pytest.raises(CsvFormatError, match="column 'x1' appears more than once") as info:
+        load_grouped_csv(str(f))
+    assert info.value.line == 1
 
 
 def test_grouped_csv_cell_errors_carry_location(tmp_path):
@@ -227,3 +234,35 @@ def test_per_group_csv_rejects_mixed_headers(tmp_path):
     _write(fb, "x1,y\n1,1\n2,2\n")
     with pytest.raises(CsvFormatError):
         load_group_csvs([str(fa), str(fb)])
+    _write(fb, "x1,y,y\n1,1,1\n")
+    with pytest.raises(CsvFormatError, match="column 'y' appears more than once"):
+        load_group_csvs([str(fa), str(fb)])
+
+
+def test_blank_rows_are_skipped_in_every_csv(tmp_path):
+    # empty lines, lines of spaces and rows of empty cells, before the
+    # header and between data rows; line numbers still count them
+    f = tmp_path / "data.csv"
+    _write(f, "\n  \ngroup,x1,y\na,1,1\n   \nb,2,2\n,,\na,3,3\nb,4,oops\n")
+    with pytest.raises(CsvFormatError) as info:
+        load_grouped_csv(str(f))
+    assert (info.value.line, info.value.column) == (9, "y")
+    _write(f, "\n  \ngroup,x1,y\na,1,1\n   \nb,2,2\n,,\na,3,3\nb,4,4\n \n")
+    ds = load_grouped_csv(str(f))
+    assert ds.labels == ("a", "b")
+    assert np.array_equal(ds.groups[1][0], [[2.0], [4.0]])
+
+    g = tmp_path / "north.csv"
+    _write(g, "x1,y\n1,2\n\t\n2,3\n")
+    assert load_group_csvs([str(g)]).n == 2
+
+    m = tmp_path / "sigma.csv"
+    _write(m, "  \n2,1\n \n1,2\n\n")
+    assert np.array_equal(load_matrix_csv(str(m)), [[2.0, 1.0], [1.0, 2.0]])
+    # one column: a line of spaces is still a blank row, not a cell
+    _write(m, "3\n   \n")
+    assert np.array_equal(load_matrix_csv(str(m)), [[3.0]])
+    _write(m, "\n \n")
+    with pytest.raises(CsvFormatError, match="empty file"):
+        load_matrix_csv(str(m))
+
