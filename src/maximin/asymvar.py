@@ -84,9 +84,9 @@ def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g):
 
     where s_g^2 = sigma^2 tr(Sigma Sigma_g^{-1}) / n is the expected
     squared metric error of column g under the fixed design, computed
-    from the per-group design grams ``Sigma_g`` (as fitted, ridge
-    included). The bound shrinks like 1/n, so ties vanish for separated
-    columns as the sample grows.
+    from the (G, p, p) per-group design grams ``Sigma_g`` (as fitted,
+    ridge included). The bound shrinks like 1/n, so ties vanish for
+    separated columns as the sample grows.
 
     Returns:
         Sorted tuple of tied column indices, disjoint from ``active``.
@@ -100,9 +100,8 @@ def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g):
         return ()
     active = tuple(active)
     face = Face(B[:, list(active)], metric)
-    grams = np.asarray(Sigma_g, dtype=float)
-    rhs = np.broadcast_to(metric.Sigma, grams.shape)
-    inv_traces = np.trace(np.linalg.solve(grams, rhs), axis1=1, axis2=2)
+    rhs = np.broadcast_to(metric.Sigma, Sigma_g.shape)
+    inv_traces = np.trace(np.linalg.solve(Sigma_g, rhs), axis1=1, axis2=2)
     scales = sigma2 * inv_traces / n
     quant = chi2_quantile(p, TIE_PROBE_LEVEL) / p
     s_face = max(scales[g] for g in active)

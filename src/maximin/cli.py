@@ -12,6 +12,7 @@ group, and for ``--known-sigma`` a headerless grid of the p x p matrix.
 
 Exit codes: 0 success, 1 usage, 2 CSV parse failure in a data or
 known-sigma file (naming the file, and the line and column when known),
+groups of unequal size, or two per-group files with the same name,
 3 singular per-group fit (naming the group), 4 ill-conditioned
 covariance (with eigenvalue diagnostics), 5 budget or size limits
 exceeded, 6 degenerate geometry (the maximin map is not differentiable
@@ -77,6 +78,14 @@ def _int_list(text):
             f"expected a comma-separated list of integers, got {text!r}") from None
 
 
+def _seed(text):
+    """A --seed flag value as a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(prog="maximin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -107,13 +116,13 @@ def build_parser():
                        help="comma-separated n grid")
     p_sim.add_argument("--replicates", type=int, default=100)
     p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed")
+    p_sim.add_argument("--seed", type=_seed, default=0, help="master seed")
     p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--out", metavar="PATH", default=None)
 
     p_chk = sub.add_parser("check", help="run the self-test battery")
-    p_chk.add_argument("--seed", type=int, default=0)
+    p_chk.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -76,7 +76,8 @@ class MaximinEstimator:
         X : array-like, shape (N, p)
         y : array-like, shape (N,)
         groups : array-like, shape (N,)
-            Group label per row; groups must have equal sizes.
+            Group label per row. Groups must have equal sizes and labels
+            that stay distinct as strings, else DimensionError.
         """
         X = as_float_matrix(X)
         y = as_float_vector(y)

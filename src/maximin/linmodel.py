@@ -2,10 +2,11 @@
 
 The data model is Y_g = X_g b_g + eps_g for groups g = 1..G, each group
 carrying its own n x p design and length-n response, with eps_g drawn
-i.i.d. normal(0, sigma^2 Id). All groups share n and p. Fitting yields
+i.i.d. normal(0, sigma^2 Id). All groups share n and p, so the data
+are one (G, n, p) design stack. Fitting yields
 per-group least-squares coefficients (optionally with a ridge jitter on
 the covariance diagonal), the pooled design covariance X^T X / (nG),
-per-group covariances, and a pooled residual variance.
+the (G, p, p) per-group covariances, and a pooled residual variance.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, purpose, group), so datasets are bit-reproducible for a given
@@ -15,13 +16,12 @@ seed and groups can be generated independently and in any order.
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .errors import CsvFormatError, DimensionError, SingularFitError
-from .validation import check_equal_sizes
 
 COEFFICIENT_RULES = ("basis-vectors", "shared-plus-noise", "identical")
 
@@ -36,60 +36,66 @@ def _stream(*key):
 
 @dataclass(frozen=True)
 class GroupedDataset:
-    """Per-group (design, response) pairs with shared dimensions.
+    """Per-group (X_g, y_g) pairs, stacked once into read-only arrays.
 
-    groups is a tuple of (X_g, y_g) arrays, X_g of shape (n, p) and y_g
-    of shape (n,). labels names the groups; it defaults to g1, g2, ...
+    groups holds (X_g, y_g) pairs, X_g of shape (n, p) and y_g of shape
+    (n,); labels names the groups, g1, g2, ... by default. Groups of
+    unequal size and repeated labels raise DimensionError. X (G, n, p)
+    and y (G, n) are the stacks; groups then holds views of them.
     """
 
     groups: tuple
     labels: tuple = ()
+    X: np.ndarray = field(init=False, repr=False, compare=False)
+    y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.groups) < 1:
+        pairs = [(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+                 for X, y in self.groups]
+        if not pairs:
             raise DimensionError("need at least one group")
-        cleaned = []
-        for g, pair in enumerate(self.groups):
-            X, y = pair
-            X = np.asarray(X, dtype=float)
-            y = np.asarray(y, dtype=float)
+        labels = tuple(self.labels) or tuple(f"g{g + 1}" for g in range(len(pairs)))
+        if len(labels) != len(pairs):
+            raise DimensionError("labels must match the number of groups")
+        for g, (X, y) in enumerate(pairs):
             if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
                 raise DimensionError(
                     f"group {g + 1}: design must be 2-d with one response per row"
                 )
-            cleaned.append((X, y))
-        n, p = cleaned[0][0].shape
-        if n < 1 or p < 1:
+        if len({len(y) for _, y in pairs}) > 1:
+            detail = ", ".join(f"{k}={len(y)}" for k, (_, y) in zip(labels, pairs))
+            raise DimensionError(f"groups must have equal sizes, got {detail}")
+        if len({X.shape[1] for X, _ in pairs}) > 1:
+            raise DimensionError("all groups must share the predictor count p")
+        repeated = next((k for i, k in enumerate(labels) if k in labels[:i]), None)
+        if repeated is not None:
+            raise DimensionError(f"group label {repeated!r} appears more than once")
+        X = np.stack([X for X, _ in pairs])
+        y = np.stack([y for _, y in pairs])
+        if X.shape[1] < 1 or X.shape[2] < 1:
             raise DimensionError("need n >= 1 and p >= 1")
-        for g, (X, _) in enumerate(cleaned):
-            if X.shape != (n, p):
-                raise DimensionError(
-                    f"group {g + 1}: shape {X.shape} differs from {(n, p)};"
-                    " all groups must share n and p"
-                )
-        object.__setattr__(self, "groups", tuple(cleaned))
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(f"g{g + 1}" for g in range(len(cleaned)))
-            )
-        elif len(self.labels) != len(cleaned):
-            raise DimensionError("labels must match the number of groups")
+        X.flags.writeable = False
+        y.flags.writeable = False
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "groups", tuple(zip(X, y)))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def G(self):
-        return len(self.groups)
+        return self.X.shape[0]
 
     @property
     def n(self):
-        return self.groups[0][0].shape[0]
+        return self.X.shape[1]
 
     @property
     def p(self):
-        return self.groups[0][0].shape[1]
+        return self.X.shape[2]
 
     def design_stack(self):
-        """All designs stacked row-wise into an (nG) x p matrix."""
-        return np.vstack([X for X, _ in self.groups])
+        """All designs stacked row-wise, an (nG) x p view of X."""
+        return self.X.reshape(-1, self.p)
 
 
 @dataclass(frozen=True)
@@ -116,8 +122,8 @@ class ScenarioSpec:
             raise DimensionError("p, G and n must all be >= 1")
         if self.coefficient_rule not in COEFFICIENT_RULES:
             raise ValueError(f"unknown coefficient_rule {self.coefficient_rule!r}")
-        if not self.noise_sd > 0:
-            raise ValueError("noise_sd must be > 0")
+        if not 0 < self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be finite and > 0")
         if not 0 <= self.ridge_jitter < math.inf:
             raise ValueError("ridge_jitter must be finite and >= 0")
         if not 0 <= int(self.seed) < 2**64:
@@ -172,19 +178,19 @@ class GroupEstimates:
 
     Bhat stacks the fitted coefficient vectors as columns. Sigma_hat is
     the pooled design covariance X^T X / (nG) plus the jitter diagonal;
-    Sigma_g_hat holds the per-group analogues. sigma2_approximate is
+    Sigma_g_hat is the (G, p, p) stack of per-group analogues.
+    sigma2_approximate is
     True when p >= n forced the residual variance onto G*n degrees of
     freedom instead of the unbiased G*(n - p).
     """
 
     Bhat: np.ndarray
     Sigma_hat: np.ndarray
-    Sigma_g_hat: tuple
+    Sigma_g_hat: np.ndarray
     sigma2_hat: float
     ridge_jitter_used: float
     n: int
     sigma2_approximate: bool = False
-    labels: tuple = ()
 
     @property
     def p(self):
@@ -218,8 +224,7 @@ def fit(dataset, ridge_jitter=0.0):
     if not 0 <= ridge_jitter < math.inf:
         raise ValueError("ridge_jitter must be finite and >= 0")
     n, p, G = dataset.n, dataset.p, dataset.G
-    X = np.stack([X_g for X_g, _ in dataset.groups])
-    y = np.stack([y_g for _, y_g in dataset.groups])
+    X, y = dataset.X, dataset.y
     Xt = X.transpose(0, 2, 1)
     S = (Xt @ X) / n + ridge_jitter * np.eye(p)
     rhs = (Xt @ y[:, :, None]) / n
@@ -239,12 +244,11 @@ def fit(dataset, ridge_jitter=0.0):
     return GroupEstimates(
         Bhat=coef[:, :, 0].T,
         Sigma_hat=S.mean(axis=0),
-        Sigma_g_hat=tuple(S),
+        Sigma_g_hat=S,
         sigma2_hat=sigma2,
         ridge_jitter_used=float(ridge_jitter),
         n=n,
         sigma2_approximate=approximate,
-        labels=dataset.labels,
     )
 
 
@@ -392,13 +396,17 @@ def load_grouped_csv(path):
     every remaining non-group column is a predictor, in header order.
     """
     _, groups = _load_table(path, grouped=True)
-    check_equal_sizes({label: len(y) for label, (_, y) in groups.items()},
-                      lambda message: CsvFormatError(f"{path}: {message}"))
-    return GroupedDataset(tuple(groups.values()), labels=tuple(groups))
+    try:
+        return GroupedDataset(tuple(groups.values()), labels=tuple(groups))
+    except DimensionError as err:
+        raise CsvFormatError(f"{path}: {err}") from None
 
 
 def load_group_csvs(paths):
-    """Read one CSV per group; files share the same predictor header."""
+    """Read one CSV per group, labelled by its file name without extension.
+
+    The files share one predictor header.
+    """
     expected = None
     groups = []
     labels = []
@@ -413,9 +421,10 @@ def load_group_csvs(paths):
             )
         groups.append(table[None])
         labels.append(os.path.splitext(os.path.basename(path))[0])
-    sizes = {lab: len(y) for lab, (_, y) in zip(labels, groups)}
-    check_equal_sizes(sizes, CsvFormatError)
-    return GroupedDataset(tuple(groups), labels=tuple(labels))
+    try:
+        return GroupedDataset(tuple(groups), labels=tuple(labels))
+    except DimensionError as err:
+        raise CsvFormatError(str(err)) from None
 
 
 def load_matrix_csv(path):

@@ -62,12 +62,13 @@ class GroupBoxes:
     """Per-group confidence ellipsoids with their bounding boxes.
 
     The box for group g is {b : (bhat_g - b)^T S_g (bhat_g - b) /
-    sigma2 <= threshold} with S_g the raw design scatter X_g^T X_g.
-    halfwidths[:, g] are the axis-aligned half-extents enclosing it.
+    sigma2 <= threshold} with S_g = scatters[g] the raw design scatter
+    X_g^T X_g. halfwidths[:, g] are the axis-aligned half-extents
+    enclosing it.
     """
 
     centers: np.ndarray
-    scatters: tuple
+    scatters: np.ndarray
     sigma2: float
     threshold: float
     level_per_box: float
@@ -104,15 +105,11 @@ def group_confidence_boxes(estimates, alpha):
         raise ValueError("alpha must lie in (0, 1)")
     p, G, n = estimates.p, estimates.G, estimates.n
     jitter = estimates.ridge_jitter_used
-    scatters = tuple(
-        n * (S - jitter * np.eye(p)) for S in estimates.Sigma_g_hat
-    )
+    scatters = n * (estimates.Sigma_g_hat - jitter * np.eye(p))
     threshold = chi2_quantile(p, 1.0 - alpha / G)
     sigma2 = float(estimates.sigma2_hat)
-    halfwidths = np.empty((p, G))
-    for g, S in enumerate(scatters):
-        inv = np.linalg.inv(S)
-        halfwidths[:, g] = np.sqrt(threshold * sigma2 * np.diag(inv))
+    variances = np.diagonal(np.linalg.inv(scatters), axis1=1, axis2=2)
+    halfwidths = np.sqrt(threshold * sigma2 * variances).T
     return GroupBoxes(
         centers=estimates.Bhat.copy(),
         scatters=scatters,

@@ -34,39 +34,18 @@ def check_same_length(n_rows, v, name="y"):
         )
 
 
-def check_equal_sizes(sizes, error):
-    """Raise error(message) unless every group (label -> size) has one size."""
-    if len(set(sizes.values())) > 1:
-        detail = ", ".join(f"{k}={v}" for k, v in sizes.items())
-        raise error(f"groups must have equal sizes, got {detail}")
-
-
 def split_groups(X, y, groups):
     """Split rows by group label, in order of first appearance.
 
-    Returns (labels, parts) where parts is a list of (X_g, y_g). Group
-    sizes must be equal; the asymptotics assume a shared n.
+    Returns (labels, parts): the labels as strings and parts a list of
+    (X_g, y_g). GroupedDataset checks the group sizes and labels.
     """
     groups = np.asarray(groups)
     if groups.ndim != 1:
         raise DimensionError("groups must be 1-dimensional")
     check_same_length(X.shape[0], groups, "groups")
-    order = []
-    seen = {}
-    for label in groups:
-        key = label.item() if hasattr(label, "item") else label
-        if key not in seen:
-            seen[key] = True
-            order.append(key)
-    if len(order) < 1:
-        raise DimensionError("need at least one group")
-    parts = []
-    sizes = {}
-    for label in order:
-        mask = groups == label
-        sizes[label] = int(mask.sum())
-        parts.append((X[mask], y[mask]))
-    check_equal_sizes(sizes, DimensionError)
+    order = list(dict.fromkeys(groups.tolist()))
+    parts = [(X[groups == label], y[groups == label]) for label in order]
     return tuple(str(label) for label in order), parts
 
 

@@ -174,12 +174,11 @@ def fit(dataset, ridge_jitter=0.0):
     return GroupEstimates(
         Bhat=Bhat,
         Sigma_hat=Sigma_hat,
-        Sigma_g_hat=tuple(Sigma_g),
+        Sigma_g_hat=np.array(Sigma_g),
         sigma2_hat=rss / dof,
         ridge_jitter_used=float(ridge_jitter),
         n=n,
         sigma2_approximate=approximate,
-        labels=dataset.labels,
     )
 
 

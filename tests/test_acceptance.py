@@ -131,11 +131,10 @@ def test_criterion_07_population_covariance_matches_monte_carlo():
     population = GroupEstimates(
         Bhat=B0,
         Sigma_hat=Sigma0,
-        Sigma_g_hat=(Sigma0,) * p,
+        Sigma_g_hat=np.stack((Sigma0,) * p),
         sigma2_hat=1.0,
         ridge_jitter_used=0.0,
         n=n,
-        labels=("g1", "g2", "g3"),
     )
     C0 = gaussian_population_C(Sigma0, M0, p)
     W_pop = assemble_W(population, sol0, C0, Sigma=Sigma0).W

@@ -114,7 +114,7 @@ def test_isolated_vertex_falls_back_to_group_noise():
     sol = maximin_point(B, Sigma)
     assert sol.active == (0,)
     est = _population_estimates(B, Sigma, sigma2=0.01, n=100_000,
-                                Sigma_g=(Sigma,) * 3)
+                                Sigma_g=np.stack((Sigma,) * 3))
     C = np.eye(2) * 0.01
     cov = assemble_W(est, sol, C, Sigma=Sigma)
     assert cov.vertex_mode
@@ -128,7 +128,7 @@ def _tied_vertex():
     B = np.array([[0.5, 0.5001, 5.0], [0.0, 0.001, 1.0]])
     Sigma = np.eye(2)
     sol = maximin_point(B, Sigma)
-    est = _population_estimates(B, Sigma, sigma2=1.0, n=50, Sigma_g=(Sigma,) * 3)
+    est = _population_estimates(B, Sigma, sigma2=1.0, n=50, Sigma_g=np.stack((Sigma,) * 3))
     C = gaussian_population_C(Sigma, sol.M, 3)
     return est, sol, C
 
@@ -156,7 +156,7 @@ def test_tied_vertex_W_matches_the_per_column_reference():
 def test_tied_neighbors_distance_gate():
     Sigma = np.eye(2)
     close = np.array([[0.5, 0.5001, 5.0], [0.0, 0.001, 1.0]])
-    grams = (Sigma,) * 3
+    grams = np.stack((Sigma,) * 3)
     assert tied_neighbors(close, (0,), Sigma, sigma2=1.0, n=50, Sigma_g=grams) == (1,)
     # a tie vanishes once the sample pins the columns down
     assert tied_neighbors(close, (0,), Sigma, sigma2=1.0, n=10**9, Sigma_g=grams) == ()
@@ -167,7 +167,7 @@ def test_tied_neighbors_distance_gate():
 def test_tied_neighbors_edge_conditions():
     B = np.array([[0.5, 0.5001], [0.0, 0.001]])
     Sigma = np.eye(2)
-    grams = (Sigma,) * 2
+    grams = np.stack((Sigma,) * 2)
     assert tied_neighbors(B, (0,), Sigma, sigma2=0.0, n=50, Sigma_g=grams) == ()
     assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=0, Sigma_g=grams) == ()
     assert tied_neighbors(B, (0, 1), Sigma, sigma2=1.0, n=50, Sigma_g=grams) == ()
@@ -177,9 +177,9 @@ def test_tied_neighbors_uses_per_group_scales_when_available():
     B = np.array([[0.5, 0.9], [0.0, 0.0]])
     Sigma = np.eye(2)
     # designs as strong as the pooled one say separated at this n
-    assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=2000, Sigma_g=(Sigma,) * 2) == ()
+    assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=2000, Sigma_g=np.stack((Sigma,) * 2)) == ()
     # a weak group-1 design inflates its error scale and restores the tie
-    weak = (np.eye(2) * 1e-3, np.eye(2) * 1e-3)
+    weak = np.stack((np.eye(2) * 1e-3, np.eye(2) * 1e-3))
     assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=2000, Sigma_g=weak) == (1,)
 
 

@@ -101,6 +101,22 @@ def test_estimate_accepts_per_group_files(tmp_path, capsys):
     assert payload["groups"] == ["north", "south"]
 
 
+def test_per_group_files_with_one_name_exit_two(tmp_path, capsys):
+    ds, _ = generate(ScenarioSpec(p=2, G=2, n=12, seed=32))
+    paths = []
+    for folder, (X, y) in zip(("a", "b"), ds.groups):
+        (tmp_path / folder).mkdir()
+        f = tmp_path / folder / "g.csv"
+        f.write_text("x1,x2,y\n" + "".join(
+            f"{float(X[i, 0])!r},{float(X[i, 1])!r},{float(y[i])!r}\n" for i in range(ds.n)),
+            encoding="utf-8")
+        paths.append(str(f))
+    assert main(["estimate", *paths]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "maximin: CSV error: group label 'g' appears more than once\n"
+
+
 def test_region_json_payload(data_csv, capsys):
     assert main(["region", str(data_csv), "--alpha", "0.1"]) == EXIT_OK
     captured = capsys.readouterr()
@@ -237,6 +253,10 @@ def test_usage_errors(data_csv, capsys):
     assert main(["simulate", "--config", "grid.json"]) == EXIT_USAGE
     assert main(["estimate", "/nonexistent/file.csv"]) == EXIT_USAGE
     capsys.readouterr()
+    for command in ("simulate", "check"):
+        assert main([command, "--seed", "-1"]) == EXIT_USAGE
+        assert "argument --seed: expected a non-negative integer, got '-1'" in (
+            capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("where", ["input", "known-sigma", "out"])

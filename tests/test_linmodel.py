@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maximin.errors import CsvFormatError, DimensionError, SingularFitError
+from maximin.estimator import MaximinEstimator
 from maximin.linmodel import (
     GroupedDataset,
     ScenarioSpec,
@@ -25,6 +26,17 @@ def test_dataset_shapes_and_default_labels():
     assert (ds.n, ds.p, ds.G) == (4, 2, 2)
     assert ds.labels == ("g1", "g2")
     assert ds.design_stack().shape == (8, 2)
+
+
+def test_dataset_holds_one_read_only_stack():
+    ds, _ = generate(ScenarioSpec(p=3, G=2, n=5, seed=4))
+    assert ds.X.shape == (2, 5, 3) and ds.y.shape == (2, 5)
+    assert np.shares_memory(ds.design_stack(), ds.X)
+    for X, y in ds.groups:
+        assert np.shares_memory(X, ds.X) and np.shares_memory(y, ds.y)
+    for stack in (ds.X, ds.y, ds.groups[0][0], ds.design_stack()):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = 0.0
 
 
 def test_dataset_rejects_mismatched_group_shapes():
@@ -57,8 +69,9 @@ def test_scenario_validation():
         ScenarioSpec(p=2, G=3, n=10)
     with pytest.raises(DimensionError):
         ScenarioSpec(p=1, G=2, n=10, coefficient_rule="shared-plus-noise")
-    with pytest.raises(ValueError):
-        ScenarioSpec(p=2, G=2, n=10, noise_sd=0.0)
+    for noise_sd in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_sd must be finite and > 0"):
+            ScenarioSpec(p=2, G=2, n=10, noise_sd=noise_sd)
     with pytest.raises(ValueError):
         ScenarioSpec(p=2, G=2, n=10, seed=-1)
     for jitter in (-1e-6, float("nan"), float("inf")):
@@ -107,8 +120,7 @@ def test_fit_estimates_noise_and_pooled_metric():
     est = fit(ds)
     assert abs(est.sigma2_hat - 1.0) < 0.05
     assert np.allclose(est.Sigma_hat, np.eye(3), atol=0.05)
-    assert len(est.Sigma_g_hat) == 3
-    assert est.labels == ("g1", "g2", "g3")
+    assert est.Sigma_g_hat.shape == (3, 3, 3)
 
 
 def test_fit_singular_scatter_names_the_group():
@@ -208,6 +220,52 @@ def test_grouped_csv_rejects_unequal_group_sizes(tmp_path):
     _write(f, "group,x1,y\na,1,1\na,2,2\nb,3,3\n")
     with pytest.raises(CsvFormatError):
         load_grouped_csv(str(f))
+
+
+def _grouped_file(folder, groups):
+    f = folder / "data.csv"
+    _write(f, "group,x1,y\n" + "".join(
+        f"{label},{x},{y}\n" for label, rows in groups for x, y in rows))
+    return load_grouped_csv(str(f))
+
+
+def _group_files(folder, groups):
+    paths = []
+    for k, (label, rows) in enumerate(groups):
+        (folder / f"d{k}").mkdir()
+        f = folder / f"d{k}" / f"{label}.csv"
+        _write(f, "x1,y\n" + "".join(f"{x},{y}\n" for x, y in rows))
+        paths.append(str(f))
+    return load_group_csvs(paths)
+
+
+def _estimator_rows(folder, groups):
+    rows = [(label, x, y) for label, part in groups for x, y in part]
+    labels = np.array([label for label, _, _ in rows], dtype=object)
+    X = np.array([[x] for _, x, _ in rows], dtype=float)
+    y = np.array([y for _, _, y in rows], dtype=float)
+    return MaximinEstimator().fit(X, y, labels)
+
+
+@pytest.mark.parametrize("load, error", [
+    (_grouped_file, CsvFormatError),
+    (_group_files, CsvFormatError),
+    (_estimator_rows, DimensionError),
+])
+def test_every_entry_point_refuses_uneven_or_repeated_groups(tmp_path, load, error):
+    folder = tmp_path / "unequal"
+    folder.mkdir()
+    with pytest.raises(error) as info:
+        load(folder, [("a", [(1, 1), (2, 2)]), ("b", [(3, 3)])])
+    prefix = f"{folder / 'data.csv'}: " if load is _grouped_file else ""
+    assert str(info.value) == prefix + "groups must have equal sizes, got a=2, b=1"
+    if load is _grouped_file:
+        return  # one group column cannot hold two groups under one label
+    folder = tmp_path / "repeated"
+    folder.mkdir()
+    # row labels 1 and "1" are distinct keys but one group name
+    with pytest.raises(error, match="group label '1' appears more than once"):
+        load(folder, [(1, [(1, 1), (2, 2)]), ("1", [(3, 3), (4, 5)])])
 
 
 def test_per_group_csv_files(tmp_path):

@@ -105,13 +105,12 @@ def test_batched_fit_matches_the_group_loop(p, G, n, seed, jitter):
         for a, b in (
             (expected.Bhat, got.Bhat),
             (expected.Sigma_hat, got.Sigma_hat),
-            (np.array(expected.Sigma_g_hat), np.array(got.Sigma_g_hat)),
+            (expected.Sigma_g_hat, got.Sigma_g_hat),
         ):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
         y2 = np.mean([y @ y / n for _, y in dataset.groups])
         assert abs(got.sigma2_hat - expected.sigma2_hat) <= 1e-12 * max(expected.sigma2_hat, y2)
     assert got.sigma2_approximate == expected.sigma2_approximate
-    assert got.labels == expected.labels
 
 
 @pytest.mark.parametrize("fault", ["duplicate", "zero"])
