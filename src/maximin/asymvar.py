@@ -15,6 +15,10 @@ The covariance of sqrt(n) (M_hat - M) splits into two parts:
 
 When the design covariance is known exactly (so nothing is plugged in
 for it), V is identically zero and only the first term remains.
+
+empirical_C and face_covariance work over leading stack axes;
+assemble_W picks the face for one dataset and calls face_covariance on
+it.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ import numpy as np
 
 from .confidence import chi2_quantile
 from .errors import DimensionError
-from .geometry import Face, SigmaMetric
+from .geometry import Face, SigmaMetric, matvec, symmetric
 
 # Probe level for the vertex tie test below. This classifies columns as
 # statistically indistinguishable; it is not a user-facing inference level.
@@ -46,21 +50,23 @@ def empirical_C(X, M, G):
     """Empirical covariance of the scaled quadratic-form vectors.
 
     Args:
-        X: stacked design rows, shape (nG, p).
-        M: the maximin point the forms are taken against.
+        X: stacked design rows, shape (nG, p), or a (..., nG, p) stack.
+        M: the maximin point the forms are taken against, (p,) or
+            (..., p) to match X.
         G: number of groups (sets the 1/sqrt(G) scaling).
 
     Returns:
         The p x p sample covariance (divisor nG) of the vectors
-        (1/sqrt(G)) x_k (x_k . M) over all rows x_k.
+        (1/sqrt(G)) x_k (x_k . M) over all rows x_k, with X's leading
+        axes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 2:
+    if X.shape[-2] < 2:
         raise DimensionError("empirical_C needs at least two rows")
-    M = np.asarray(M, dtype=float)
-    V = X * (X @ M)[:, None] / np.sqrt(G)
-    Vc = V - V.mean(axis=0)
-    return (Vc.T @ Vc) / X.shape[0]
+    V = X * matvec(X, np.asarray(M, dtype=float))[..., None]
+    V /= np.sqrt(G)
+    V -= V.mean(axis=-2, keepdims=True)
+    return (V.swapaxes(-1, -2) @ V) / X.shape[-2]
 
 
 def gaussian_population_C(Sigma, M, G):
@@ -141,7 +147,6 @@ def assemble_W(estimates, solution, C_hat, Sigma):
     active = tuple(solution.active)
     known = C_hat is None
     sigma_inv = metric.inverse()
-    sigma_inv = (sigma_inv + sigma_inv.T) / 2.0
     Bhat = np.atleast_2d(np.asarray(estimates.Bhat, dtype=float))
     vertex = len(active) == 1
     tied = ()
@@ -151,18 +156,31 @@ def assemble_W(estimates, solution, C_hat, Sigma):
     used = tuple(sorted(set(active).union(tied))) if tied else active
     if len(used) == 1:
         term_B, term_V = sigma2 * sigma_inv, np.zeros((p, p))
+        W = symmetric(term_B + term_V)
     else:
         face = Face(Bhat[:, list(used)], metric)
-        jacobians = face.jacobians(solution.M)
-        term_B = sigma2 * np.einsum("gij,glj->il", jacobians @ sigma_inv, jacobians)
-        term_B = (term_B + term_B.T) / 2.0
-        term_V = np.zeros((p, p)) if known else face.term_V(C_hat)
-    W = term_B + term_V
+        W, term_B, term_V = face_covariance(face, solution.M, sigma2, sigma_inv, C_hat)
     return AsymptoticCovariance(
-        W=(W + W.T) / 2.0,
+        W=W,
         term_B=term_B,
         term_V=term_V,
         active_used=used,
         vertex_mode=vertex,
         known_sigma=known,
     )
+
+
+def face_covariance(face, M, sigma2, sigma_inv, C_hat):
+    """(W, term_B, term_V) of the maximin point M differentiated on a face.
+
+    term_B = sigma2 sum_g J_g Sigma^{-1} J_g^T over the face's Jacobians
+    and term_V = face.term_V(C_hat), zero when C_hat is None. Works over
+    a stack of faces: M (..., p), sigma2 (...), sigma_inv and C_hat
+    (..., p, p), with the face's leading axes.
+    """
+    J = face.jacobians(M)
+    sigma2 = np.asarray(sigma2, dtype=float)[..., None, None]
+    term_B = symmetric(
+        sigma2 * np.einsum("...gij,...glj->...il", J @ sigma_inv[..., None, :, :], J))
+    term_V = np.zeros_like(term_B) if C_hat is None else face.term_V(C_hat)
+    return symmetric(term_B + term_V), term_B, term_V

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.special
 
 from .errors import ConditioningError
+from .geometry import quadratic_form, symmetric
 
 # Refuse to invert W beyond this eigenvalue ratio.
 CONDITION_LIMIT = 1e12
@@ -82,8 +83,7 @@ class ConfidenceRegion:
         return np.sqrt(self.tau * self.eigenvalues)
 
     def quadratic_form(self, M):
-        d = self.center - np.asarray(M, dtype=float)
-        return float(d @ self.precision @ d)
+        return float(quadratic_form(self.precision, self.center - np.asarray(M, dtype=float)))
 
     def to_dict(self):
         return {
@@ -132,18 +132,16 @@ def build_region(M_hat, W, n, alpha):
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    W = np.asarray(W, dtype=float)
     M_hat = np.asarray(M_hat, dtype=float)
     p = M_hat.shape[0]
-    vals, vecs = np.linalg.eigh((W + W.T) / 2.0)
-    if vals[0] <= 0 or vals[-1] / vals[0] > CONDITION_LIMIT:
+    vals, vecs, ok = spectrum(W)
+    if not ok:
         raise ConditioningError(
             "covariance is numerically singular; eigenvalue range"
             f" [{vals[0]:.3e}, {vals[-1]:.3e}]",
             eigenvalues=vals,
         )
-    precision = vecs @ np.diag(1.0 / vals) @ vecs.T
-    precision = (precision + precision.T) / 2.0
+    precision = precision_matrix(vals, vecs)
     tau = chi2_quantile(p, 1.0 - alpha)
     order = np.argsort(vals)[::-1]
     return ConfidenceRegion(
@@ -164,7 +162,25 @@ def contains(region, M):
     return region.quadratic_form(M) <= region.radius2
 
 
+def spectrum(W):
+    """Eigen-decomposition of the symmetrised W, over leading stack axes.
+
+    Returns (vals, vecs, ok): ascending eigenvalues, eigenvectors as
+    columns, and whether each W passes the conditioning test, that is
+    has a positive smallest eigenvalue and an eigenvalue ratio of at
+    most CONDITION_LIMIT.
+    """
+    vals, vecs = np.linalg.eigh(symmetric(np.asarray(W, dtype=float)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ill = (vals[..., 0] <= 0) | (vals[..., -1] / vals[..., 0] > CONDITION_LIMIT)
+    return vals, vecs, ~ill
+
+
+def precision_matrix(vals, vecs):
+    """W^{-1} from spectrum's output, symmetrised, over leading stack axes."""
+    return symmetric((vecs * (1.0 / vals)[..., None, :]) @ vecs.swapaxes(-1, -2))
+
+
 def max_eigenvalue(W):
-    """Largest eigenvalue of a covariance matrix."""
-    W = np.asarray(W, dtype=float)
-    return float(np.linalg.eigvalsh((W + W.T) / 2.0)[-1])
+    """Largest eigenvalue of a covariance matrix, as spectrum finds it."""
+    return float(spectrum(W)[0][..., -1])

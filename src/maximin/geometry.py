@@ -43,13 +43,17 @@ t_g = <M - b_g, u_g> + |u_g|^2,
 which is exact even when weights below magging.ACTIVITY_THRESHOLD put M
 slightly off the face. When M = B alpha lies on the face (r = 0),
 w_g = alpha_g u_g, so |w_g| / |u_g| = alpha_g.
+
+SigmaMetric and Face, like the helpers below, work over leading stack
+axes: a (..., p, p) stack of metrics, a (..., p, k) stack of faces with
+one metric each. A single face is the stack with no leading axes, so
+the coverage harness's batched pass and the per-dataset pipeline run
+the same formulas, item for item.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DefinitenessError, DegenerateGeometryError, RankError
 
@@ -64,26 +68,70 @@ _PINV_RTOL = _RANK_RTOL ** 0.5
 _DEGENERACY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SigmaMetric:
-    """A positive definite Sigma with a cached Cholesky factorization."""
+def symmetric(A):
+    """(A + A^T) / 2 over the last two axes."""
+    return (A + A.swapaxes(-1, -2)) / 2.0
 
-    Sigma: np.ndarray
 
-    def __post_init__(self):
-        Sigma = np.asarray(self.Sigma, dtype=float)
-        if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
-            raise DefinitenessError("Sigma must be square")
-        scale = float(np.max(np.abs(Sigma))) or 1.0
-        if np.max(np.abs(Sigma - Sigma.T)) > 1e-10 * scale:
-            raise DefinitenessError("Sigma is not symmetric")
-        Sigma = (Sigma + Sigma.T) / 2.0
+def matvec(A, x):
+    """A x over leading stack axes: (..., m, k) times (..., k)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def quadratic_form(A, x):
+    """x^T A x over leading stack axes, evaluated as (x^T A) x."""
+    return ((x[..., None, :] @ A) @ x[..., :, None])[..., 0, 0]
+
+
+def nan_where_singular(kernel, A, *rest):
+    """kernel(A, *rest) over a stack of matrices A, item by item on failure.
+
+    A batched numpy.linalg kernel raises LinAlgError for the whole stack
+    when one item cannot be factored. Here such items come back as NaN
+    and the others as the kernel computes them. The result has the
+    shape of A, or of rest[0] broadcast over A's stack axes.
+    """
+    try:
+        return kernel(A, *rest)
+    except np.linalg.LinAlgError:
+        pass
+    batch = A.shape[:-2]
+    rest = [np.broadcast_to(b, batch + b.shape[-2:]) for b in rest]
+    out = np.full(batch + (rest[0] if rest else A).shape[-2:], np.nan)
+    for i in np.ndindex(batch):
         try:
-            factor = scipy.linalg.cho_factor(Sigma, lower=True)
-        except scipy.linalg.LinAlgError:
-            raise DefinitenessError("Sigma is not positive definite") from None
-        object.__setattr__(self, "Sigma", Sigma)
-        object.__setattr__(self, "_factor", factor)
+            out[i] = kernel(A[i], *(b[i] for b in rest))
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+class SigmaMetric:
+    """A positive definite Sigma, or a (..., p, p) stack, with Cholesky factors.
+
+    The constructor checks each matrix for symmetry (to 1e-10 of its
+    largest entry) and factors its symmetrised form. With strict (the
+    default) a matrix that fails raises DefinitenessError; otherwise
+    ``ok`` marks the matrices that pass, and the factors of the others
+    are NaN.
+    """
+
+    def __init__(self, Sigma, strict=True):
+        Sigma = np.asarray(Sigma, dtype=float)
+        if Sigma.ndim < 2 or Sigma.shape[-1] != Sigma.shape[-2]:
+            raise DefinitenessError("Sigma must be square")
+        scale = np.max(np.abs(Sigma), axis=(-2, -1), initial=0.0)
+        scale = np.where(scale > 0.0, scale, 1.0)
+        skew = np.max(np.abs(Sigma - Sigma.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+        asymmetric = skew > 1e-10 * scale
+        self.Sigma = symmetric(Sigma)
+        self.L = nan_where_singular(np.linalg.cholesky, self.Sigma)
+        indefinite = ~np.isfinite(self.L).all(axis=(-2, -1))
+        self.ok = ~(asymmetric | indefinite)
+        if strict and asymmetric.any():
+            raise DefinitenessError("Sigma is not symmetric")
+        if strict and indefinite.any():
+            raise DefinitenessError("Sigma is not positive definite")
 
     @classmethod
     def ensure(cls, sigma, p=None):
@@ -96,7 +144,7 @@ class SigmaMetric:
 
     @property
     def p(self):
-        return self.Sigma.shape[0]
+        return self.Sigma.shape[-1]
 
     def inner(self, x, y):
         return float(np.asarray(x) @ self.Sigma @ np.asarray(y))
@@ -106,94 +154,133 @@ class SigmaMetric:
         return float(np.sqrt(max(v, 0.0)))
 
     def solve(self, rhs):
-        """Sigma^{-1} rhs via the cached factorization."""
-        return scipy.linalg.cho_solve(self._factor, np.asarray(rhs, dtype=float))
+        """Sigma^{-1} rhs."""
+        return self.inverse() @ np.asarray(rhs, dtype=float)
 
     def inverse(self):
-        return self.solve(np.eye(self.p))
+        """Sigma^{-1} = L^{-T} L^{-1}, symmetrised."""
+        Linv = np.linalg.inv(self.L)
+        return symmetric(Linv.swapaxes(-1, -2) @ Linv)
 
 
 class Face:
     """The affine hull of the used columns B_A, factorised once.
 
+    B_active is (p, k), or a (..., p, k) stack of faces with one metric
+    per face; every result then carries the same leading axes.
     Projections follow pseudo-inverse semantics and never raise.
     Jacobians raise DegenerateGeometryError for a single column or when
     a column lies within 1e-10 of the hull of the others; the metric
-    response and term_V raise RankError when D is rank deficient.
+    response and term_V raise RankError when D is rank deficient. On a
+    stack they raise when any face does; ``full_rank`` and
+    ``separated`` say which faces pass.
     """
 
     def __init__(self, B_active, metric):
         self.metric = metric = SigmaMetric.ensure(metric)
-        self.B = np.atleast_2d(np.asarray(B_active, dtype=float))
-        self.p, self.k = self.B.shape
-        D = self.B[:, 1:] - self.B[:, :1]
+        self.B = np.ascontiguousarray(np.atleast_2d(np.asarray(B_active, dtype=float)))
+        self.p, self.k = self.B.shape[-2:]
+        batch = self.B.shape[:-2]
+        D = self.B[..., 1:] - self.B[..., :1]
         if self.k == 1:  # a single point: nothing to factorise
-            empty = np.zeros((0, 0))
-            U, self._s, self._Vt, self._Rinv = D, np.zeros(0), empty, empty
+            U, self._s = D, np.zeros(batch + (0,))
+            self._Vt = self._Rinv = np.zeros(batch + (0, 0))
+            self.full_rank = np.ones(batch, dtype=bool)
         else:
             U, self._s, self._Vt = np.linalg.svd(D, full_matrices=False)
-            self._Rinv = np.linalg.inv(np.linalg.cholesky(U.T @ metric.Sigma @ U))
-        self._E = U @ self._Rinv.T
-        rank = int(np.sum(self._s > _PINV_RTOL * self._s.max(initial=0.0)))
-        self._E_kept = self._E[:, :rank]
+            gram = U.swapaxes(-1, -2) @ metric.Sigma @ U
+            self._Rinv = np.linalg.inv(np.linalg.cholesky(gram))
+            s = self._s
+            self.full_rank = (s.shape[-1] == self.k - 1) & ~(
+                s[..., -1] <= _RANK_RTOL * s[..., 0])
+        self._E = U @ self._Rinv.swapaxes(-1, -2)
+        s = self._s
+        kept = s > _PINV_RTOL * s.max(axis=-1, initial=0.0, keepdims=True)
+        self._E_kept = self._E * kept[..., None, :]
 
     def project(self, x):
         """Sigma-orthogonal projection of x onto the face's affine hull."""
-        base, E = self.B[:, 0], self._E_kept
+        base, E = self.B[..., 0], self._E_kept
         d = np.asarray(x, dtype=float) - base
-        return base + E @ (E.T @ (self.metric.Sigma @ d))
+        return base + matvec(E, matvec(E.swapaxes(-1, -2), matvec(self.metric.Sigma, d)))
 
     @functools.cached_property
     def complement(self):
         """Pi_B = I - E E^T Sigma."""
-        return np.eye(self.p) - self._E_kept @ (self._E_kept.T @ self.metric.Sigma)
+        E = self._E_kept
+        return np.eye(self.p) - E @ (E.swapaxes(-1, -2) @ self.metric.Sigma)
 
     def _full_rank_basis(self):
         """E after the rank check on D; empty for a single column."""
-        s = self._s
-        if s.size < self.k - 1 or (s.size and s[-1] <= _RANK_RTOL * s[0]):
+        if not np.all(self.full_rank):
             raise RankError("active-column differences are rank deficient")
         return self._E
+
+    @functools.cached_property
+    def _closed_form(self):
+        """Leave-one-out residuals from the factorisation, and their norms.
+
+        Valid for the faces marked ``separated``; NaN or tiny elsewhere.
+        """
+        Vt, s = self._Vt, self._s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            N = np.concatenate(
+                [-Vt.sum(axis=-1)[..., None, :], Vt.swapaxes(-1, -2)], axis=-2)
+            Y = (N / s[..., None, :]) @ self._Rinv.swapaxes(-1, -2)
+            q = np.einsum("...gm,...gm->...g", Y, Y)
+            U = self._E @ Y.swapaxes(-1, -2) / q[..., None, :]
+            unorm = 1.0 / np.sqrt(q)
+        return U, unorm
+
+    @functools.cached_property
+    def separated(self):
+        """Whether k - 1 <= p and every closed-form residual norm is >= 1e-10."""
+        if self.k - 1 > self.p:
+            return np.zeros(self.B.shape[:-2], dtype=bool)
+        return np.all(self._closed_form[1] >= _DEGENERACY_TOL, axis=-1)
 
     @functools.cached_property
     def _residuals(self):
         """Leave-one-out residuals u_g as columns, and their norms."""
         if self.k - 1 <= self.p:
-            Vt = self._Vt
-            with np.errstate(divide="ignore", invalid="ignore"):
-                Y = (np.vstack([-Vt.sum(axis=1), Vt.T]) / self._s) @ self._Rinv.T
-                q = np.einsum("gm,gm->g", Y, Y)
-                U, unorm = self._E @ Y.T / q, 1.0 / np.sqrt(q)
-            if np.all(unorm >= _DEGENERACY_TOL):
-                return U, unorm
+            U, unorm = (a.copy() for a in self._closed_form)
+        else:
+            U, unorm = np.empty(self.B.shape), np.empty(self.B.shape[:-2] + (self.k,))
         # Degenerate or wide faces: project each column onto the others.
-        U = np.column_stack([
-            b - Face(np.delete(self.B, g, axis=1), self.metric).project(b)
-            for g, b in enumerate(self.B.T)
-        ])
-        return U, np.sqrt(np.einsum("pg,pg->g", U, self.metric.Sigma @ U))
+        for i in np.ndindex(self.B.shape[:-2]):
+            if self.separated[i]:
+                continue
+            B, metric = self.B[i], SigmaMetric(self.metric.Sigma[i])
+            U[i] = np.column_stack([
+                b - Face(np.delete(B, g, axis=1), metric).project(b)
+                for g, b in enumerate(B.T)
+            ])
+            unorm[i] = np.sqrt(np.einsum("pg,pg->g", U[i], metric.Sigma @ U[i]))
+        return U, unorm
 
     def jacobians(self, M):
-        """Stacked J_g for every column, shape (k, p, p)."""
+        """Stacked J_g for every column, shape (..., k, p, p)."""
         if self.k < 2:
             raise DegenerateGeometryError(
                 "vertex solution: the maximin map is not differentiable for a"
                 " single active column"
             )
         U, unorm = self._residuals
-        bad = np.flatnonzero(unorm < _DEGENERACY_TOL)
+        bad = np.argwhere(unorm < _DEGENERACY_TOL)
         if bad.size:
             raise DegenerateGeometryError(
-                f"active column {bad[0]} lies in the affine hull of the others"
+                f"active column {bad[0][-1]} lies in the affine hull of the others"
             )
-        metric, M = self.metric, np.asarray(M, dtype=float)
+        Sigma, M = self.metric.Sigma, np.asarray(M, dtype=float)
         Pi = self.complement
-        r = Pi @ (M - self.B[:, 0])
-        SU = metric.Sigma @ U
-        t = M @ SU - np.einsum("pg,pg->g", self.B, SU) + unorm**2
-        wnorm = np.sqrt(metric.inner(r, r) + (t / unorm) ** 2)
-        outer = (U / unorm**2).T[:, :, None] * (metric.Sigma @ M)
-        return (wnorm / unorm)[:, None, None] * Pi - outer
+        r = matvec(Pi, M - self.B[..., 0])
+        SU = Sigma @ U
+        t = (M[..., None, :] @ SU)[..., 0, :] - np.einsum(
+            "...pg,...pg->...g", self.B, SU) + unorm**2
+        wnorm = np.sqrt(quadratic_form(Sigma, r)[..., None] + (t / unorm) ** 2)
+        outer = (U / unorm[..., None, :] ** 2).swapaxes(-1, -2)[..., None] * (
+            matvec(Sigma, M)[..., None, None, :])
+        return (wnorm / unorm)[..., None, None] * Pi[..., None, :, :] - outer
 
     def dsigma(self, M, Delta):
         """-D Gamma^{-1} D^T Delta M = -E E^T Delta M; zero for one column."""
@@ -204,12 +291,10 @@ class Face:
         if np.max(np.abs(Delta - Delta.T)) > 1e-8 * scale:
             raise ValueError("Delta must be symmetric")
         E = self._full_rank_basis()
-        return -E @ (E.T @ (Delta @ np.asarray(M, dtype=float)))
+        return -matvec(E, matvec(E.swapaxes(-1, -2), matvec(Delta, np.asarray(M, dtype=float))))
 
     def term_V(self, C_hat):
         """P C_hat P with P = D Gamma^{-1} D^T = E E^T; zero for one column."""
         E = self._full_rank_basis()
-        P = E @ E.T
-        V = P @ np.asarray(C_hat, dtype=float) @ P
-        return (V + V.T) / 2.0
-
+        P = E @ E.swapaxes(-1, -2)
+        return symmetric(P @ np.asarray(C_hat, dtype=float) @ P)

@@ -11,17 +11,22 @@ the (G, p, p) per-group covariances, and a pooled residual variance.
 All randomness flows through counter-based Philox streams keyed by
 (seed, purpose, group), so datasets are bit-reproducible for a given
 seed and groups can be generated independently and in any order.
+generate_stack draws many seeds' datasets into one (R, G, n, p) stack
+and fit_stack fits such a stack in one batched pass; generate and fit
+are their stacks of one.
 """
 
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import CsvFormatError, DimensionError, SingularFitError
+from .geometry import nan_where_singular
 
 COEFFICIENT_RULES = ("basis-vectors", "shared-plus-noise", "identical")
 
@@ -150,6 +155,29 @@ def true_coefficients(spec):
     return B
 
 
+def generate_stack(spec, seeds):
+    """Draw the datasets of one scenario at several seeds, stacked.
+
+    Returns (X, y), shapes (R, G, n, p) and (R, G, n) for R seeds.
+    Replicate r is bitwise equal to the stacks of
+    ``generate(replace(spec, seed=seeds[r]))``: each group's design and
+    noise come from their own Philox streams keyed by (seed, purpose,
+    group), drawn straight into the stack.
+    """
+    R, G, n, p = len(seeds), spec.G, spec.n, spec.p
+    X = np.empty((R, G, n, p))
+    y = np.empty((R, G, n))
+    eps = np.empty(n)
+    B0 = None if spec.coefficient_rule == "shared-plus-noise" else true_coefficients(spec)
+    for r, seed in enumerate(seeds):
+        B = B0 if B0 is not None else true_coefficients(replace(spec, seed=seed))
+        for g in range(G):
+            _stream(seed, 1, g).standard_normal(out=X[r, g])
+            _stream(seed, 2, g).standard_normal(out=eps)
+            y[r, g] = X[r, g] @ B[:, g] + spec.noise_sd * eps
+    return X, y
+
+
 def generate(spec):
     """Draw a synthetic grouped dataset.
 
@@ -162,14 +190,8 @@ def generate(spec):
     (GroupedDataset, ndarray)
         The dataset and the true p x G coefficient matrix used.
     """
-    B0 = true_coefficients(spec)
-    groups = []
-    for g in range(spec.G):
-        X = _stream(spec.seed, 1, g).standard_normal((spec.n, spec.p))
-        eps = _stream(spec.seed, 2, g).standard_normal(spec.n)
-        y = X @ B0[:, g] + spec.noise_sd * eps
-        groups.append((X, y))
-    return GroupedDataset(tuple(groups)), B0
+    X, y = generate_stack(spec, [spec.seed])
+    return GroupedDataset(tuple(zip(X[0], y[0]))), true_coefficients(spec)
 
 
 @dataclass(frozen=True)
@@ -201,15 +223,72 @@ class GroupEstimates:
         return self.Bhat.shape[1]
 
 
+class StackFit(NamedTuple):
+    """Least-squares fits of a (..., G, n, p) stack of grouped data.
+
+    coef (..., G, p) holds each group's coefficients, S (..., G, p, p)
+    the scatters X_g^T X_g / n plus the jitter diagonal, rhs
+    (..., G, p, 1) the moments X_g^T y_g / n, sigma2 (...) the pooled
+    residual variances and pivots_ok (..., G) the per-group rank check.
+    ok (...) marks the datasets whose every group passes it with finite
+    input; coef and sigma2 are NaN for the others.
+    """
+
+    coef: np.ndarray
+    S: np.ndarray
+    rhs: np.ndarray
+    sigma2: np.ndarray
+    pivots_ok: np.ndarray
+    ok: np.ndarray
+
+    @property
+    def Bhat(self):
+        """The coefficient vectors as columns, (..., p, G)."""
+        return self.coef.swapaxes(-1, -2)
+
+    @property
+    def Sigma_hat(self):
+        """The pooled design covariances, (..., p, p)."""
+        return self.S.mean(axis=-3)
+
+
+def fit_stack(X, y, ridge_jitter=0.0):
+    """Per-group least squares over a (..., G, n, p) stack of datasets.
+
+    One batched pass: Grams, one Cholesky for the rank check (a pivot
+    ratio at or below _PIVOT_RTOL fails it), one solve for the datasets
+    that pass, and the residual variance on G (n - p) degrees of
+    freedom, or G n when p >= n. Returns a StackFit.
+    """
+    G, n, p = X.shape[-3:]
+    Xt = X.swapaxes(-1, -2)
+    S = (Xt @ X) / n + ridge_jitter * np.eye(p)
+    rhs = (Xt @ y[..., None]) / n
+    with np.errstate(invalid="ignore"):
+        pivots = np.diagonal(nan_where_singular(np.linalg.cholesky, S),
+                             axis1=-2, axis2=-1) ** 2
+        pivots_ok = pivots.min(axis=-1) > _PIVOT_RTOL * pivots.max(axis=-1)
+    ok = pivots_ok.all(axis=-1) & np.isfinite(rhs).all(axis=(-3, -2, -1))
+    coef = np.full(S.shape[:-1], np.nan)
+    sigma2 = np.full(S.shape[:-3], np.nan)
+    if ok.any():
+        sel = Ellipsis if ok.all() else ok  # a view, not a copy, when all pass
+        sol = np.linalg.solve(S[sel], rhs[sel])
+        r = y[sel] - (X[sel] @ sol)[..., 0]
+        dof = G * n if p >= n else G * (n - p)
+        coef[sel] = sol[..., 0]
+        sigma2[sel] = np.sum(r * r, axis=(-2, -1)) / dof
+    return StackFit(coef, S, rhs, sigma2, pivots_ok, ok)
+
+
 def fit(dataset, ridge_jitter=0.0):
     """Per-group least squares with an optional ridge jitter.
 
     Each coefficient vector solves (X_g^T X_g / n + jitter Id) b =
     X_g^T y_g / n. With jitter 0 a singular (or numerically rank-
     deficient) scatter raises SingularFitError naming the first such
-    group. All groups go through one batched pass over the (G, n, p)
-    stack: Grams, one Cholesky for the rank check, one solve. Sigma_hat
-    is the mean of the group scatters, X^T X / (nG) + jitter Id.
+    group. The dataset goes through fit_stack as a stack of one.
+    Sigma_hat is the mean of the group scatters, X^T X / (nG) + jitter Id.
 
     Parameters
     ----------
@@ -223,32 +302,18 @@ def fit(dataset, ridge_jitter=0.0):
     """
     if not 0 <= ridge_jitter < math.inf:
         raise ValueError("ridge_jitter must be finite and >= 0")
-    n, p, G = dataset.n, dataset.p, dataset.G
-    X, y = dataset.X, dataset.y
-    Xt = X.transpose(0, 2, 1)
-    S = (Xt @ X) / n + ridge_jitter * np.eye(p)
-    rhs = (Xt @ y[:, :, None]) / n
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(S), axis1=1, axis2=2) ** 2
-        ok = pivots.min(axis=1) > _PIVOT_RTOL * pivots.max(axis=1)
-    except np.linalg.LinAlgError:
-        ok = np.zeros(G, dtype=bool)
-    if not (ok.all() and np.isfinite(rhs).all()):
-        _raise_first_failure(S, rhs, ok, dataset.labels)
-    coef = np.linalg.solve(S, rhs)
-    r = y - (X @ coef)[:, :, 0]
-    rss = float(np.sum(r * r))
-    approximate = p >= n
-    dof = G * n if approximate else G * (n - p)
-    sigma2 = rss / dof
+    fitted = fit_stack(dataset.X[None], dataset.y[None], ridge_jitter)
+    if not fitted.ok[0]:
+        _raise_first_failure(
+            fitted.S[0], fitted.rhs[0], fitted.pivots_ok[0], dataset.labels)
     return GroupEstimates(
-        Bhat=coef[:, :, 0].T,
-        Sigma_hat=S.mean(axis=0),
-        Sigma_g_hat=S,
-        sigma2_hat=sigma2,
+        Bhat=fitted.Bhat[0],
+        Sigma_hat=fitted.Sigma_hat[0],
+        Sigma_g_hat=fitted.S[0],
+        sigma2_hat=float(fitted.sigma2[0]),
         ridge_jitter_used=float(ridge_jitter),
-        n=n,
-        sigma2_approximate=approximate,
+        n=dataset.n,
+        sigma2_approximate=dataset.p >= dataset.n,
     )
 
 
@@ -405,8 +470,10 @@ def load_grouped_csv(path):
 def load_group_csvs(paths):
     """Read one CSV per group, labelled by its file name without extension.
 
-    The files share one predictor header.
+    The files share one predictor header. Two files with one name (in
+    different folders) are refused with a CsvFormatError naming both.
     """
+    paths = list(paths)
     expected = None
     groups = []
     labels = []
@@ -424,7 +491,13 @@ def load_group_csvs(paths):
     try:
         return GroupedDataset(tuple(groups), labels=tuple(labels))
     except DimensionError as err:
-        raise CsvFormatError(str(err)) from None
+        message = str(err)
+        for i, label in enumerate(labels):
+            first = labels.index(label)
+            if first < i and message == f"group label {label!r} appears more than once":
+                message = f"{paths[first]} and {paths[i]}: {message}"
+                break
+        raise CsvFormatError(message) from None
 
 
 def load_matrix_csv(path):

@@ -26,6 +26,9 @@ stacked_simplex_qp, which takes a stack of such programs:
   negative multiplier otherwise. Exact linear solves make the method
   finite. It runs on each program of the stack in turn.
 
+stacked_maximin forms those programs for a stack of coefficient
+matrices and metrics; maximin_point is its stack of one.
+
 The switch sits at the measured single-call crossover. With p = G, 50
 random programs per G, one BLAS thread, NumPy 2.4 on a 2-core Xeon VM,
 enumeration took 78/84/100/104/204/409/804 us per program at
@@ -43,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError
-from .geometry import SigmaMetric
+from .geometry import SigmaMetric, matvec, nan_where_singular, symmetric
 
 # Weights above this count as active.
 ACTIVITY_THRESHOLD = 1e-6
@@ -220,21 +223,6 @@ def _face_table(G, size):
     return table
 
 
-def _solve_or_nan(A, b):
-    """np.linalg.solve over a stack; a singular system comes back as NaN."""
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        b = np.broadcast_to(b, A.shape[:-1] + b.shape[-1:])
-        out = np.full(b.shape, np.nan)
-        for i in np.ndindex(A.shape[:-2]):
-            try:
-                out[i] = np.linalg.solve(A[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def stacked_simplex_qp(H, p, c=None):
     """Solve a stack of simplex QPs  min a^T H_r a + c_r^T a  over the simplex.
 
@@ -280,7 +268,7 @@ def stacked_simplex_qp(H, p, c=None):
     F, K = t.onehot.shape[:2]
     kkt = t.base + t.scale * H[:, t.cslots[:, :, None], t.cslots[:, None, :]]
     rhs = t.rhs if c is None else t.rhs - (t.cscale * c[:, t.cslots])[..., None]
-    x = _solve_or_nan(kkt, rhs)[..., :K, 0]
+    x = nan_where_singular(np.linalg.solve, kkt, rhs)[..., :K, 0]
     feasible = np.all(x >= -_FEAS_TOL, axis=-1)
     w = np.clip(x, 0.0, None)
     w /= np.where(feasible, w.sum(axis=-1), 1.0)[..., None]
@@ -292,8 +280,35 @@ def stacked_simplex_qp(H, p, c=None):
     return gamma, t.members[best], np.full(R, F)
 
 
+class MaximinStack(NamedTuple):
+    """Maximin solutions of a stack of programs, from stacked_maximin."""
+
+    H: np.ndarray
+    gamma: np.ndarray
+    support: np.ndarray
+    iterations: np.ndarray
+    M: np.ndarray
+
+
+def stacked_maximin(B, Sigma):
+    """Maximin points of a stack of coefficient matrices.
+
+    B (R, p, G) holds each program's columns and Sigma (R, p, p) its
+    symmetric positive definite metric (a SigmaMetric's Sigma). Forms
+    H = B^T Sigma B, solves the stack with stacked_simplex_qp and
+    returns a MaximinStack: H, gamma, support and iterations as that
+    function returns them, and the points M = B gamma (R, p).
+    """
+    B = np.ascontiguousarray(B, dtype=float)
+    H = symmetric(B.swapaxes(-1, -2) @ Sigma @ B)
+    gamma, support, iterations = stacked_simplex_qp(H, B.shape[-2])
+    return MaximinStack(H, gamma, support, iterations, matvec(B, gamma))
+
+
 def maximin_point(B, Sigma):
     """Compute the maximin point of the columns of B under Sigma.
+
+    The program goes through stacked_maximin as a stack of one.
 
     Parameters
     ----------
@@ -318,21 +333,18 @@ def maximin_point(B, Sigma):
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Sigma = SigmaMetric.ensure(Sigma, B.shape[0]).Sigma
-    H = B.T @ Sigma @ B
-    H = (H + H.T) / 2.0
     try:
-        gamma, support, iterations = stacked_simplex_qp(H[None], B.shape[0])
+        H, gamma, support, iterations, M = stacked_maximin(B[None], Sigma[None])
     except ConvergenceError as err:
-        err.best = _package(B, Sigma, err.best, np.inf, 0)
+        err.best = _package(Sigma, err.best, matvec(B, err.best), np.inf, 0)
         raise
     alpha = gamma[0]
     free = [int(g) for g in np.flatnonzero(support[0])]
-    res, _, _ = _residual(H, np.zeros(B.shape[1]), alpha, free)
-    return _package(B, Sigma, alpha, res, int(iterations[0]))
+    res, _, _ = _residual(H[0], np.zeros(B.shape[1]), alpha, free)
+    return _package(Sigma, alpha, M[0], res, int(iterations[0]))
 
 
-def _package(B, Sigma, alpha, res, iterations):
-    M = B @ alpha
+def _package(Sigma, alpha, M, res, iterations):
     return MaggingSolution(
         M=M,
         alpha=alpha,

@@ -9,6 +9,33 @@ produce identical per-replicate results regardless of how replicates
 are distributed, and reports aggregate in replicate order, so output
 bytes do not depend on the worker count.
 
+Each worker runs its replicates in chunks through a block engine.
+The chunk's datasets are drawn into one (R, G, n, p) design stack by
+linmodel.generate_stack, bitwise equal to generate, and go through one
+stacked pass of the kernels the single-dataset path is built from:
+fit_stack, the SigmaMetric check, stacked_maximin, then, batched over
+the replicates whose active sets have the same size k, Face,
+empirical_C, face_covariance and spectrum. This module holds no
+factorisation of its own; a single dataset is a stack of one to those
+kernels, so a replicate gets the same bits from either path and the
+rows do not depend on the chunk size.
+
+The stacked pass finishes only interior replicates. The others take
+the cold path, the full per-replicate pipeline.analyze_dataset on the
+replicate's slice of the stack: a fit that fails the pivot check or
+has non-finite input, a metric that fails the symmetry or Cholesky
+check, a vertex (ties included), a face with k - 1 > p, rank-deficient
+differences or a leave-one-out residual below 1e-10, and a W that
+fails the conditioning test. A chunk whose active-set QP (G > 6)
+raises ConvergenceError goes down the cold path whole.
+
+A chunk holds as many replicates as fit into CHUNK_BYTES of designs.
+The stacked pass holds a few design-sized arrays of the chunk at once
+(the stack, empirical_C's forms, the fit's residuals), so the budget
+caps the engine's extra memory; past a few dozen small replicates a
+larger chunk gains little, as the per-stream seeding in generate_stack
+dominates.
+
 Replicates whose analysis raises a semantic error (singular fit,
 degenerate geometry, ill-conditioned covariance, no convergence) are
 counted as degenerate and excluded from the coverage denominator; the
@@ -25,7 +52,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import confidence, pipeline
+from . import pipeline
+from .asymvar import empirical_C, face_covariance
+from .confidence import (
+    chi2_quantile,
+    contains,
+    max_eigenvalue,
+    precision_matrix,
+    spectrum,
+)
 from .errors import (
     ConditioningError,
     ConvergenceError,
@@ -34,8 +69,15 @@ from .errors import (
     RankError,
     SingularFitError,
 )
-from .linmodel import ScenarioSpec, generate, true_coefficients
-from .magging import ACTIVITY_THRESHOLD, _simplex_qp
+from .geometry import Face, SigmaMetric, quadratic_form
+from .linmodel import (
+    GroupedDataset,
+    ScenarioSpec,
+    fit_stack,
+    generate_stack,
+    true_coefficients,
+)
+from .magging import ACTIVITY_THRESHOLD, maximin_point, stacked_maximin
 
 _REPLICATE_ERRORS = (
     SingularFitError,
@@ -49,6 +91,12 @@ _REPLICATE_ERRORS = (
 TABLE_IDS = (1, 2, 3, 4, 5)
 
 CSV_HEADER = "table,p,n,replicates,coverage,halfwidth,degenerate_count,mean_max_eig"
+
+# A chunk holds as many replicates as fit their (G, n, p) designs into
+# this many bytes, at least one. Measured at p = G = 12, n = 500 (576 KB
+# a replicate), 2 MiB added 2.5 MB of peak RSS over one replicate at a
+# time and 4 MiB 7.5 MB, with no gain in speed.
+CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -112,18 +160,18 @@ _verified_rules = set()
 def _kkt_certifies(B, M):
     """Whether M is the minimum-norm point of the hull of B's columns.
 
-    Checks the KKT conditions of the simplex QP under the identity
-    metric, to within tol = 1e-8: M = B alpha with alpha on the simplex,
-    and <b_g - M, M> >= -tol for every column, with equality on the
-    support of alpha. The QP is convex, so they are necessary and
-    sufficient.
+    Solves the maximin program under the identity metric and checks,
+    to within tol = 1e-8, that its point equals M and that the KKT gap
+    conditions hold at M: <b_g - M, M> >= -tol for every column, with
+    equality on the solution's support. The QP is convex, so they are
+    necessary and sufficient.
     """
     tol = 1e-8
-    alpha, _, _ = _simplex_qp(B.T @ B, -2.0 * (B.T @ M))
+    solution = maximin_point(B, np.eye(B.shape[0]))
     gaps = B.T @ M - M @ M
-    support = alpha > ACTIVITY_THRESHOLD
+    support = solution.alpha > ACTIVITY_THRESHOLD
     return bool(
-        np.linalg.norm(B @ alpha - M) <= tol
+        np.linalg.norm(solution.M - M) <= tol
         and gaps.min() >= -tol
         and np.all(np.abs(gaps[support]) <= tol)
     )
@@ -172,27 +220,100 @@ def cell_seed(master_seed, table, p, n):
     return _derive_seed(master_seed, table, p, n)
 
 
-def _run_one(spec, alpha, M0):
-    dataset, _ = generate(spec)
-    analysis = pipeline.analyze_dataset(
-        dataset, alpha=alpha, ridge_jitter=spec.ridge_jitter
-    )
-    covered = confidence.contains(analysis.region, M0)
-    eig = confidence.max_eigenvalue(analysis.covariance.W)
-    return covered, eig, analysis.covariance.vertex_mode
-
-
 def _run_block(spec, alpha, M0, items):
-    """Worker: replicate indices with their seeds -> per-replicate rows."""
-    out = []
-    for rep, seed in items:
-        rep_spec = replace(spec, seed=seed)
-        try:
-            covered, eig, vertex = _run_one(rep_spec, alpha, M0)
-            out.append((rep, int(covered), eig, False, vertex))
-        except _REPLICATE_ERRORS:
-            out.append((rep, 0, float("nan"), True, False))
-    return out
+    """Worker: replicate indices with their seeds -> per-replicate rows.
+
+    Rows are (replicate, covered, top eigenvalue, degenerate, vertex),
+    in the order of items; the block runs in chunks of CHUNK_BYTES.
+    """
+    size = max(1, CHUNK_BYTES // (8 * spec.G * spec.n * spec.p))
+    rows = []
+    for start in range(0, len(items), size):
+        rows.extend(_run_chunk(spec, alpha, M0, items[start:start + size]))
+    return rows
+
+
+def _run_chunk(spec, alpha, M0, items):
+    """Rows of one chunk: the stacked pass, then the cold path."""
+    X, y = generate_stack(spec, [seed for _, seed in items])
+    covered, eig, hot = _stacked_pass(X, y, spec.ridge_jitter, alpha, M0)
+    rows = []
+    for i, (rep, _) in enumerate(items):
+        if hot[i]:
+            rows.append((rep, int(covered[i]), float(eig[i]), False, False))
+        else:
+            rows.append((rep,) + _analyze_one(X[i], y[i], spec.ridge_jitter, alpha, M0))
+    return rows
+
+
+def _analyze_one(X, y, ridge_jitter, alpha, M0):
+    """(covered, top eigenvalue, degenerate, vertex) from the full analysis."""
+    dataset = GroupedDataset(tuple(zip(X, y)))
+    try:
+        analysis = pipeline.analyze_dataset(
+            dataset, alpha=alpha, ridge_jitter=ridge_jitter)
+    except _REPLICATE_ERRORS:
+        return 0, float("nan"), True, False
+    covariance = analysis.covariance
+    return (int(contains(analysis.region, M0)), max_eigenvalue(covariance.W),
+            False, covariance.vertex_mode)
+
+
+def _stacked_pass(X, y, ridge_jitter, alpha, M0):
+    """Coverage and top eigenvalue of the replicates the stack can carry.
+
+    X (R, G, n, p) and y (R, G, n) hold a chunk of datasets. They go
+    through the stacked kernels: fit, metric check, QP, then, batched
+    over replicates whose active sets have the same size k, the Face,
+    W and the region. Returns (covered, eig, hot), each of length R;
+    hot is False for every replicate this pass does not finish: a
+    failed fit or metric check, a vertex (ties included), k - 1 > p, a
+    rank-deficient or unseparated face, or a W that fails the
+    conditioning test, and the whole chunk when the QP's active-set
+    loop raises ConvergenceError. Those take the per-replicate path.
+    """
+    R, G, n, p = X.shape
+    covered = np.zeros(R, dtype=bool)
+    eig = np.full(R, np.nan)
+    hot = np.zeros(R, dtype=bool)
+    fitted = fit_stack(X, y, ridge_jitter)
+    checked = SigmaMetric(fitted.Sigma_hat, strict=False)
+    live = np.flatnonzero(fitted.ok & checked.ok)
+    if not live.size:
+        return covered, eig, hot
+    try:
+        solution = stacked_maximin(fitted.Bhat[live], checked.Sigma[live])
+    except ConvergenceError:
+        return covered, eig, hot
+    active = solution.gamma > ACTIVITY_THRESHOLD
+    k = active.sum(axis=1)
+    tau = chi2_quantile(p, 1.0 - alpha)
+    for size in np.unique(k[(k >= 2) & (k - 1 <= p)]):
+        pick = np.flatnonzero(k == size)
+        cols = np.nonzero(active[pick])[1].reshape(pick.size, size)
+        B = np.take_along_axis(fitted.Bhat[live[pick]], cols[:, None, :], axis=2)
+        face = Face(B, SigmaMetric(checked.Sigma[live[pick]]))
+        ok = face.full_rank & face.separated
+        if not ok.any():
+            continue
+        if not ok.all():
+            pick, B = pick[ok], B[ok]
+            face = Face(B, SigmaMetric(checked.Sigma[live[pick]]))
+        reps = live[pick]
+        M = solution.M[pick]
+        designs = X if reps.size == R else X[reps]  # no copy when all are hot
+        C_hat = empirical_C(designs.reshape(reps.size, G * n, p), M, G)
+        W = face_covariance(
+            face, M, fitted.sigma2[reps], face.metric.inverse(), C_hat)[0]
+        finite = np.isfinite(W).all(axis=(1, 2))
+        vals, vecs, ok = spectrum(W[finite])
+        reps, M = reps[finite][ok], M[finite][ok]
+        vals, vecs = vals[ok], vecs[ok]
+        q = quadratic_form(precision_matrix(vals, vecs), M - M0)
+        covered[reps] = q <= tau / n
+        eig[reps] = vals[:, -1]
+        hot[reps] = True
+    return covered, eig, hot
 
 
 def run_cell(spec, replicates, alpha, jobs=1):
@@ -241,7 +362,7 @@ def run_cell(spec, replicates, alpha, jobs=1):
     coverage = covered / tested if tested else float("nan")
     coverage_all = covered / replicates if replicates else float("nan")
     if tested:
-        z = math.sqrt(confidence.chi2_quantile(1, 0.95))
+        z = math.sqrt(chi2_quantile(1, 0.95))
         halfwidth = z * math.sqrt(max(coverage * (1.0 - coverage), 0.0) / tested)
     else:
         halfwidth = float("nan")

@@ -5,25 +5,32 @@ evaluations the Face kernel in ``maximin.geometry`` replaced: every
 Jacobian refactorises the Gram of the remaining columns from scratch.
 fit, hull_distance and contains_relaxed are the group-by-group and
 piece-by-piece loops the batched versions in ``maximin.linmodel`` and
-``maximin.relaxation`` replaced. They stay here as the oracles for the
+``maximin.relaxation`` replaced, and run_block is the replicate-by-
+replicate loop the block engine in ``maximin.simulate`` replaced. They stay here as the oracles for the
 differential tests. explained_variance states the objective the maximin
 point is defined by, for the defining-property test.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
+from maximin.confidence import contains
 from maximin.errors import (
+    ConditioningError,
+    ConvergenceError,
+    DefinitenessError,
     DegenerateGeometryError,
     DimensionError,
     RankError,
     SingularFitError,
 )
 from maximin.geometry import SigmaMetric
-from maximin.linmodel import GroupEstimates
+from maximin.linmodel import GroupEstimates, generate
 from maximin.magging import _simplex_qp
+from maximin.pipeline import analyze_dataset
 
 _RANK_RTOL = 1e-12
 _DEGENERACY_TOL = 1e-10
@@ -205,3 +212,36 @@ def contains_relaxed(region, M, slack=1e-9):
         if hull_distance(region.centers[k], metric, M) <= eps + slack:
             return True
     return False
+
+
+REPLICATE_ERRORS = (
+    SingularFitError,
+    DefinitenessError,
+    ConvergenceError,
+    DegenerateGeometryError,
+    RankError,
+    ConditioningError,
+)
+
+
+def run_block(spec, alpha, M0, items):
+    """Rows (replicate, covered, top eigenvalue, degenerate, vertex), one
+    replicate at a time: generate, analyze_dataset, contains, eigvalsh."""
+    out = []
+    for rep, seed in items:
+        dataset, _ = generate(replace(spec, seed=seed))
+        try:
+            analysis = analyze_dataset(
+                dataset, alpha=alpha, ridge_jitter=spec.ridge_jitter)
+        except REPLICATE_ERRORS:
+            out.append((rep, 0, float("nan"), True, False))
+            continue
+        W = analysis.covariance.W
+        out.append((
+            rep,
+            int(contains(analysis.region, M0)),
+            float(np.linalg.eigvalsh((W + W.T) / 2.0)[-1]),
+            False,
+            analysis.covariance.vertex_mode,
+        ))
+    return out

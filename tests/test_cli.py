@@ -114,7 +114,13 @@ def test_per_group_files_with_one_name_exit_two(tmp_path, capsys):
     assert main(["estimate", *paths]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "maximin: CSV error: group label 'g' appears more than once\n"
+    assert captured.err == (f"maximin: CSV error: {paths[0]} and {paths[1]}:"
+                            " group label 'g' appears more than once\n")
+    # a third file with a fresh name does not hide the collision
+    third = tmp_path / "h.csv"
+    third.write_text((tmp_path / "a" / "g.csv").read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["estimate", str(third), *paths]) == EXIT_PARSE
+    assert f"{paths[0]} and {paths[1]}: group label 'g'" in capsys.readouterr().err
 
 
 def test_region_json_payload(data_csv, capsys):

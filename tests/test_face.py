@@ -101,3 +101,27 @@ def test_degenerate_faces_raise_like_the_reference(seed, p, extra, offset):
         assert _outcome(Face(B, metric).term_V, C) == _outcome(
             ref.sigma_term_V, B, metric, C)
 
+
+
+def test_a_stack_of_faces_equals_its_faces_one_by_one():
+    # Faces of equal (p, k) stacked along a leading axis give each face's
+    # own results, bit for bit, and masks mark the faces that fail.
+    instances = [inst for inst in separated_instances(40, seed=8, p_range=(3, 3),
+                                                     G_range=(3, 4))
+                 if len(inst[2].active) == 2][:5]
+    assert len(instances) == 5
+    B = np.stack([b[:, list(sol.active)] for b, _, sol in instances])
+    Sigma = np.stack([s for _, s, _ in instances])
+    M = np.stack([sol.M for _, _, sol in instances])
+    C = np.stack([gaussian_population_C(s, sol.M, 3) for _, s, sol in instances])
+    B[-1, :, 1] = B[-1, :, 0]  # a face of one repeated point
+    face = Face(B, SigmaMetric(Sigma))
+    assert face.full_rank.tolist() == face.separated.tolist() == [True] * 4 + [False]
+    good = Face(B[:4], SigmaMetric(Sigma[:4]))
+    for i in range(4):
+        single = Face(B[i], SigmaMetric(Sigma[i]))
+        assert good.jacobians(M[:4])[i].tobytes() == single.jacobians(M[i]).tobytes()
+        assert good.term_V(C[:4])[i].tobytes() == single.term_V(C[i]).tobytes()
+        assert face.complement[i].tobytes() == single.complement.tobytes()
+    with pytest.raises(RankError):
+        face.term_V(C)

@@ -21,6 +21,12 @@ def test_metric_validation():
         SigmaMetric(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(DefinitenessError):
         SigmaMetric(np.diag([1.0, -1.0]))
+    stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), [[1.0, 0.5], [0.0, 1.0]]])
+    with pytest.raises(DefinitenessError, match="not symmetric"):
+        SigmaMetric(stack)
+    metric = SigmaMetric(stack, strict=False)
+    assert metric.ok.tolist() == [True, False, False]
+    assert np.array_equal(metric.inverse()[0], np.eye(2))
 
 
 def test_metric_operations():

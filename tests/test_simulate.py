@@ -7,10 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maximin.linmodel import ScenarioSpec, fit, generate
+import reference
+from maximin import simulate
+from maximin.linmodel import ScenarioSpec, fit, generate, generate_stack, true_coefficients
 from maximin.magging import brute_force_oracle
 from maximin.simulate import (
     CSV_HEADER,
+    _derive_seed,
+    _kkt_certifies,
+    _verify_true_maximin,
     cell_seed,
     grid_json_text,
     grid_to_csv,
@@ -19,6 +24,24 @@ from maximin.simulate import (
     scenario_presets,
     true_maximin,
 )
+
+# (table, p, n, replicates): an interior cell, a tie-heavy cell, a cell
+# with degenerate replicates (p >= n leaves no residual, so W = 0) and
+# vertices, and a cell past the face-enumeration switch (G = 8 > 6).
+ENGINE_CELLS = [(1, 3, 100, 60), (3, 5, 500, 40), (1, 3, 3, 40), (1, 8, 50, 12)]
+
+
+def _items(spec, replicates):
+    return [(rep, _derive_seed(spec.seed, rep)) for rep in range(replicates)]
+
+
+def _engine_cell(table, p, n, replicates):
+    spec = replace(scenario_presets(table, p, n), seed=cell_seed(7, table, p, n))
+    return spec, true_maximin(spec), _items(spec, replicates)
+
+
+def _bits(rows):
+    return [(rep, c, float(e).hex(), d, v) for rep, c, e, d, v in rows]
 
 
 def test_presets_follow_the_generating_rules():
@@ -172,3 +195,81 @@ def test_shared_noise_cell_runs_clean():
     rep = run_cell(spec, 15, 0.05)
     assert rep.degenerate_count == 0
     assert 0.0 <= rep.coverage <= 1.0
+
+
+@pytest.mark.parametrize("table", [1, 2, 3, 4, 5])
+def test_generated_stack_is_bitwise_generate(table):
+    spec = scenario_presets(table, 4, 9)
+    seeds = [3, 2**64 - 1, _derive_seed(1, 2)]
+    X, y = generate_stack(spec, seeds)
+    for r, seed in enumerate(seeds):
+        dataset, B0 = generate(replace(spec, seed=seed))
+        assert X[r].tobytes() == dataset.X.tobytes()
+        assert y[r].tobytes() == dataset.y.tobytes()
+        assert np.array_equal(B0, true_coefficients(replace(spec, seed=seed)))
+
+
+@pytest.mark.parametrize("cell", ENGINE_CELLS)
+def test_engine_rows_match_the_replicate_loop(cell):
+    spec, M0, items = _engine_cell(*cell)
+    got = simulate._run_block(spec, 0.05, M0, items)
+    expected = reference.run_block(spec, 0.05, M0, items)
+    assert [(r[0], r[1], r[3], r[4]) for r in got] == [
+        (r[0], r[1], r[3], r[4]) for r in expected]
+    eig = np.array([r[2] for r in got])
+    ref = np.array([r[2] for r in expected])
+    assert np.array_equal(np.isnan(eig), np.isnan(ref))
+    kept = ~np.isnan(ref)
+    assert np.all(np.abs(eig[kept] - ref[kept]) <= 1e-12 * np.abs(ref[kept]))
+
+
+def test_engine_cells_cover_every_path():
+    def rows(cell):
+        spec, M0, items = _engine_cell(*cell)
+        return simulate._run_block(spec, 0.05, M0, items)
+
+    ties, small = rows(ENGINE_CELLS[1]), rows(ENGINE_CELLS[2])
+    assert sum(r[4] for r in ties) > len(ties) // 2
+    assert 0 < sum(r[3] for r in small) < len(small)
+    assert sum(r[4] for r in small) > 0
+
+
+@pytest.mark.parametrize("cell", ENGINE_CELLS)
+def test_rows_do_not_depend_on_the_chunk_size(cell, monkeypatch):
+    spec, M0, items = _engine_cell(*cell)
+    per_replicate = 8 * spec.G * spec.n * spec.p
+    runs = []
+    for size in (1, 7, len(items)):
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", size * per_replicate)
+        runs.append(_bits(simulate._run_block(spec, 0.05, M0, items)))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("cell", ENGINE_CELLS)
+def test_stacked_rows_equal_the_per_replicate_analysis(cell):
+    # A replicate the stacked pass finishes gets the same bits from the
+    # per-replicate path, so where a chunk goes cold does not matter.
+    spec, M0, items = _engine_cell(*cell)
+    X, y = generate_stack(spec, [seed for _, seed in items])
+    covered, eig, hot = simulate._stacked_pass(X, y, spec.ridge_jitter, 0.05, M0)
+    for i in np.flatnonzero(hot):
+        alone = simulate._analyze_one(X[i], y[i], spec.ridge_jitter, 0.05, M0)
+        assert (int(covered[i]), float(eig[i]).hex()) == (alone[0], alone[1].hex())
+        assert alone[2:] == (False, False)
+
+
+@pytest.mark.parametrize("table", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_every_preset_reference_point_is_certified(table, p):
+    spec = scenario_presets(table, p, 50)
+    _verify_true_maximin(spec)
+    if spec.coefficient_rule == "shared-plus-noise":
+        return
+    B, M0 = true_coefficients(spec), true_maximin(spec)
+    assert _kkt_certifies(B, M0)
+    step = np.zeros(p)
+    step[0] = 1e-4
+    assert not _kkt_certifies(B, M0 + step)
+    if spec.coefficient_rule == "basis-vectors" and spec.G > 1:
+        # still in the hull, but not its minimum-norm point
+        assert not _kkt_certifies(B, 0.9 * M0 + 0.1 * B[:, 0])

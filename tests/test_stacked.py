@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference
 from maximin.errors import SingularFitError
-from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, generate
+from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, fit_stack, generate
 from maximin.magging import (
     ENUMERATION_MAX_G,
     _residual,
@@ -134,6 +134,23 @@ def test_singular_group_raises_like_the_loop(fault):
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
     assert got.value.group == expected.value.group == "c"
+
+
+def test_fit_stack_flags_only_the_failing_datasets():
+    # the middle dataset has a zero column, so its Cholesky fails and
+    # the batched factorisation falls back to one item at a time
+    datasets = [generate(ScenarioSpec(p=3, G=2, n=8, seed=s))[0] for s in (1, 2, 3)]
+    X = np.stack([d.X for d in datasets])
+    y = np.stack([d.y for d in datasets])
+    X[1, 1, :, 2] = 0.0
+    fitted = fit_stack(X, y)
+    assert fitted.ok.tolist() == [True, False, True]
+    assert fitted.pivots_ok[1].tolist() == [True, False]
+    assert np.isnan(fitted.coef[1]).all() and np.isnan(fitted.sigma2[1])
+    for r in (0, 2):
+        alone = fit(datasets[r])
+        assert fitted.Bhat[r].tobytes() == alone.Bhat.tobytes()
+        assert float(fitted.sigma2[r]) == alone.sigma2_hat
 
 
 def test_contains_relaxed_matches_the_piece_loop():
