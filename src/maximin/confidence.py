@@ -147,7 +147,7 @@ def build_region(M_hat, W, n, alpha):
     return ConfidenceRegion(
         center=M_hat.copy(),
         precision=precision,
-        radius2=tau / n,
+        radius2=region_radius2(p, n, alpha),
         level=1.0 - alpha,
         n_used=n,
         p_used=p,
@@ -159,7 +159,18 @@ def build_region(M_hat, W, n, alpha):
 
 def contains(region, M):
     """Whether M lies in the region (quadratic form at most radius2)."""
-    return region.quadratic_form(M) <= region.radius2
+    return bool(covers(region.precision, region.center, M, region.radius2))
+
+
+def region_radius2(p, n, alpha):
+    """Squared radius tau / n of the level 1 - alpha region in dimension p."""
+    return chi2_quantile(p, 1.0 - alpha) / n
+
+
+def covers(precision, center, M, radius2):
+    """(center - M)^T precision (center - M) <= radius2, over leading stack axes."""
+    d = np.asarray(center, dtype=float) - np.asarray(M, dtype=float)
+    return quadratic_form(precision, d) <= radius2
 
 
 def spectrum(W):
@@ -182,5 +193,6 @@ def precision_matrix(vals, vecs):
 
 
 def max_eigenvalue(W):
-    """Largest eigenvalue of a covariance matrix, as spectrum finds it."""
-    return float(spectrum(W)[0][..., -1])
+    """Largest eigenvalue of a covariance matrix, or of each in a stack."""
+    top = np.linalg.eigvalsh(symmetric(np.asarray(W, dtype=float)))[..., -1]
+    return float(top) if top.ndim == 0 else top

@@ -10,7 +10,15 @@ class EstimationError(Exception):
 
 
 class DimensionError(EstimationError):
-    """Inputs have inconsistent or unusable shapes."""
+    """Inputs have inconsistent or unusable shapes.
+
+    ``groups`` holds the indices of the groups at fault when the error
+    is about particular groups, such as two that share a label.
+    """
+
+    def __init__(self, message, groups=()):
+        super().__init__(message)
+        self.groups = tuple(groups)
 
 
 class CsvFormatError(EstimationError):

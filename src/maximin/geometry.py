@@ -54,6 +54,7 @@ the same formulas, item for item.
 import functools
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import DefinitenessError, DegenerateGeometryError, RankError
 
@@ -110,27 +111,25 @@ class SigmaMetric:
     """A positive definite Sigma, or a (..., p, p) stack, with Cholesky factors.
 
     The constructor checks each matrix for symmetry (to 1e-10 of its
-    largest entry) and factors its symmetrised form. With strict (the
-    default) a matrix that fails raises DefinitenessError; otherwise
-    ``ok`` marks the matrices that pass, and the factors of the others
-    are NaN.
+    largest entry) and factors its symmetrised form; a matrix that fails
+    either check raises DefinitenessError.
     """
 
-    def __init__(self, Sigma, strict=True):
+    def __init__(self, Sigma):
         Sigma = np.asarray(Sigma, dtype=float)
         if Sigma.ndim < 2 or Sigma.shape[-1] != Sigma.shape[-2]:
             raise DefinitenessError("Sigma must be square")
         scale = np.max(np.abs(Sigma), axis=(-2, -1), initial=0.0)
         scale = np.where(scale > 0.0, scale, 1.0)
         skew = np.max(np.abs(Sigma - Sigma.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-        asymmetric = skew > 1e-10 * scale
-        self.Sigma = symmetric(Sigma)
-        self.L = nan_where_singular(np.linalg.cholesky, self.Sigma)
-        indefinite = ~np.isfinite(self.L).all(axis=(-2, -1))
-        self.ok = ~(asymmetric | indefinite)
-        if strict and asymmetric.any():
+        if np.any(skew > 1e-10 * scale):
             raise DefinitenessError("Sigma is not symmetric")
-        if strict and indefinite.any():
+        self.Sigma = symmetric(Sigma)
+        try:
+            self.L = np.linalg.cholesky(self.Sigma)
+        except np.linalg.LinAlgError:
+            self.L = None
+        if self.L is None or not np.isfinite(self.L).all():
             raise DefinitenessError("Sigma is not positive definite")
 
     @classmethod
@@ -154,13 +153,15 @@ class SigmaMetric:
         return float(np.sqrt(max(v, 0.0)))
 
     def solve(self, rhs):
-        """Sigma^{-1} rhs."""
-        return self.inverse() @ np.asarray(rhs, dtype=float)
+        """Sigma^{-1} rhs for a single metric, by LAPACK's potrs on L."""
+        return _potrs(self.L, np.asarray(rhs, dtype=float), lower=1)[0]
 
     def inverse(self):
-        """Sigma^{-1} = L^{-T} L^{-1}, symmetrised."""
-        Linv = np.linalg.inv(self.L)
-        return symmetric(Linv.swapaxes(-1, -2) @ Linv)
+        """Sigma^{-1}, symmetrised; potrs on each factor of a stack."""
+        eye, out = np.eye(self.p), np.empty(self.L.shape)
+        for i in np.ndindex(self.L.shape[:-2]):
+            out[i] = _potrs(self.L[i], eye, lower=1)[0]
+        return symmetric(out)
 
 
 class Face:

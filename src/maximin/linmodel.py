@@ -72,9 +72,10 @@ class GroupedDataset:
             raise DimensionError(f"groups must have equal sizes, got {detail}")
         if len({X.shape[1] for X, _ in pairs}) > 1:
             raise DimensionError("all groups must share the predictor count p")
-        repeated = next((k for i, k in enumerate(labels) if k in labels[:i]), None)
-        if repeated is not None:
-            raise DimensionError(f"group label {repeated!r} appears more than once")
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise DimensionError(f"group label {label!r} appears more than once",
+                                     groups=(labels.index(label), i))
         X = np.stack([X for X, _ in pairs])
         y = np.stack([y for _, y in pairs])
         if X.shape[1] < 1 or X.shape[2] < 1:
@@ -491,13 +492,8 @@ def load_group_csvs(paths):
     try:
         return GroupedDataset(tuple(groups), labels=tuple(labels))
     except DimensionError as err:
-        message = str(err)
-        for i, label in enumerate(labels):
-            first = labels.index(label)
-            if first < i and message == f"group label {label!r} appears more than once":
-                message = f"{paths[first]} and {paths[i]}: {message}"
-                break
-        raise CsvFormatError(message) from None
+        named = " and ".join(str(paths[g]) for g in err.groups)
+        raise CsvFormatError(f"{named}: {err}" if named else str(err)) from None
 
 
 def load_matrix_csv(path):

@@ -223,6 +223,18 @@ def _face_table(G, size):
     return table
 
 
+def program_bytes(G, p):
+    """Bytes of one program's bordered KKT systems in stacked_simplex_qp.
+
+    The systems of every face are held at once for G up to
+    ENUMERATION_MAX_G; above it programs are solved one at a time and
+    this is 0.
+    """
+    if G > ENUMERATION_MAX_G:
+        return 0
+    return _face_table(G, min(G, p + 1)).base.nbytes
+
+
 def stacked_simplex_qp(H, p, c=None):
     """Solve a stack of simplex QPs  min a^T H_r a + c_r^T a  over the simplex.
 
@@ -280,6 +292,11 @@ def stacked_simplex_qp(H, p, c=None):
     return gamma, t.members[best], np.full(R, F)
 
 
+def active_mask(gamma):
+    """Which weights of an array count as active (above ACTIVITY_THRESHOLD)."""
+    return gamma > ACTIVITY_THRESHOLD
+
+
 class MaximinStack(NamedTuple):
     """Maximin solutions of a stack of programs, from stacked_maximin."""
 
@@ -299,7 +316,7 @@ def stacked_maximin(B, Sigma):
     returns a MaximinStack: H, gamma, support and iterations as that
     function returns them, and the points M = B gamma (R, p).
     """
-    B = np.ascontiguousarray(B, dtype=float)
+    B = np.asarray(B, dtype=float)
     H = symmetric(B.swapaxes(-1, -2) @ Sigma @ B)
     gamma, support, iterations = stacked_simplex_qp(H, B.shape[-2])
     return MaximinStack(H, gamma, support, iterations, matvec(B, gamma))
@@ -348,7 +365,7 @@ def _package(Sigma, alpha, M, res, iterations):
     return MaggingSolution(
         M=M,
         alpha=alpha,
-        active=tuple(int(g) for g in np.flatnonzero(alpha > ACTIVITY_THRESHOLD)),
+        active=tuple(int(g) for g in np.flatnonzero(active_mask(alpha))),
         objective=float(M @ Sigma @ M),
         kkt_residual=float(res),
         iterations=iterations,

@@ -23,18 +23,21 @@ rows do not depend on the chunk size.
 The stacked pass finishes only interior replicates. The others take
 the cold path, the full per-replicate pipeline.analyze_dataset on the
 replicate's slice of the stack: a fit that fails the pivot check or
-has non-finite input, a metric that fails the symmetry or Cholesky
-check, a vertex (ties included), a face with k - 1 > p, rank-deficient
-differences or a leave-one-out residual below 1e-10, and a W that
-fails the conditioning test. A chunk whose active-set QP (G > 6)
-raises ConvergenceError goes down the cold path whole.
+has non-finite input, a vertex (ties included), a face with k - 1 > p,
+rank-deficient differences or a leave-one-out residual below 1e-10,
+and a W that fails the conditioning test. A chunk goes down the cold
+path whole when a pooled metric fails the symmetry or Cholesky check
+(a mean of positive definite Grams, so this is not expected) or its
+active-set QP (G > 6) raises ConvergenceError.
 
-A chunk holds as many replicates as fit into CHUNK_BYTES of designs.
-The stacked pass holds a few design-sized arrays of the chunk at once
-(the stack, empirical_C's forms, the fit's residuals), so the budget
-caps the engine's extra memory; past a few dozen small replicates a
-larger chunk gains little, as the per-stream seeding in generate_stack
-dominates.
+A chunk holds as many replicates as fit into CHUNK_BYTES. A replicate
+counts its design, or the bordered KKT systems of its enumerated QP
+(magging.program_bytes) when those are larger, as at G = 6 and small
+n. The stacked pass holds a few such arrays of the chunk at once (the
+stack, empirical_C's forms, the fit's residuals, the QP's systems), so
+its extra memory stays at a small multiple of the budget whatever the
+cell; past a few dozen small replicates a larger chunk gains little, as
+the per-stream seeding in generate_stack dominates.
 
 Replicates whose analysis raises a semantic error (singular fit,
 degenerate geometry, ill-conditioned covariance, no convergence) are
@@ -57,8 +60,10 @@ from .asymvar import empirical_C, face_covariance
 from .confidence import (
     chi2_quantile,
     contains,
+    covers,
     max_eigenvalue,
     precision_matrix,
+    region_radius2,
     spectrum,
 )
 from .errors import (
@@ -69,7 +74,7 @@ from .errors import (
     RankError,
     SingularFitError,
 )
-from .geometry import Face, SigmaMetric, quadratic_form
+from .geometry import Face, SigmaMetric
 from .linmodel import (
     GroupedDataset,
     ScenarioSpec,
@@ -77,7 +82,7 @@ from .linmodel import (
     generate_stack,
     true_coefficients,
 )
-from .magging import ACTIVITY_THRESHOLD, maximin_point, stacked_maximin
+from .magging import active_mask, maximin_point, program_bytes, stacked_maximin
 
 _REPLICATE_ERRORS = (
     SingularFitError,
@@ -92,10 +97,14 @@ TABLE_IDS = (1, 2, 3, 4, 5)
 
 CSV_HEADER = "table,p,n,replicates,coverage,halfwidth,degenerate_count,mean_max_eig"
 
-# A chunk holds as many replicates as fit their (G, n, p) designs into
-# this many bytes, at least one. Measured at p = G = 12, n = 500 (576 KB
-# a replicate), 2 MiB added 2.5 MB of peak RSS over one replicate at a
-# time and 4 MiB 7.5 MB, with no gain in speed.
+# A chunk holds as many replicates as fit into this many bytes, at least
+# one; a replicate counts its (G, n, p) design or, when larger, the face
+# systems of its enumerated QP (G <= 6). The stacked pass holds two to
+# three times the budget at its peak. Peak RSS over the replicate-by-
+# replicate loop, one BLAS thread: 2 MiB adds 5.9 MB at p = G = 3,
+# n = 100, 4.5 MB at p = G = 6, n = 10 and 2.2 MB at p = G = 12,
+# n = 500. 1 MiB added 3.2, 2.2 and 0.0 MB, but at p = G = 12 it holds
+# one 576 KB replicate a chunk, and that cell ran 13% slower.
 CHUNK_BYTES = 1 << 21
 
 
@@ -169,11 +178,10 @@ def _kkt_certifies(B, M):
     tol = 1e-8
     solution = maximin_point(B, np.eye(B.shape[0]))
     gaps = B.T @ M - M @ M
-    support = solution.alpha > ACTIVITY_THRESHOLD
     return bool(
         np.linalg.norm(solution.M - M) <= tol
         and gaps.min() >= -tol
-        and np.all(np.abs(gaps[support]) <= tol)
+        and np.all(np.abs(gaps[list(solution.active)]) <= tol)
     )
 
 
@@ -226,11 +234,16 @@ def _run_block(spec, alpha, M0, items):
     Rows are (replicate, covered, top eigenvalue, degenerate, vertex),
     in the order of items; the block runs in chunks of CHUNK_BYTES.
     """
-    size = max(1, CHUNK_BYTES // (8 * spec.G * spec.n * spec.p))
+    size = max(1, CHUNK_BYTES // _replicate_bytes(spec))
     rows = []
     for start in range(0, len(items), size):
         rows.extend(_run_chunk(spec, alpha, M0, items[start:start + size]))
     return rows
+
+
+def _replicate_bytes(spec):
+    """What one replicate adds to a chunk: its design or its QP's systems."""
+    return max(8 * spec.G * spec.n * spec.p, program_bytes(spec.G, spec.p))
 
 
 def _run_chunk(spec, alpha, M0, items):
@@ -267,51 +280,51 @@ def _stacked_pass(X, y, ridge_jitter, alpha, M0):
     over replicates whose active sets have the same size k, the Face,
     W and the region. Returns (covered, eig, hot), each of length R;
     hot is False for every replicate this pass does not finish: a
-    failed fit or metric check, a vertex (ties included), k - 1 > p, a
-    rank-deficient or unseparated face, or a W that fails the
-    conditioning test, and the whole chunk when the QP's active-set
-    loop raises ConvergenceError. Those take the per-replicate path.
+    failed fit, a vertex (ties included), k - 1 > p, a rank-deficient
+    or unseparated face, or a W that fails the conditioning test, and
+    the whole chunk when a metric fails its check or the QP's
+    active-set loop raises ConvergenceError. Those take the
+    per-replicate path.
     """
     R, G, n, p = X.shape
     covered = np.zeros(R, dtype=bool)
     eig = np.full(R, np.nan)
     hot = np.zeros(R, dtype=bool)
     fitted = fit_stack(X, y, ridge_jitter)
-    checked = SigmaMetric(fitted.Sigma_hat, strict=False)
-    live = np.flatnonzero(fitted.ok & checked.ok)
+    live = np.flatnonzero(fitted.ok)
     if not live.size:
         return covered, eig, hot
     try:
-        solution = stacked_maximin(fitted.Bhat[live], checked.Sigma[live])
-    except ConvergenceError:
+        metric = SigmaMetric(fitted.Sigma_hat[live])
+        solution = stacked_maximin(fitted.Bhat[live], metric.Sigma)
+    except (DefinitenessError, ConvergenceError):
         return covered, eig, hot
-    active = solution.gamma > ACTIVITY_THRESHOLD
+    active = active_mask(solution.gamma)
     k = active.sum(axis=1)
-    tau = chi2_quantile(p, 1.0 - alpha)
+    radius2 = region_radius2(p, n, alpha)
     for size in np.unique(k[(k >= 2) & (k - 1 <= p)]):
         pick = np.flatnonzero(k == size)
         cols = np.nonzero(active[pick])[1].reshape(pick.size, size)
         B = np.take_along_axis(fitted.Bhat[live[pick]], cols[:, None, :], axis=2)
-        face = Face(B, SigmaMetric(checked.Sigma[live[pick]]))
+        face = Face(B, SigmaMetric(metric.Sigma[pick]))
         ok = face.full_rank & face.separated
         if not ok.any():
             continue
         if not ok.all():
             pick, B = pick[ok], B[ok]
-            face = Face(B, SigmaMetric(checked.Sigma[live[pick]]))
+            face = Face(B, SigmaMetric(metric.Sigma[pick]))
         reps = live[pick]
         M = solution.M[pick]
         designs = X if reps.size == R else X[reps]  # no copy when all are hot
         C_hat = empirical_C(designs.reshape(reps.size, G * n, p), M, G)
         W = face_covariance(
             face, M, fitted.sigma2[reps], face.metric.inverse(), C_hat)[0]
-        finite = np.isfinite(W).all(axis=(1, 2))
+        finite = np.flatnonzero(np.isfinite(W).all(axis=(1, 2)))
         vals, vecs, ok = spectrum(W[finite])
-        reps, M = reps[finite][ok], M[finite][ok]
-        vals, vecs = vals[ok], vecs[ok]
-        q = quadratic_form(precision_matrix(vals, vecs), M - M0)
-        covered[reps] = q <= tau / n
-        eig[reps] = vals[:, -1]
+        keep = finite[ok]
+        reps = reps[keep]
+        covered[reps] = covers(precision_matrix(vals[ok], vecs[ok]), M[keep], M0, radius2)
+        eig[reps] = max_eigenvalue(W[keep])
         hot[reps] = True
     return covered, eig, hot
 

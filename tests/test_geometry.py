@@ -24,9 +24,8 @@ def test_metric_validation():
     stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), [[1.0, 0.5], [0.0, 1.0]]])
     with pytest.raises(DefinitenessError, match="not symmetric"):
         SigmaMetric(stack)
-    metric = SigmaMetric(stack, strict=False)
-    assert metric.ok.tolist() == [True, False, False]
-    assert np.array_equal(metric.inverse()[0], np.eye(2))
+    with pytest.raises(DefinitenessError, match="not positive definite"):
+        SigmaMetric(stack[:2])
 
 
 def test_metric_operations():

@@ -268,6 +268,13 @@ def test_every_entry_point_refuses_uneven_or_repeated_groups(tmp_path, load, err
         load(folder, [(1, [(1, 1), (2, 2)]), ("1", [(3, 3), (4, 5)])])
 
 
+def test_a_repeated_label_names_both_groups():
+    X, y = np.eye(2), np.ones(2)
+    with pytest.raises(DimensionError, match="group label 'b' appears more than once") as info:
+        GroupedDataset(((X, y),) * 3, labels=("b", "a", "b"))
+    assert info.value.groups == (0, 2)
+
+
 def test_per_group_csv_files(tmp_path):
     fa = tmp_path / "north.csv"
     fb = tmp_path / "south.csv"

@@ -10,7 +10,8 @@ import pytest
 import reference
 from maximin import simulate
 from maximin.linmodel import ScenarioSpec, fit, generate, generate_stack, true_coefficients
-from maximin.magging import brute_force_oracle
+from maximin.errors import DefinitenessError
+from maximin.magging import ENUMERATION_MAX_G, brute_force_oracle, program_bytes
 from maximin.simulate import (
     CSV_HEADER,
     _derive_seed,
@@ -214,13 +215,7 @@ def test_engine_rows_match_the_replicate_loop(cell):
     spec, M0, items = _engine_cell(*cell)
     got = simulate._run_block(spec, 0.05, M0, items)
     expected = reference.run_block(spec, 0.05, M0, items)
-    assert [(r[0], r[1], r[3], r[4]) for r in got] == [
-        (r[0], r[1], r[3], r[4]) for r in expected]
-    eig = np.array([r[2] for r in got])
-    ref = np.array([r[2] for r in expected])
-    assert np.array_equal(np.isnan(eig), np.isnan(ref))
-    kept = ~np.isnan(ref)
-    assert np.all(np.abs(eig[kept] - ref[kept]) <= 1e-12 * np.abs(ref[kept]))
+    assert _bits(got) == _bits(expected)
 
 
 def test_engine_cells_cover_every_path():
@@ -237,12 +232,43 @@ def test_engine_cells_cover_every_path():
 @pytest.mark.parametrize("cell", ENGINE_CELLS)
 def test_rows_do_not_depend_on_the_chunk_size(cell, monkeypatch):
     spec, M0, items = _engine_cell(*cell)
-    per_replicate = 8 * spec.G * spec.n * spec.p
+    per_replicate = simulate._replicate_bytes(spec)
     runs = []
     for size in (1, 7, len(items)):
         monkeypatch.setattr(simulate, "CHUNK_BYTES", size * per_replicate)
         runs.append(_bits(simulate._run_block(spec, 0.05, M0, items)))
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("table", [1, 3, 4])
+@pytest.mark.parametrize("p", [3, 6, 8])
+@pytest.mark.parametrize("n", [3, 10, 500])
+def test_a_chunk_keeps_its_designs_and_qp_systems_in_the_budget(table, p, n):
+    # At small n the enumerated QP's face systems outweigh the designs.
+    spec = scenario_presets(table, p, n)
+    design, systems = 8 * spec.G * spec.n * spec.p, program_bytes(spec.G, spec.p)
+    if spec.G > ENUMERATION_MAX_G:
+        assert systems == 0
+    else:  # one bordered (K + 1)^2 system for each face of at most K columns
+        K = min(spec.G, p + 1)
+        faces = sum(math.comb(spec.G, k) for k in range(1, K + 1))
+        assert systems == 8 * faces * (K + 1) ** 2
+    size = max(1, simulate.CHUNK_BYTES // simulate._replicate_bytes(spec))
+    assert size == 1 or size * max(design, systems) <= simulate.CHUNK_BYTES
+
+
+def test_a_failed_metric_check_sends_the_chunk_cold(monkeypatch):
+    spec, M0, items = _engine_cell(*ENGINE_CELLS[0])
+    expected = _bits(simulate._run_block(spec, 0.05, M0, items))
+
+    def refuse(Sigma):
+        raise DefinitenessError("refused")
+
+    # the per-replicate path builds its metric through maximin.geometry
+    monkeypatch.setattr(simulate, "SigmaMetric", refuse)
+    X, y = generate_stack(spec, [seed for _, seed in items])
+    assert not simulate._stacked_pass(X, y, spec.ridge_jitter, 0.05, M0)[2].any()
+    assert _bits(simulate._run_block(spec, 0.05, M0, items)) == expected
 
 
 @pytest.mark.parametrize("cell", ENGINE_CELLS)

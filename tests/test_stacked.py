@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
 from maximin.errors import SingularFitError
+from maximin.geometry import SigmaMetric
 from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, fit_stack, generate
 from maximin.magging import (
     ENUMERATION_MAX_G,
     _residual,
     _simplex_qp,
     brute_force_oracle,
+    maximin_point,
     stacked_simplex_qp,
 )
 from maximin.relaxation import contains_relaxed, covering_region, group_confidence_boxes
@@ -186,3 +189,21 @@ def test_stacked_solves_pass_column_right_hand_sides(monkeypatch):
         stacked_simplex_qp(np.stack([B.T @ B, np.eye(3)]), 2, linear)
     dataset, _ = generate(ScenarioSpec(p=3, G=3, n=20, seed=1))
     fit(dataset)
+
+
+def test_a_stack_of_one_keeps_the_single_matrix_arithmetic():
+    # The single-dataset outputs (simulate's grid bytes, estimate and
+    # region JSON) keep their bits only if the stacked kernels repeat
+    # the single-matrix calls: M = B @ alpha on the fitted layout and
+    # Sigma^{-1} from the Cholesky factor, symmetrised.
+    for seed in range(8):
+        dataset, _ = generate(ScenarioSpec(p=3, G=3, n=100, seed=seed))
+        estimates = fit(dataset)
+        metric = SigmaMetric(estimates.Sigma_hat)
+        solution = maximin_point(estimates.Bhat, metric)
+        assert solution.M.tobytes() == (estimates.Bhat @ solution.alpha).tobytes()
+        factor = scipy.linalg.cho_factor(estimates.Sigma_hat, lower=True)
+        inverse = scipy.linalg.cho_solve(factor, np.eye(3))
+        assert metric.inverse().tobytes() == ((inverse + inverse.T) / 2.0).tobytes()
+        stack = SigmaMetric(np.stack([estimates.Sigma_hat, 2.0 * np.eye(3)]))
+        assert stack.inverse()[0].tobytes() == metric.inverse().tobytes()
