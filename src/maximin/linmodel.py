@@ -10,16 +10,19 @@ the (G, p, p) per-group covariances, and a pooled residual variance.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, purpose, group), so datasets are bit-reproducible for a given
-seed and groups can be generated independently and in any order.
-generate_stack draws many seeds' datasets into one (R, G, n, p) stack
-and fit_stack fits such a stack in one batched pass; generate and fit
-are their stacks of one.
+seed and groups can be generated independently and in any order. A
+stream's 128-bit Philox key is numpy's SeedSequence hash of its integer
+key; _philox_keys computes it for all keys of a stack in one vectorised
+pass, bitwise equal to SeedSequence, and one generator whose state is
+reset to each key draws every stream. generate_stack draws many seeds'
+datasets into one (R, G, n, p) stack and fit_stack fits such a stack in
+one batched pass; generate and fit are their stacks of one.
 """
 
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -34,9 +37,99 @@ COEFFICIENT_RULES = ("basis-vectors", "shared-plus-noise", "identical")
 _PIVOT_RTOL = 1e-12
 
 
+# numpy's SeedSequence hash, which numpy documents as stable: a pool of
+# four 32-bit words filled by hashmix steps, each keyed by the next term
+# of a multiplicative constant sequence, then every word mixed into every
+# other. _philox_keys evaluates it in uint32 arrays, which wrap silently.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_ZEROS = (0, 0, 0, 0)
+
+
+def _hash_steps(const, mult, count):
+    """The (xor, multiplier) constants of count successive hashmix steps,
+    as a (2, count, 1) uint32 array."""
+    steps = []
+    for _ in range(count):
+        steps.append((const, const * mult & _MASK32))
+        const = steps[-1][1]
+    return np.array(steps, dtype=np.uint32).T[..., None]
+
+
+# mix_entropy: the pool fill, then, for each source word in turn, one
+# step for each other word; generate_state(2, uint64): one per output word
+_MIX_STEPS = _hash_steps(_INIT_A, _MULT_A, _POOL * _POOL)
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, _POOL)
+
+
+def _hashmix(value, steps):
+    value = (value ^ steps[0]) * steps[1]
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ (value >> 16)
+
+
+def _philox_keys(keys):
+    """The Philox keys numpy's SeedSequence derives, one per integer key.
+
+    keys is a (K, m) array of integers in [0, 2**64), or K m-tuples of
+    them. Row k of the (K, 2) uint64 result equals
+    ``SeedSequence(tuple(keys[k])).generate_state(2, np.uint64)``. All
+    rows are hashed at once: each integer splits into its little-endian
+    32-bit words (0 into one zero word), and a row of fewer than four
+    words is padded with zero words, which is numpy's hashmix(0) fill.
+    A row of more than four words raises IndexError.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    K, m = keys.shape
+    high = keys >> 32
+    words = np.stack([keys & _MASK32, high], axis=-1).reshape(K, 2 * m)
+    present = np.ones(words.shape, dtype=bool)
+    present[:, 1::2] = high != 0
+    slot = np.cumsum(present, axis=1) - 1
+    entropy = np.zeros((_POOL, K), dtype=np.uint32)
+    entropy[slot[present], np.nonzero(present)[0]] = words[present]
+    pool = _hashmix(entropy, _MIX_STEPS[:, :_POOL])
+    for src in range(_POOL):
+        # the other words each take one step of src's hash, independently
+        dst = [i for i in range(_POOL) if i != src]
+        steps = _MIX_STEPS[:, _POOL + 3 * src:_POOL + 3 * src + 3]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    state = _hashmix(pool, _STATE_STEPS).astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T
+
+
+def _reset(rng, key):
+    """Rewind rng to the start of the Philox stream with the given key.
+
+    The same state a fresh ``Philox(key=key)`` has: counter 0, an empty
+    buffer and no cached 32-bit half.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def _stream(*key):
     """Independent generator for a namespaced integer key."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    return np.random.Generator(np.random.Philox(key=_philox_keys([key])[0]))
+
+
+def _check_seeds(seeds):
+    if not all(0 <= int(seed) < 2**64 for seed in seeds):
+        raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -132,8 +225,7 @@ class ScenarioSpec:
             raise ValueError("noise_sd must be finite and > 0")
         if not 0 <= self.ridge_jitter < math.inf:
             raise ValueError("ridge_jitter must be finite and >= 0")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seeds([self.seed])
         if self.coefficient_rule == "basis-vectors" and self.G > self.p:
             raise DimensionError("basis-vectors needs G <= p")
         if self.coefficient_rule == "shared-plus-noise" and self.p < 2:
@@ -142,39 +234,53 @@ class ScenarioSpec:
 
 def true_coefficients(spec):
     """The p x G coefficient matrix a ScenarioSpec generates from."""
+    return _coefficients(spec, lambda: _stream(spec.seed, 0))
+
+
+def _coefficients(spec, z_stream):
+    """The coefficients of spec; for shared-plus-noise, z is drawn from
+    the generator z_stream() returns, which other rules never call."""
     p, G = spec.p, spec.G
     if spec.coefficient_rule == "basis-vectors":
         return np.eye(p)[:, :G].copy()
-    if spec.coefficient_rule == "identical":
-        B = np.zeros((p, G))
-        B[0, :] = 1.0
-        return B
-    z = _stream(spec.seed, 0).standard_normal(G)
     B = np.zeros((p, G))
     B[0, :] = 1.0
-    B[1, :] = z
+    if spec.coefficient_rule == "shared-plus-noise":
+        B[1, :] = z_stream().standard_normal(G)
     return B
 
 
 def generate_stack(spec, seeds):
     """Draw the datasets of one scenario at several seeds, stacked.
 
-    Returns (X, y), shapes (R, G, n, p) and (R, G, n) for R seeds.
-    Replicate r is bitwise equal to the stacks of
-    ``generate(replace(spec, seed=seeds[r]))``: each group's design and
-    noise come from their own Philox streams keyed by (seed, purpose,
-    group), drawn straight into the stack.
+    Returns (X, y), shapes (R, G, n, p) and (R, G, n) for R seeds, each
+    in [0, 2**64) (else ValueError). Replicate r is bitwise equal to
+    the stacks of ``generate(replace(spec, seed=seeds[r]))``: each
+    group's design and noise come from their own Philox streams keyed
+    by (seed, purpose, group), drawn straight into the stack. The keys
+    of all streams are hashed in one _philox_keys pass, and one
+    generator is reset to each stream in turn.
     """
+    _check_seeds(seeds)
     R, G, n, p = len(seeds), spec.G, spec.n, spec.p
+    # row 0 of a seed is the coefficient stream (seed, 0), which hashes
+    # as (seed, 0, 0): trailing zero words are the pool's padding
+    keys = np.zeros((R, 2 * G + 1, 3), dtype=np.uint64)
+    keys[..., 0] = np.asarray(seeds, dtype=np.uint64)[:, None]
+    keys[:, 1:, 1] = np.repeat([1, 2], G)
+    keys[:, 1:, 2] = np.tile(np.arange(G), 2)
+    keys = _philox_keys(keys.reshape(-1, 3)).reshape(R, 2 * G + 1, 2)
+    rng = np.random.Generator(np.random.Philox(key=0))
     X = np.empty((R, G, n, p))
     y = np.empty((R, G, n))
     eps = np.empty(n)
     B0 = None if spec.coefficient_rule == "shared-plus-noise" else true_coefficients(spec)
-    for r, seed in enumerate(seeds):
-        B = B0 if B0 is not None else true_coefficients(replace(spec, seed=seed))
+    for r, key in enumerate(keys):
+        key = key.tolist()  # the state setter reads Python ints fastest
+        B = B0 if B0 is not None else _coefficients(spec, lambda: _reset(rng, key[0]))
         for g in range(G):
-            _stream(seed, 1, g).standard_normal(out=X[r, g])
-            _stream(seed, 2, g).standard_normal(out=eps)
+            _reset(rng, key[1 + g]).standard_normal(out=X[r, g])
+            _reset(rng, key[1 + G + g]).standard_normal(out=eps)
             y[r, g] = X[r, g] @ B[:, g] + spec.noise_sd * eps
     return X, y
 

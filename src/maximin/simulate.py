@@ -37,7 +37,8 @@ n. The stacked pass holds a few such arrays of the chunk at once (the
 stack, empirical_C's forms, the fit's residuals, the QP's systems), so
 its extra memory stays at a small multiple of the budget whatever the
 cell; past a few dozen small replicates a larger chunk gains little, as
-the per-stream seeding in generate_stack dominates.
+generate_stack's per-stream normal draws dominate and do not shrink with
+it (a chunk pays one key hash, and each stream one generator reset).
 
 Replicates whose analysis raises a semantic error (singular fit,
 degenerate geometry, ill-conditioned covariance, no convergence) are

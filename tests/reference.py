@@ -6,9 +6,13 @@ Jacobian refactorises the Gram of the remaining columns from scratch.
 fit, hull_distance and contains_relaxed are the group-by-group and
 piece-by-piece loops the batched versions in ``maximin.linmodel`` and
 ``maximin.relaxation`` replaced, and run_block is the replicate-by-
-replicate loop the block engine in ``maximin.simulate`` replaced. They stay here as the oracles for the
-differential tests. explained_variance states the objective the maximin
-point is defined by, for the defining-property test.
+replicate loop the block engine in ``maximin.simulate`` replaced.
+true_coefficients and generate_stack draw every stream from a fresh
+SeedSequence-seeded Philox, as ``maximin.linmodel`` did before it
+hashed all keys of a stack in one vectorised pass. They stay here as
+the oracles for the differential tests. explained_variance states the
+objective the maximin point is defined by, for the defining-property
+test.
 """
 
 import math
@@ -245,3 +249,38 @@ def run_block(spec, alpha, M0, items):
             analysis.covariance.vertex_mode,
         ))
     return out
+
+
+def stream(*key):
+    """A fresh generator for a namespaced integer key, seeded through
+    numpy's SeedSequence."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def true_coefficients(spec):
+    """The p x G coefficients; the shared-plus-noise z from (seed, 0)."""
+    p, G = spec.p, spec.G
+    if spec.coefficient_rule == "basis-vectors":
+        return np.eye(p)[:, :G].copy()
+    B = np.zeros((p, G))
+    B[0, :] = 1.0
+    if spec.coefficient_rule == "shared-plus-noise":
+        B[1, :] = stream(spec.seed, 0).standard_normal(G)
+    return B
+
+
+def generate_stack(spec, seeds):
+    """(X, y) of shapes (R, G, n, p) and (R, G, n), one fresh stream per
+    key: (seed, 1, g) for group g's design and (seed, 2, g) for its
+    noise."""
+    R, G, n, p = len(seeds), spec.G, spec.n, spec.p
+    X = np.empty((R, G, n, p))
+    y = np.empty((R, G, n))
+    eps = np.empty(n)
+    for r, seed in enumerate(seeds):
+        B = true_coefficients(replace(spec, seed=seed))
+        for g in range(G):
+            stream(seed, 1, g).standard_normal(out=X[r, g])
+            stream(seed, 2, g).standard_normal(out=eps)
+            y[r, g] = X[r, g] @ B[:, g] + spec.noise_sd * eps
+    return X, y

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from maximin.errors import CsvFormatError, DimensionError, SingularFitError
 from maximin.estimator import MaximinEstimator
 from maximin.linmodel import (
     GroupedDataset,
     ScenarioSpec,
+    _philox_keys,
+    _reset,
     fit,
     generate,
+    generate_stack,
     load_group_csvs,
     load_grouped_csv,
     load_matrix_csv,
@@ -158,6 +162,46 @@ def test_generated_shapes_match_the_spec_fields(p, G, n, seed):
     assert B0.shape == (p, min(G, p))
     assert (ds.n, ds.p, ds.G) == (n, p, min(G, p))
     assert all(np.isfinite(y).all() for _, y in ds.groups)
+
+
+# Mutation-checked: both properties below fail when _philox_keys drops
+# one mixing round, the reset one when _reset keeps the old buffer_pos.
+# Seeds: the word-count edges of a 64-bit integer, then any.
+SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+KEYS = st.tuples(SEEDS, st.integers(0, 2), st.integers(0, 2**31))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(keys=st.lists(KEYS, min_size=1, max_size=6))
+def test_philox_keys_are_the_seed_sequence_keys(keys):
+    expected = [np.random.SeedSequence(key).generate_state(2, np.uint64) for key in keys]
+    assert np.array_equal(_philox_keys(keys), expected)
+    # generate_stack hashes the coefficient stream (seed, 0) as (seed, 0, 0)
+    seeds = [(seed, 0) for seed, _, _ in keys]
+    expected = [np.random.SeedSequence(key).generate_state(2, np.uint64) for key in seeds]
+    assert np.array_equal(_philox_keys([key + (0,) for key in seeds]), expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(key=KEYS, before=st.integers(1, 9), half=st.integers(0, 4))
+def test_a_reset_generator_draws_the_fresh_stream(key, before, half):
+    rng = np.random.Generator(np.random.Philox(key=0))
+    rng.standard_normal(before)
+    rng.integers(2**32, dtype=np.uint32)  # caches the other 32-bit half
+    _reset(rng, _philox_keys([key])[0].tolist())
+    fresh = reference.stream(*key)
+    for length in (2 * half + 1, 2 * half + 2):
+        assert rng.standard_normal(length).tobytes() == fresh.standard_normal(length).tobytes()
+    words = rng.integers(2**32, dtype=np.uint32, size=3)
+    assert words.tobytes() == fresh.integers(2**32, dtype=np.uint32, size=3).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_are_refused(seed):
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        ScenarioSpec(p=2, G=2, n=5, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        generate_stack(ScenarioSpec(p=2, G=2, n=5), [3, seed])
 
 
 def _write(path, text):
