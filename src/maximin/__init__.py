@@ -13,7 +13,6 @@ from .asymvar import (
     AsymptoticCovariance,
     assemble_W,
     empirical_C,
-    gaussian_population_C,
     tied_neighbors,
 )
 from .confidence import (
@@ -111,7 +110,6 @@ __all__ = [
     "empirical_C",
     "estimate_dataset",
     "fit",
-    "gaussian_population_C",
     "generate",
     "grid_to_csv",
     "grid_to_json",

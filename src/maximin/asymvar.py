@@ -69,14 +69,6 @@ def empirical_C(X, M, G):
     return (V.swapaxes(-1, -2) @ V) / X.shape[-2]
 
 
-def gaussian_population_C(Sigma, M, G):
-    """Closed form of C for centered Gaussian designs with covariance Sigma."""
-    Sigma = np.asarray(Sigma, dtype=float)
-    M = np.asarray(M, dtype=float)
-    s = Sigma @ M
-    return (np.outer(s, s) + float(M @ s) * Sigma) / G
-
-
 def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g):
     """Inactive columns the data cannot separate from the active face.
 

@@ -86,6 +86,15 @@ def _seed(text):
     return int(text)
 
 
+def _seed64(text):
+    """A --seed flag value as an integer in [0, 2**64), the seeds a
+    ScenarioSpec takes; simulate hashes its master seed, so any fits."""
+    seed = _seed(text)
+    if seed >= 2**64:
+        raise argparse.ArgumentTypeError(f"expected an integer below 2**64, got {text!r}")
+    return seed
+
+
 def build_parser():
     parser = _Parser(prog="maximin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -122,7 +131,7 @@ def build_parser():
     p_sim.add_argument("--out", metavar="PATH", default=None)
 
     p_chk = sub.add_parser("check", help="run the self-test battery")
-    p_chk.add_argument("--seed", type=_seed, default=0)
+    p_chk.add_argument("--seed", type=_seed64, default=0)
     return parser
 
 

@@ -10,11 +10,19 @@ package does not import this module, and the CLI loads it only for the
 import numpy as np
 
 from . import simulate
-from .asymvar import assemble_W, gaussian_population_C
+from .asymvar import assemble_W
 from .confidence import chi2_cdf, chi2_quantile
 from .geometry import Face, SigmaMetric
 from .linmodel import ScenarioSpec, fit, generate
 from .magging import brute_force_oracle, maximin_point
+
+
+def gaussian_population_C(Sigma, M, G):
+    """Closed form of C for centered Gaussian designs with covariance Sigma."""
+    Sigma = np.asarray(Sigma, dtype=float)
+    M = np.asarray(M, dtype=float)
+    s = Sigma @ M
+    return (np.outer(s, s) + float(M @ s) * Sigma) / G
 
 
 def separated_instances(count, seed, p_range=(2, 4), G_range=(2, 5)):

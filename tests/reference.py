@@ -9,13 +9,17 @@ piece-by-piece loops the batched versions in ``maximin.linmodel`` and
 replicate loop the block engine in ``maximin.simulate`` replaced.
 true_coefficients and generate_stack draw every stream from a fresh
 SeedSequence-seeded Philox, as ``maximin.linmodel`` did before it
-hashed all keys of a stack in one vectorised pass. They stay here as
-the oracles for the differential tests. explained_variance states the
-objective the maximin point is defined by, for the defining-property
-test.
+hashed all keys of a stack in one vectorised pass. load_grouped_csv,
+load_group_csvs and load_matrix_csv read every row with csv.reader and
+every cell with float(), as ``maximin.linmodel`` did before it parsed
+plain files with np.loadtxt. They stay here as the oracles for the
+differential tests. explained_variance states the objective the maximin
+point is defined by, for the defining-property test.
 """
 
+import csv
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +29,7 @@ from maximin.confidence import contains
 from maximin.errors import (
     ConditioningError,
     ConvergenceError,
+    CsvFormatError,
     DefinitenessError,
     DegenerateGeometryError,
     DimensionError,
@@ -32,7 +37,7 @@ from maximin.errors import (
     SingularFitError,
 )
 from maximin.geometry import SigmaMetric
-from maximin.linmodel import GroupEstimates, generate
+from maximin.linmodel import GroupedDataset, GroupEstimates, generate
 from maximin.magging import _simplex_qp
 from maximin.pipeline import analyze_dataset
 
@@ -284,3 +289,122 @@ def generate_stack(spec, seeds):
             stream(seed, 2, g).standard_normal(out=eps)
             y[r, g] = X[r, g] @ B[:, g] + spec.noise_sd * eps
     return X, y
+
+
+def _parse_cell(raw, line_no, column):
+    try:
+        value = float(raw)
+    except ValueError:
+        problem = f"cannot parse {raw!r} as a number"
+    else:
+        if math.isfinite(value):
+            return value
+        problem = f"{raw!r} is not a finite number"
+    raise CsvFormatError(
+        f"line {line_no}, column {column!r}: {problem}", line=line_no, column=column)
+
+
+def _csv_rows(path):
+    """The csv.reader rows of path and the index of the first non-blank one."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as err:
+        byte = err.object[err.start]
+        raise CsvFormatError(
+            f"{path}: not UTF-8 text (byte 0x{byte:02x}: {err.reason})") from None
+    for start, row in enumerate(rows):
+        if "".join(row).strip():
+            return rows, start
+    raise CsvFormatError(f"{path}: empty file", line=1)
+
+
+def _parse_rows(path, rows, start, columns, names, key=None):
+    """Rows from start on as float lists, bucketed by the key cell."""
+    width = len(names)
+    buckets = {}
+    for line_no, row in enumerate(rows[start:], start + 1):
+        if not "".join(row).strip():
+            continue
+        try:
+            if len(row) != width:
+                raise CsvFormatError(
+                    f"line {line_no}: expected {width} fields, got {len(row)}",
+                    line=line_no,
+                )
+            values = [_parse_cell(row[j], line_no, names[j]) for j in columns]
+        except CsvFormatError as err:
+            raise CsvFormatError(f"{path}: {err}", err.line, err.column) from None
+        buckets.setdefault(None if key is None else row[key], []).append(values)
+    return buckets
+
+
+def _load_table(path, grouped):
+    rows, start = _csv_rows(path)
+    header = rows[start]
+    line = start + 1
+    repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+    if repeated is not None:
+        raise CsvFormatError(
+            f"{path}: column {repeated!r} appears more than once", line=line)
+    if grouped and "group" not in header:
+        raise CsvFormatError(f"{path}: header must contain a 'group' column", line=line)
+    if not grouped and "group" in header:
+        raise CsvFormatError(
+            f"{path}: per-group files must not contain a 'group' column", line=line)
+    if "y" not in header:
+        raise CsvFormatError(f"{path}: header must contain a 'y' column", line=line)
+    predictors = [c for c in header if c not in ("group", "y")]
+    if not predictors:
+        raise CsvFormatError(f"{path}: no predictor columns found", line=line)
+    columns = [header.index(c) for c in predictors] + [header.index("y")]
+    key = header.index("group") if grouped else None
+    buckets = _parse_rows(path, rows, start + 1, columns, header, key)
+    if not buckets:
+        raise CsvFormatError(f"{path}: no data rows", line=line + 1)
+    groups = {}
+    for label, values in buckets.items():
+        table = np.array(values, dtype=float)
+        groups[label] = (table[:, :-1], table[:, -1])
+    return predictors, groups
+
+
+def load_grouped_csv(path):
+    """One CSV holding every group, tagged by a ``group`` column."""
+    _, groups = _load_table(path, grouped=True)
+    try:
+        return GroupedDataset(tuple(groups.values()), labels=tuple(groups))
+    except DimensionError as err:
+        raise CsvFormatError(f"{path}: {err}") from None
+
+
+def load_group_csvs(paths):
+    """One CSV per group, labelled by its file name without extension."""
+    paths = list(paths)
+    expected = None
+    groups = []
+    labels = []
+    for path in paths:
+        predictors, table = _load_table(path, grouped=False)
+        if expected is None:
+            expected = predictors
+        elif predictors != expected:
+            raise CsvFormatError(
+                f"{path}: predictor columns {predictors} differ from {expected}",
+                line=1,
+            )
+        groups.append(table[None])
+        labels.append(os.path.splitext(os.path.basename(path))[0])
+    try:
+        return GroupedDataset(tuple(groups), labels=tuple(labels))
+    except DimensionError as err:
+        named = " and ".join(str(paths[g]) for g in err.groups)
+        raise CsvFormatError(f"{named}: {err}" if named else str(err)) from None
+
+
+def load_matrix_csv(path):
+    """A headerless CSV grid of finite numbers as a 2-d array."""
+    rows, start = _csv_rows(path)
+    width = len(rows[start])
+    buckets = _parse_rows(path, rows, start, range(width), range(1, width + 1))
+    return np.array(buckets[None], dtype=float)

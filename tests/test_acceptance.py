@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import record_criterion
-from maximin.asymvar import assemble_W, gaussian_population_C
+from maximin.asymvar import assemble_W
 from maximin.linmodel import GroupEstimates, generate, fit
 from maximin.magging import maximin_point
 from maximin.relaxation import (
@@ -23,6 +23,7 @@ from maximin.relaxation import (
 from maximin.selfcheck import (
     chi2_round_trip_error,
     finite_difference_errors,
+    gaussian_population_C,
     oracle_gap,
     separated_instances,
 )

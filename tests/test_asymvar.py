@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from maximin.asymvar import (
-    assemble_W,
-    empirical_C,
-    gaussian_population_C,
-    tied_neighbors,
-)
+from maximin.asymvar import assemble_W, empirical_C, tied_neighbors
 from maximin.errors import DimensionError
 from maximin.geometry import Face, SigmaMetric
 from maximin.linmodel import ScenarioSpec, fit, generate
 from maximin.magging import maximin_point
 from maximin.pipeline import analyze_dataset
+from maximin.selfcheck import gaussian_population_C
 from reference import assemble_W as reference_W, fourth_moment_reference
 
 

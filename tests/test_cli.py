@@ -425,16 +425,31 @@ def test_known_sigma_of_the_wrong_shape_is_a_usage_error(data_csv, tmp_path, cap
             assert capsys.readouterr().err == f"maximin: {message}\n"
 
 
+CHECK_LINES = [
+    "PASS  magging matches exhaustive oracle",
+    "PASS  chi-squared quantile round trip",
+    "PASS  maximin derivative matches finite differences",
+    "PASS  population covariance closed form",
+    "PASS  simulation is seed-deterministic",
+    "PASS  noiseless fit recovers coefficients",
+]
+
+
 def test_check_battery_passes(capsys):
     assert main(["check", "--seed", "0"]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == [
-        "PASS  magging matches exhaustive oracle",
-        "PASS  chi-squared quantile round trip",
-        "PASS  maximin derivative matches finite differences",
-        "PASS  population covariance closed form",
-        "PASS  simulation is seed-deterministic",
-        "PASS  noiseless fit recovers coefficients",
-    ]
+    assert capsys.readouterr().out.splitlines() == CHECK_LINES
+
+
+def test_check_seed_must_fit_in_64_bits(capsys):
+    # refused by the parser, before the battery prints a line
+    assert main(["check", "--seed", str(2**64)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --seed: expected an integer below 2**64, got '{2**64}'" in err
+    assert main(["check", "--seed", str(2**64 - 1)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == CHECK_LINES
+    # simulate hashes its master seed, so any size is one
+    assert build_parser().parse_args(["simulate", "--seed", str(2**64)]).seed == 2**64
 
 
 def test_failing_check_has_its_own_exit_code(monkeypatch, capsys):

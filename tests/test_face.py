@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from maximin.asymvar import assemble_W, gaussian_population_C
+from maximin.asymvar import assemble_W
 from maximin.errors import DegenerateGeometryError, RankError
 from maximin.geometry import Face, SigmaMetric
-from maximin.selfcheck import separated_instances
+from maximin.selfcheck import gaussian_population_C, separated_instances
 
 _RTOL = 1e-10
 
