@@ -47,11 +47,7 @@ from .linmodel import (
     load_grouped_csv,
     true_coefficients,
 )
-from .magging import (
-    MaggingSolution,
-    brute_force_oracle,
-    maximin_point,
-)
+from .magging import MaggingSolution, maximin_point
 from .pipeline import Analysis, analyze_dataset, estimate_dataset
 from .relaxation import (
     CoveringRegion,
@@ -100,7 +96,6 @@ __all__ = [
     "TIE_PROBE_LEVEL",
     "analyze_dataset",
     "assemble_W",
-    "brute_force_oracle",
     "build_region",
     "chi2_cdf",
     "chi2_quantile",

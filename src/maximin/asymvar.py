@@ -16,9 +16,9 @@ The covariance of sqrt(n) (M_hat - M) splits into two parts:
 When the design covariance is known exactly (so nothing is plugged in
 for it), V is identically zero and only the first term remains.
 
-empirical_C and face_covariance work over leading stack axes;
-assemble_W picks the face for one dataset and calls face_covariance on
-it.
+empirical_C and face_covariance work over leading stack axes.
+covariance_stack picks the face W differentiates through, for a stack
+of datasets; assemble_W and tied_neighbors are its stack of one.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import chi2_quantile
-from .errors import DimensionError
+from .errors import DegenerateGeometryError, DimensionError, RankError
 from .geometry import Face, SigmaMetric, matvec, symmetric
 
 # Probe level for the vertex tie test below. This classifies columns as
@@ -84,82 +84,124 @@ def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g):
     squared metric error of column g under the fixed design, computed
     from the (G, p, p) per-group design grams ``Sigma_g`` (as fitted,
     ridge included). The bound shrinks like 1/n, so ties vanish for
-    separated columns as the sample grows.
+    separated columns as the sample grows; nothing is tied when n or
+    sigma^2 is not positive. This is the stack of one of the test
+    covariance_stack runs on its vertex rows.
 
     Returns:
         Sorted tuple of tied column indices, disjoint from ``active``.
     """
-    metric = SigmaMetric.ensure(Sigma)
     B = np.atleast_2d(np.asarray(Bhat, dtype=float))
-    p = B.shape[0]
-    n = int(n)
-    sigma2 = float(sigma2)
-    if n <= 0 or sigma2 <= 0.0:
-        return ()
-    active = tuple(active)
-    face = Face(B[:, list(active)], metric)
-    rhs = np.broadcast_to(metric.Sigma, Sigma_g.shape)
-    inv_traces = np.trace(np.linalg.solve(Sigma_g, rhs), axis1=1, axis2=2)
-    scales = sigma2 * inv_traces / n
+    mask = np.isin(np.arange(B.shape[1]), list(active))
+    tied = _tie_mask(B[None], mask[None], SigmaMetric.ensure(Sigma)[None],
+                     np.array([float(sigma2)]), int(n), np.asarray(Sigma_g)[None])
+    return tuple(int(h) for h in np.flatnonzero(tied[0]))
+
+
+def _tie_mask(B, active, metric, sigma2, n, Sigma_g):
+    """The (R, G) tied columns of tied_neighbors' test over R stacked
+    datasets with the same number of active columns, shaped as for
+    covariance_stack."""
+    R, p, _ = B.shape
+    if n <= 0:
+        return np.zeros_like(active)
+    cols = np.nonzero(active)[1].reshape(R, -1)
+    face = Face(np.take_along_axis(B, cols[:, None, :], axis=2), metric)
+    rhs = np.broadcast_to(metric.Sigma[:, None], Sigma_g.shape)
+    inv_traces = np.trace(np.linalg.solve(Sigma_g, rhs), axis1=-2, axis2=-1)
+    scales = sigma2[:, None] * inv_traces / n
     quant = chi2_quantile(p, TIE_PROBE_LEVEL) / p
-    s_face = max(scales[g] for g in active)
-    R = face.complement @ (B - face.B[:, :1])
-    tied = np.einsum("pg,pg->g", R, metric.Sigma @ R) <= (scales + s_face) * quant
-    tied[list(active)] = False
-    return tuple(int(h) for h in np.flatnonzero(tied))
+    s_face = np.take_along_axis(scales, cols, axis=1).max(axis=1, keepdims=True)
+    D = face.complement @ (B - face.B[..., :1])
+    dist2 = np.einsum("...pg,...pg->...g", D, metric.Sigma @ D)
+    return (dist2 <= (scales + s_face) * quant) & ~active & (sigma2 > 0.0)[:, None]
+
+
+def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
+    """Plug-in covariances of sqrt(n) (M_hat - M) for R solved datasets.
+
+    The one place that picks the columns W differentiates through. An
+    interior solution uses its active columns. A single active column
+    has no Jacobian: when tied_neighbors' test finds columns the data
+    cannot separate from it, the winner and its ties form the face, and
+    their small hull distances inflate W along the ambiguous directions;
+    a cleanly isolated vertex is one group's least squares, and W falls
+    back to sigma^2 Sigma^{-1}. Faces of equal size k >= 2 share one
+    stacked ``Face`` and face_covariance.
+
+    Bhat (R, p, G), active (R, G) and M (R, p) describe the solutions,
+    metric is the (R, p, p) SigmaMetric stack of their solve, Sigma_g
+    (R, G, p, p) holds the per-group grams (read on vertex rows only)
+    and C_hat (R, p, p) comes from empirical_C, or is None under a known
+    metric, where term_V vanishes. Returns (W, term_B, term_V, used,
+    vertex, errors): W and its terms, NaN where a row failed; the used
+    columns (R, G); the single-column rows (R,); and per row None, a
+    DegenerateGeometryError naming the face's first column within 1e-10
+    of the others' hull, or else, when C_hat is given, a RankError for
+    rank-deficient differences.
+    """
+    R, p, _ = Bhat.shape
+    vertex = active.sum(axis=1) == 1
+    used = active.copy()
+    rows = np.flatnonzero(vertex)
+    if rows.size:
+        used[rows] |= _tie_mask(Bhat[rows], active[rows], metric[rows],
+                                sigma2[rows], n, Sigma_g[rows])
+    W, term_B, term_V = (np.full((R, p, p), np.nan) for _ in range(3))
+    errors = [None] * R
+    k = used.sum(axis=1)
+    for size in np.unique(k):
+        pick = np.flatnonzero(k == size)
+        if size == 1:
+            term_B[pick] = sigma2[pick, None, None] * metric[pick].inverse()
+            term_V[pick] = 0.0
+            W[pick] = symmetric(term_B[pick] + term_V[pick])
+            continue
+        cols = np.nonzero(used[pick])[1].reshape(pick.size, size)
+        B = np.take_along_axis(Bhat[pick], cols[:, None, :], axis=2)
+        face = Face(B, metric[pick])
+        bad = face.degenerate.any(axis=1)
+        rank = ~bad & ~face.full_rank & (C_hat is not None)
+        first = np.argmax(face.degenerate, axis=1)
+        for i in np.flatnonzero(bad):
+            errors[pick[i]] = DegenerateGeometryError(
+                f"active column {first[i]} lies in the affine hull of the others")
+        for i in np.flatnonzero(rank):
+            errors[pick[i]] = RankError("active-column differences are rank deficient")
+        ok = ~(bad | rank)
+        if not ok.any():
+            continue
+        if not ok.all():
+            pick = pick[ok]
+            face = Face(B[ok], metric[pick])
+        W[pick], term_B[pick], term_V[pick] = face_covariance(
+            face, M[pick], sigma2[pick], face.metric.inverse(),
+            None if C_hat is None else C_hat[pick])
+    return W, term_B, term_V, used, vertex, tuple(errors)
 
 
 def assemble_W(estimates, solution, C_hat, Sigma):
-    """Assemble the plug-in covariance of sqrt(n) (M_hat - M).
+    """AsymptoticCovariance of one dataset: covariance_stack on a stack of one.
 
-    Args:
-        estimates: GroupEstimates from the fit.
-        solution: MaggingSolution for the maximin point.
-        C_hat: output of empirical_C, or None for the known-covariance
-            mode where the metric term vanishes.
-        Sigma: metric the solution was computed under, as a matrix or
-            a SigmaMetric.
-
-    Returns:
-        AsymptoticCovariance. The Jacobians and term_V come from one
-        ``Face`` built here, under this metric, on the columns the
-        assembly differentiates through. An interior solution uses its
-        active columns. A single-column active set has no Jacobian: when
-        ``tied_neighbors`` finds columns the data cannot separate from
-        the winner, the winner and its ties are treated as jointly
-        active and the face is the enlarged one; the near ties carry
-        small hull distances into the Jacobians and inflate W along the
-        ambiguous directions. A cleanly isolated vertex means the
-        estimate equals one group's least squares and W falls back to
-        sigma^2 Sigma^{-1} with the vertex_mode flag raised.
+    estimates and solution come from the fit and the QP, C_hat from
+    empirical_C (None under a known metric), and Sigma is the metric,
+    matrix or SigmaMetric, of the solve. The row's failure is raised;
+    vertex_mode marks a single-column active set.
     """
     metric = SigmaMetric.ensure(Sigma)
-    p = metric.p
-    sigma2 = float(estimates.sigma2_hat)
-    active = tuple(solution.active)
-    known = C_hat is None
-    sigma_inv = metric.inverse()
     Bhat = np.atleast_2d(np.asarray(estimates.Bhat, dtype=float))
-    vertex = len(active) == 1
-    tied = ()
-    if vertex:
-        tied = tied_neighbors(
-            Bhat, active, metric, sigma2, estimates.n, estimates.Sigma_g_hat)
-    used = tuple(sorted(set(active).union(tied))) if tied else active
-    if len(used) == 1:
-        term_B, term_V = sigma2 * sigma_inv, np.zeros((p, p))
-        W = symmetric(term_B + term_V)
-    else:
-        face = Face(Bhat[:, list(used)], metric)
-        W, term_B, term_V = face_covariance(face, solution.M, sigma2, sigma_inv, C_hat)
+    active = np.isin(np.arange(Bhat.shape[1]), solution.active)
+    W, term_B, term_V, used, vertex, errors = covariance_stack(
+        Bhat[None], active[None], np.asarray(solution.M, dtype=float)[None],
+        metric[None], np.array([float(estimates.sigma2_hat)]), estimates.n,
+        np.asarray(estimates.Sigma_g_hat)[None],
+        None if C_hat is None else np.asarray(C_hat, dtype=float)[None])
+    if errors[0] is not None:
+        raise errors[0]
     return AsymptoticCovariance(
-        W=W,
-        term_B=term_B,
-        term_V=term_V,
-        active_used=used,
-        vertex_mode=vertex,
-        known_sigma=known,
-    )
+        W=W[0], term_B=term_B[0], term_V=term_V[0],
+        active_used=tuple(int(g) for g in np.flatnonzero(used[0])),
+        vertex_mode=bool(vertex[0]), known_sigma=C_hat is None)
 
 
 def face_covariance(face, M, sigma2, sigma_inv, C_hat):

@@ -178,13 +178,17 @@ def spectrum(W):
 
     Returns (vals, vecs, ok): ascending eigenvalues, eigenvectors as
     columns, and whether each W passes the conditioning test, that is
-    has a positive smallest eigenvalue and an eigenvalue ratio of at
-    most CONDITION_LIMIT.
+    is finite, has a positive smallest eigenvalue and an eigenvalue
+    ratio of at most CONDITION_LIMIT. A W with an inf or NaN entry
+    fails it with NaN eigenvalues.
     """
-    vals, vecs = np.linalg.eigh(symmetric(np.asarray(W, dtype=float)))
+    W = np.asarray(W, dtype=float)
+    finite = np.isfinite(W).all(axis=(-2, -1))
+    vals, vecs = np.linalg.eigh(symmetric(np.where(finite[..., None, None], W, 0.0)))
+    vals[~finite] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         ill = (vals[..., 0] <= 0) | (vals[..., -1] / vals[..., 0] > CONDITION_LIMIT)
-    return vals, vecs, ~ill
+    return vals, vecs, finite & ~ill
 
 
 def precision_matrix(vals, vecs):

@@ -141,6 +141,12 @@ class SigmaMetric:
                 f"Sigma must be {p} x {p}, got {metric.Sigma.shape}")
         return metric
 
+    def __getitem__(self, index):
+        """The metrics at index of a stack, sharing their checked factors."""
+        metric = object.__new__(SigmaMetric)
+        metric.Sigma, metric.L = self.Sigma[index], self.L[index]
+        return metric
+
     @property
     def p(self):
         return self.Sigma.shape[-1]
@@ -173,8 +179,8 @@ class Face:
     Jacobians raise DegenerateGeometryError for a single column or when
     a column lies within 1e-10 of the hull of the others; the metric
     response and term_V raise RankError when D is rank deficient. On a
-    stack they raise when any face does; ``full_rank`` and
-    ``separated`` say which faces pass.
+    stack they raise when any face does; ``degenerate`` and
+    ``full_rank`` say which faces and columns fail.
     """
 
     def __init__(self, B_active, metric):
@@ -259,6 +265,11 @@ class Face:
             unorm[i] = np.sqrt(np.einsum("pg,pg->g", U[i], metric.Sigma @ U[i]))
         return U, unorm
 
+    @functools.cached_property
+    def degenerate(self):
+        """(..., k) mask of the columns within 1e-10 of the others' hull."""
+        return self._residuals[1] < _DEGENERACY_TOL
+
     def jacobians(self, M):
         """Stacked J_g for every column, shape (..., k, p, p)."""
         if self.k < 2:
@@ -266,12 +277,12 @@ class Face:
                 "vertex solution: the maximin map is not differentiable for a"
                 " single active column"
             )
-        U, unorm = self._residuals
-        bad = np.argwhere(unorm < _DEGENERACY_TOL)
+        bad = np.argwhere(self.degenerate)
         if bad.size:
             raise DegenerateGeometryError(
                 f"active column {bad[0][-1]} lies in the affine hull of the others"
             )
+        U, unorm = self._residuals
         Sigma, M = self.metric.Sigma, np.asarray(M, dtype=float)
         Pi = self.complement
         r = matvec(Pi, M - self.B[..., 0])

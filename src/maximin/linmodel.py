@@ -398,7 +398,8 @@ def fit_stack(X, y, ridge_jitter=0.0):
         r = y[sel] - (X[sel] @ sol)[..., 0]
         dof = G * n if p >= n else G * (n - p)
         coef[sel] = sol[..., 0]
-        sigma2[sel] = np.sum(r * r, axis=(-2, -1)) / dof
+        with np.errstate(over="ignore"):  # an inf sigma2 fails W's spectrum
+            sigma2[sel] = np.sum(r * r, axis=(-2, -1)) / dof
     return StackFit(coef, S, rhs, sigma2, pivots_ok, ok)
 
 
@@ -511,16 +512,24 @@ def _read_table(path, layout, header):
     CsvFormatError; so does a row that _parse_rows refuses.
 
     A regular file (which np.loadtxt can read again) of text without a
-    quote, carriage return or NUL goes through _loadtxt_buckets;
-    anything it declines, csv.reader and _parse_rows read, which give
-    the same values for what both accept.
+    quote, NUL or carriage return outside a CRLF line end goes through
+    _loadtxt_buckets; anything it declines, csv.reader and _parse_rows
+    read, which give the same values for what both accept. A csv.reader
+    error, such as a field over its size limit, raises CsvFormatError
+    naming path and the line.
     """
     text = _read_text(path)
-    if os.path.isfile(path) and not any(char in text for char in '"\r\0'):
+    if os.path.isfile(path) and '"' not in text and "\0" not in text and (
+            "\r" not in text or text.count("\r") == text.count("\r\n")):
         read = _loadtxt_buckets(path, text, layout, header)
         if read is not None:
             return read
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as err:
+        raise CsvFormatError(
+            f"{path}: line {reader.line_num}: {err}", line=reader.line_num) from None
     start = next((i for i, row in enumerate(rows) if "".join(row).strip()), None)
     if start is None:
         raise CsvFormatError(f"{path}: empty file", line=1)
@@ -539,15 +548,17 @@ _CONTENT = re.compile(r"[^\s,]")
 def _loadtxt_buckets(path, text, layout, header):
     """What _read_table returns for text, parsed by np.loadtxt, or None.
 
-    text holds no quote, carriage return or NUL, so its rows are its
-    lines split on commas. np.loadtxt reads the ``columns`` cells and
-    then the key cells from path, in C; it parses a number as float()
-    does, and refuses what float() alone accepts (``1_000``, digits
-    outside ASCII). None, so that csv.reader reads the file, when there
-    is no data row, np.loadtxt refuses a row, a number is not finite or
-    a row has more fields than the first: np.loadtxt skips empty lines
-    only, and refuses a row too short for its columns, so a comma count
-    of rows x (fields - 1) means every row has exactly as many fields.
+    text holds no quote, NUL or carriage return outside a CRLF line
+    end, so its rows are its lines, less a trailing carriage return,
+    split on commas. np.loadtxt reads the ``columns`` cells and then
+    the key cells from path, in C, with CRLF as a line end; it parses
+    a number as float() does, and refuses what float() alone accepts
+    (``1_000``, digits outside ASCII). None, so that csv.reader reads
+    the file, when there is no data row, np.loadtxt refuses a row, a
+    number is not finite or a row has more fields than the first:
+    np.loadtxt skips empty lines only, and refuses a row too short for
+    its columns, so a comma count of rows x (fields - 1) means every
+    row has exactly as many fields.
     """
     found = _CONTENT.search(text)
     if found is None:
@@ -556,7 +567,7 @@ def _loadtxt_buckets(path, text, layout, header):
     end = text.find("\n", begin)
     if end < 0:
         end = len(text)
-    first = text[begin:end].split(",")
+    first = text[begin:end].removesuffix("\r").split(",")
     skip = text.count("\n", 0, begin)  # the lines before the first row
     spec = layout(first, skip + 1)
     _, columns, key = spec

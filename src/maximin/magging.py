@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError
+from .errors import ConvergenceError
 from .geometry import SigmaMetric, matvec, nan_where_singular, symmetric
 
 # Weights above this count as active.
@@ -53,9 +53,6 @@ ACTIVITY_THRESHOLD = 1e-6
 
 # Weights this far below zero are treated as boundary, not infeasible.
 _FEAS_TOL = 1e-12
-
-# Largest G the exhaustive oracle enumerates (2^G - 1 faces).
-ORACLE_MAX_G = 15
 
 # Largest G whose programs stacked_simplex_qp solves by face enumeration.
 ENUMERATION_MAX_G = 6
@@ -314,10 +311,15 @@ def stacked_maximin(B, Sigma):
     symmetric positive definite metric (a SigmaMetric's Sigma). Forms
     H = B^T Sigma B, solves the stack with stacked_simplex_qp and
     returns a MaximinStack: H, gamma, support and iterations as that
-    function returns them, and the points M = B gamma (R, p).
+    function returns them, and the points M = B gamma (R, p). An H
+    that overflows, or any non-finite input, raises ConvergenceError
+    before the solve.
     """
     B = np.asarray(B, dtype=float)
-    H = symmetric(B.swapaxes(-1, -2) @ Sigma @ B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = symmetric(B.swapaxes(-1, -2) @ Sigma @ B)
+    if not np.isfinite(H).all():
+        raise ConvergenceError("the simplex QP has no finite solution")
     gamma, support, iterations = stacked_simplex_qp(H, B.shape[-2])
     return MaximinStack(H, gamma, support, iterations, matvec(B, gamma))
 
@@ -345,15 +347,16 @@ def maximin_point(B, Sigma):
     DefinitenessError
         If Sigma fails the symmetry or factorization check.
     ConvergenceError
-        If the active-set iteration cap is hit; the best iterate is
-        attached to the exception.
+        If H = B^T Sigma B is not finite, or if the active-set iteration
+        cap is hit, which attaches the best iterate to the exception.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Sigma = SigmaMetric.ensure(Sigma, B.shape[0]).Sigma
     try:
         H, gamma, support, iterations, M = stacked_maximin(B[None], Sigma[None])
     except ConvergenceError as err:
-        err.best = _package(Sigma, err.best, matvec(B, err.best), np.inf, 0)
+        if err.best is not None:
+            err.best = _package(Sigma, err.best, matvec(B, err.best), np.inf, 0)
         raise
     alpha = gamma[0]
     free = [int(g) for g in np.flatnonzero(support[0])]
@@ -370,41 +373,3 @@ def _package(Sigma, alpha, M, res, iterations):
         kkt_residual=float(res),
         iterations=iterations,
     )
-
-
-def brute_force_oracle(B, Sigma):
-    """Exhaustive reference solution for the maximin point.
-
-    Enumerates every nonempty subset of columns, solves the equality-
-    constrained minimum-norm problem on its affine hull, and keeps the
-    best candidate whose weights are all nonnegative. Exponential in G,
-    hence the ORACLE_MAX_G cap; intended for validation, not production.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    p, G = B.shape
-    if G > ORACLE_MAX_G:
-        raise BudgetError(f"brute force supports G <= {ORACLE_MAX_G}, got {G}")
-    Sigma = SigmaMetric.ensure(Sigma, p).Sigma
-    H = B.T @ Sigma @ B
-    H = (H + H.T) / 2.0
-    best_obj = np.inf
-    best_M = None
-    for size in range(1, G + 1):
-        for subset in itertools.combinations(range(G), size):
-            idx = list(subset)
-            k = len(idx)
-            K = np.zeros((k + 1, k + 1))
-            K[:k, :k] = 2.0 * H[np.ix_(idx, idx)]
-            K[:k, k] = 1.0
-            K[k, :k] = 1.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            gamma = np.linalg.lstsq(K, rhs, rcond=None)[0][:k]
-            if np.min(gamma) < -1e-10:
-                continue
-            obj = float(gamma @ H[np.ix_(idx, idx)] @ gamma)
-            if obj < best_obj - 1e-15:
-                best_obj = obj
-                best_M = B[:, idx] @ gamma
-    return best_M
-

@@ -7,14 +7,56 @@ package does not import this module, and the CLI loads it only for the
 ``check`` command.
 """
 
+import itertools
+
 import numpy as np
 
 from . import simulate
 from .asymvar import assemble_W
 from .confidence import chi2_cdf, chi2_quantile
-from .geometry import Face, SigmaMetric
-from .linmodel import ScenarioSpec, fit, generate
-from .magging import brute_force_oracle, maximin_point
+from .errors import BudgetError
+from .geometry import Face, SigmaMetric, symmetric
+from .linmodel import GroupEstimates, ScenarioSpec, fit, generate
+from .magging import maximin_point
+
+# Largest G the exhaustive oracle enumerates (2^G - 1 faces).
+ORACLE_MAX_G = 15
+
+
+def brute_force_oracle(B, Sigma):
+    """Exhaustive reference solution for the maximin point.
+
+    Enumerates every nonempty subset of columns, solves the equality-
+    constrained minimum-norm problem on its affine hull, and keeps the
+    best candidate whose weights are all nonnegative. Exponential in G,
+    hence the ORACLE_MAX_G cap; intended for validation, not production.
+    """
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    p, G = B.shape
+    if G > ORACLE_MAX_G:
+        raise BudgetError(f"brute force supports G <= {ORACLE_MAX_G}, got {G}")
+    Sigma = SigmaMetric.ensure(Sigma, p).Sigma
+    H = symmetric(B.T @ Sigma @ B)
+    best_obj = np.inf
+    best_M = None
+    for size in range(1, G + 1):
+        for subset in itertools.combinations(range(G), size):
+            idx = list(subset)
+            k = len(idx)
+            K = np.zeros((k + 1, k + 1))
+            K[:k, :k] = 2.0 * H[np.ix_(idx, idx)]
+            K[:k, k] = 1.0
+            K[k, :k] = 1.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            gamma = np.linalg.lstsq(K, rhs, rcond=None)[0][:k]
+            if np.min(gamma) < -1e-10:
+                continue
+            obj = float(gamma @ H[np.ix_(idx, idx)] @ gamma)
+            if obj < best_obj - 1e-15:
+                best_obj = obj
+                best_M = B[:, idx] @ gamma
+    return best_M
 
 
 def gaussian_population_C(Sigma, M, G):
@@ -142,12 +184,9 @@ def _population_reference():
     sol = maximin_point(B, Sigma)
     C = gaussian_population_C(Sigma, sol.M, 3)
 
-    class _Est:
-        Bhat = B
-        Sigma_hat = Sigma
-        sigma2_hat = 1.0
-
-    W = assemble_W(_Est(), sol, C, Sigma=Sigma).W
+    est = GroupEstimates(Bhat=B, Sigma_hat=Sigma, Sigma_g_hat=np.stack((Sigma,) * 3),
+                         sigma2_hat=1.0, ridge_jitter_used=0.0, n=10**9)
+    W = assemble_W(est, sol, C, Sigma=Sigma).W
     expected = (4.0 / 9.0) * np.eye(3) - np.ones((3, 3)) / 27.0
     return bool(np.allclose(W, expected, atol=1e-10))
 

@@ -11,24 +11,23 @@ bytes do not depend on the worker count.
 
 Each worker runs its replicates in chunks through a block engine.
 The chunk's datasets are drawn into one (R, G, n, p) design stack by
-linmodel.generate_stack, bitwise equal to generate, and go through one
-stacked pass of the kernels the single-dataset path is built from:
-fit_stack, the SigmaMetric check, stacked_maximin, then, batched over
-the replicates whose active sets have the same size k, Face,
-empirical_C, face_covariance and spectrum. This module holds no
-factorisation of its own; a single dataset is a stack of one to those
-kernels, so a replicate gets the same bits from either path and the
-rows do not depend on the chunk size.
+linmodel.generate_stack, bitwise equal to generate, and all of them go
+through one stacked pass of the kernels the single-dataset path is
+built from: fit_stack, the SigmaMetric check, stacked_maximin,
+empirical_C, asymvar.covariance_stack (vertices and ties included),
+spectrum and the region test. A single dataset is a stack of one to
+those kernels, so a replicate gets the same bits from either path and
+the rows do not depend on the chunk size.
 
-The stacked pass finishes only interior replicates. The others take
-the cold path, the full per-replicate pipeline.analyze_dataset on the
-replicate's slice of the stack: a fit that fails the pivot check or
-has non-finite input, a vertex (ties included), a face with k - 1 > p,
-rank-deficient differences or a leave-one-out residual below 1e-10,
-and a W that fails the conditioning test. A chunk goes down the cold
-path whole when a pooled metric fails the symmetry or Cholesky check
-(a mean of positive definite Grams, so this is not expected) or its
-active-set QP (G > 6) raises ConvergenceError.
+A replicate whose fit fails the pivot check or has non-finite input,
+whose face covariance_stack refuses or whose W fails the conditioning
+test is degenerate: it is excluded from the coverage denominator, and
+the report also carries the all-replicates ratio so both conventions
+are visible. When a pooled metric fails the symmetry or Cholesky check
+(a mean of positive definite Grams, so this is not expected) or the QP
+raises ConvergenceError, which fails the chunk as a whole, each of its
+replicates goes through the same pass alone, as a stack of one, and is
+degenerate if it fails again.
 
 A chunk holds as many replicates as fit into CHUNK_BYTES. A replicate
 counts its design, or the bordered KKT systems of its enumerated QP
@@ -39,12 +38,6 @@ its extra memory stays at a small multiple of the budget whatever the
 cell; past a few dozen small replicates a larger chunk gains little, as
 generate_stack's per-stream normal draws dominate and do not shrink with
 it (a chunk pays one key hash, and each stream one generator reset).
-
-Replicates whose analysis raises a semantic error (singular fit,
-degenerate geometry, ill-conditioned covariance, no convergence) are
-counted as degenerate and excluded from the coverage denominator; the
-report also carries the all-replicates ratio so both conventions are
-visible.
 """
 
 import hashlib
@@ -56,43 +49,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import pipeline
-from .asymvar import empirical_C, face_covariance
+from .asymvar import covariance_stack, empirical_C
 from .confidence import (
     chi2_quantile,
-    contains,
     covers,
     max_eigenvalue,
     precision_matrix,
     region_radius2,
     spectrum,
 )
-from .errors import (
-    ConditioningError,
-    ConvergenceError,
-    DefinitenessError,
-    DegenerateGeometryError,
-    RankError,
-    SingularFitError,
-)
-from .geometry import Face, SigmaMetric
-from .linmodel import (
-    GroupedDataset,
-    ScenarioSpec,
-    fit_stack,
-    generate_stack,
-    true_coefficients,
-)
+from .errors import ConvergenceError, DefinitenessError
+from .geometry import SigmaMetric
+from .linmodel import ScenarioSpec, fit_stack, generate_stack, true_coefficients
 from .magging import active_mask, maximin_point, program_bytes, stacked_maximin
-
-_REPLICATE_ERRORS = (
-    SingularFitError,
-    DefinitenessError,
-    ConvergenceError,
-    DegenerateGeometryError,
-    RankError,
-    ConditioningError,
-)
 
 TABLE_IDS = (1, 2, 3, 4, 5)
 
@@ -248,86 +217,47 @@ def _replicate_bytes(spec):
 
 
 def _run_chunk(spec, alpha, M0, items):
-    """Rows of one chunk: the stacked pass, then the cold path."""
+    """Rows of one chunk: one stacked pass, or one pass per replicate."""
     X, y = generate_stack(spec, [seed for _, seed in items])
-    covered, eig, hot = _stacked_pass(X, y, spec.ridge_jitter, alpha, M0)
-    rows = []
-    for i, (rep, _) in enumerate(items):
-        if hot[i]:
-            rows.append((rep, int(covered[i]), float(eig[i]), False, False))
-        else:
-            rows.append((rep,) + _analyze_one(X[i], y[i], spec.ridge_jitter, alpha, M0))
-    return rows
-
-
-def _analyze_one(X, y, ridge_jitter, alpha, M0):
-    """(covered, top eigenvalue, degenerate, vertex) from the full analysis."""
-    dataset = GroupedDataset(tuple(zip(X, y)))
     try:
-        analysis = pipeline.analyze_dataset(
-            dataset, alpha=alpha, ridge_jitter=ridge_jitter)
-    except _REPLICATE_ERRORS:
-        return 0, float("nan"), True, False
-    covariance = analysis.covariance
-    return (int(contains(analysis.region, M0)), max_eigenvalue(covariance.W),
-            False, covariance.vertex_mode)
+        rows = _stacked_pass(X, y, spec.ridge_jitter, alpha, M0)
+    except (DefinitenessError, ConvergenceError):
+        rows = []
+        for i in range(len(items)):
+            try:
+                rows += _stacked_pass(X[i:i + 1], y[i:i + 1], spec.ridge_jitter, alpha, M0)
+            except (DefinitenessError, ConvergenceError):
+                rows.append((0, float("nan"), True, False))
+    return [(rep,) + row for (rep, _), row in zip(items, rows)]
 
 
 def _stacked_pass(X, y, ridge_jitter, alpha, M0):
-    """Coverage and top eigenvalue of the replicates the stack can carry.
-
-    X (R, G, n, p) and y (R, G, n) hold a chunk of datasets. They go
-    through the stacked kernels: fit, metric check, QP, then, batched
-    over replicates whose active sets have the same size k, the Face,
-    W and the region. Returns (covered, eig, hot), each of length R;
-    hot is False for every replicate this pass does not finish: a
-    failed fit, a vertex (ties included), k - 1 > p, a rank-deficient
-    or unseparated face, or a W that fails the conditioning test, and
-    the whole chunk when a metric fails its check or the QP's
-    active-set loop raises ConvergenceError. Those take the
-    per-replicate path.
-    """
+    """Rows (covered, top eigenvalue, degenerate, vertex) of the datasets
+    X (R, G, n, p), y (R, G, n), through the stacked kernels; a degenerate
+    row is (0, nan, True, False). A metric that fails its check raises
+    DefinitenessError, and a QP that fails ConvergenceError."""
     R, G, n, p = X.shape
     covered = np.zeros(R, dtype=bool)
     eig = np.full(R, np.nan)
-    hot = np.zeros(R, dtype=bool)
+    vertex = np.zeros(R, dtype=bool)
     fitted = fit_stack(X, y, ridge_jitter)
     live = np.flatnonzero(fitted.ok)
-    if not live.size:
-        return covered, eig, hot
-    try:
+    if live.size:
         metric = SigmaMetric(fitted.Sigma_hat[live])
         solution = stacked_maximin(fitted.Bhat[live], metric.Sigma)
-    except (DefinitenessError, ConvergenceError):
-        return covered, eig, hot
-    active = active_mask(solution.gamma)
-    k = active.sum(axis=1)
-    radius2 = region_radius2(p, n, alpha)
-    for size in np.unique(k[(k >= 2) & (k - 1 <= p)]):
-        pick = np.flatnonzero(k == size)
-        cols = np.nonzero(active[pick])[1].reshape(pick.size, size)
-        B = np.take_along_axis(fitted.Bhat[live[pick]], cols[:, None, :], axis=2)
-        face = Face(B, SigmaMetric(metric.Sigma[pick]))
-        ok = face.full_rank & face.separated
-        if not ok.any():
-            continue
-        if not ok.all():
-            pick, B = pick[ok], B[ok]
-            face = Face(B, SigmaMetric(metric.Sigma[pick]))
-        reps = live[pick]
-        M = solution.M[pick]
-        designs = X if reps.size == R else X[reps]  # no copy when all are hot
-        C_hat = empirical_C(designs.reshape(reps.size, G * n, p), M, G)
-        W = face_covariance(
-            face, M, fitted.sigma2[reps], face.metric.inverse(), C_hat)[0]
-        finite = np.flatnonzero(np.isfinite(W).all(axis=(1, 2)))
-        vals, vecs, ok = spectrum(W[finite])
-        keep = finite[ok]
-        reps = reps[keep]
-        covered[reps] = covers(precision_matrix(vals[ok], vecs[ok]), M[keep], M0, radius2)
-        eig[reps] = max_eigenvalue(W[keep])
-        hot[reps] = True
-    return covered, eig, hot
+        designs = X if live.size == R else X[live]  # no copy when every fit passes
+        C_hat = empirical_C(designs.reshape(live.size, G * n, p), solution.M, G)
+        W, _, _, _, vertex_mode, _ = covariance_stack(
+            fitted.Bhat[live], active_mask(solution.gamma), solution.M, metric,
+            fitted.sigma2[live], n, fitted.S[live], C_hat)
+        vals, vecs, ok = spectrum(W)
+        reps = live[ok]
+        covered[reps] = covers(precision_matrix(vals[ok], vecs[ok]), solution.M[ok], M0,
+                               region_radius2(p, n, alpha))
+        eig[reps] = max_eigenvalue(W[ok])
+        vertex[reps] = vertex_mode[ok]
+    return [(int(c), float(e), bool(np.isnan(e)), bool(v))
+            for c, e, v in zip(covered, eig, vertex)]
 
 
 def run_cell(spec, replicates, alpha, jobs=1):

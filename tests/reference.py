@@ -6,7 +6,9 @@ Jacobian refactorises the Gram of the remaining columns from scratch.
 fit, hull_distance and contains_relaxed are the group-by-group and
 piece-by-piece loops the batched versions in ``maximin.linmodel`` and
 ``maximin.relaxation`` replaced, and run_block is the replicate-by-
-replicate loop the block engine in ``maximin.simulate`` replaced.
+replicate loop the block engine in ``maximin.simulate`` replaced; it
+assembles W with tied_neighbors and assemble_W, the per-dataset choice
+of face that ``maximin.asymvar.covariance_stack`` made stacked.
 true_coefficients and generate_stack draw every stream from a fresh
 SeedSequence-seeded Philox, as ``maximin.linmodel`` did before it
 hashed all keys of a stack in one vectorised pass. load_grouped_csv,
@@ -25,7 +27,13 @@ from dataclasses import replace
 import numpy as np
 import scipy.linalg
 
-from maximin.confidence import contains
+from maximin.asymvar import (
+    TIE_PROBE_LEVEL,
+    AsymptoticCovariance,
+    empirical_C,
+    face_covariance,
+)
+from maximin.confidence import build_region, chi2_quantile, contains
 from maximin.errors import (
     ConditioningError,
     ConvergenceError,
@@ -36,10 +44,10 @@ from maximin.errors import (
     RankError,
     SingularFitError,
 )
-from maximin.geometry import SigmaMetric
+from maximin.geometry import Face, SigmaMetric, symmetric
 from maximin.linmodel import GroupedDataset, GroupEstimates, generate
 from maximin.magging import _simplex_qp
-from maximin.pipeline import analyze_dataset
+from maximin.pipeline import estimate_dataset
 
 _RANK_RTOL = 1e-12
 _DEGENERACY_TOL = 1e-10
@@ -112,7 +120,7 @@ def sigma_term_V(B_active, Sigma, C_hat):
     return (V + V.T) / 2.0
 
 
-def assemble_W(B_used, Sigma, M, sigma2, C_hat):
+def face_W(B_used, Sigma, M, sigma2, C_hat):
     """W on a face from the per-column Jacobians, summed one at a time."""
     metric = SigmaMetric.ensure(Sigma)
     sigma_inv = metric.inverse()
@@ -124,6 +132,56 @@ def assemble_W(B_used, Sigma, M, sigma2, C_hat):
     term_B = sigma2 * (term_B + term_B.T) / 2.0
     W = term_B + sigma_term_V(B_used, metric, C_hat)
     return (W + W.T) / 2.0
+
+
+def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g):
+    """Inactive columns within the tie bound of the active face, for one
+    dataset (see maximin.asymvar.tied_neighbors)."""
+    metric = SigmaMetric.ensure(Sigma)
+    B = np.atleast_2d(np.asarray(Bhat, dtype=float))
+    p = B.shape[0]
+    n = int(n)
+    sigma2 = float(sigma2)
+    if n <= 0 or sigma2 <= 0.0:
+        return ()
+    active = tuple(active)
+    face = Face(B[:, list(active)], metric)
+    rhs = np.broadcast_to(metric.Sigma, Sigma_g.shape)
+    inv_traces = np.trace(np.linalg.solve(Sigma_g, rhs), axis1=1, axis2=2)
+    scales = sigma2 * inv_traces / n
+    quant = chi2_quantile(p, TIE_PROBE_LEVEL) / p
+    s_face = max(scales[g] for g in active)
+    R = face.complement @ (B - face.B[:, :1])
+    tied = np.einsum("pg,pg->g", R, metric.Sigma @ R) <= (scales + s_face) * quant
+    tied[list(active)] = False
+    return tuple(int(h) for h in np.flatnonzero(tied))
+
+
+def assemble_W(estimates, solution, C_hat, Sigma):
+    """The plug-in covariance of one dataset, with the face chosen here:
+    the active columns, a vertex and its ties, or sigma^2 Sigma^{-1} for
+    an isolated vertex (see maximin.asymvar.covariance_stack)."""
+    metric = SigmaMetric.ensure(Sigma)
+    p = metric.p
+    sigma2 = float(estimates.sigma2_hat)
+    active = tuple(solution.active)
+    Bhat = np.atleast_2d(np.asarray(estimates.Bhat, dtype=float))
+    vertex = len(active) == 1
+    tied = ()
+    if vertex:
+        tied = tied_neighbors(
+            Bhat, active, metric, sigma2, estimates.n, estimates.Sigma_g_hat)
+    used = tuple(sorted(set(active).union(tied))) if tied else active
+    if len(used) == 1:
+        term_B, term_V = sigma2 * metric.inverse(), np.zeros((p, p))
+        W = symmetric(term_B + term_V)
+    else:
+        face = Face(Bhat[:, list(used)], metric)
+        W, term_B, term_V = face_covariance(
+            face, solution.M, sigma2, metric.inverse(), C_hat)
+    return AsymptoticCovariance(
+        W=W, term_B=term_B, term_V=term_V, active_used=used,
+        vertex_mode=vertex, known_sigma=C_hat is None)
 
 
 def explained_variance(b, b_g, Sigma):
@@ -235,23 +293,26 @@ REPLICATE_ERRORS = (
 
 def run_block(spec, alpha, M0, items):
     """Rows (replicate, covered, top eigenvalue, degenerate, vertex), one
-    replicate at a time: generate, analyze_dataset, contains, eigvalsh."""
+    replicate at a time: generate, estimate_dataset, empirical_C, the
+    assemble_W above, build_region, contains, eigvalsh."""
     out = []
     for rep, seed in items:
         dataset, _ = generate(replace(spec, seed=seed))
         try:
-            analysis = analyze_dataset(
-                dataset, alpha=alpha, ridge_jitter=spec.ridge_jitter)
+            estimates, solution, metric = estimate_dataset(dataset, spec.ridge_jitter)
+            C_hat = empirical_C(dataset.design_stack(), solution.M, dataset.G)
+            covariance = assemble_W(estimates, solution, C_hat, metric)
+            region = build_region(solution.M, covariance.W, dataset.n, alpha)
         except REPLICATE_ERRORS:
             out.append((rep, 0, float("nan"), True, False))
             continue
-        W = analysis.covariance.W
+        W = covariance.W
         out.append((
             rep,
-            int(contains(analysis.region, M0)),
+            int(contains(region, M0)),
             float(np.linalg.eigvalsh((W + W.T) / 2.0)[-1]),
             False,
-            analysis.covariance.vertex_mode,
+            covariance.vertex_mode,
         ))
     return out
 

@@ -1,16 +1,20 @@
 """Covariance assembly: fourth-moment term, tie handling, vertex fallback."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from maximin.asymvar import assemble_W, empirical_C, tied_neighbors
-from maximin.errors import DimensionError
+from maximin.asymvar import assemble_W, covariance_stack, empirical_C, tied_neighbors
+from maximin.errors import DegenerateGeometryError, DimensionError, RankError
 from maximin.geometry import Face, SigmaMetric
-from maximin.linmodel import ScenarioSpec, fit, generate
+from maximin.linmodel import GroupEstimates, ScenarioSpec, fit, generate
 from maximin.magging import maximin_point
 from maximin.pipeline import analyze_dataset
 from maximin.selfcheck import gaussian_population_C
-from reference import assemble_W as reference_W, fourth_moment_reference
+from reference import assemble_W as reference_assemble_W
+from reference import face_W as reference_W
+from reference import fourth_moment_reference
 
 
 def test_empirical_C_matches_tensor_contraction():
@@ -209,3 +213,69 @@ def test_monte_carlo_covariance_tracks_assembled_W():
     W_pop = assemble_W(_population_estimates(B, Sigma), sol, C, Sigma=Sigma).W
     rel = np.linalg.norm(mc_cov - W_pop) / np.linalg.norm(W_pop)
     assert rel <= 0.30
+
+
+def _mixed_chunk():
+    # One p = 2, G = 4 stack: an interior face, an isolated vertex, a
+    # tie-enlarged vertex, a degenerate face (three collinear columns), a
+    # face with k - 1 > p, and a rank-deficient face whose columns are
+    # each more than 1e-10 off the others' hull.
+    identity = np.eye(2)
+    rows = []
+    for B in ([[1.0, 0.0, 3.0, 9.0], [0.0, 1.0, 3.0, 9.0]],
+              [[0.1, 5.0, 3.0, 9.0], [0.0, 1.0, -4.0, 9.0]],
+              [[0.5, 0.5001, 5.0, 9.0], [0.0, 0.001, 1.0, 9.0]]):
+        sol = maximin_point(np.array(B), identity)
+        rows.append((B, sol.active, sol.M))
+    for B, active in (([[1.0, 1.0, 1.0, 9.0], [-1.0, 1.0, 0.0, 9.0]], (0, 1, 2)),
+                      ([[1.0, 0.0, -1.0, 0.3], [0.0, 1.0, 0.2, -1.0]], (0, 1, 2, 3)),
+                      ([[0.0, 1e6, 2e6, 9.0], [0.0, 0.0, 1e-7, 9.0]], (0, 1, 2))):
+        rows.append((B, active, np.array(B)[:, list(active)].mean(axis=1)))
+    B = np.array([np.array(b, dtype=float) for b, _, _ in rows])
+    active = np.zeros((len(rows), 4), dtype=bool)
+    for r, (_, cols, _) in enumerate(rows):
+        active[r, list(cols)] = True
+    M = np.array([m for _, _, m in rows])
+    C = np.array([gaussian_population_C(identity, m, 4) for m in M])
+    return B, active, M, C
+
+
+@pytest.mark.parametrize("known", [False, True])
+def test_covariance_stack_rows_equal_the_oracle_and_each_row_alone(known):
+    B, active, M, C = _mixed_chunk()
+    R = len(B)
+    metric = SigmaMetric(np.stack((np.eye(2),) * R))
+    sigma2, n, Sigma_g = np.ones(R), 50, np.stack((np.eye(2),) * 4)
+    C_hat = None if known else C
+    stack = covariance_stack(B, active, M, metric, sigma2, n,
+                             np.stack((Sigma_g,) * R), C_hat)
+    kinds = []
+    for r in range(R):
+        alone = covariance_stack(B[r:r + 1], active[r:r + 1], M[r:r + 1], metric[r:r + 1],
+                                 sigma2[r:r + 1], n, Sigma_g[None],
+                                 None if known else C[r:r + 1])
+        est = GroupEstimates(Bhat=B[r], Sigma_hat=np.eye(2), Sigma_g_hat=Sigma_g,
+                             sigma2_hat=1.0, ridge_jitter_used=0.0, n=n)
+        sol = SimpleNamespace(active=tuple(np.flatnonzero(active[r])), M=M[r])
+        try:
+            expected = reference_assemble_W(est, sol, None if known else C[r], np.eye(2))
+        except (DegenerateGeometryError, RankError) as err:
+            kinds.append(type(err).__name__)
+            for got in (stack, alone):
+                i = r if got is stack else 0
+                W, errors = got[0], got[5]
+                assert (type(errors[i]), str(errors[i])) == (type(err), str(err))
+                assert np.isnan(W[i]).all()
+            continue
+        kinds.append(len(expected.active_used) if expected.vertex_mode else "face")
+        for got in (stack, alone):
+            i = r if got is stack else 0
+            W, term_B, term_V, used, vertex, errors = got
+            assert errors[i] is None
+            for value, want in ((W, expected.W), (term_B, expected.term_B),
+                                (term_V, expected.term_V)):
+                assert value[i].tobytes() == want.tobytes()
+            assert tuple(np.flatnonzero(used[i])) == expected.active_used
+            assert vertex[i] == expected.vertex_mode
+    rank = "face" if known else "RankError"
+    assert kinds == ["face", 1, 2, "DegenerateGeometryError", "DegenerateGeometryError", rank]

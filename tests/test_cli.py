@@ -381,6 +381,30 @@ def test_degenerate_covariance_exits_four(tmp_path, capsys):
     assert "conditioning" in capsys.readouterr().err
 
 
+def _write_noise_csv(path, G, scale):
+    # y is pure noise, so the residual variance is about n times the
+    # squared coefficients: it overflows first as the scale grows
+    rng = np.random.default_rng(G)
+    lines = ["group,x1,x2,y"]
+    for g in range(G):
+        for x1, x2, e in rng.standard_normal((50, 3)).tolist():
+            lines.append(f"g{g},{x1!r},{x2!r},{scale * e!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("G", [3, 8])  # enumerated and active-set QP
+def test_overflowing_data_exit_with_a_mapped_error(tmp_path, capsys, G):
+    path = tmp_path / "huge.csv"
+    _write_noise_csv(path, G, 1e160)  # B^T Sigma B overflows
+    for command in ("estimate", "region"):
+        assert main([command, str(path)]) == EXIT_CONVERGENCE
+        assert capsys.readouterr().err == (
+            "maximin: convergence: the simplex QP has no finite solution\n")
+    _write_noise_csv(path, G, 1.5e153)  # the residual variance, and W, overflow
+    assert main(["region", str(path)]) == EXIT_CONDITIONING
+    assert "eigenvalue range [nan, nan]" in capsys.readouterr().err
+
+
 def test_degenerate_geometry_exits_six(tmp_path, capsys):
     # the lone active column lies in the affine hull of the others
     path = tmp_path / "hull.csv"

@@ -110,6 +110,9 @@ def test_region_rejects_bad_covariances():
     assert info.value.eigenvalues is not None
     with pytest.raises(ConditioningError):
         build_region(np.zeros(2), np.diag([1.0, 1e13]), n=10, alpha=0.05)
+    for W in (np.diag([1.0, np.inf]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(ConditioningError):
+            build_region(np.zeros(2), W, n=10, alpha=0.05)
     with pytest.raises(ValueError):
         build_region(np.zeros(2), np.eye(2), n=0, alpha=0.05)
     with pytest.raises(ValueError):

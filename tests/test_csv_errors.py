@@ -90,6 +90,9 @@ ERROR_TABLE = [
      "groups must have equal sizes, got north=2, south=1", None, None),
     ("split", [("a/g.csv", "x1,y\n1,2\n2,3\n"), ("b/g.csv", "x1,y\n3,1\n4,5\n")],
      "{0} and {1}: group label 'g' appears more than once", None, None),
+    # csv.reader's limit on a field (the quote sends the file to it)
+    ("grouped", [("data.csv", 'group,x1,y\n"a",1,' + "1" * 200_000 + "\n")],
+     "{0}: line 2: field larger than field limit (131072)", 2, None),
 ]
 
 LOADERS = {

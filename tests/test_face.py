@@ -9,6 +9,7 @@ import reference as ref
 from maximin.asymvar import assemble_W
 from maximin.errors import DegenerateGeometryError, RankError
 from maximin.geometry import Face, SigmaMetric
+from maximin.linmodel import GroupEstimates
 from maximin.selfcheck import gaussian_population_C, separated_instances
 
 _RTOL = 1e-10
@@ -18,9 +19,9 @@ def _close(a, b):
     return np.linalg.norm(a - b) <= _RTOL * max(np.linalg.norm(b), 1e-300)
 
 
-class _Estimates:
-    def __init__(self, B, Sigma, sigma2):
-        self.Bhat, self.Sigma_hat, self.sigma2_hat = B, Sigma, sigma2
+def _estimates(B, Sigma, sigma2):
+    return GroupEstimates(Bhat=B, Sigma_hat=Sigma, Sigma_g_hat=np.stack((Sigma,) * B.shape[1]),
+                          sigma2_hat=sigma2, ridge_jitter_used=0.0, n=10**9)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -38,8 +39,8 @@ def test_face_matches_reference_on_separated_instances(seed, sigma2):
     assert _close(face.project(x), ref.affine_project(x, sub.T, metric))
     C = gaussian_population_C(Sigma, sol.M, B.shape[1])
     assert _close(face.term_V(C), ref.sigma_term_V(sub, metric, C))
-    W = assemble_W(_Estimates(B, Sigma, sigma2), sol, C, Sigma=metric).W
-    assert _close(W, ref.assemble_W(sub, metric, sol.M, sigma2, C))
+    W = assemble_W(_estimates(B, Sigma, sigma2), sol, C, Sigma=metric).W
+    assert _close(W, ref.face_W(sub, metric, sol.M, sigma2, C))
 
 
 def test_weight_ratio_identity_on_the_face():

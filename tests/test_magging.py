@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maximin.errors import BudgetError, DefinitenessError
-from maximin.magging import brute_force_oracle, maximin_point
+from maximin.magging import maximin_point
+from maximin.selfcheck import brute_force_oracle
 from reference import explained_variance
 
 

@@ -9,9 +9,19 @@ import pytest
 
 import reference
 from maximin import simulate
-from maximin.linmodel import ScenarioSpec, fit, generate, generate_stack, true_coefficients
-from maximin.errors import DefinitenessError
-from maximin.magging import ENUMERATION_MAX_G, brute_force_oracle, program_bytes
+from maximin.confidence import contains, max_eigenvalue
+from maximin.errors import ConvergenceError, DefinitenessError
+from maximin.linmodel import (
+    GroupedDataset,
+    ScenarioSpec,
+    fit,
+    generate,
+    generate_stack,
+    true_coefficients,
+)
+from maximin.magging import ENUMERATION_MAX_G, program_bytes
+from maximin.pipeline import analyze_dataset
+from maximin.selfcheck import brute_force_oracle
 from maximin.simulate import (
     CSV_HEADER,
     _derive_seed,
@@ -262,31 +272,49 @@ def test_a_chunk_keeps_its_designs_and_qp_systems_in_the_budget(table, p, n):
     assert size == 1 or size * max(design, systems) <= simulate.CHUNK_BYTES
 
 
-def test_a_failed_metric_check_sends_the_chunk_cold(monkeypatch):
+@pytest.mark.parametrize("stage", ["SigmaMetric", "stacked_maximin"])
+def test_a_failed_chunk_runs_each_replicate_alone(stage, monkeypatch):
+    # a metric check or QP that fails a chunk as a whole sends each of its
+    # replicates through the same pass alone; one that fails alone is degenerate
     spec, M0, items = _engine_cell(*ENGINE_CELLS[0])
     expected = _bits(simulate._run_block(spec, 0.05, M0, items))
+    kernel = getattr(simulate, stage)
+    error = DefinitenessError if stage == "SigmaMetric" else ConvergenceError
 
-    def refuse(Sigma):
-        raise DefinitenessError("refused")
+    def refuse_stacks(first, *rest):
+        if len(first) > 1:
+            raise error("refused")
+        return kernel(first, *rest)
 
-    # the per-replicate path builds its metric through maximin.geometry
-    monkeypatch.setattr(simulate, "SigmaMetric", refuse)
-    X, y = generate_stack(spec, [seed for _, seed in items])
-    assert not simulate._stacked_pass(X, y, spec.ridge_jitter, 0.05, M0)[2].any()
+    monkeypatch.setattr(simulate, stage, refuse_stacks)
     assert _bits(simulate._run_block(spec, 0.05, M0, items)) == expected
+
+    def refuse(*args):
+        raise error("refused")
+
+    monkeypatch.setattr(simulate, stage, refuse)
+    rows = simulate._run_block(spec, 0.05, M0, items)
+    assert _bits(rows) == _bits([(rep, 0, float("nan"), True, False) for rep, _ in items])
 
 
 @pytest.mark.parametrize("cell", ENGINE_CELLS)
 def test_stacked_rows_equal_the_per_replicate_analysis(cell):
-    # A replicate the stacked pass finishes gets the same bits from the
-    # per-replicate path, so where a chunk goes cold does not matter.
+    # Every row of a chunk, vertices, ties and degenerate replicates
+    # included, has the bits of the library's single-dataset analysis.
     spec, M0, items = _engine_cell(*cell)
     X, y = generate_stack(spec, [seed for _, seed in items])
-    covered, eig, hot = simulate._stacked_pass(X, y, spec.ridge_jitter, 0.05, M0)
-    for i in np.flatnonzero(hot):
-        alone = simulate._analyze_one(X[i], y[i], spec.ridge_jitter, 0.05, M0)
-        assert (int(covered[i]), float(eig[i]).hex()) == (alone[0], alone[1].hex())
-        assert alone[2:] == (False, False)
+    rows = simulate._stacked_pass(X, y, spec.ridge_jitter, 0.05, M0)
+    for i, (covered, eig, degenerate, vertex) in enumerate(rows):
+        dataset = GroupedDataset(tuple(zip(X[i], y[i])))
+        try:
+            analysis = analyze_dataset(dataset, alpha=0.05, ridge_jitter=spec.ridge_jitter)
+        except reference.REPLICATE_ERRORS:
+            assert (covered, degenerate, vertex) == (0, True, False)
+            continue
+        W = analysis.covariance.W
+        assert (covered, eig.hex(), degenerate, vertex) == (
+            int(contains(analysis.region, M0)), max_eigenvalue(W).hex(), False,
+            analysis.covariance.vertex_mode)
 
 
 @pytest.mark.parametrize("table", [1, 2, 3, 4, 5])

@@ -14,11 +14,11 @@ from maximin.magging import (
     ENUMERATION_MAX_G,
     _residual,
     _simplex_qp,
-    brute_force_oracle,
     maximin_point,
     stacked_simplex_qp,
 )
 from maximin.relaxation import contains_relaxed, covering_region, group_confidence_boxes
+from maximin.selfcheck import brute_force_oracle
 
 
 def _programs(seed, R, p, G, shifted, duplicates):
