@@ -13,16 +13,16 @@ group, and for ``--known-sigma`` a headerless grid of the p x p matrix.
 Exit codes: 0 success, 1 usage, 2 CSV parse failure in a data or
 known-sigma file (naming the file, and the line and column when known),
 groups of unequal size, or two per-group files with the same name,
-3 singular per-group fit (naming the group), 4 ill-conditioned
-covariance (with eigenvalue diagnostics), 5 budget or size limits
-exceeded, 6 degenerate geometry (the maximin map is not differentiable
-at the solution), 7 rank-deficient active face, 8 solver did not
-converge, 9 a covariance that must be positive definite is not,
-10 a self-check of ``check`` failed.
+3 a group scatter that is singular, numerically rank-deficient or not
+finite (naming the group), 4 ill-conditioned covariance (with
+eigenvalue diagnostics), 5 budget or size limits exceeded, 6 degenerate
+geometry (the maximin map is not differentiable at the solution),
+7 rank-deficient active face, 8 solver did not converge, 9 a covariance
+that must be positive definite is not, 10 a self-check of ``check``
+failed. JSON output is strict: a non-finite number is written as null.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -157,10 +157,6 @@ def _emit(text, out_path):
             handle.write(text)
 
 
-def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _unique_weights(Bhat, active):
     """Whether the active columns are linearly independent.
 
@@ -205,7 +201,7 @@ def cmd_estimate(args, parser):
         dataset, ridge_jitter=args.jitter, known_sigma=known
     )
     payload = _estimate_payload(dataset, estimates, solution, known is not None)
-    _emit(_json_text(payload), args.out)
+    _emit(simulate.json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -228,7 +224,7 @@ def cmd_region(args, parser):
             dataset, analysis.estimates, analysis.solution, known is not None
         ),
     }
-    _emit(_json_text(payload), args.out)
+    _emit(simulate.json_text(payload), args.out)
     axes = ", ".join(f"{v:.6g}" for v in region.semi_axes())
     print(
         f"confidence level {region.level:g}, n={region.n_used},"

@@ -158,10 +158,6 @@ class SigmaMetric:
         v = self.inner(x, x)
         return float(np.sqrt(max(v, 0.0)))
 
-    def solve(self, rhs):
-        """Sigma^{-1} rhs for a single metric, by LAPACK's potrs on L."""
-        return _potrs(self.L, np.asarray(rhs, dtype=float), lower=1)[0]
-
     def inverse(self):
         """Sigma^{-1}, symmetrised; potrs on each factor of a stack."""
         eye, out = np.eye(self.p), np.empty(self.L.shape)

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CsvFormatError, DimensionError, SingularFitError
 from .geometry import nan_where_singular
@@ -350,17 +349,29 @@ class StackFit(NamedTuple):
     coef (..., G, p) holds each group's coefficients, S (..., G, p, p)
     the scatters X_g^T X_g / n plus the jitter diagonal, rhs
     (..., G, p, 1) the moments X_g^T y_g / n, sigma2 (...) the pooled
-    residual variances and pivots_ok (..., G) the per-group rank check.
-    ok (...) marks the datasets whose every group passes it with finite
-    input; coef and sigma2 are NaN for the others.
+    residual variances and pivots (..., G, p) the squared Cholesky
+    pivots of each scatter, NaN where it cannot be factored. coef and
+    sigma2 are NaN for the datasets that are not ok.
     """
 
     coef: np.ndarray
     S: np.ndarray
     rhs: np.ndarray
     sigma2: np.ndarray
-    pivots_ok: np.ndarray
-    ok: np.ndarray
+    pivots: np.ndarray
+
+    @property
+    def pivots_ok(self):
+        """The rank check of each group, (..., G): its scatter was
+        factored with a pivot ratio above _PIVOT_RTOL."""
+        with np.errstate(invalid="ignore"):
+            return self.pivots.min(axis=-1) > _PIVOT_RTOL * self.pivots.max(axis=-1)
+
+    @property
+    def ok(self):
+        """The datasets whose every group passes the rank check with
+        finite moments, (...)."""
+        return self.pivots_ok.all(axis=-1) & np.isfinite(self.rhs).all(axis=(-3, -2, -1))
 
     @property
     def Bhat(self):
@@ -376,41 +387,44 @@ class StackFit(NamedTuple):
 def fit_stack(X, y, ridge_jitter=0.0):
     """Per-group least squares over a (..., G, n, p) stack of datasets.
 
-    One batched pass: Grams, one Cholesky for the rank check (a pivot
-    ratio at or below _PIVOT_RTOL fails it), one solve for the datasets
-    that pass, and the residual variance on G (n - p) degrees of
-    freedom, or G n when p >= n. Returns a StackFit.
+    One batched pass: Grams and moments (an overflow leaves them
+    non-finite, and a non-finite scatter fails the rank check), one
+    Cholesky for the rank check (a pivot ratio at or below _PIVOT_RTOL
+    fails it), one solve for the datasets that pass, and the residual
+    variance on G (n - p) degrees of freedom, or G n when p >= n.
+    Returns a StackFit.
     """
     G, n, p = X.shape[-3:]
     Xt = X.swapaxes(-1, -2)
-    S = (Xt @ X) / n + ridge_jitter * np.eye(p)
-    rhs = (Xt @ y[..., None]) / n
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = (Xt @ X) / n + ridge_jitter * np.eye(p)
+        rhs = (Xt @ y[..., None]) / n
         pivots = np.diagonal(nan_where_singular(np.linalg.cholesky, S),
                              axis1=-2, axis2=-1) ** 2
-        pivots_ok = pivots.min(axis=-1) > _PIVOT_RTOL * pivots.max(axis=-1)
-    ok = pivots_ok.all(axis=-1) & np.isfinite(rhs).all(axis=(-3, -2, -1))
-    coef = np.full(S.shape[:-1], np.nan)
-    sigma2 = np.full(S.shape[:-3], np.nan)
+    fitted = StackFit(np.full(S.shape[:-1], np.nan), S, rhs,
+                      np.full(S.shape[:-3], np.nan), pivots)
+    ok = fitted.ok
     if ok.any():
         sel = Ellipsis if ok.all() else ok  # a view, not a copy, when all pass
         sol = np.linalg.solve(S[sel], rhs[sel])
         r = y[sel] - (X[sel] @ sol)[..., 0]
         dof = G * n if p >= n else G * (n - p)
-        coef[sel] = sol[..., 0]
+        fitted.coef[sel] = sol[..., 0]
         with np.errstate(over="ignore"):  # an inf sigma2 fails W's spectrum
-            sigma2[sel] = np.sum(r * r, axis=(-2, -1)) / dof
-    return StackFit(coef, S, rhs, sigma2, pivots_ok, ok)
+            fitted.sigma2[sel] = np.sum(r * r, axis=(-2, -1)) / dof
+    return fitted
 
 
 def fit(dataset, ridge_jitter=0.0):
     """Per-group least squares with an optional ridge jitter.
 
     Each coefficient vector solves (X_g^T X_g / n + jitter Id) b =
-    X_g^T y_g / n. With jitter 0 a singular (or numerically rank-
-    deficient) scatter raises SingularFitError naming the first such
-    group. The dataset goes through fit_stack as a stack of one.
-    Sigma_hat is the mean of the group scatters, X^T X / (nG) + jitter Id.
+    X_g^T y_g / n. The dataset goes through fit_stack as a stack of
+    one, and its verdict is the only check: the first group that fails
+    it raises. A scatter that is not finite (it overflowed), cannot be
+    factored or is numerically rank-deficient raises SingularFitError
+    naming the group; non-finite moments raise ValueError. Sigma_hat is
+    the mean of the group scatters, X^T X / (nG) + jitter Id.
 
     Parameters
     ----------
@@ -426,8 +440,18 @@ def fit(dataset, ridge_jitter=0.0):
         raise ValueError("ridge_jitter must be finite and >= 0")
     fitted = fit_stack(dataset.X[None], dataset.y[None], ridge_jitter)
     if not fitted.ok[0]:
-        _raise_first_failure(
-            fitted.S[0], fitted.rhs[0], fitted.pivots_ok[0], dataset.labels)
+        failed = ~fitted.pivots_ok[0] | ~np.isfinite(fitted.rhs[0]).all(axis=(-2, -1))
+        g = int(np.argmax(failed))
+        label = dataset.labels[g]
+        if not np.isfinite(fitted.S[0, g]).all():
+            problem = "is not finite"
+        elif np.isnan(fitted.pivots[0, g]).any():
+            problem = "is singular; a positive ridge_jitter is required"
+        elif not fitted.pivots_ok[0, g]:
+            problem = "is numerically rank-deficient"
+        else:
+            raise ValueError("array must not contain infs or NaNs")
+        raise SingularFitError(f"group {label}: design scatter {problem}", group=label)
     return GroupEstimates(
         Bhat=fitted.Bhat[0],
         Sigma_hat=fitted.Sigma_hat[0],
@@ -436,38 +460,6 @@ def fit(dataset, ridge_jitter=0.0):
         ridge_jitter_used=float(ridge_jitter),
         n=dataset.n,
         sigma2_approximate=dataset.p >= dataset.n,
-    )
-
-
-def _raise_first_failure(S, rhs, ok, labels):
-    """Raise what the first failing group of a fit raises.
-
-    Runs the checks group by group, in order: a scatter that cannot be
-    factored is singular, a pivot ratio at or below _PIVOT_RTOL is
-    numerically rank-deficient, and non-finite input raises ValueError.
-    ok is the batched pivot verdict: should every group pass the per-
-    group checks, the first group ok fails is reported as rank-deficient.
-    """
-    for g, S_g in enumerate(S):
-        try:
-            factor = scipy.linalg.cho_factor(S_g, lower=True)
-        except scipy.linalg.LinAlgError:
-            raise SingularFitError(
-                f"group {labels[g]}: design scatter is singular;"
-                " a positive ridge_jitter is required",
-                group=labels[g],
-            ) from None
-        pivots = np.abs(np.diag(factor[0])) ** 2
-        if pivots.min() <= _PIVOT_RTOL * pivots.max():
-            _rank_deficient(labels[g])
-        np.asarray_chkfinite(rhs[g])
-    _rank_deficient(labels[int(np.argmin(ok))])
-
-
-def _rank_deficient(label):
-    raise SingularFitError(
-        f"group {label}: design scatter is numerically rank-deficient",
-        group=label,
     )
 
 

@@ -294,6 +294,13 @@ def active_mask(gamma):
     return gamma > ACTIVITY_THRESHOLD
 
 
+def sigma_gram(B, Sigma):
+    """H = B^T Sigma B over leading stack axes, symmetrised: the quadratic
+    term of the simplex QP. An overflow leaves H non-finite, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return symmetric(B.swapaxes(-1, -2) @ Sigma @ B)
+
+
 class MaximinStack(NamedTuple):
     """Maximin solutions of a stack of programs, from stacked_maximin."""
 
@@ -316,8 +323,7 @@ def stacked_maximin(B, Sigma):
     before the solve.
     """
     B = np.asarray(B, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = symmetric(B.swapaxes(-1, -2) @ Sigma @ B)
+    H = sigma_gram(B, Sigma)
     if not np.isfinite(H).all():
         raise ConvergenceError("the simplex QP has no finite solution")
     gamma, support, iterations = stacked_simplex_qp(H, B.shape[-2])

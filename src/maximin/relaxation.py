@@ -27,7 +27,7 @@ import numpy as np
 from .confidence import chi2_quantile
 from .errors import BudgetError
 from .geometry import SigmaMetric
-from .magging import maximin_point, stacked_simplex_qp
+from .magging import maximin_point, sigma_gram, stacked_simplex_qp
 
 # Most lattice centers covering_region builds before raising BudgetError.
 BUDGET = 10**6
@@ -215,10 +215,8 @@ def contains_relaxed(region, M):
     for start in range(0, passing.size, _CHUNK):
         pieces = passing[start:start + _CHUNK]
         B = region.centers[pieces]
-        Bt = B.transpose(0, 2, 1)
-        H = Bt @ Sigma @ B
-        H = (H + H.transpose(0, 2, 1)) / 2.0
-        c = -2.0 * (Bt @ SM)
+        H = sigma_gram(B, Sigma)
+        c = -2.0 * (B.transpose(0, 2, 1) @ SM)
         gamma, _, _ = stacked_simplex_qp(H, p, c)
         d2 = np.sum(gamma * ((H @ gamma[:, :, None])[:, :, 0] + c), axis=1) + MSM
         if np.any(np.sqrt(np.maximum(d2, 0.0)) <= region.radii[pieces] + _SLACK):

@@ -7,7 +7,10 @@ of (master seed, table, p, n) and every replicate derives its own
 64-bit seed from (cell seed, replicate index). Workers therefore
 produce identical per-replicate results regardless of how replicates
 are distributed, and reports aggregate in replicate order, so output
-bytes do not depend on the worker count.
+bytes do not depend on the worker count. Each replicate's region is
+scored against the cell's analytic maximin point, true_maximin(spec);
+the test suite certifies that closed form by the simplex QP's KKT
+conditions for every coefficient rule, so a run does not re-solve it.
 
 Each worker runs its replicates in chunks through a block engine.
 The chunk's datasets are drawn into one (R, G, n, p) design stack by
@@ -60,8 +63,8 @@ from .confidence import (
 )
 from .errors import ConvergenceError, DefinitenessError
 from .geometry import SigmaMetric
-from .linmodel import ScenarioSpec, fit_stack, generate_stack, true_coefficients
-from .magging import active_mask, maximin_point, program_bytes, stacked_maximin
+from .linmodel import ScenarioSpec, fit_stack, generate_stack
+from .magging import active_mask, program_bytes, stacked_maximin
 
 TABLE_IDS = (1, 2, 3, 4, 5)
 
@@ -122,6 +125,9 @@ def true_maximin(spec):
     """Analytic maximin effect of a scenario under the identity metric.
 
     The mean of e_1 .. e_G for basis vectors, e_1 for the other rules.
+    For shared-plus-noise that is the maximin point of draws whose z has
+    mixed signs; same-signed draws have another, and scoring against
+    e_1 on them is a deliberate reporting convention.
     """
     p, G = spec.p, spec.G
     if spec.coefficient_rule == "basis-vectors":
@@ -131,60 +137,6 @@ def true_maximin(spec):
     M = np.zeros(p)
     M[0] = 1.0
     return M
-
-
-_verified_rules = set()
-
-
-def _kkt_certifies(B, M):
-    """Whether M is the minimum-norm point of the hull of B's columns.
-
-    Solves the maximin program under the identity metric and checks,
-    to within tol = 1e-8, that its point equals M and that the KKT gap
-    conditions hold at M: <b_g - M, M> >= -tol for every column, with
-    equality on the solution's support. The QP is convex, so they are
-    necessary and sufficient.
-    """
-    tol = 1e-8
-    solution = maximin_point(B, np.eye(B.shape[0]))
-    gaps = B.T @ M - M @ M
-    return bool(
-        np.linalg.norm(solution.M - M) <= tol
-        and gaps.min() >= -tol
-        and np.all(np.abs(gaps[list(solution.active)]) <= tol)
-    )
-
-
-def _verify_true_maximin(spec):
-    """One-time cross-check of the analytic reference point.
-
-    The simplex-QP KKT conditions must certify it, at any G.
-    For the shared-plus-noise rule the check uses a canonical draw with
-    mixed signs; same-signed draws have a different maximin point, and
-    scoring against e_1 on them is a deliberate reporting convention.
-    """
-    key = (spec.coefficient_rule, spec.p, spec.G)
-    if key in _verified_rules:
-        return
-    if spec.coefficient_rule == "shared-plus-noise":
-        canonical = None
-        for seed in range(64):
-            B = true_coefficients(replace(spec, seed=seed))
-            z = B[1, :]
-            if z.min() < 0.0 < z.max():
-                canonical = B
-                break
-        if canonical is None:
-            raise AssertionError("no mixed-sign canonical draw found")
-        B = canonical
-    else:
-        B = true_coefficients(spec)
-    M0 = true_maximin(spec)
-    if not _kkt_certifies(B, M0):
-        raise AssertionError(
-            f"analytic maximin reference fails its cross-check for {key}"
-        )
-    _verified_rules.add(key)
 
 
 def _derive_seed(*parts):
@@ -282,7 +234,6 @@ def run_cell(spec, replicates, alpha, jobs=1):
         raise ValueError("alpha must lie in (0, 1)")
     start = time.perf_counter()
     M0 = true_maximin(spec)
-    _verify_true_maximin(spec)
     items = [(rep, _derive_seed(spec.seed, rep)) for rep in range(replicates)]
     rows = []
     if jobs <= 1 or replicates <= 1:
@@ -400,4 +351,21 @@ def grid_to_json(results):
 
 
 def grid_json_text(results):
-    return json.dumps(grid_to_json(results), indent=2, sort_keys=True) + "\n"
+    return json_text(grid_to_json(results))
+
+
+def json_text(payload):
+    """payload as indented, key-sorted strict JSON: a non-finite float
+    is written as null."""
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value

@@ -214,7 +214,11 @@ def fourth_moment_reference(X, G):
 
 
 def fit(dataset, ridge_jitter=0.0):
-    """Per-group least squares, one Cholesky factor per group."""
+    """Per-group least squares, one Cholesky factor per group.
+
+    The factor is NumPy's, as in fit_stack: on a scatter that is
+    singular up to rounding, NumPy's and SciPy's LAPACK builds can
+    disagree on whether it factors at all."""
     n, p, G = dataset.n, dataset.p, dataset.G
     Bhat = np.empty((p, G))
     Sigma_g = []
@@ -222,8 +226,8 @@ def fit(dataset, ridge_jitter=0.0):
     for g, (X, y) in enumerate(dataset.groups):
         S = (X.T @ X) / n + ridge_jitter * np.eye(p)
         try:
-            factor = scipy.linalg.cho_factor(S, lower=True)
-        except scipy.linalg.LinAlgError:
+            factor = np.linalg.cholesky(S), True
+        except np.linalg.LinAlgError:
             raise SingularFitError(
                 f"group {dataset.labels[g]}: design scatter is singular;"
                 " a positive ridge_jitter is required",

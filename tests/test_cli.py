@@ -22,12 +22,15 @@ from maximin.cli import (
     build_parser,
     main,
 )
-from maximin.errors import ConvergenceError, RankError
-from maximin.linmodel import ScenarioSpec, generate
+from maximin.errors import ConvergenceError, RankError, SingularFitError
+from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, generate
 
 
 def _write_grouped_csv(path, spec):
-    ds, _ = generate(spec)
+    return _write_dataset_csv(path, generate(spec)[0])
+
+
+def _write_dataset_csv(path, ds):
     lines = ["group," + ",".join(f"x{j + 1}" for j in range(ds.p)) + ",y"]
     for label, (X, y) in zip(ds.labels, ds.groups):
         for i in range(ds.n):
@@ -203,9 +206,32 @@ def test_simulate_json_format(capsys):
     assert payload["cells"][0]["replicates"] == 5
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_is_strict(tmp_path, capsys):
+    # noise-only responses at 2e154 overflow the residual variance, and
+    # a cell without replicates has no coverage: both are written as null
+    ds, _ = generate(ScenarioSpec(p=2, G=3, n=50, coefficient_rule="identical", seed=8))
+    noise = np.random.Generator(np.random.Philox(key=8)).standard_normal((3, 50))
+    path = tmp_path / "huge.csv"
+    _write_dataset_csv(path, GroupedDataset(tuple(zip(ds.X, 2e154 * noise))))
+    assert main(["estimate", str(path)]) == EXIT_OK
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["sigma2_hat"] is None
+    assert main(["simulate", "--replicates", "0", "--format", "json"]) == EXIT_OK
+    cell = _strict_json(capsys.readouterr().out)["cells"][0]
+    for key in ("coverage", "coverage_all_replicates", "halfwidth", "mean_max_eig"):
+        assert cell[key] is None
+
+
 def test_simulate_beyond_the_oracle_budget(capsys):
-    # G = 20 groups exceed the exhaustive oracle's G <= 15 budget; the
-    # analytic reference is certified by its KKT conditions instead
+    # G = 20 groups, past the exhaustive oracle's G <= 15 and the face
+    # enumeration's G <= 6; run_cell scores against the closed-form
+    # reference point, which the tests certify at any G
     code = main(
         [
             "simulate",
@@ -363,6 +389,52 @@ def test_singular_fit_exits_three(tmp_path, capsys):
     _write_grouped_csv(bad, ScenarioSpec(p=3, G=2, n=2, seed=34))
     assert main(["estimate", str(bad)]) == EXIT_SINGULAR
     assert "singular" in capsys.readouterr().err
+
+
+def _refused_dataset(fault):
+    """G = 3, n = 20, p = 2 data with one fault planted in groups 2 and 3
+    (in group 1 for the overflowing scatter); the first is named."""
+    ds, _ = generate(ScenarioSpec(p=2, G=3, n=20, coefficient_rule="identical", seed=41))
+    X, y = ds.X.copy(), ds.y.copy()
+    noise = np.random.Generator(np.random.Philox(key=41)).standard_normal((3, 20))
+    for g in (0,) if fault == "scatter overflow" else (1, 2):
+        if fault == "singular":
+            X[g, :, 1] = 0.0
+        elif fault == "rank-deficient":
+            X[g, :, 1] = X[g, :, 0] + 1e-7 * noise[g]
+        elif fault == "scatter overflow":
+            X[g, :, 0] *= 1e155
+        else:  # the moments X_g^T y_g / n overflow
+            y[g] = 1.5e308 * np.sign(X[g, :, 0])
+    return GroupedDataset(tuple(zip(X, y)), ds.labels)
+
+
+# fault: (exit code, exception type, group, message)
+FIT_REFUSALS = {
+    "singular": (EXIT_SINGULAR, SingularFitError, "g2",
+                 "group g2: design scatter is singular; a positive ridge_jitter is required"),
+    "rank-deficient": (EXIT_SINGULAR, SingularFitError, "g2",
+                       "group g2: design scatter is numerically rank-deficient"),
+    "scatter overflow": (EXIT_SINGULAR, SingularFitError, "g1",
+                         "group g1: design scatter is not finite"),
+    "moments overflow": (EXIT_USAGE, ValueError, None,
+                         "array must not contain infs or NaNs"),
+}
+
+
+@pytest.mark.parametrize("fault", FIT_REFUSALS)
+def test_fit_refusals_name_their_group(fault, tmp_path, capsys):
+    code, kind, group, message = FIT_REFUSALS[fault]
+    ds = _refused_dataset(fault)
+    with pytest.raises(kind) as info:
+        fit(ds)
+    assert type(info.value) is kind and str(info.value) == message
+    assert getattr(info.value, "group", None) == group
+    path = tmp_path / "data.csv"
+    _write_dataset_csv(path, ds)
+    assert main(["estimate", str(path)]) == code
+    prefix = "singular fit: " if kind is SingularFitError else ""
+    assert capsys.readouterr() == ("", f"maximin: {prefix}{message}\n")
 
 
 def test_degenerate_covariance_exits_four(tmp_path, capsys):

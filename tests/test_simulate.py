@@ -6,12 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import reference
 from maximin import simulate
 from maximin.confidence import contains, max_eigenvalue
 from maximin.errors import ConvergenceError, DefinitenessError
 from maximin.linmodel import (
+    COEFFICIENT_RULES,
     GroupedDataset,
     ScenarioSpec,
     fit,
@@ -19,14 +22,12 @@ from maximin.linmodel import (
     generate_stack,
     true_coefficients,
 )
-from maximin.magging import ENUMERATION_MAX_G, program_bytes
+from maximin.magging import ENUMERATION_MAX_G, maximin_point, program_bytes
 from maximin.pipeline import analyze_dataset
 from maximin.selfcheck import brute_force_oracle
 from maximin.simulate import (
     CSV_HEADER,
     _derive_seed,
-    _kkt_certifies,
-    _verify_true_maximin,
     cell_seed,
     grid_json_text,
     grid_to_csv,
@@ -317,18 +318,51 @@ def test_stacked_rows_equal_the_per_replicate_analysis(cell):
             analysis.covariance.vertex_mode)
 
 
+def _mixed_signs(B):
+    """Whether a shared-plus-noise draw's z has both signs, which makes
+    e_1 its maximin point."""
+    return B[1].min() < 0.0 < B[1].max()
+
+
+def _assert_certified(spec):
+    """The simplex QP under the identity metric lands on true_maximin(spec)
+    with a KKT residual of at most 1e-8."""
+    solution = maximin_point(true_coefficients(spec), np.eye(spec.p))
+    assert np.abs(solution.M - true_maximin(spec)).max() <= 1e-8
+    assert solution.kkt_residual <= 1e-8
+
+
+@st.composite
+def _scenarios(draw):
+    """Every coefficient rule at every (p, G) it allows, up to 16 each;
+    shared-plus-noise takes G >= 2, so a mixed-sign z can occur."""
+    rule = draw(st.sampled_from(COEFFICIENT_RULES))
+    low = 2 if rule == "shared-plus-noise" else 1
+    p = draw(st.integers(low, 16))
+    G = draw(st.integers(low, p if rule == "basis-vectors" else 16))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return ScenarioSpec(p=p, G=G, n=50, coefficient_rule=rule, seed=seed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=_scenarios())
+@example(spec=ScenarioSpec(p=16, G=16, n=50))
+@example(spec=ScenarioSpec(p=3, G=16, n=50, coefficient_rule="identical"))
+@example(spec=ScenarioSpec(p=2, G=16, n=50, coefficient_rule="shared-plus-noise"))
+def test_reference_point_is_the_certified_maximin_point(spec):
+    # run_cell scores every replicate against true_maximin without
+    # solving for it; this is the certificate, at any G (G > 6 takes
+    # the active-set QP)
+    if spec.coefficient_rule == "shared-plus-noise":
+        assume(_mixed_signs(true_coefficients(spec)))
+    _assert_certified(spec)
+
+
 @pytest.mark.parametrize("table", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_every_preset_reference_point_is_certified(table, p):
     spec = scenario_presets(table, p, 50)
-    _verify_true_maximin(spec)
     if spec.coefficient_rule == "shared-plus-noise":
-        return
-    B, M0 = true_coefficients(spec), true_maximin(spec)
-    assert _kkt_certifies(B, M0)
-    step = np.zeros(p)
-    step[0] = 1e-4
-    assert not _kkt_certifies(B, M0 + step)
-    if spec.coefficient_rule == "basis-vectors" and spec.G > 1:
-        # still in the hull, but not its minimum-norm point
-        assert not _kkt_certifies(B, 0.9 * M0 + 0.1 * B[:, 0])
+        spec = next(replace(spec, seed=seed) for seed in range(64)
+                    if _mixed_signs(true_coefficients(replace(spec, seed=seed))))
+    _assert_certified(spec)
