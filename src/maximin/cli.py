@@ -17,9 +17,10 @@ groups of unequal size, or two per-group files with the same name,
 finite (naming the group), 4 ill-conditioned covariance (with
 eigenvalue diagnostics), 5 budget or size limits exceeded, 6 degenerate
 geometry (the maximin map is not differentiable at the solution),
-7 rank-deficient active face, 8 solver did not converge, 9 a covariance
-that must be positive definite is not, 10 a self-check of ``check``
-failed. JSON output is strict: a non-finite number is written as null.
+7 rank-deficient active face, 8 solver did not converge (or B^T Sigma B
+overflowed), 9 a covariance that must be positive definite is not,
+10 a self-check of ``check`` failed. JSON output is strict: a non-finite
+number is written as null.
 """
 
 import argparse
@@ -42,7 +43,6 @@ from .errors import (
     SingularFitError,
 )
 from .linmodel import load_group_csvs, load_grouped_csv, load_matrix_csv
-from .validation import as_spd_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,9 +143,7 @@ def _load_inputs(args, parser):
         dataset = load_grouped_csv(args.inputs[0])
     else:
         dataset = load_group_csvs(args.inputs)
-    known = None
-    if args.known_sigma:
-        known = as_spd_matrix(load_matrix_csv(args.known_sigma), dataset.p)
+    known = load_matrix_csv(args.known_sigma) if args.known_sigma else None
     return dataset, known
 
 

@@ -10,14 +10,8 @@ class clone-friendly for pipeline tooling.
 import numpy as np
 
 from . import pipeline
+from .errors import DimensionError
 from .linmodel import GroupedDataset
-from .validation import (
-    as_float_matrix,
-    as_float_vector,
-    as_spd_matrix,
-    check_same_length,
-    split_groups,
-)
 
 
 class MaximinEstimator:
@@ -76,29 +70,24 @@ class MaximinEstimator:
         X : array-like, shape (N, p)
         y : array-like, shape (N,)
         groups : array-like, shape (N,)
-            Group label per row. Groups must have equal sizes and labels
-            that stay distinct as strings, else DimensionError.
+            Group label per row. GroupedDataset.from_rows splits the
+            rows: groups must have equal sizes and labels that stay
+            distinct as strings, else DimensionError.
         """
-        X = as_float_matrix(X)
-        y = as_float_vector(y)
-        check_same_length(X.shape[0], y)
-        labels, parts = split_groups(X, y, groups)
-        dataset = GroupedDataset(tuple(parts), labels=labels)
+        dataset = GroupedDataset.from_rows(X, y, groups)
         sigma = self.known_sigma
-        if sigma is not None:
-            sigma = as_spd_matrix(sigma, dataset.p)
         estimates, solution, metric = pipeline.estimate_dataset(
             dataset, ridge_jitter=self.ridge_jitter, known_sigma=sigma
         )
         self._dataset = dataset
         self._known_sigma = sigma
         self._metric = metric
-        self.groups_ = labels
+        self.groups_ = dataset.labels
         self.estimates_ = estimates
         self.solution_ = solution
         self.coef_ = solution.M.copy()
         self.weights_ = solution.alpha.copy()
-        self.active_ = tuple(labels[g] for g in solution.active)
+        self.active_ = tuple(dataset.labels[g] for g in solution.active)
         self.n_features_in_ = dataset.p
         return self
 
@@ -107,13 +96,21 @@ class MaximinEstimator:
             raise ValueError("this estimator is not fitted yet; call fit first")
 
     def predict(self, X):
-        """Predicted responses X @ coef_."""
+        """Predicted responses X @ coef_.
+
+        An X that is not 2-d raises DimensionError; one of another width
+        than the fit's, or with a NaN or infinite entry, ValueError.
+        """
         self._check_fitted()
-        X = as_float_matrix(X)
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise DimensionError(f"X must be 2-dimensional, got ndim={X.ndim}")
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {self.n_features_in_}"
             )
+        if not np.isfinite(X).all():
+            raise ValueError("X contains NaN or infinite entries")
         return X @ self.coef_
 
     def confidence_region(self, alpha=None):

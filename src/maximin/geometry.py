@@ -56,7 +56,7 @@ import functools
 import numpy as np
 from scipy.linalg.lapack import dpotrs as _potrs
 
-from .errors import DefinitenessError, DegenerateGeometryError, RankError
+from .errors import DefinitenessError, DegenerateGeometryError, DimensionError, RankError
 
 # Relative cutoff for rank decisions on D.
 _RANK_RTOL = 1e-12
@@ -134,12 +134,20 @@ class SigmaMetric:
 
     @classmethod
     def ensure(cls, sigma, p=None):
-        """Wrap a raw matrix (checked to be p x p if p is given) once."""
-        metric = sigma if isinstance(sigma, cls) else cls(sigma)
-        if p is not None and metric.p != p:
-            raise DefinitenessError(
-                f"Sigma must be {p} x {p}, got {metric.Sigma.shape}")
-        return metric
+        """Wrap a raw matrix once; a SigmaMetric is returned as it is.
+
+        With p given, this is the one check of a known Sigma's shape and
+        entries, made before the constructor's: a matrix or metric that
+        is not p x p raises DimensionError, and a matrix with a NaN or
+        infinite entry ValueError.
+        """
+        metric = isinstance(sigma, cls)
+        matrix = sigma.Sigma if metric else np.asarray(sigma, dtype=float)
+        if p is not None and matrix.shape != (p, p):
+            raise DimensionError(f"known_sigma must be {p} x {p}, got {matrix.shape}")
+        if p is not None and not np.isfinite(matrix).all():
+            raise ValueError("known_sigma contains NaN or infinite entries")
+        return sigma if metric else cls(matrix)
 
     def __getitem__(self, index):
         """The metrics at index of a stack, sharing their checked factors."""

@@ -29,6 +29,9 @@ and the same CsvFormatError, line and column included. On 10^5 rows
 load_grouped_csv took 0.60 s of the 0.66 s of ``maximin region`` when
 csv.reader read every file; through np.loadtxt it takes 0.22 s of 0.24
 s, 0.16 s of it in the numeric columns and 0.04 s in the labels.
+_read_table returns the rows in file order with their group cells;
+GroupedDataset.from_rows, the one split of labelled rows into groups,
+makes the dataset, for load_grouped_csv as for MaximinEstimator.fit.
 """
 
 import csv
@@ -153,6 +156,7 @@ class GroupedDataset:
     (n,); labels names the groups, g1, g2, ... by default. Groups of
     unequal size and repeated labels raise DimensionError. X (G, n, p)
     and y (G, n) are the stacks; groups then holds views of them.
+    from_rows builds one from labelled rows.
     """
 
     groups: tuple
@@ -192,6 +196,46 @@ class GroupedDataset:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "groups", tuple(zip(X, y)))
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_rows(cls, X, y, labels):
+        """The dataset of rows X (N, p) and responses y (N,), one label each.
+
+        The one split of labelled rows into groups: groups come in order
+        of first appearance, each named str(label), and rows keep their
+        order within a group. Labels are told apart as the Python objects
+        of labels.tolist(), so 1 and "1" are two groups that share the
+        name "1", which the constructor refuses. An X that is not a
+        nonempty 2-d array, a y that is not 1-d, or y or labels of
+        another length than X raise DimensionError; a NaN or infinite
+        entry in X or y raises ValueError.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise DimensionError(f"X must be 2-dimensional, got ndim={X.ndim}")
+        if X.shape[0] < 1 or X.shape[1] < 1:
+            raise DimensionError("X must be nonempty")
+        if not np.isfinite(X).all():
+            raise ValueError("X contains NaN or infinite entries")
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 1:
+            raise DimensionError(f"y must be 1-dimensional, got ndim={y.ndim}")
+        if not np.isfinite(y).all():
+            raise ValueError("y contains NaN or infinite entries")
+        if len(y) != len(X):
+            raise DimensionError(f"y has {len(y)} entries but X has {len(X)} rows")
+        labels = np.asarray(labels)
+        if labels.ndim != 1:
+            raise DimensionError("groups must be 1-dimensional")
+        if len(labels) != len(X):
+            raise DimensionError(f"groups has {len(labels)} entries but X has {len(X)} rows")
+        keys = labels.tolist()
+        index = {key: g for g, key in enumerate(dict.fromkeys(keys))}
+        ids = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+        rows = np.argsort(ids, kind="stable")
+        cuts = np.cumsum(np.bincount(ids))[:-1]
+        groups = zip(np.split(X[rows], cuts), np.split(y[rows], cuts))
+        return cls(tuple(groups), labels=tuple(str(key) for key in index))
 
     @property
     def G(self):
@@ -491,21 +535,22 @@ def _read_text(path):
 
 
 def _read_table(path, layout, header):
-    """The float rows of one CSV, bucketed by a key column.
+    """The float rows of one CSV and the key cell of each.
 
     The first non-blank row sets the layout: ``layout(row, line)``
     returns (names, columns, key) or raises CsvFormatError. A blank row
     holds nothing but whitespace and commas; an empty line is one. With
     header, that row is the header and the data rows follow it; without,
-    it is the first data row. Returns (names, columns, key) and the
-    buckets {key cell: float array of the ``columns`` cells}, in order
-    of first appearance (one bucket, None, when key is None). A file
-    without a non-blank row, or without a data row, raises
-    CsvFormatError; so does a row that _parse_rows refuses.
+    it is the first data row. Returns (names, columns, key), the (N,
+    len(columns)) float array of the data rows' ``columns`` cells in
+    file order, and an (N,) object array of their ``key`` cells (None
+    when key is None). A file without a non-blank row, or without a
+    data row, raises CsvFormatError; so does a row that _parse_rows
+    refuses.
 
     A regular file (which np.loadtxt can read again) of text without a
     quote, NUL or carriage return outside a CRLF line end goes through
-    _loadtxt_buckets; anything it declines, csv.reader and _parse_rows
+    _loadtxt_rows; anything it declines, csv.reader and _parse_rows
     read, which give the same values for what both accept. A csv.reader
     error, such as a field over its size limit, raises CsvFormatError
     naming path and the line.
@@ -513,7 +558,7 @@ def _read_table(path, layout, header):
     text = _read_text(path)
     if os.path.isfile(path) and '"' not in text and "\0" not in text and (
             "\r" not in text or text.count("\r") == text.count("\r\n")):
-        read = _loadtxt_buckets(path, text, layout, header)
+        read = _loadtxt_rows(path, text, layout, header)
         if read is not None:
             return read
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -525,19 +570,19 @@ def _read_table(path, layout, header):
     start = next((i for i, row in enumerate(rows) if "".join(row).strip()), None)
     if start is None:
         raise CsvFormatError(f"{path}: empty file", line=1)
-    names, columns, key = layout(rows[start], start + 1)
-    buckets = _parse_rows(path, rows, start + 1 if header else start, columns, names, key)
-    if not buckets:
+    spec = names, columns, key = layout(rows[start], start + 1)
+    values, keys = _parse_rows(path, rows, start + 1 if header else start, columns, names, key)
+    if not values:
         raise CsvFormatError(f"{path}: no data rows", line=start + 2)
-    tables = {label: np.array(values, dtype=float) for label, values in buckets.items()}
-    return (names, columns, key), tables
+    keys = None if key is None else np.array(keys, dtype=object)
+    return spec, np.array(values, dtype=float), keys
 
 
 # a character that makes a row non-blank
 _CONTENT = re.compile(r"[^\s,]")
 
 
-def _loadtxt_buckets(path, text, layout, header):
+def _loadtxt_rows(path, text, layout, header):
     """What _read_table returns for text, parsed by np.loadtxt, or None.
 
     text holds no quote, NUL or carriage return outside a CRLF line
@@ -572,36 +617,29 @@ def _loadtxt_buckets(path, text, layout, header):
         table = np.loadtxt(path, usecols=list(columns), ndmin=2, **kwargs)
         # str cells as objects: a str dtype is read in chunks, which
         # warns about every empty line
-        labels = None if key is None else np.loadtxt(
+        keys = None if key is None else np.loadtxt(
             path, dtype=object, usecols=key, ndmin=1, **kwargs)
     except ValueError:
         return None
     if text.count(",", begin) != len(table) * (len(first) - 1) or not np.isfinite(table).all():
         return None
-    if key is None:
-        return spec, {None: table}
-    # buckets in order of first appearance, rows in file order within one
-    unique, first_row, ids = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(first_row)
-    rows = np.argsort(first_row[ids], kind="stable")
-    cuts = np.cumsum(np.bincount(ids)[order])[:-1]
-    return spec, dict(zip(unique[order].tolist(), np.split(table[rows], cuts)))
+    return spec, table, keys
 
 
 def _parse_rows(path, rows, start, columns, names, key=None):
-    """Parse rows[start:] into lists of floats, bucketed by a key cell.
+    """Parse rows[start:] into float lists and their key cells.
 
     Every row must have len(names) fields. A row yields the numbers in
-    its ``columns`` cells, in that order, and goes to the bucket named
-    by its ``key`` cell (None for every row when key is None); buckets
-    keep the order of first appearance. Blank rows are skipped; a row
-    is tested for blankness only when it fails to parse, so the common
+    its ``columns`` cells, in that order, and its ``key`` cell; returns
+    the list of the number lists and the list of the key cells (empty
+    when key is None), in row order. Blank rows are skipped; a row is
+    tested for blankness only when it fails to parse, so the common
     path pays nothing for the test. Any other row with the wrong field
     count, or with a cell that is not a finite number, raises
     CsvFormatError naming path, the line and the cell's ``names`` entry.
     """
     width = len(names)
-    buckets = {}
+    values, keys = [], []
     for line_no, row in enumerate(rows[start:], start + 1):
         try:
             if len(row) != width:
@@ -609,17 +647,14 @@ def _parse_rows(path, rows, start, columns, names, key=None):
                     f"line {line_no}: expected {width} fields, got {len(row)}",
                     line=line_no,
                 )
-            values = [_parse_cell(row[j], line_no, names[j]) for j in columns]
+            values.append([_parse_cell(row[j], line_no, names[j]) for j in columns])
         except CsvFormatError as err:
             if not "".join(row).strip():
                 continue
             raise CsvFormatError(f"{path}: {err}", err.line, err.column) from None
-        label = None if key is None else row[key]
-        bucket = buckets.get(label)
-        if bucket is None:
-            bucket = buckets[label] = []
-        bucket.append(values)
-    return buckets
+        if key is not None:
+            keys.append(row[key])
+    return values, keys
 
 
 def _data_layout(path, header, line, grouped):
@@ -649,16 +684,16 @@ def _data_layout(path, header, line, grouped):
 
 
 def _load_table(path, grouped):
-    """The predictor names and per-group (X, y) arrays of one data CSV.
+    """The predictor names, data rows and key cells of one data CSV.
 
     The first non-blank row is the header (see _data_layout). Returns
-    (predictors, {label: (X, y)}) with labels in order of first
-    appearance; a per-group file's only label is None.
+    (predictors, X, y, keys): the (N, p) predictor and (N,) response
+    cells in file order, and the (N,) ``group`` cells, None for a
+    per-group file.
     """
-    (names, columns, _), tables = _read_table(
+    (names, columns, _), table, keys = _read_table(
         path, lambda header, line: _data_layout(path, header, line, grouped), header=True)
-    predictors = [names[j] for j in columns[:-1]]
-    return predictors, {label: (t[:, :-1], t[:, -1]) for label, t in tables.items()}
+    return [names[j] for j in columns[:-1]], table[:, :-1], table[:, -1], keys
 
 
 def load_grouped_csv(path):
@@ -666,10 +701,11 @@ def load_grouped_csv(path):
 
     The header row is required. The response column must be named ``y``;
     every remaining non-group column is a predictor, in header order.
+    GroupedDataset.from_rows splits the rows into groups.
     """
-    _, groups = _load_table(path, grouped=True)
+    _, X, y, keys = _load_table(path, grouped=True)
     try:
-        return GroupedDataset(tuple(groups.values()), labels=tuple(groups))
+        return GroupedDataset.from_rows(X, y, keys)
     except DimensionError as err:
         raise CsvFormatError(f"{path}: {err}") from None
 
@@ -685,7 +721,7 @@ def load_group_csvs(paths):
     groups = []
     labels = []
     for path in paths:
-        predictors, table = _load_table(path, grouped=False)
+        predictors, X, y, _ = _load_table(path, grouped=False)
         if expected is None:
             expected = predictors
         elif predictors != expected:
@@ -693,7 +729,7 @@ def load_group_csvs(paths):
                 f"{path}: predictor columns {predictors} differ from {expected}",
                 line=1,
             )
-        groups.append(table[None])
+        groups.append((X, y))
         labels.append(os.path.splitext(os.path.basename(path))[0])
     try:
         return GroupedDataset(tuple(groups), labels=tuple(labels))
@@ -709,7 +745,7 @@ def load_matrix_csv(path):
     rows are skipped and errors name path, line and column number, as
     for the data loaders. The CLI reads ``--known-sigma`` with it.
     """
-    _, tables = _read_table(
+    _, table, _ = _read_table(
         path, lambda row, line: (range(1, len(row) + 1), range(len(row)), None),
         header=False)
-    return tables[None]
+    return table

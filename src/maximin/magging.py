@@ -319,13 +319,20 @@ def stacked_maximin(B, Sigma):
     H = B^T Sigma B, solves the stack with stacked_simplex_qp and
     returns a MaximinStack: H, gamma, support and iterations as that
     function returns them, and the points M = B gamma (R, p). An H
-    that overflows, or any non-finite input, raises ConvergenceError
-    before the solve.
+    that is not finite raises ConvergenceError before the solve, naming
+    the first group column g whose b_g^T Sigma b_g overflowed (or is not
+    finite, for a non-finite b_g). As |H_gh| <= max(H_gg, H_hh), no
+    other entry of H overflows alone.
     """
     B = np.asarray(B, dtype=float)
     H = sigma_gram(B, Sigma)
     if not np.isfinite(H).all():
-        raise ConvergenceError("the simplex QP has no finite solution")
+        bad = ~np.isfinite(np.diagonal(H, axis1=-2, axis2=-1))
+        r, g = np.unravel_index(np.argmax(bad), bad.shape)
+        cause = "overflowed" if np.isfinite(B[r, :, g]).all() else "is not finite"
+        raise ConvergenceError(
+            f"B^T Sigma B {cause} in group column {g + 1};"
+            " the simplex QP has no finite solution")
     gamma, support, iterations = stacked_simplex_qp(H, B.shape[-2])
     return MaximinStack(H, gamma, support, iterations, matvec(B, gamma))
 
@@ -350,6 +357,8 @@ def maximin_point(B, Sigma):
 
     Raises
     ------
+    DimensionError
+        If Sigma is not p x p.
     DefinitenessError
         If Sigma fails the symmetry or factorization check.
     ConvergenceError

@@ -28,10 +28,13 @@ def estimate_dataset(dataset, ridge_jitter=0.0, known_sigma=None):
 
     Returns (estimates, solution, metric), metric being the SigmaMetric
     the program was solved under: the pooled estimate, or known_sigma.
+    A known_sigma goes through SigmaMetric.ensure before the fit, the
+    one check of its shape and entries for the CLI and the estimator.
     """
+    known = None if known_sigma is None else geometry.SigmaMetric.ensure(
+        known_sigma, dataset.p)
     estimates = linmodel.fit(dataset, ridge_jitter)
-    sigma = estimates.Sigma_hat if known_sigma is None else known_sigma
-    metric = geometry.SigmaMetric(sigma)
+    metric = geometry.SigmaMetric(estimates.Sigma_hat) if known is None else known
     return estimates, magging.maximin_point(estimates.Bhat, metric), metric
 
 

@@ -14,7 +14,9 @@ SeedSequence-seeded Philox, as ``maximin.linmodel`` did before it
 hashed all keys of a stack in one vectorised pass. load_grouped_csv,
 load_group_csvs and load_matrix_csv read every row with csv.reader and
 every cell with float(), as ``maximin.linmodel`` did before it parsed
-plain files with np.loadtxt. They stay here as the oracles for the
+plain files with np.loadtxt. split_groups is the one-mask-per-label
+split MaximinEstimator.fit made before GroupedDataset.from_rows did
+every split of labelled rows. They stay here as the oracles for the
 differential tests. explained_variance states the objective the maximin
 point is defined by, for the defining-property test.
 """
@@ -465,6 +467,24 @@ def load_group_csvs(paths):
     except DimensionError as err:
         named = " and ".join(str(paths[g]) for g in err.groups)
         raise CsvFormatError(f"{named}: {err}" if named else str(err)) from None
+
+
+def split_groups(X, y, groups):
+    """Split rows by group label, in order of first appearance.
+
+    Returns (labels, parts): the labels as strings and parts a list of
+    (X_g, y_g), one boolean mask per label. GroupedDataset checks the
+    group sizes and labels.
+    """
+    groups = np.asarray(groups)
+    if groups.ndim != 1:
+        raise DimensionError("groups must be 1-dimensional")
+    if groups.shape[0] != X.shape[0]:
+        raise DimensionError(
+            f"groups has {groups.shape[0]} entries but X has {X.shape[0]} rows")
+    order = list(dict.fromkeys(groups.tolist()))
+    parts = [(X[groups == label], y[groups == label]) for label in order]
+    return tuple(str(label) for label in order), parts
 
 
 def load_matrix_csv(path):

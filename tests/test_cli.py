@@ -453,25 +453,30 @@ def test_degenerate_covariance_exits_four(tmp_path, capsys):
     assert "conditioning" in capsys.readouterr().err
 
 
-def _write_noise_csv(path, G, scale):
+def _write_noise_csv(path, G, scale, scaled=None):
     # y is pure noise, so the residual variance is about n times the
-    # squared coefficients: it overflows first as the scale grows
+    # squared coefficients: it overflows first as the scale grows.
+    # scaled lists the groups whose y is scaled, all when None.
     rng = np.random.default_rng(G)
     lines = ["group,x1,x2,y"]
     for g in range(G):
+        s = scale if scaled is None or g in scaled else 1.0
         for x1, x2, e in rng.standard_normal((50, 3)).tolist():
-            lines.append(f"g{g},{x1!r},{x2!r},{scale * e!r}")
+            lines.append(f"g{g},{x1!r},{x2!r},{s * e!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize("G", [3, 8])  # enumerated and active-set QP
 def test_overflowing_data_exit_with_a_mapped_error(tmp_path, capsys, G):
     path = tmp_path / "huge.csv"
-    _write_noise_csv(path, G, 1e160)  # B^T Sigma B overflows
-    for command in ("estimate", "region"):
-        assert main([command, str(path)]) == EXIT_CONVERGENCE
-        assert capsys.readouterr().err == (
-            "maximin: convergence: the simplex QP has no finite solution\n")
+    # B^T Sigma B overflows, in every group column or in the last one only
+    for scaled, column in ((None, 1), ({G - 1}, G)):
+        _write_noise_csv(path, G, 1e160, scaled)
+        for command in ("estimate", "region"):
+            assert main([command, str(path)]) == EXIT_CONVERGENCE
+            assert capsys.readouterr().err == (
+                f"maximin: convergence: B^T Sigma B overflowed in group column {column};"
+                " the simplex QP has no finite solution\n")
     _write_noise_csv(path, G, 1.5e153)  # the residual variance, and W, overflow
     assert main(["region", str(path)]) == EXIT_CONDITIONING
     assert "eigenvalue range [nan, nan]" in capsys.readouterr().err

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import reference
 from maximin.errors import CsvFormatError
 from maximin.linmodel import (
+    GroupedDataset,
     _data_layout,
-    _loadtxt_buckets,
+    _loadtxt_rows,
     load_group_csvs,
     load_grouped_csv,
     load_matrix_csv,
@@ -127,10 +128,12 @@ def _outcome(load, paths):
             loaded.X.view(np.uint64).tolist(), loaded.y.view(np.uint64).tolist())
 
 
-# Mutation-checked: fails when _read_table stops declining quotes or
-# carriage returns, or _loadtxt_buckets drops the no-data check, the
-# comma count, the finite test, the first-appearance order of labels or
-# the stable order of rows within a group.
+# Mutation-checked: fails when _read_table stops declining quotes,
+# _loadtxt_rows drops the finite test, or GroupedDataset.from_rows drops
+# the first-appearance order of labels. A _loadtxt_rows without its
+# no-data check or comma count fails the decline table below and
+# test_csv_errors; from_rows without its stable row order fails the
+# from_rows property in test_linmodel.
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=csv_inputs())
 def test_loaders_match_the_csv_reader_oracle(case):
@@ -174,11 +177,11 @@ def test_loadtxt_reads_plain_rows_and_declines_the_rest(tmp_path, text, parsed):
     def layout(header, line):
         return _data_layout(str(path), header, line, grouped=True)
 
-    read = _loadtxt_buckets(str(path), text, layout, header=True)
+    read = _loadtxt_rows(str(path), text, layout, header=True)
     assert (read is not None) == parsed
     if parsed:
-        _, tables = read
+        _, table, keys = read
+        dataset = GroupedDataset.from_rows(table[:, :-1], table[:, -1], keys)
         expected = reference.load_grouped_csv(str(path))
-        assert tuple(tables) == expected.labels
-        assert all(np.array_equal(t[:, :-1], X) and np.array_equal(t[:, -1], y)
-                   for t, (X, y) in zip(tables.values(), expected.groups))
+        assert dataset.labels == expected.labels
+        assert np.array_equal(dataset.X, expected.X) and np.array_equal(dataset.y, expected.y)

@@ -45,6 +45,20 @@ def test_predict_applies_the_coefficients():
         est.predict(np.ones((2, 5)))
 
 
+def test_predict_refuses_what_is_not_a_finite_matrix():
+    # DimensionError is not a ValueError: each refusal keeps its own type
+    _, X, y, labels = _rows(ScenarioSpec(p=3, G=3, n=60, seed=22))
+    est = MaximinEstimator().fit(X, y, labels)
+    with pytest.raises(DimensionError, match="X must be 2-dimensional, got ndim=1"):
+        est.predict(np.ones(3))
+    for bad in (np.nan, np.inf):
+        Xnew = np.eye(3)
+        Xnew[1, 2] = bad
+        with pytest.raises(ValueError, match="X contains NaN or infinite entries") as info:
+            est.predict(Xnew)
+        assert type(info.value) is ValueError
+
+
 def test_unfitted_estimator_refuses_to_predict():
     with pytest.raises(ValueError):
         MaximinEstimator().predict(np.ones((1, 2)))

@@ -319,6 +319,61 @@ def test_a_repeated_label_names_both_groups():
     assert info.value.groups == (0, 2)
 
 
+# label pools by array kind; the object pool holds 1 next to "1"
+LABEL_POOLS = {
+    "int": [3, 1, 10, 2],
+    "str": ["b", "a", "1", "a b"],
+    "object": [1, "1", "b", 2],
+}
+
+
+@st.composite
+def labelled_rows(draw):
+    """(X, y, labels): rows of G drawn labels, n each, interleaved in a
+    drawn order; at times one row more or less, so that the group
+    sizes differ, or one label short of the rows."""
+    kind = draw(st.sampled_from(sorted(LABEL_POOLS)))
+    pool = draw(st.lists(st.sampled_from(LABEL_POOLS[kind]), min_size=1, max_size=4,
+                         unique=True))
+    n = draw(st.integers(1, 20))
+    keys = [label for label in pool for _ in range(n)]
+    change = draw(st.sampled_from(["none", "none", "extra", "missing", "short"]))
+    if change == "extra":
+        keys.append(draw(st.sampled_from(pool)))
+    elif change == "missing" and len(keys) > 1:
+        keys.pop(draw(st.integers(0, len(keys) - 1)))
+    keys = draw(st.permutations(keys))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((len(keys), draw(st.integers(1, 3))))
+    y = rng.standard_normal(len(keys))
+    labels = np.array(keys, dtype=object if kind == "object" else None)
+    return X, y, labels[:-1] if change == "short" else labels
+
+
+def _split_outcome(split, X, y, labels):
+    try:
+        dataset = split(X, y, labels)
+    except (DimensionError, ValueError) as err:
+        return type(err)
+    return (dataset.labels, dataset.X.shape, dataset.X.view(np.uint64).tolist(),
+            dataset.y.view(np.uint64).tolist())
+
+
+def _mask_split(X, y, labels):
+    names, parts = reference.split_groups(X, y, labels)
+    return GroupedDataset(tuple(parts), labels=names)
+
+
+# Mutation-checked: fails when from_rows sorts the rows without
+# kind="stable", names groups in sorted order, or keys them by str(label).
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=labelled_rows())
+def test_from_rows_matches_the_mask_split(case):
+    X, y, labels = case
+    assert _split_outcome(GroupedDataset.from_rows, X, y, labels) == _split_outcome(
+        _mask_split, X, y, labels)
+
+
 def test_per_group_csv_files(tmp_path):
     fa = tmp_path / "north.csv"
     fb = tmp_path / "south.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maximin.errors import BudgetError, DefinitenessError
+from maximin.errors import BudgetError, ConvergenceError, DefinitenessError, DimensionError
 from maximin.magging import maximin_point
 from maximin.selfcheck import brute_force_oracle
 from reference import explained_variance
@@ -81,8 +81,16 @@ def test_sigma_validation():
         maximin_point(B, np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(DefinitenessError):
         maximin_point(B, -np.eye(2))
-    with pytest.raises(DefinitenessError):
+    with pytest.raises(DimensionError, match=r"known_sigma must be 2 x 2, got \(3, 3\)"):
         maximin_point(B, np.eye(3))
+
+
+def test_a_gram_that_is_not_finite_names_its_column():
+    # columns 2 and 3 both overflow b_g^T Sigma b_g; the first is named
+    for B, cause in ((np.array([[1.0, np.nan], [0.0, 1.0]]), "is not finite"),
+                     (np.array([[1.0, 1e200, 1e160], [0.0, 1.0, 1.0]]), "overflowed")):
+        with pytest.raises(ConvergenceError, match=rf"^B\^T Sigma B {cause} in group column 2;"):
+            maximin_point(B, np.eye(2))
 
 
 def test_explained_variance_formula():
