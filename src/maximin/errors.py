@@ -48,15 +48,9 @@ class DefinitenessError(EstimationError):
 
 
 class ConvergenceError(EstimationError):
-    """An iterative solver hit its iteration cap.
-
-    ``best`` carries the best iterate found so callers can inspect how
-    far the solve got.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """A simplex QP has no solution: its active-set loop hit the iteration
+    cap, or its B^T Sigma B is not finite. stacked_maximin keeps one per
+    refused program as a value; maximin_point and contains_relaxed raise it."""
 
 
 class DegenerateGeometryError(EstimationError):

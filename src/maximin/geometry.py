@@ -111,26 +111,33 @@ class SigmaMetric:
     """A positive definite Sigma, or a (..., p, p) stack, with Cholesky factors.
 
     The constructor checks each matrix for symmetry (to 1e-10 of its
-    largest entry) and factors its symmetrised form; a matrix that fails
-    either check raises DefinitenessError.
+    largest entry) and factors its symmetrised form. ``errors``, an
+    object array over the stack axes, holds None for a matrix that
+    passes and a DefinitenessError for one that fails, whose factor is
+    then NaN; a single (p, p) matrix raises it. A non-square array
+    raises DimensionError.
     """
 
     def __init__(self, Sigma):
         Sigma = np.asarray(Sigma, dtype=float)
         if Sigma.ndim < 2 or Sigma.shape[-1] != Sigma.shape[-2]:
-            raise DefinitenessError("Sigma must be square")
+            raise DimensionError("Sigma must be square")
         scale = np.max(np.abs(Sigma), axis=(-2, -1), initial=0.0)
         scale = np.where(scale > 0.0, scale, 1.0)
         skew = np.max(np.abs(Sigma - Sigma.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-        if np.any(skew > 1e-10 * scale):
-            raise DefinitenessError("Sigma is not symmetric")
+        asymmetric = skew > 1e-10 * scale
         self.Sigma = symmetric(Sigma)
-        try:
-            self.L = np.linalg.cholesky(self.Sigma)
-        except np.linalg.LinAlgError:
-            self.L = None
-        if self.L is None or not np.isfinite(self.L).all():
-            raise DefinitenessError("Sigma is not positive definite")
+        self.L = nan_where_singular(np.linalg.cholesky, self.Sigma)
+        bad = asymmetric | ~np.isfinite(self.L).all(axis=(-2, -1))
+        self.errors = np.full(bad.shape, None, dtype=object)
+        if not bad.any():
+            return
+        for i in map(tuple, np.argwhere(bad)):
+            self.L[i] = np.nan
+            self.errors[i] = DefinitenessError(
+                "Sigma is not symmetric" if asymmetric[i] else "Sigma is not positive definite")
+        if Sigma.ndim == 2:
+            raise self.errors[()]
 
     @classmethod
     def ensure(cls, sigma, p=None):
@@ -153,6 +160,7 @@ class SigmaMetric:
         """The metrics at index of a stack, sharing their checked factors."""
         metric = object.__new__(SigmaMetric)
         metric.Sigma, metric.L = self.Sigma[index], self.L[index]
+        metric.errors = np.asarray(self.errors[index], dtype=object)
         return metric
 
     @property
@@ -302,7 +310,7 @@ class Face:
         """-D Gamma^{-1} D^T Delta M = -E E^T Delta M; zero for one column."""
         Delta = np.asarray(Delta, dtype=float)
         if Delta.shape != (self.p, self.p):
-            raise RankError(f"Delta must be {self.p} x {self.p}")
+            raise DimensionError(f"Delta must be {self.p} x {self.p}")
         scale = float(np.max(np.abs(Delta))) or 1.0
         if np.max(np.abs(Delta - Delta.T)) > 1e-8 * scale:
             raise ValueError("Delta must be symmetric")

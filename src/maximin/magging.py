@@ -112,9 +112,10 @@ def _simplex_qp(H, c=None):
 
     Returns (gamma, support, iterations), support being the final
     working set; _residual(H, c, gamma, support) is the KKT residual.
-    H must be symmetric positive semidefinite; c defaults to zero. The
-    loop stops after 100 G iterations; a multiplier gap of at most 1e-10
-    times the larger of |trace(H)| / G and max|c| counts as optimal.
+    H must be symmetric positive semidefinite; c defaults to zero. A
+    multiplier gap of at most 1e-10 times the larger of |trace(H)| / G
+    and max|c| counts as optimal. A loop that hits the cap of 100 G
+    iterations returns NaN weights.
     """
     G = H.shape[0]
     if c is None:
@@ -127,17 +128,12 @@ def _simplex_qp(H, c=None):
     gamma = np.zeros(G)
     gamma[start] = 1.0
     free = [start]
-    best = gamma.copy()
-    best_obj = float(gamma @ H @ gamma + c @ gamma)
     for it in range(1, max_iter + 1):
         x = _kkt_solve(H, c, free)
         if np.all(x >= -_FEAS_TOL):
             gamma = np.zeros(G)
             gamma[free] = np.clip(x, 0.0, None)
             gamma /= gamma.sum()
-            obj = float(gamma @ H @ gamma + c @ gamma)
-            if obj < best_obj:
-                best_obj, best = obj, gamma.copy()
             _, grad, lam = _residual(H, c, gamma, free)
             rest = [g for g in range(G) if g not in free]
             if not rest:
@@ -161,9 +157,12 @@ def _simplex_qp(H, c=None):
             gamma[free] = np.clip(moved, 0.0, None)
             gamma /= gamma.sum()
             free = [g for i, g in enumerate(free) if i != hit]
-    raise ConvergenceError(
-        f"simplex QP did not converge within {max_iter} iterations", best=best
-    )
+    return np.full(G, np.nan), free, max_iter
+
+
+def capped_error(G):
+    """The ConvergenceError of a simplex QP in G weights that hit the cap."""
+    return ConvergenceError(f"simplex QP did not converge within {100 * G} iterations")
 
 
 class _Faces(NamedTuple):
@@ -253,13 +252,10 @@ def stacked_simplex_qp(H, p, c=None):
         gamma (R, G) optimal weights; support (R, G) marks the face each
         solution was read from, the set _residual measures the KKT
         conditions on; iterations (R,) counts faces solved for G <=
-        ENUMERATION_MAX_G and active-set iterations above it.
-
-    Raises
-    ------
-    ConvergenceError
-        From the active-set path (G > ENUMERATION_MAX_G), for the first
-        program that hits the iteration cap.
+        ENUMERATION_MAX_G and active-set iterations above it. A program
+        of the active-set path (G > ENUMERATION_MAX_G) that hits the
+        iteration cap has NaN weights; capped_error(G) describes it.
+        Nothing is raised.
     """
     H = np.asarray(H, dtype=float)
     R, G, _ = H.shape
@@ -309,32 +305,44 @@ class MaximinStack(NamedTuple):
     support: np.ndarray
     iterations: np.ndarray
     M: np.ndarray
+    errors: tuple
 
 
 def stacked_maximin(B, Sigma):
     """Maximin points of a stack of coefficient matrices.
 
     B (R, p, G) holds each program's columns and Sigma (R, p, p) its
-    symmetric positive definite metric (a SigmaMetric's Sigma). Forms
-    H = B^T Sigma B, solves the stack with stacked_simplex_qp and
-    returns a MaximinStack: H, gamma, support and iterations as that
-    function returns them, and the points M = B gamma (R, p). An H
-    that is not finite raises ConvergenceError before the solve, naming
-    the first group column g whose b_g^T Sigma b_g overflowed (or is not
-    finite, for a non-finite b_g). As |H_gh| <= max(H_gg, H_hh), no
-    other entry of H overflows alone.
+    symmetric positive definite metric (a SigmaMetric's Sigma). Returns
+    a MaximinStack: H = B^T Sigma B, gamma, support and iterations from
+    stacked_simplex_qp, the points M = B gamma (R, p), and errors, per
+    program None or the ConvergenceError that refuses it; nothing is
+    raised. A program whose H is not finite is left out of the solve,
+    with NaN weights, and its error names the first group column g whose
+    b_g^T Sigma b_g overflowed (or is not finite, for a non-finite b_g);
+    as |H_gh| <= max(H_gg, H_hh), no other entry overflows alone. A
+    program that hits the active-set cap keeps its NaN weights, and its
+    error is capped_error(G).
     """
     B = np.asarray(B, dtype=float)
+    R, p, G = B.shape
     H = sigma_gram(B, Sigma)
-    if not np.isfinite(H).all():
-        bad = ~np.isfinite(np.diagonal(H, axis1=-2, axis2=-1))
-        r, g = np.unravel_index(np.argmax(bad), bad.shape)
-        cause = "overflowed" if np.isfinite(B[r, :, g]).all() else "is not finite"
-        raise ConvergenceError(
-            f"B^T Sigma B {cause} in group column {g + 1};"
-            " the simplex QP has no finite solution")
-    gamma, support, iterations = stacked_simplex_qp(H, B.shape[-2])
-    return MaximinStack(H, gamma, support, iterations, matvec(B, gamma))
+    errors = [None] * R
+    if np.isfinite(H).all():
+        gamma, support, iterations = stacked_simplex_qp(H, p)
+    else:
+        finite = np.isfinite(H).all(axis=(-2, -1))
+        gamma, support = np.full((R, G), np.nan), np.zeros((R, G), dtype=bool)
+        iterations = np.zeros(R, dtype=int)
+        gamma[finite], support[finite], iterations[finite] = stacked_simplex_qp(H[finite], p)
+        for r in np.flatnonzero(~finite):
+            g = int(np.argmax(~np.isfinite(np.diagonal(H[r]))))
+            cause = "overflowed" if np.isfinite(B[r, :, g]).all() else "is not finite"
+            errors[r] = ConvergenceError(
+                f"B^T Sigma B {cause} in group column {g + 1}; the simplex QP has no finite solution")
+    if G > ENUMERATION_MAX_G:  # the active-set loop's cap leaves NaN weights
+        for r in np.flatnonzero(np.isnan(gamma).any(axis=1) & np.isfinite(H).all(axis=(-2, -1))):
+            errors[r] = capped_error(G)
+    return MaximinStack(H, gamma, support, iterations, matvec(B, gamma), tuple(errors))
 
 
 def maximin_point(B, Sigma):
@@ -362,29 +370,22 @@ def maximin_point(B, Sigma):
     DefinitenessError
         If Sigma fails the symmetry or factorization check.
     ConvergenceError
-        If H = B^T Sigma B is not finite, or if the active-set iteration
-        cap is hit, which attaches the best iterate to the exception.
+        The program's error from stacked_maximin: H = B^T Sigma B is not
+        finite, or the active-set loop hit its iteration cap.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Sigma = SigmaMetric.ensure(Sigma, B.shape[0]).Sigma
-    try:
-        H, gamma, support, iterations, M = stacked_maximin(B[None], Sigma[None])
-    except ConvergenceError as err:
-        if err.best is not None:
-            err.best = _package(Sigma, err.best, matvec(B, err.best), np.inf, 0)
-        raise
-    alpha = gamma[0]
+    H, gamma, support, iterations, M, errors = stacked_maximin(B[None], Sigma[None])
+    if errors[0] is not None:
+        raise errors[0]
+    alpha, M = gamma[0], M[0]
     free = [int(g) for g in np.flatnonzero(support[0])]
     res, _, _ = _residual(H[0], np.zeros(B.shape[1]), alpha, free)
-    return _package(Sigma, alpha, M[0], res, int(iterations[0]))
-
-
-def _package(Sigma, alpha, M, res, iterations):
     return MaggingSolution(
         M=M,
         alpha=alpha,
         active=tuple(int(g) for g in np.flatnonzero(active_mask(alpha))),
         objective=float(M @ Sigma @ M),
         kkt_residual=float(res),
-        iterations=iterations,
+        iterations=int(iterations[0]),
     )

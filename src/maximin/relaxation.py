@@ -27,7 +27,7 @@ import numpy as np
 from .confidence import chi2_quantile
 from .errors import BudgetError
 from .geometry import SigmaMetric
-from .magging import maximin_point, sigma_gram, stacked_simplex_qp
+from .magging import capped_error, maximin_point, sigma_gram, stacked_simplex_qp
 
 # Most lattice centers covering_region builds before raising BudgetError.
 BUDGET = 10**6
@@ -203,6 +203,8 @@ def contains_relaxed(region, M):
     columns, a simplex QP with linear term -2 B^T Sigma M. Pieces that
     pass the shell test are tested in fixed-size chunks, in piece order,
     one stacked solve per chunk, stopping at the first chunk with a hit.
+    A hull program that hits the active-set iteration cap (G > 6) raises
+    ConvergenceError.
     """
     metric = SigmaMetric(region.Sigma0)
     M = np.asarray(M, dtype=float)
@@ -218,6 +220,8 @@ def contains_relaxed(region, M):
         H = sigma_gram(B, Sigma)
         c = -2.0 * (B.transpose(0, 2, 1) @ SM)
         gamma, _, _ = stacked_simplex_qp(H, p, c)
+        if np.isnan(gamma).any():
+            raise capped_error(gamma.shape[1])
         d2 = np.sum(gamma * ((H @ gamma[:, :, None])[:, :, 0] + c), axis=1) + MSM
         if np.any(np.sqrt(np.maximum(d2, 0.0)) <= region.radii[pieces] + _SLACK):
             return True

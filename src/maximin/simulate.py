@@ -22,15 +22,15 @@ spectrum and the region test. A single dataset is a stack of one to
 those kernels, so a replicate gets the same bits from either path and
 the rows do not depend on the chunk size.
 
-A replicate whose fit fails the pivot check or has non-finite input,
-whose face covariance_stack refuses or whose W fails the conditioning
-test is degenerate: it is excluded from the coverage denominator, and
-the report also carries the all-replicates ratio so both conventions
-are visible. When a pooled metric fails the symmetry or Cholesky check
-(a mean of positive definite Grams, so this is not expected) or the QP
-raises ConvergenceError, which fails the chunk as a whole, each of its
-replicates goes through the same pass alone, as a stack of one, and is
-degenerate if it fails again.
+Each kernel keeps its refusals as values, one per row, and a refused
+row drops out of the rest of the pass: a fit that fails the pivot check
+or has non-finite input, a pooled metric that fails the symmetry or
+Cholesky check (not expected of a mean of positive definite Grams), a
+QP whose B^T Sigma B is not finite or that hits its iteration cap, and
+a face covariance_stack refuses. Such a replicate, and one whose W
+fails the conditioning test, is degenerate: it is excluded from the
+coverage denominator, and the report also carries the all-replicates
+ratio so both conventions are visible.
 
 A chunk holds as many replicates as fit into CHUNK_BYTES. A replicate
 counts its design, or the bordered KKT systems of its enumerated QP
@@ -61,7 +61,6 @@ from .confidence import (
     region_radius2,
     spectrum,
 )
-from .errors import ConvergenceError, DefinitenessError
 from .geometry import SigmaMetric
 from .linmodel import ScenarioSpec, fit_stack, generate_stack
 from .magging import active_mask, program_bytes, stacked_maximin
@@ -154,12 +153,16 @@ def _run_block(spec, alpha, M0, items):
     """Worker: replicate indices with their seeds -> per-replicate rows.
 
     Rows are (replicate, covered, top eigenvalue, degenerate, vertex),
-    in the order of items; the block runs in chunks of CHUNK_BYTES.
+    in the order of items; the block runs in chunks of CHUNK_BYTES, each
+    through one stacked pass.
     """
     size = max(1, CHUNK_BYTES // _replicate_bytes(spec))
     rows = []
     for start in range(0, len(items), size):
-        rows.extend(_run_chunk(spec, alpha, M0, items[start:start + size]))
+        chunk = items[start:start + size]
+        X, y = generate_stack(spec, [seed for _, seed in chunk])
+        rows += [(rep,) + row for (rep, _), row in
+                 zip(chunk, _stacked_pass(X, y, spec.ridge_jitter, alpha, M0))]
     return rows
 
 
@@ -168,26 +171,10 @@ def _replicate_bytes(spec):
     return max(8 * spec.G * spec.n * spec.p, program_bytes(spec.G, spec.p))
 
 
-def _run_chunk(spec, alpha, M0, items):
-    """Rows of one chunk: one stacked pass, or one pass per replicate."""
-    X, y = generate_stack(spec, [seed for _, seed in items])
-    try:
-        rows = _stacked_pass(X, y, spec.ridge_jitter, alpha, M0)
-    except (DefinitenessError, ConvergenceError):
-        rows = []
-        for i in range(len(items)):
-            try:
-                rows += _stacked_pass(X[i:i + 1], y[i:i + 1], spec.ridge_jitter, alpha, M0)
-            except (DefinitenessError, ConvergenceError):
-                rows.append((0, float("nan"), True, False))
-    return [(rep,) + row for (rep, _), row in zip(items, rows)]
-
-
 def _stacked_pass(X, y, ridge_jitter, alpha, M0):
     """Rows (covered, top eigenvalue, degenerate, vertex) of the datasets
     X (R, G, n, p), y (R, G, n), through the stacked kernels; a degenerate
-    row is (0, nan, True, False). A metric that fails its check raises
-    DefinitenessError, and a QP that fails ConvergenceError."""
+    row is (0, nan, True, False)."""
     R, G, n, p = X.shape
     covered = np.zeros(R, dtype=bool)
     eig = np.full(R, np.nan)
@@ -197,14 +184,18 @@ def _stacked_pass(X, y, ridge_jitter, alpha, M0):
     if live.size:
         metric = SigmaMetric(fitted.Sigma_hat[live])
         solution = stacked_maximin(fitted.Bhat[live], metric.Sigma)
-        designs = X if live.size == R else X[live]  # no copy when every fit passes
-        C_hat = empirical_C(designs.reshape(live.size, G * n, p), solution.M, G)
+        solved = np.equal(metric.errors, None) & np.equal(solution.errors, None)
+        live, metric, M = live[solved], metric[solved], solution.M[solved]  # refused rows drop out
+        active = active_mask(solution.gamma[solved])
+    if live.size:
+        designs = X if live.size == R else X[live]  # no copy when every row is live
+        C_hat = empirical_C(designs.reshape(live.size, G * n, p), M, G)
         W, _, _, _, vertex_mode, _ = covariance_stack(
-            fitted.Bhat[live], active_mask(solution.gamma), solution.M, metric,
-            fitted.sigma2[live], n, fitted.S[live], C_hat)
+            fitted.Bhat[live], active, M, metric, fitted.sigma2[live], n, fitted.S[live],
+            C_hat)
         vals, vecs, ok = spectrum(W)
         reps = live[ok]
-        covered[reps] = covers(precision_matrix(vals[ok], vecs[ok]), solution.M[ok], M0,
+        covered[reps] = covers(precision_matrix(vals[ok], vecs[ok]), M[ok], M0,
                                region_radius2(p, n, alpha))
         eig[reps] = max_eigenvalue(W[ok])
         vertex[reps] = vertex_mode[ok]

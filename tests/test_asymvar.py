@@ -70,13 +70,15 @@ def test_sigma_term_V_lives_in_the_difference_span():
 
 
 def _population_estimates(B, Sigma, sigma2=1.0, n=10**9, Sigma_g=None):
+    """Estimates at the population: every group's gram is Sigma unless
+    Sigma_g gives them."""
     class _Est:
         pass
 
     est = _Est()
     est.Bhat = B
     est.Sigma_hat = Sigma
-    est.Sigma_g_hat = Sigma_g
+    est.Sigma_g_hat = np.stack([Sigma] * B.shape[1]) if Sigma_g is None else Sigma_g
     est.sigma2_hat = sigma2
     est.n = n
     return est

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maximin.errors import DefinitenessError, DegenerateGeometryError, RankError
+from maximin.errors import DefinitenessError, DegenerateGeometryError, DimensionError, RankError
 from maximin.geometry import Face, SigmaMetric
 from maximin.magging import maximin_point
 from maximin.selfcheck import separated_instances
@@ -14,18 +14,37 @@ def corpus():
     return separated_instances(20, seed=123)
 
 
+ASYMMETRIC = np.array([[1.0, 0.5], [0.0, 1.0]])
+INDEFINITE = np.diag([1.0, -1.0])
+
+
 def test_metric_validation():
-    with pytest.raises(DefinitenessError):
+    with pytest.raises(DimensionError, match="^Sigma must be square$"):
         SigmaMetric(np.ones((2, 3)))
-    with pytest.raises(DefinitenessError):
-        SigmaMetric(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(DefinitenessError):
-        SigmaMetric(np.diag([1.0, -1.0]))
-    stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), [[1.0, 0.5], [0.0, 1.0]]])
-    with pytest.raises(DefinitenessError, match="not symmetric"):
-        SigmaMetric(stack)
-    with pytest.raises(DefinitenessError, match="not positive definite"):
-        SigmaMetric(stack[:2])
+    with pytest.raises(DefinitenessError, match="^Sigma is not symmetric$"):
+        SigmaMetric(ASYMMETRIC)
+    with pytest.raises(DefinitenessError, match="^Sigma is not positive definite$"):
+        SigmaMetric(INDEFINITE)
+
+
+def test_a_metric_stack_keeps_each_refusal_at_its_index():
+    # a stack raises nothing; each matrix that fails a check has its error
+    # and a NaN factor, and the others keep the factor they have alone
+    stack = SigmaMetric(np.stack([np.eye(2), INDEFINITE, ASYMMETRIC, 2.0 * np.eye(2)]))
+    assert [None if e is None else (type(e), str(e)) for e in stack.errors] == [
+        None,
+        (DefinitenessError, "Sigma is not positive definite"),
+        (DefinitenessError, "Sigma is not symmetric"),
+        None,
+    ]
+    assert np.isnan(stack.L[1:3]).all()
+    for i, alone in ((1, INDEFINITE), (2, ASYMMETRIC)):
+        with pytest.raises(DefinitenessError, match=f"^{stack.errors[i]}$"):
+            SigmaMetric(alone)
+    for i, alone in ((0, np.eye(2)), (3, 2.0 * np.eye(2))):
+        assert stack.L[i].tobytes() == SigmaMetric(alone).L.tobytes()
+    assert list(stack[2:].errors) == list(stack.errors[2:])
+    assert stack[[0, 3]].errors.tolist() == [None, None]
 
 
 def test_metric_operations():
@@ -148,7 +167,7 @@ def test_metric_derivative_validation():
     single = np.array([[1.0], [0.0]])
     assert np.array_equal(Face(single, metric).dsigma(single[:, 0], np.eye(2)), np.zeros(2))
     face = Face(np.eye(2), metric)
-    with pytest.raises(RankError):
+    with pytest.raises(DimensionError, match="^Delta must be 2 x 2$"):
         face.dsigma(M, np.eye(3))
     with pytest.raises(ValueError):
         face.dsigma(M, np.array([[0.0, 1.0], [0.0, 0.0]]))

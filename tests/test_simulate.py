@@ -18,6 +18,7 @@ from maximin.linmodel import (
     GroupedDataset,
     ScenarioSpec,
     fit,
+    fit_stack,
     generate,
     generate_stack,
     true_coefficients,
@@ -274,28 +275,36 @@ def test_a_chunk_keeps_its_designs_and_qp_systems_in_the_budget(table, p, n):
 
 
 @pytest.mark.parametrize("stage", ["SigmaMetric", "stacked_maximin"])
-def test_a_failed_chunk_runs_each_replicate_alone(stage, monkeypatch):
-    # a metric check or QP that fails a chunk as a whole sends each of its
-    # replicates through the same pass alone; one that fails alone is degenerate
+def test_a_refused_row_comes_out_degenerate(stage, monkeypatch):
+    # a row the metric check or the QP refuses drops out of the pass as a
+    # degenerate row; every other row keeps its bits
     spec, M0, items = _engine_cell(*ENGINE_CELLS[0])
+    X, y = generate_stack(spec, [seed for _, seed in items])
+    assert fit_stack(X, y, spec.ridge_jitter).ok.all()  # row i of a stack is replicate i
+    assert len(items) * simulate._replicate_bytes(spec) <= simulate.CHUNK_BYTES  # one chunk
     expected = _bits(simulate._run_block(spec, 0.05, M0, items))
     kernel = getattr(simulate, stage)
     error = DefinitenessError if stage == "SigmaMetric" else ConvergenceError
 
-    def refuse_stacks(first, *rest):
-        if len(first) > 1:
-            raise error("refused")
-        return kernel(first, *rest)
+    def refusing(rows):
+        def refuse(*args):
+            out = kernel(*args)
+            errors = list(out.errors)
+            for r in rows:
+                errors[r] = error("refused")
+            if stage == "SigmaMetric":
+                out.errors[:] = errors
+                return out
+            return out._replace(errors=tuple(errors))
+        return refuse
 
-    monkeypatch.setattr(simulate, stage, refuse_stacks)
-    assert _bits(simulate._run_block(spec, 0.05, M0, items)) == expected
-
-    def refuse(*args):
-        raise error("refused")
-
-    monkeypatch.setattr(simulate, stage, refuse)
-    rows = simulate._run_block(spec, 0.05, M0, items)
-    assert _bits(rows) == _bits([(rep, 0, float("nan"), True, False) for rep, _ in items])
+    refused = _bits([(rep, 0, float("nan"), True, False) for rep, _ in items])
+    assert not expected[3][3]
+    monkeypatch.setattr(simulate, stage, refusing([3]))
+    assert _bits(simulate._run_block(spec, 0.05, M0, items)) == (
+        expected[:3] + refused[3:4] + expected[4:])
+    monkeypatch.setattr(simulate, stage, refusing(range(len(items))))
+    assert _bits(simulate._run_block(spec, 0.05, M0, items)) == refused
 
 
 @pytest.mark.parametrize("cell", ENGINE_CELLS)

@@ -1,5 +1,7 @@
 """Differential tests: the stacked kernels against their loop references."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from maximin.errors import SingularFitError
+from maximin import magging
+from maximin.errors import ConvergenceError, SingularFitError
 from maximin.geometry import SigmaMetric
 from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, fit_stack, generate
 from maximin.magging import (
@@ -15,9 +18,15 @@ from maximin.magging import (
     _residual,
     _simplex_qp,
     maximin_point,
+    stacked_maximin,
     stacked_simplex_qp,
 )
-from maximin.relaxation import contains_relaxed, covering_region, group_confidence_boxes
+from maximin.relaxation import (
+    CoveringRegion,
+    contains_relaxed,
+    covering_region,
+    group_confidence_boxes,
+)
 from maximin.selfcheck import brute_force_oracle
 
 
@@ -81,6 +90,64 @@ def test_exactly_duplicated_columns_do_not_raise():
     assert np.allclose(M, brute_force_oracle(B, np.eye(2)), atol=1e-12)
     # every face of at most p + 1 = 3 of the 4 columns was solved
     assert iterations.tolist() == [14, 14]
+
+
+def _assert_refused_alone(B, Sigma, messages):
+    """stacked_maximin refuses the rows messages names, with those
+    ConvergenceError messages and NaN weights and points, and gives every
+    other row the bits of its stack of one; maximin_point raises each
+    refused row's error."""
+    got = stacked_maximin(B, Sigma)
+    assert [None if e is None else (type(e), str(e)) for e in got.errors] == [
+        (ConvergenceError, messages[r]) if r in messages else None for r in range(len(B))]
+    for r in range(len(B)):
+        if r in messages:
+            assert np.isnan(got.gamma[r]).all() and np.isnan(got.M[r]).all()
+            with pytest.raises(ConvergenceError, match=f"^{re.escape(messages[r])}$"):
+                maximin_point(B[r], Sigma[r])
+            continue
+        alone = stacked_maximin(B[r:r + 1], Sigma[r:r + 1])
+        assert alone.errors == (None,)
+        for field, stacked, single in zip(got._fields, got[:-1], alone[:-1]):
+            assert stacked[r].tobytes() == single[0].tobytes(), field
+
+
+@pytest.mark.parametrize("G", [4, 8])
+def test_a_program_whose_gram_is_not_finite_is_refused_alone(G):
+    # both solvers: the refused rows are left out of the solve
+    programs = _programs(3, 5, 3, G, [False] * 5, [False] * 5)
+    B = np.stack([b for _, _, b, _, _ in programs])
+    Sigma = np.stack([S for *_, S, _ in programs])
+    B[1, 0, 2] = np.nan
+    B[3, :, 1] *= 1e160
+    _assert_refused_alone(B, Sigma, {
+        1: "B^T Sigma B is not finite in group column 3; the simplex QP has no finite solution",
+        3: "B^T Sigma B overflowed in group column 2; the simplex QP has no finite solution",
+    })
+
+
+def test_a_capped_program_is_refused_alone(monkeypatch):
+    # One G = 8 program's active-set loop cycles to the cap: on H = 4 I it
+    # grows the working set {1} by column 2, whose solve then steps straight
+    # back to {1}. Its row alone is refused; the hull test raises the error.
+    kkt_solve = magging._kkt_solve
+
+    def cycling(H, c, free):
+        if not np.array_equal(H, 4.0 * np.eye(8)):
+            return kkt_solve(H, c, free)
+        return np.array([1.0]) if len(free) == 1 else np.array([1.5, -0.5])
+
+    monkeypatch.setattr(magging, "_kkt_solve", cycling)
+    programs = _programs(5, 3, 8, 8, [False] * 3, [False] * 3)
+    B = np.stack([b for _, _, b, _, _ in programs])
+    Sigma = np.stack([S for *_, S, _ in programs])
+    B[1], Sigma[1] = 2.0 * np.eye(8), np.eye(8)
+    message = "simplex QP did not converge within 800 iterations"
+    _assert_refused_alone(B, Sigma, {1: message})
+    region = CoveringRegion(centers=B[1:2], radii=np.ones(1), shells=np.zeros(1),
+                            Sigma0=np.eye(8), level=0.95, spacing=1.0)
+    with pytest.raises(ConvergenceError, match=f"^{message}$"):
+        contains_relaxed(region, np.zeros(8))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
