@@ -13,7 +13,6 @@ from .asymvar import (
     AsymptoticCovariance,
     assemble_W,
     empirical_C,
-    tied_neighbors,
 )
 from .confidence import (
     ConfidenceRegion,
@@ -117,7 +116,6 @@ __all__ = [
     "run_cell",
     "run_grid",
     "scenario_presets",
-    "tied_neighbors",
     "true_coefficients",
     "true_maximin",
 ]

@@ -18,7 +18,7 @@ for it), V is identically zero and only the first term remains.
 
 empirical_C and face_covariance work over leading stack axes.
 covariance_stack picks the face W differentiates through, for a stack
-of datasets; assemble_W and tied_neighbors are its stack of one.
+of datasets; assemble_W is its stack of one.
 """
 
 from dataclasses import dataclass
@@ -58,63 +58,48 @@ def empirical_C(X, M, G):
     Returns:
         The p x p sample covariance (divisor nG) of the vectors
         (1/sqrt(G)) x_k (x_k . M) over all rows x_k, with X's leading
-        axes.
+        axes; zero for a single row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[-2] < 2:
-        raise DimensionError("empirical_C needs at least two rows")
+    if X.shape[-2] < 1:
+        raise DimensionError("empirical_C needs at least one row")
     V = X * matvec(X, np.asarray(M, dtype=float))[..., None]
     V /= np.sqrt(G)
     V -= V.mean(axis=-2, keepdims=True)
     return (V.swapaxes(-1, -2) @ V) / X.shape[-2]
 
 
-def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g):
-    """Inactive columns the data cannot separate from the active face.
+def _tie_mask(B, active, metric, sigma2, n, Sigma_g):
+    """The (R, G) inactive columns the data cannot separate from the
+    single active column w, over R stacked vertex solutions shaped as
+    for covariance_stack.
 
-    A column whose squared metric distance to the affine hull of the
-    active columns is within the noise of the coefficient estimates
-    could have taken part in the maximin combination; the fit has not
-    resolved its exclusion. Column h is tied when
+    A column whose squared metric distance to b_w is within the noise
+    of the coefficient estimates could have taken part in the maximin
+    combination; the fit has not resolved its exclusion. Column h is
+    tied when
 
-        dist_Sigma^2(b_h, face) <= (s_h^2 + max_{g active} s_g^2)
-                                   * chi2_p(TIE_PROBE_LEVEL) / p
+        |b_h - b_w|_Sigma^2 <= (s_h^2 + s_w^2) * chi2_p(TIE_PROBE_LEVEL) / p
 
     where s_g^2 = sigma^2 tr(Sigma Sigma_g^{-1}) / n is the expected
     squared metric error of column g under the fixed design, computed
     from the (G, p, p) per-group design grams ``Sigma_g`` (as fitted,
     ridge included). The bound shrinks like 1/n, so ties vanish for
     separated columns as the sample grows; nothing is tied when n or
-    sigma^2 is not positive. This is the stack of one of the test
-    covariance_stack runs on its vertex rows.
-
-    Returns:
-        Sorted tuple of tied column indices, disjoint from ``active``.
+    sigma^2 is not positive.
     """
-    B = np.atleast_2d(np.asarray(Bhat, dtype=float))
-    mask = np.isin(np.arange(B.shape[1]), list(active))
-    tied = _tie_mask(B[None], mask[None], SigmaMetric.ensure(Sigma)[None],
-                     np.array([float(sigma2)]), int(n), np.asarray(Sigma_g)[None])
-    return tuple(int(h) for h in np.flatnonzero(tied[0]))
-
-
-def _tie_mask(B, active, metric, sigma2, n, Sigma_g):
-    """The (R, G) tied columns of tied_neighbors' test over R stacked
-    datasets with the same number of active columns, shaped as for
-    covariance_stack."""
-    R, p, _ = B.shape
+    p = B.shape[1]
     if n <= 0:
         return np.zeros_like(active)
-    cols = np.nonzero(active)[1].reshape(R, -1)
-    face = Face(np.take_along_axis(B, cols[:, None, :], axis=2), metric)
+    w = np.argmax(active, axis=1)[:, None]
     rhs = np.broadcast_to(metric.Sigma[:, None], Sigma_g.shape)
     inv_traces = np.trace(np.linalg.solve(Sigma_g, rhs), axis1=-2, axis2=-1)
     scales = sigma2[:, None] * inv_traces / n
     quant = chi2_quantile(p, TIE_PROBE_LEVEL) / p
-    s_face = np.take_along_axis(scales, cols, axis=1).max(axis=1, keepdims=True)
-    D = face.complement @ (B - face.B[..., :1])
+    D = B - np.take_along_axis(B, w[:, None], axis=2)
     dist2 = np.einsum("...pg,...pg->...g", D, metric.Sigma @ D)
-    return (dist2 <= (scales + s_face) * quant) & ~active & (sigma2 > 0.0)[:, None]
+    bound = (scales + np.take_along_axis(scales, w, axis=1)) * quant
+    return (dist2 <= bound) & ~active & (sigma2 > 0.0)[:, None]
 
 
 def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
@@ -122,12 +107,13 @@ def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
 
     The one place that picks the columns W differentiates through. An
     interior solution uses its active columns. A single active column
-    has no Jacobian: when tied_neighbors' test finds columns the data
-    cannot separate from it, the winner and its ties form the face, and
-    their small hull distances inflate W along the ambiguous directions;
-    a cleanly isolated vertex is one group's least squares, and W falls
+    has no Jacobian: when _tie_mask finds columns the data cannot
+    separate from it, the winner and its ties form the face, and their
+    small hull distances inflate W along the ambiguous directions; a
+    cleanly isolated vertex is one group's least squares, and W falls
     back to sigma^2 Sigma^{-1}. Faces of equal size k >= 2 share one
-    stacked ``Face`` and face_covariance.
+    stacked ``Face`` and face_covariance, which leave the refused faces
+    NaN.
 
     Bhat (R, p, G), active (R, G) and M (R, p) describe the solutions,
     metric is the (R, p, p) SigmaMetric stack of their solve, Sigma_g
@@ -158,8 +144,7 @@ def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
             W[pick] = symmetric(term_B[pick] + term_V[pick])
             continue
         cols = np.nonzero(used[pick])[1].reshape(pick.size, size)
-        B = np.take_along_axis(Bhat[pick], cols[:, None, :], axis=2)
-        face = Face(B, metric[pick])
+        face = Face(np.take_along_axis(Bhat[pick], cols[:, None, :], axis=2), metric[pick])
         bad = face.degenerate.any(axis=1)
         rank = ~bad & ~face.full_rank & (C_hat is not None)
         first = np.argmax(face.degenerate, axis=1)
@@ -169,14 +154,9 @@ def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
         for i in np.flatnonzero(rank):
             errors[pick[i]] = RankError("active-column differences are rank deficient")
         ok = ~(bad | rank)
-        if not ok.any():
-            continue
-        if not ok.all():
-            pick = pick[ok]
-            face = Face(B[ok], metric[pick])
-        W[pick], term_B[pick], term_V[pick] = face_covariance(
-            face, M[pick], sigma2[pick], face.metric.inverse(),
-            None if C_hat is None else C_hat[pick])
+        results = face_covariance(face, M[pick], sigma2[pick], face.metric.inverse(),
+                                  None if C_hat is None else C_hat[pick])
+        W[pick[ok]], term_B[pick[ok]], term_V[pick[ok]] = (a[ok] for a in results)
     return W, term_B, term_V, used, vertex, tuple(errors)
 
 

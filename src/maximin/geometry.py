@@ -21,12 +21,12 @@ Both closed-form differentials are methods of ``Face``:
   of the metric, -D (D^T Sigma D)^{-1} D^T Delta M with D the matrix
   of active-column differences.
 
-These, the projections and the metric term of the covariance all read
-one factorisation of the face, made when the ``Face`` is built: the thin SVD
-D = U S V^T of D = (b_2 - b_1, ..., b_k - b_1) gives the rank check,
-and the Cholesky factor R of U^T Sigma U (as well conditioned as Sigma,
-whatever the spectrum of D) gives the Sigma-orthonormal basis
-E = U R^{-T} of the difference span. So the Gram Gamma = D^T Sigma D
+These, the complement projector and the metric term of the covariance
+all read one factorisation of the face, made when the ``Face`` is
+built: the thin SVD D = U S V^T of D = (b_2 - b_1, ..., b_k - b_1)
+gives the rank check, and the Cholesky factor R of U^T Sigma U (as well
+conditioned as Sigma, whatever the spectrum of D) gives the
+Sigma-orthonormal basis E = U R^{-T} of the difference span. So the Gram Gamma = D^T Sigma D
 has D Gamma^{-1} D^T = E E^T and Pi_B = I - E E^T Sigma. With
 N = [-1^T; I] (weights summing to zero, D = B N), Q = N Gamma^{-1} N^T
 is the top-left block of the inverse of the bordered Gram
@@ -48,7 +48,9 @@ SigmaMetric and Face, like the helpers below, work over leading stack
 axes: a (..., p, p) stack of metrics, a (..., p, k) stack of faces with
 one metric each. A single face is the stack with no leading axes, so
 the coverage harness's batched pass and the per-dataset pipeline run
-the same formulas, item for item.
+the same formulas, item for item. Both keep their refusals as values
+on a stack, as NaN factors or results for the items they refuse; only
+a single matrix or face raises.
 """
 
 import functools
@@ -186,13 +188,14 @@ class Face:
     """The affine hull of the used columns B_A, factorised once.
 
     B_active is (p, k), or a (..., p, k) stack of faces with one metric
-    per face; every result then carries the same leading axes.
-    Projections follow pseudo-inverse semantics and never raise.
-    Jacobians raise DegenerateGeometryError for a single column or when
-    a column lies within 1e-10 of the hull of the others; the metric
-    response and term_V raise RankError when D is rank deficient. On a
-    stack they raise when any face does; ``degenerate`` and
-    ``full_rank`` say which faces and columns fail.
+    per face; every result then carries the same leading axes. The
+    complement projector follows pseudo-inverse semantics and never
+    refuses. Jacobians refuse a single column and a column within 1e-10
+    of the hull of the others (DegenerateGeometryError); the metric
+    response and term_V refuse rank deficient D (RankError). A single
+    face raises the refusal; a stack returns NaN for the faces it
+    refuses, and ``degenerate`` and ``full_rank`` say which faces and
+    columns those are.
     """
 
     def __init__(self, B_active, metric):
@@ -217,23 +220,23 @@ class Face:
         kept = s > _PINV_RTOL * s.max(axis=-1, initial=0.0, keepdims=True)
         self._E_kept = self._E * kept[..., None, :]
 
-    def project(self, x):
-        """Sigma-orthogonal projection of x onto the face's affine hull."""
-        base, E = self.B[..., 0], self._E_kept
-        d = np.asarray(x, dtype=float) - base
-        return base + matvec(E, matvec(E.swapaxes(-1, -2), matvec(self.metric.Sigma, d)))
-
     @functools.cached_property
     def complement(self):
         """Pi_B = I - E E^T Sigma."""
         E = self._E_kept
         return np.eye(self.p) - E @ (E.swapaxes(-1, -2) @ self.metric.Sigma)
 
+    def _refuse(self, refused, error):
+        """The (...) mask of refused faces; a single refused face raises error()."""
+        if self.B.ndim == 2 and refused:
+            raise error()
+        return np.broadcast_to(refused, self.B.shape[:-2])
+
     def _full_rank_basis(self):
-        """E after the rank check on D; empty for a single column."""
-        if not np.all(self.full_rank):
-            raise RankError("active-column differences are rank deficient")
-        return self._E
+        """E (empty for a single column) and the mask of rank deficient D."""
+        refused = self._refuse(~self.full_rank, lambda: RankError(
+            "active-column differences are rank deficient"))
+        return self._E, refused
 
     @functools.cached_property
     def _closed_form(self):
@@ -265,16 +268,17 @@ class Face:
             U, unorm = (a.copy() for a in self._closed_form)
         else:
             U, unorm = np.empty(self.B.shape), np.empty(self.B.shape[:-2] + (self.k,))
-        # Degenerate or wide faces: project each column onto the others.
+        # Degenerate or wide faces: project each column onto the others'
+        # hull, b - (b_1 + E E^T Sigma (b - b_1)) on their kept basis.
         for i in np.ndindex(self.B.shape[:-2]):
             if self.separated[i]:
                 continue
-            B, metric = self.B[i], SigmaMetric(self.metric.Sigma[i])
-            U[i] = np.column_stack([
-                b - Face(np.delete(B, g, axis=1), metric).project(b)
-                for g, b in enumerate(B.T)
-            ])
-            unorm[i] = np.sqrt(np.einsum("pg,pg->g", U[i], metric.Sigma @ U[i]))
+            B, Sigma = self.B[i], self.metric.Sigma[i]
+            for g, b in enumerate(B.T):
+                others = Face(np.delete(B, g, axis=1), self.metric[i])
+                base, E = others.B[:, 0], others._E_kept
+                U[i][:, g] = b - (base + matvec(E, matvec(E.T, matvec(Sigma, b - base))))
+            unorm[i] = np.sqrt(np.einsum("pg,pg->g", U[i], Sigma @ U[i]))
         return U, unorm
 
     @functools.cached_property
@@ -285,26 +289,28 @@ class Face:
     def jacobians(self, M):
         """Stacked J_g for every column, shape (..., k, p, p)."""
         if self.k < 2:
-            raise DegenerateGeometryError(
+            self._refuse(True, lambda: DegenerateGeometryError(
                 "vertex solution: the maximin map is not differentiable for a"
-                " single active column"
-            )
-        bad = np.argwhere(self.degenerate)
-        if bad.size:
-            raise DegenerateGeometryError(
-                f"active column {bad[0][-1]} lies in the affine hull of the others"
-            )
+                " single active column"))
+            return np.full(self.B.shape[:-2] + (1, self.p, self.p), np.nan)
+        degenerate = self.degenerate
+        refused = self._refuse(degenerate.any(axis=-1), lambda: DegenerateGeometryError(
+            f"active column {np.argmax(degenerate)} lies in the affine hull of the others"))
         U, unorm = self._residuals
         Sigma, M = self.metric.Sigma, np.asarray(M, dtype=float)
         Pi = self.complement
-        r = matvec(Pi, M - self.B[..., 0])
-        SU = Sigma @ U
-        t = (M[..., None, :] @ SU)[..., 0, :] - np.einsum(
-            "...pg,...pg->...g", self.B, SU) + unorm**2
-        wnorm = np.sqrt(quadratic_form(Sigma, r)[..., None] + (t / unorm) ** 2)
-        outer = (U / unorm[..., None, :] ** 2).swapaxes(-1, -2)[..., None] * (
-            matvec(Sigma, M)[..., None, None, :])
-        return (wnorm / unorm)[..., None, None] * Pi[..., None, :, :] - outer
+        # refused faces divide by their vanishing residuals; NaN replaces them
+        quiet = "ignore" if refused.any() else None
+        with np.errstate(divide=quiet, invalid=quiet):
+            r = matvec(Pi, M - self.B[..., 0])
+            SU = Sigma @ U
+            t = (M[..., None, :] @ SU)[..., 0, :] - np.einsum(
+                "...pg,...pg->...g", self.B, SU) + unorm**2
+            wnorm = np.sqrt(quadratic_form(Sigma, r)[..., None] + (t / unorm) ** 2)
+            outer = (U / unorm[..., None, :] ** 2).swapaxes(-1, -2)[..., None] * (
+                matvec(Sigma, M)[..., None, None, :])
+            J = (wnorm / unorm)[..., None, None] * Pi[..., None, :, :] - outer
+        return np.where(refused[..., None, None, None], np.nan, J)
 
     def dsigma(self, M, Delta):
         """-D Gamma^{-1} D^T Delta M = -E E^T Delta M; zero for one column."""
@@ -314,11 +320,13 @@ class Face:
         scale = float(np.max(np.abs(Delta))) or 1.0
         if np.max(np.abs(Delta - Delta.T)) > 1e-8 * scale:
             raise ValueError("Delta must be symmetric")
-        E = self._full_rank_basis()
-        return -matvec(E, matvec(E.swapaxes(-1, -2), matvec(Delta, np.asarray(M, dtype=float))))
+        E, refused = self._full_rank_basis()
+        dM = -matvec(E, matvec(E.swapaxes(-1, -2), matvec(Delta, np.asarray(M, dtype=float))))
+        return np.where(refused[..., None], np.nan, dM)
 
     def term_V(self, C_hat):
         """P C_hat P with P = D Gamma^{-1} D^T = E E^T; zero for one column."""
-        E = self._full_rank_basis()
+        E, refused = self._full_rank_basis()
         P = E @ E.swapaxes(-1, -2)
-        return symmetric(P @ np.asarray(C_hat, dtype=float) @ P)
+        V = symmetric(P @ np.asarray(C_hat, dtype=float) @ P)
+        return np.where(refused[..., None, None], np.nan, V)

@@ -93,13 +93,7 @@ def separated_instances(count, seed, p_range=(2, 4), G_range=(2, 5)):
         inactive = [g for g in range(G) if g not in act]
         if inactive and max(solution.alpha[inactive]) > 1e-10:
             continue
-        metric = SigmaMetric(Sigma)
-        sub = B[:, act]
-        residuals = [
-            metric.norm(sub[:, i] - Face(np.delete(sub, i, axis=1), metric).project(sub[:, i]))
-            for i in range(len(act))
-        ]
-        if min(residuals) >= 0.1:
+        if Face(B[:, act], Sigma)._residuals[1].min() >= 0.1:
             out.append((B, Sigma, solution))
     return out
 

@@ -9,6 +9,7 @@ piece-by-piece loops the batched versions in ``maximin.linmodel`` and
 replicate loop the block engine in ``maximin.simulate`` replaced; it
 assembles W with tied_neighbors and assemble_W, the per-dataset choice
 of face that ``maximin.asymvar.covariance_stack`` made stacked.
+tied_neighbors is the plain NumPy vertex distance, with no Face.
 true_coefficients and generate_stack draw every stream from a fresh
 SeedSequence-seeded Philox, as ``maximin.linmodel`` did before it
 hashed all keys of a stack in one vectorised pass. load_grouped_csv,
@@ -137,25 +138,23 @@ def face_W(B_used, Sigma, M, sigma2, C_hat):
 
 
 def tied_neighbors(Bhat, active, Sigma, sigma2, n, Sigma_g):
-    """Inactive columns within the tie bound of the active face, for one
-    dataset (see maximin.asymvar.tied_neighbors)."""
-    metric = SigmaMetric.ensure(Sigma)
+    """Inactive columns within the tie bound of the single active column
+    w of a vertex solution, for one dataset: |b_h - b_w|_Sigma^2 <=
+    (s_h^2 + s_w^2) chi2_p(TIE_PROBE_LEVEL) / p with s_g^2 = sigma^2
+    tr(Sigma Sigma_g^{-1}) / n (see maximin.asymvar._tie_mask)."""
+    Sigma = SigmaMetric.ensure(Sigma).Sigma
     B = np.atleast_2d(np.asarray(Bhat, dtype=float))
     p = B.shape[0]
     n = int(n)
     sigma2 = float(sigma2)
     if n <= 0 or sigma2 <= 0.0:
         return ()
-    active = tuple(active)
-    face = Face(B[:, list(active)], metric)
-    rhs = np.broadcast_to(metric.Sigma, Sigma_g.shape)
-    inv_traces = np.trace(np.linalg.solve(Sigma_g, rhs), axis1=1, axis2=2)
-    scales = sigma2 * inv_traces / n
+    (w,) = active
+    scales = np.array([sigma2 * np.trace(np.linalg.solve(S, Sigma)) / n for S in Sigma_g])
     quant = chi2_quantile(p, TIE_PROBE_LEVEL) / p
-    s_face = max(scales[g] for g in active)
-    R = face.complement @ (B - face.B[:, :1])
-    tied = np.einsum("pg,pg->g", R, metric.Sigma @ R) <= (scales + s_face) * quant
-    tied[list(active)] = False
+    D = B - B[:, [w]]
+    tied = np.einsum("pg,pg->g", D, Sigma @ D) <= (scales + scales[w]) * quant
+    tied[w] = False
     return tuple(int(h) for h in np.flatnonzero(tied))
 
 

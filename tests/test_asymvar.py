@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from maximin.asymvar import assemble_W, covariance_stack, empirical_C, tied_neighbors
+from maximin.asymvar import assemble_W, covariance_stack, empirical_C
 from maximin.errors import DegenerateGeometryError, DimensionError, RankError
 from maximin.geometry import Face, SigmaMetric
 from maximin.linmodel import GroupEstimates, ScenarioSpec, fit, generate
@@ -29,8 +29,10 @@ def test_empirical_C_matches_tensor_contraction():
 
 
 def test_empirical_C_needs_rows_and_reference_is_capped():
+    # one row is its own mean: the covariance (divisor nG) is zero
+    assert np.array_equal(empirical_C(np.ones((1, 2)), np.ones(2), G=1), np.zeros((2, 2)))
     with pytest.raises(DimensionError):
-        empirical_C(np.ones((1, 2)), np.ones(2), G=1)
+        empirical_C(np.ones((0, 2)), np.ones(2), G=1)
     with pytest.raises(DimensionError):
         fourth_moment_reference(np.ones((10, 5)), G=1)
 
@@ -155,34 +157,43 @@ def test_tied_vertex_W_matches_the_per_column_reference():
     assert np.linalg.norm(cov.W - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+def _tied(B, active, sigma2, n, Sigma_g):
+    """The columns covariance_stack adds to one dataset's active set
+    under the identity metric."""
+    B = np.asarray(B, dtype=float)
+    mask = np.isin(np.arange(B.shape[1]), active)
+    M = B[:, mask].mean(axis=1)
+    used = covariance_stack(B[None], mask[None], M[None], SigmaMetric(np.eye(2))[None],
+                            np.array([sigma2]), n, Sigma_g[None], None)[3]
+    return tuple(int(h) for h in np.flatnonzero(used[0] & ~mask))
+
+
 def test_tied_neighbors_distance_gate():
-    Sigma = np.eye(2)
     close = np.array([[0.5, 0.5001, 5.0], [0.0, 0.001, 1.0]])
-    grams = np.stack((Sigma,) * 3)
-    assert tied_neighbors(close, (0,), Sigma, sigma2=1.0, n=50, Sigma_g=grams) == (1,)
+    grams = np.stack((np.eye(2),) * 3)
+    assert _tied(close, (0,), sigma2=1.0, n=50, Sigma_g=grams) == (1,)
     # a tie vanishes once the sample pins the columns down
-    assert tied_neighbors(close, (0,), Sigma, sigma2=1.0, n=10**9, Sigma_g=grams) == ()
+    assert _tied(close, (0,), sigma2=1.0, n=10**9, Sigma_g=grams) == ()
     far = np.array([[0.5, 3.0], [0.0, 4.0]])
-    assert tied_neighbors(far, (0,), Sigma, sigma2=1.0, n=50, Sigma_g=grams[:2]) == ()
+    assert _tied(far, (0,), sigma2=1.0, n=50, Sigma_g=grams[:2]) == ()
 
 
 def test_tied_neighbors_edge_conditions():
     B = np.array([[0.5, 0.5001], [0.0, 0.001]])
-    Sigma = np.eye(2)
-    grams = np.stack((Sigma,) * 2)
-    assert tied_neighbors(B, (0,), Sigma, sigma2=0.0, n=50, Sigma_g=grams) == ()
-    assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=0, Sigma_g=grams) == ()
-    assert tied_neighbors(B, (0, 1), Sigma, sigma2=1.0, n=50, Sigma_g=grams) == ()
+    grams = np.stack((np.eye(2),) * 2)
+    assert _tied(B, (0,), sigma2=0.0, n=50, Sigma_g=grams) == ()
+    assert _tied(B, (0,), sigma2=1.0, n=0, Sigma_g=grams) == ()
+    # only a vertex is enlarged by ties
+    assert _tied(B, (0, 1), sigma2=1.0, n=50, Sigma_g=grams) == ()
 
 
 def test_tied_neighbors_uses_per_group_scales_when_available():
     B = np.array([[0.5, 0.9], [0.0, 0.0]])
-    Sigma = np.eye(2)
     # designs as strong as the pooled one say separated at this n
-    assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=2000, Sigma_g=np.stack((Sigma,) * 2)) == ()
+    assert _tied(B, (0,), sigma2=1.0, n=2000, Sigma_g=np.stack((np.eye(2),) * 2)) == ()
     # a weak group-1 design inflates its error scale and restores the tie
     weak = np.stack((np.eye(2) * 1e-3, np.eye(2) * 1e-3))
-    assert tied_neighbors(B, (0,), Sigma, sigma2=1.0, n=2000, Sigma_g=weak) == (1,)
+    assert _tied(B, (0,), sigma2=1.0, n=2000, Sigma_g=weak) == (1,)
 
 
 def test_assembled_W_is_symmetric_psd_on_fitted_data():

@@ -453,6 +453,15 @@ def test_degenerate_covariance_exits_four(tmp_path, capsys):
     assert "conditioning" in capsys.readouterr().err
 
 
+def test_a_one_row_file_has_a_singular_covariance(tmp_path, capsys):
+    # one group of one row is fitted exactly: sigma^2 = 0, and C_hat of
+    # the single row is zero, so W vanishes
+    f = tmp_path / "one.csv"
+    f.write_text("group,x1,y\na,1.0,2.0\n", encoding="utf-8")
+    assert main(["region", str(f)]) == EXIT_CONDITIONING
+    assert "conditioning: covariance is numerically singular" in capsys.readouterr().err
+
+
 def _write_noise_csv(path, G, scale, scaled=None):
     # y is pure noise, so the residual variance is about n times the
     # squared coefficients: it overflows first as the scale grows.

@@ -36,7 +36,7 @@ def test_face_matches_reference_on_separated_instances(seed, sigma2):
         assert _close(J, ref.dmagging_dB(sub, metric, i, sol.M))
     assert _close(face.complement, ref.complement_projector(sub, metric))
     x = B @ np.linspace(1.0, 2.0, B.shape[1])
-    assert _close(face.project(x), ref.affine_project(x, sub.T, metric))
+    assert _close(x - face.complement @ (x - sub[:, 0]), ref.affine_project(x, sub.T, metric))
     C = gaussian_population_C(Sigma, sol.M, B.shape[1])
     assert _close(face.term_V(C), ref.sigma_term_V(sub, metric, C))
     W = assemble_W(_estimates(B, Sigma, sigma2), sol, C, Sigma=metric).W
@@ -103,10 +103,10 @@ def test_degenerate_faces_raise_like_the_reference(seed, p, extra, offset):
             ref.sigma_term_V, B, metric, C)
 
 
-
 def test_a_stack_of_faces_equals_its_faces_one_by_one():
     # Faces of equal (p, k) stacked along a leading axis give each face's
-    # own results, bit for bit, and masks mark the faces that fail.
+    # own results, bit for bit, and masks mark the faces that fail. The
+    # stack returns NaN for a face it refuses, where that face alone raises.
     instances = [inst for inst in separated_instances(40, seed=8, p_range=(3, 3),
                                                      G_range=(3, 4))
                  if len(inst[2].active) == 2][:5]
@@ -115,14 +115,33 @@ def test_a_stack_of_faces_equals_its_faces_one_by_one():
     Sigma = np.stack([s for _, s, _ in instances])
     M = np.stack([sol.M for _, _, sol in instances])
     C = np.stack([gaussian_population_C(s, sol.M, 3) for _, s, sol in instances])
+    Delta = np.diag([1.0, -0.5, 2.0])
     B[-1, :, 1] = B[-1, :, 0]  # a face of one repeated point
     face = Face(B, SigmaMetric(Sigma))
     assert face.full_rank.tolist() == face.separated.tolist() == [True] * 4 + [False]
-    good = Face(B[:4], SigmaMetric(Sigma[:4]))
+    J, V, dM = face.jacobians(M), face.term_V(C), face.dsigma(M, Delta)
+    assert np.isnan(J[4]).all() and np.isnan(V[4]).all() and np.isnan(dM[4]).all()
     for i in range(4):
         single = Face(B[i], SigmaMetric(Sigma[i]))
-        assert good.jacobians(M[:4])[i].tobytes() == single.jacobians(M[i]).tobytes()
-        assert good.term_V(C[:4])[i].tobytes() == single.term_V(C[i]).tobytes()
+        assert J[i].tobytes() == single.jacobians(M[i]).tobytes()
+        assert V[i].tobytes() == single.term_V(C[i]).tobytes()
+        assert dM[i].tobytes() == single.dsigma(M[i], Delta).tobytes()
         assert face.complement[i].tobytes() == single.complement.tobytes()
+    alone = Face(B[4], SigmaMetric(Sigma[4]))
+    with pytest.raises(DegenerateGeometryError, match="^active column 0 lies"):
+        alone.jacobians(M[4])
     with pytest.raises(RankError):
-        face.term_V(C)
+        alone.term_V(C[4])
+
+
+def test_a_stack_of_wide_faces_is_refused_without_raising():
+    # k - 1 > p: every column lies in the affine hull of the others
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((3, 2, 4))
+    metric = SigmaMetric(np.stack((np.eye(2),) * 3))
+    face = Face(B, metric)
+    assert face.degenerate.all() and not face.full_rank.any()
+    assert np.isnan(face.jacobians(B.mean(axis=2))).all()
+    assert np.isnan(face.term_V(np.stack((np.eye(2),) * 3))).all()
+    with pytest.raises(DegenerateGeometryError):
+        Face(B[0], metric[0]).jacobians(B[0].mean(axis=1))

@@ -151,6 +151,14 @@ def test_degenerate_replicates_are_counted_not_raised():
     assert rep.coverage_all == 0.0
 
 
+@pytest.mark.parametrize("table", [1, 3, 4, 5])
+def test_a_cell_of_one_row_datasets_completes(table):
+    # p = 1 gives G = 1 here, so n = 1 is a single row per dataset
+    rep = run_cell(scenario_presets(table, 1, 1), 5, 0.05)
+    assert rep.replicates == 5
+    assert rep.covered + rep.degenerate_count <= 5
+
+
 def test_run_cell_validation():
     spec = scenario_presets(1, 2, 40)
     with pytest.raises(ValueError):
