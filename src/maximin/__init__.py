@@ -34,7 +34,6 @@ from .errors import (
     RankError,
     SingularFitError,
 )
-from .estimator import MaximinEstimator
 from .geometry import Face, SigmaMetric
 from .linmodel import (
     GroupedDataset,
@@ -54,7 +53,6 @@ from .relaxation import (
     contains_relaxed,
     covering_region,
     group_confidence_boxes,
-    maximin_norm_gap,
 )
 from .simulate import (
     CoverageReport,
@@ -87,7 +85,6 @@ __all__ = [
     "GroupedDataset",
     "GroupEstimates",
     "MaggingSolution",
-    "MaximinEstimator",
     "RankError",
     "ScenarioSpec",
     "SigmaMetric",
@@ -111,7 +108,6 @@ __all__ = [
     "load_group_csvs",
     "load_grouped_csv",
     "max_eigenvalue",
-    "maximin_norm_gap",
     "maximin_point",
     "run_cell",
     "run_grid",

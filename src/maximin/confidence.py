@@ -82,9 +82,6 @@ class ConfidenceRegion:
         """Lengths of the principal semi-axes, sorted descending."""
         return np.sqrt(self.tau * self.eigenvalues)
 
-    def quadratic_form(self, M):
-        return float(quadratic_form(self.precision, self.center - np.asarray(M, dtype=float)))
-
     def to_dict(self):
         return {
             "schema_version": 1,
@@ -119,7 +116,7 @@ def build_region(M_hat, W, n, alpha):
     Returns
     -------
     ConfidenceRegion
-        With empty flags; pipeline.infer fills them in.
+        With empty flags; pipeline.analyze_dataset fills them in.
 
     Raises
     ------

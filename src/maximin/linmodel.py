@@ -31,7 +31,7 @@ csv.reader read every file; through np.loadtxt it takes 0.22 s of 0.24
 s, 0.16 s of it in the numeric columns and 0.04 s in the labels.
 _read_table returns the rows in file order with their group cells;
 GroupedDataset.from_rows, the one split of labelled rows into groups,
-makes the dataset, for load_grouped_csv as for MaximinEstimator.fit.
+makes the dataset, for load_grouped_csv as for rows held in memory.
 """
 
 import csv
@@ -393,9 +393,9 @@ class StackFit(NamedTuple):
     coef (..., G, p) holds each group's coefficients, S (..., G, p, p)
     the scatters X_g^T X_g / n plus the jitter diagonal, rhs
     (..., G, p, 1) the moments X_g^T y_g / n, sigma2 (...) the pooled
-    residual variances and pivots (..., G, p) the squared Cholesky
-    pivots of each scatter, NaN where it cannot be factored. coef and
-    sigma2 are NaN for the datasets that are not ok.
+    residual variances, and pivots (..., G, p) and pivots_ok (..., G)
+    each scatter's rank_check. coef and sigma2 are NaN for the datasets
+    that are not ok.
     """
 
     coef: np.ndarray
@@ -403,13 +403,7 @@ class StackFit(NamedTuple):
     rhs: np.ndarray
     sigma2: np.ndarray
     pivots: np.ndarray
-
-    @property
-    def pivots_ok(self):
-        """The rank check of each group, (..., G): its scatter was
-        factored with a pivot ratio above _PIVOT_RTOL."""
-        with np.errstate(invalid="ignore"):
-            return self.pivots.min(axis=-1) > _PIVOT_RTOL * self.pivots.max(axis=-1)
+    pivots_ok: np.ndarray
 
     @property
     def ok(self):
@@ -428,13 +422,25 @@ class StackFit(NamedTuple):
         return self.S.mean(axis=-3)
 
 
+def rank_check(S):
+    """The rank check of each matrix of a (..., p, p) stack of scatters.
+
+    Returns (pivots, ok): the squared Cholesky pivots, NaN where a
+    matrix cannot be factored, and whether each was factored with a
+    pivot ratio above _PIVOT_RTOL.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pivots = np.diagonal(nan_where_singular(np.linalg.cholesky, S),
+                             axis1=-2, axis2=-1) ** 2
+        return pivots, pivots.min(axis=-1) > _PIVOT_RTOL * pivots.max(axis=-1)
+
+
 def fit_stack(X, y, ridge_jitter=0.0):
     """Per-group least squares over a (..., G, n, p) stack of datasets.
 
     One batched pass: Grams and moments (an overflow leaves them
     non-finite, and a non-finite scatter fails the rank check), one
-    Cholesky for the rank check (a pivot ratio at or below _PIVOT_RTOL
-    fails it), one solve for the datasets that pass, and the residual
+    rank_check, one solve for the datasets that pass, and the residual
     variance on G (n - p) degrees of freedom, or G n when p >= n.
     Returns a StackFit.
     """
@@ -443,10 +449,8 @@ def fit_stack(X, y, ridge_jitter=0.0):
     with np.errstate(over="ignore", invalid="ignore"):
         S = (Xt @ X) / n + ridge_jitter * np.eye(p)
         rhs = (Xt @ y[..., None]) / n
-        pivots = np.diagonal(nan_where_singular(np.linalg.cholesky, S),
-                             axis1=-2, axis2=-1) ** 2
     fitted = StackFit(np.full(S.shape[:-1], np.nan), S, rhs,
-                      np.full(S.shape[:-3], np.nan), pivots)
+                      np.full(S.shape[:-3], np.nan), *rank_check(S))
     ok = fitted.ok
     if ok.any():
         sel = Ellipsis if ok.all() else ok  # a view, not a copy, when all pass

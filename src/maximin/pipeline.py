@@ -1,11 +1,13 @@
-"""End-to-end flow shared by the estimator class, the CLI and the simulator.
+"""Analysis of one grouped dataset, behind the CLI's estimate and region.
 
-One replicate of the full analysis is: fit per-group least squares,
-solve the maximin weight program under the pooled (or supplied) metric,
-assemble the plug-in covariance (which differentiates the maximin map
-at the solution) and build the confidence ellipsoid. Supplying known_sigma
-switches every step onto the exact metric and drops the metric-
-fluctuation term of the covariance.
+One pass is: fit per-group least squares, solve the maximin weight
+program under the pooled (or supplied) metric, assemble the plug-in
+covariance (which differentiates the maximin map at the solution) and
+build the confidence ellipsoid. Supplying known_sigma switches every
+step onto the exact metric and drops the metric-fluctuation term of the
+covariance. Labelled rows in memory enter through
+GroupedDataset.from_rows. The simulator runs the same kernels on a
+stack of datasets.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ def estimate_dataset(dataset, ridge_jitter=0.0, known_sigma=None):
     Returns (estimates, solution, metric), metric being the SigmaMetric
     the program was solved under: the pooled estimate, or known_sigma.
     A known_sigma goes through SigmaMetric.ensure before the fit, the
-    one check of its shape and entries for the CLI and the estimator.
+    one check of its shape and entries.
     """
     known = None if known_sigma is None else geometry.SigmaMetric.ensure(
         known_sigma, dataset.p)
@@ -38,14 +40,18 @@ def estimate_dataset(dataset, ridge_jitter=0.0, known_sigma=None):
     return estimates, magging.maximin_point(estimates.Bhat, metric), metric
 
 
-def infer(dataset, estimates, solution, metric, alpha, known_sigma):
-    """Confidence region for a solved dataset: (covariance, region).
+def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None):
+    """Full pass from raw dataset to confidence region.
 
-    Estimates the metric-fluctuation term C_hat (skipped under a known
-    Sigma), assembles W and builds the ellipsoid. metric is the
-    SigmaMetric the solution was computed under. The region's flags
-    record vertex_mode, known_sigma and sigma2_approximate.
+    Fits and solves (estimate_dataset), estimates the metric-fluctuation
+    term C_hat (skipped under a known Sigma), assembles W under the
+    metric of the solve and builds the ellipsoid, whose flags record
+    vertex_mode, known_sigma and sigma2_approximate. Returns an Analysis
+    bundle. Degeneracy, rank, conditioning and convergence problems
+    propagate as their specific exception types so callers can count or
+    surface them.
     """
+    estimates, solution, metric = estimate_dataset(dataset, ridge_jitter, known_sigma)
     if known_sigma is None:
         C_hat = asymvar.empirical_C(dataset.design_stack(), solution.M, dataset.G)
     else:
@@ -57,20 +63,6 @@ def infer(dataset, estimates, solution, metric, alpha, known_sigma):
         known_sigma=covariance.known_sigma,
         sigma2_approximate=bool(estimates.sigma2_approximate),
     )
-    return covariance, region
-
-
-def analyze_dataset(dataset, alpha=0.05, ridge_jitter=0.0, known_sigma=None):
-    """Full pass from raw dataset to confidence region.
-
-    Returns an Analysis bundle. Degeneracy, rank, conditioning and
-    convergence problems propagate as their specific exception types so
-    callers can count or surface them. One SigmaMetric serves the solve
-    and the covariance assembly.
-    """
-    estimates, solution, metric = estimate_dataset(dataset, ridge_jitter, known_sigma)
-    covariance, region = infer(
-        dataset, estimates, solution, metric, alpha, known_sigma)
     return Analysis(
         estimates=estimates,
         solution=solution,

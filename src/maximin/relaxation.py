@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import chi2_quantile
-from .errors import BudgetError
+from .errors import BudgetError, SingularFitError
 from .geometry import SigmaMetric
+from .linmodel import rank_check
 from .magging import capped_error, maximin_point, sigma_gram, stacked_simplex_qp
 
 # Most lattice centers covering_region builds before raising BudgetError.
@@ -39,22 +40,6 @@ _SLACK = 1e-9
 # chunk after an early hit; at G = 6 a chunk holds 64 x 63 bordered 7 x 7
 # systems, about 1.6 MB.
 _CHUNK = 64
-
-
-def maximin_norm_gap(B, B_prime, Sigma0):
-    """Gap in maximin norms against the column-shift bound.
-
-    Returns (gap, bound) with gap = | |M(B')| - |M(B)| | and bound the
-    largest Sigma0-norm column difference. The gap never exceeds the
-    bound (up to solver slack); callers rely on that inequality.
-    """
-    metric = SigmaMetric.ensure(Sigma0)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Bp = np.atleast_2d(np.asarray(B_prime, dtype=float))
-    norm = metric.norm(maximin_point(B, metric).M)
-    norm_p = metric.norm(maximin_point(Bp, metric).M)
-    bound = max(metric.norm(Bp[:, g] - B[:, g]) for g in range(B.shape[1]))
-    return abs(norm_p - norm), bound
 
 
 @dataclass(frozen=True)
@@ -84,28 +69,27 @@ class GroupBoxes:
     def G(self):
         return self.centers.shape[1]
 
-    def contains_truth(self, B0):
-        """Whether every column of B0 lies in its group's ellipsoid."""
-        B0 = np.atleast_2d(np.asarray(B0, dtype=float))
-        for g in range(self.G):
-            d = self.centers[:, g] - B0[:, g]
-            if float(d @ self.scatters[g] @ d) / self.sigma2 > self.threshold:
-                return False
-        return True
-
 
 def group_confidence_boxes(estimates, alpha):
     """Joint per-group coefficient region at overall level 1 - alpha.
 
     Splits the miscoverage evenly: each group's ellipsoid has level
     1 - alpha/G, so the intersection covers the full coefficient matrix
-    with probability at least 1 - alpha by the union bound.
+    with probability at least 1 - alpha by the union bound. A box needs
+    the raw scatter n (S_g - jitter Id) of its group to pass
+    linmodel.rank_check; a jittered fit with n < p has a singular one,
+    and the first such group column (1-based) raises SingularFitError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     p, G, n = estimates.p, estimates.G, estimates.n
     jitter = estimates.ridge_jitter_used
     scatters = n * (estimates.Sigma_g_hat - jitter * np.eye(p))
+    _, full_rank = rank_check(scatters)
+    if not full_rank.all():
+        g = int(np.argmin(full_rank)) + 1
+        raise SingularFitError(f"group column {g}: raw design scatter is not positive"
+                               " definite; no confidence box exists", group=g)
     threshold = chi2_quantile(p, 1.0 - alpha / G)
     sigma2 = float(estimates.sigma2_hat)
     variances = np.diagonal(np.linalg.inv(scatters), axis1=1, axis2=2)

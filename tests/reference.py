@@ -16,10 +16,14 @@ hashed all keys of a stack in one vectorised pass. load_grouped_csv,
 load_group_csvs and load_matrix_csv read every row with csv.reader and
 every cell with float(), as ``maximin.linmodel`` did before it parsed
 plain files with np.loadtxt. split_groups is the one-mask-per-label
-split MaximinEstimator.fit made before GroupedDataset.from_rows did
-every split of labelled rows. They stay here as the oracles for the
-differential tests. explained_variance states the objective the maximin
-point is defined by, for the defining-property test.
+split of labelled rows that GroupedDataset.from_rows replaced with one
+stable sort. They stay here as the oracles for the differential tests.
+explained_variance states the objective the maximin point is defined
+by, for the defining-property test. maximin_norm_gap, boxes_contain and
+quadratic_form measure what the tests check of the package: the
+Lipschitz bound behind the covering region, whether the true
+coefficients lie in their per-group boxes, and a point's quadratic form
+in a confidence region.
 """
 
 import csv
@@ -48,8 +52,9 @@ from maximin.errors import (
     SingularFitError,
 )
 from maximin.geometry import Face, SigmaMetric, symmetric
+from maximin.geometry import quadratic_form as _quadratic_form
 from maximin.linmodel import GroupedDataset, GroupEstimates, generate
-from maximin.magging import _simplex_qp
+from maximin.magging import _simplex_qp, maximin_point
 from maximin.pipeline import estimate_dataset
 
 _RANK_RTOL = 1e-12
@@ -284,6 +289,38 @@ def contains_relaxed(region, M, slack=1e-9):
         if hull_distance(region.centers[k], metric, M) <= eps + slack:
             return True
     return False
+
+
+def maximin_norm_gap(B, B_prime, Sigma0):
+    """Gap in maximin norms against the column-shift bound.
+
+    Returns (gap, bound) with gap = | |M(B')| - |M(B)| | and bound the
+    largest Sigma0-norm column difference. The gap never exceeds the
+    bound (up to solver slack); the covering region relies on that
+    inequality.
+    """
+    metric = SigmaMetric.ensure(Sigma0)
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    Bp = np.atleast_2d(np.asarray(B_prime, dtype=float))
+    norm = metric.norm(maximin_point(B, metric).M)
+    norm_p = metric.norm(maximin_point(Bp, metric).M)
+    bound = max(metric.norm(Bp[:, g] - B[:, g]) for g in range(B.shape[1]))
+    return abs(norm_p - norm), bound
+
+
+def boxes_contain(boxes, B0):
+    """Whether every column of B0 lies in its group's ellipsoid in boxes."""
+    B0 = np.atleast_2d(np.asarray(B0, dtype=float))
+    for g in range(boxes.G):
+        d = boxes.centers[:, g] - B0[:, g]
+        if float(d @ boxes.scatters[g] @ d) / boxes.sigma2 > boxes.threshold:
+            return False
+    return True
+
+
+def quadratic_form(region, M):
+    """(center - M)^T precision (center - M) of a confidence region."""
+    return float(_quadratic_form(region.precision, region.center - np.asarray(M, dtype=float)))
 
 
 REPLICATE_ERRORS = (

@@ -18,7 +18,6 @@ from maximin.relaxation import (
     contains_relaxed,
     covering_region,
     group_confidence_boxes,
-    maximin_norm_gap,
 )
 from maximin.selfcheck import (
     chi2_round_trip_error,
@@ -36,6 +35,7 @@ from maximin.simulate import (
     scenario_presets,
     true_maximin,
 )
+from reference import maximin_norm_gap
 
 MASTER_SEED = 7
 JOBS = 8

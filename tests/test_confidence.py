@@ -15,9 +15,10 @@ from maximin.confidence import (
     contains,
     max_eigenvalue,
 )
-from maximin.errors import ConditioningError
-from maximin.linmodel import GroupedDataset
+from maximin.errors import ConditioningError, DimensionError
+from maximin.linmodel import GroupedDataset, ScenarioSpec, generate
 from maximin.pipeline import analyze_dataset
+from reference import quadratic_form
 
 
 def test_quantile_agrees_with_independent_implementation():
@@ -70,7 +71,7 @@ def test_region_geometry_fields():
     assert np.allclose(region.eigenvalues, [0.04, 0.01])
     assert np.allclose(region.semi_axes(), np.sqrt(tau * np.array([0.04, 0.01])))
     assert contains(region, center) is True
-    assert region.quadratic_form(center) == 0.0
+    assert quadratic_form(region, center) == 0.0
     assert max_eigenvalue(W) == pytest.approx(4.0)
     assert json.dumps(region.to_dict())
 
@@ -81,7 +82,7 @@ def test_region_membership_boundary():
     # exactly-on-edge points round either way; step in by one part in 1e9
     just_inside = np.array([r * (1.0 - 1e-9), 0.0])
     assert contains(region, just_inside)
-    assert region.quadratic_form(just_inside) == pytest.approx(region.radius2, rel=1e-6)
+    assert quadratic_form(region, just_inside) == pytest.approx(region.radius2, rel=1e-6)
     assert not contains(region, np.array([1.001 * r, 0.0]))
 
 
@@ -102,6 +103,26 @@ def test_region_flags_come_from_the_analysis():
     assert known.region.flags["known_sigma"] is True
     assert known.region.flags["vertex_mode"] is True
     assert build_region(np.zeros(2), np.eye(2), n=10, alpha=0.1).flags == {}
+
+
+def test_the_analysis_region_is_centred_on_the_solution():
+    ds, _ = generate(ScenarioSpec(p=3, G=3, n=200, seed=23))
+    analysis = analyze_dataset(ds)
+    assert analysis.region.level == 0.95
+    assert np.array_equal(analysis.region.center, analysis.solution.M)
+    assert analysis.covariance.W.shape == (3, 3)
+    assert analyze_dataset(ds, alpha=0.01).region.radius2 > analysis.region.radius2
+
+
+def test_a_known_sigma_is_checked_and_drops_the_fluctuation_term():
+    ds, _ = generate(ScenarioSpec(p=2, G=2, n=150, seed=24))
+    known = analyze_dataset(ds, known_sigma=np.eye(2))
+    assert known.region.flags["known_sigma"] is True
+    assert np.array_equal(known.covariance.term_V, np.zeros((2, 2)))
+    with pytest.raises(DimensionError, match="known_sigma must be 2 x 2"):
+        analyze_dataset(ds, known_sigma=np.eye(3))
+    with pytest.raises(ValueError, match="known_sigma contains NaN or infinite entries"):
+        analyze_dataset(ds, known_sigma=[[1.0, np.nan], [np.nan, 1.0]])
 
 
 def test_region_rejects_bad_covariances():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import reference
 from maximin.errors import CsvFormatError, DimensionError, SingularFitError
-from maximin.estimator import MaximinEstimator
 from maximin.linmodel import (
     GroupedDataset,
     ScenarioSpec,
@@ -21,6 +20,7 @@ from maximin.linmodel import (
     load_matrix_csv,
     true_coefficients,
 )
+from maximin.pipeline import analyze_dataset
 
 
 def test_dataset_shapes_and_default_labels():
@@ -288,7 +288,7 @@ def _estimator_rows(folder, groups):
     labels = np.array([label for label, _, _ in rows], dtype=object)
     X = np.array([[x] for _, x, _ in rows], dtype=float)
     y = np.array([y for _, _, y in rows], dtype=float)
-    return MaximinEstimator().fit(X, y, labels)
+    return GroupedDataset.from_rows(X, y, labels)
 
 
 @pytest.mark.parametrize("load, error", [
@@ -372,6 +372,43 @@ def test_from_rows_matches_the_mask_split(case):
     X, y, labels = case
     assert _split_outcome(GroupedDataset.from_rows, X, y, labels) == _split_outcome(
         _mask_split, X, y, labels)
+
+
+def test_from_rows_refuses_what_it_cannot_split():
+    X, y = np.ones((4, 2)), np.ones(4)
+    labels = np.array(["a", "a", "b", "b"])
+    with pytest.raises(DimensionError, match="X must be 2-dimensional, got ndim=1"):
+        GroupedDataset.from_rows(np.ones(4), y, labels)
+    with pytest.raises(ValueError, match="X contains NaN or infinite entries") as info:
+        GroupedDataset.from_rows(X * np.nan, y, labels)
+    assert type(info.value) is ValueError
+    with pytest.raises(DimensionError, match="y has 3 entries but X has 4 rows"):
+        GroupedDataset.from_rows(X, np.ones(3), labels)
+    with pytest.raises(DimensionError, match="groups must be 1-dimensional"):
+        GroupedDataset.from_rows(X, y, np.ones((2, 2)))
+    with pytest.raises(DimensionError, match="groups must have equal sizes, got a=3, b=1"):
+        GroupedDataset.from_rows(X, y, np.array(["a", "a", "a", "b"]))
+
+
+def test_from_rows_names_int_labels_in_order_of_first_appearance():
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+    y = np.array([1.0, 0.5, 2.0, 3.0])
+    dataset = GroupedDataset.from_rows(X, y, np.array([7, 7, 3, 3]))
+    assert dataset.labels == ("7", "3")
+    assert np.array_equal(dataset.X, X.reshape(2, 2, 2))
+
+
+def test_labelled_rows_reach_the_pipeline_through_from_rows():
+    ds, _ = generate(ScenarioSpec(p=3, G=3, n=120, seed=21))
+    labels = np.repeat(["g1", "g2", "g3"], ds.n)
+    rows = GroupedDataset.from_rows(ds.design_stack(), ds.y.reshape(-1), labels)
+    analysis, expected = analyze_dataset(rows), analyze_dataset(ds)
+    assert rows.labels == ("g1", "g2", "g3")
+    assert np.array_equal(analysis.solution.M, expected.solution.M)
+    assert np.array_equal(analysis.solution.alpha, expected.solution.alpha)
+    assert np.array_equal(analysis.region.precision, expected.region.precision)
+    assert [rows.labels[g] for g in analysis.solution.active] == [
+        f"g{g + 1}" for g in expected.solution.active]
 
 
 def test_per_group_csv_files(tmp_path):

@@ -6,16 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maximin.errors import BudgetError
-from maximin.linmodel import ScenarioSpec, fit, generate
+from maximin.errors import BudgetError, SingularFitError
+from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, generate
 from maximin.magging import maximin_point
 from maximin.relaxation import (
     contains_relaxed,
     covering_region,
     group_confidence_boxes,
-    maximin_norm_gap,
 )
 from maximin.simulate import scenario_presets, true_maximin
+from reference import boxes_contain, maximin_norm_gap
 
 
 def test_norm_gap_trivial_pairs():
@@ -54,20 +54,36 @@ def test_boxes_split_the_level_evenly():
     assert boxes.level_per_box == pytest.approx(1.0 - 0.05 / est.G)
     assert boxes.alpha == 0.05
     assert boxes.halfwidths.shape == (est.p, est.G)
-    assert boxes.contains_truth(est.Bhat)
+    assert boxes_contain(boxes, est.Bhat)
     with pytest.raises(ValueError):
         group_confidence_boxes(est, alpha=0.0)
+
+
+def test_boxes_refuse_a_singular_raw_scatter():
+    # a jittered fit with n < p passes, but n (S_g - jitter Id) is singular
+    ds, _ = generate(ScenarioSpec(p=3, G=2, n=2, seed=1, ridge_jitter=1e-4))
+    with pytest.raises(SingularFitError, match="group column 1: raw design scatter"
+                       " is not positive definite; no confidence box exists"):
+        group_confidence_boxes(fit(ds, 1e-4), alpha=0.05)
+    # the second group's third column repeats its second
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 2))))
+    X = rng.standard_normal((2, 6, 3))
+    X[1, :, 2] = X[1, :, 1]
+    est = fit(GroupedDataset(tuple(zip(X, rng.standard_normal((2, 6))))), 1e-4)
+    with pytest.raises(SingularFitError, match="group column 2: ") as info:
+        group_confidence_boxes(est, alpha=0.05)
+    assert info.value.group == 2
 
 
 def test_boxes_shrink_to_points_as_noise_vanishes():
     ds, B0 = generate(ScenarioSpec(p=2, G=2, n=80, noise_sd=1e-9, seed=1))
     est = fit(ds)
     boxes = group_confidence_boxes(est, alpha=0.05)
-    assert boxes.contains_truth(est.Bhat)
+    assert boxes_contain(boxes, est.Bhat)
     assert np.max(boxes.halfwidths) < 1e-6
     off = est.Bhat.copy()
     off[:, 0] += 1e-3
-    assert not boxes.contains_truth(off)
+    assert not boxes_contain(boxes, off)
 
 
 def test_boxes_contain_truth_at_the_joint_rate():
@@ -75,7 +91,7 @@ def test_boxes_contain_truth_at_the_joint_rate():
     reps = 200
     for seed in range(reps):
         est, B0 = _fitted(seed=seed)
-        if group_confidence_boxes(est, alpha=0.05).contains_truth(B0):
+        if boxes_contain(group_confidence_boxes(est, alpha=0.05), B0):
             hits += 1
     # union bound makes the joint event conservative at level 0.95
     assert hits / reps >= 0.93
@@ -180,7 +196,7 @@ def test_true_point_is_covered_whenever_the_boxes_hold():
         est = fit(ds)
         boxes = group_confidence_boxes(est, alpha=0.05)
         region = covering_region(boxes, np.eye(2), target_eps=0.25)
-        if boxes.contains_truth(B0):
+        if boxes_contain(boxes, B0):
             boxes_hold += 1
             covered_given_boxes += contains_relaxed(region, M0)
     assert boxes_hold > 100
