@@ -60,7 +60,7 @@ from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import DefinitenessError, DegenerateGeometryError, DimensionError, RankError
 
-# Relative cutoff for rank decisions on D.
+# Relative cutoff for rank decisions on D and on equilibrated pivots.
 _RANK_RTOL = 1e-12
 
 # Projections drop singular values of D below this fraction of the
@@ -109,15 +109,29 @@ def nan_where_singular(kernel, A, *rest):
     return out
 
 
+def positive_definite(S):
+    """The one positive-definiteness test, over a (..., p, p) stack.
+
+    Returns (L, ok): each matrix's Cholesky factor, NaN where it cannot
+    be factored, and whether min_i L_ii^2 / S_ii > _RANK_RTOL max_i
+    L_ii^2 / S_ii. Those ratios are the squared Cholesky pivots of
+    D^{-1/2} S D^{-1/2}, D = diag(S), so no diagonal scaling of S moves
+    the verdict (van der Sluis, Numer. Math. 14, 1969).
+    """
+    with np.errstate(invalid="ignore"):
+        L = nan_where_singular(np.linalg.cholesky, S)
+        pivots = (np.diagonal(L, 0, -2, -1) / np.sqrt(np.diagonal(S, 0, -2, -1))) ** 2
+        return L, pivots.min(axis=-1) > _RANK_RTOL * pivots.max(axis=-1)
+
+
 class SigmaMetric:
     """A positive definite Sigma, or a (..., p, p) stack, with Cholesky factors.
 
     The constructor checks each matrix for symmetry (to 1e-10 of its
-    largest entry) and factors its symmetrised form. ``errors``, an
-    object array over the stack axes, holds None for a matrix that
-    passes and a DefinitenessError for one that fails, whose factor is
-    then NaN; a single (p, p) matrix raises it. A non-square array
-    raises DimensionError.
+    largest entry) and its symmetrised form by positive_definite, the one
+    definiteness test. ``errors`` over the stack axes holds None for a
+    pass and a DefinitenessError, with a NaN factor, for a failure; a
+    single (p, p) matrix raises it, and a non-square array DimensionError.
     """
 
     def __init__(self, Sigma):
@@ -129,8 +143,8 @@ class SigmaMetric:
         skew = np.max(np.abs(Sigma - Sigma.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
         asymmetric = skew > 1e-10 * scale
         self.Sigma = symmetric(Sigma)
-        self.L = nan_where_singular(np.linalg.cholesky, self.Sigma)
-        bad = asymmetric | ~np.isfinite(self.L).all(axis=(-2, -1))
+        self.L, definite = positive_definite(self.Sigma)
+        bad = asymmetric | ~definite
         self.errors = np.full(bad.shape, None, dtype=object)
         if not bad.any():
             return

@@ -16,7 +16,8 @@ key; _philox_keys computes it for all keys of a stack in one vectorised
 pass, bitwise equal to SeedSequence, and one generator whose state is
 reset to each key draws every stream. generate_stack draws many seeds'
 datasets into one (R, G, n, p) stack and fit_stack fits such a stack in
-one batched pass; generate and fit are their stacks of one.
+one batched pass, judging each scatter by geometry.positive_definite,
+the one definiteness test; generate and fit are their stacks of one.
 
 Every CSV goes through one reader, _read_table. A regular file with no
 quote, carriage return or NUL has its data rows parsed in C by
@@ -45,13 +46,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CsvFormatError, DimensionError, SingularFitError
-from .geometry import nan_where_singular
+from .geometry import positive_definite
 
 COEFFICIENT_RULES = ("basis-vectors", "shared-plus-noise", "identical")
-
-# Relative pivot threshold for the factorization-based rank check.
-_PIVOT_RTOL = 1e-12
-
 
 # numpy's SeedSequence hash, which numpy documents as stable: a pool of
 # four 32-bit words filled by hashmix steps, each keyed by the next term
@@ -393,9 +390,9 @@ class StackFit(NamedTuple):
     coef (..., G, p) holds each group's coefficients, S (..., G, p, p)
     the scatters X_g^T X_g / n plus the jitter diagonal, rhs
     (..., G, p, 1) the moments X_g^T y_g / n, sigma2 (...) the pooled
-    residual variances, and pivots (..., G, p) and pivots_ok (..., G)
-    each scatter's rank_check. coef and sigma2 are NaN for the datasets
-    that are not ok.
+    residual variances, and pivots (..., G, p, p) and pivots_ok (..., G)
+    each scatter's factor and verdict from positive_definite, the one
+    definiteness test. coef and sigma2 are NaN for the datasets not ok.
     """
 
     coef: np.ndarray
@@ -407,8 +404,8 @@ class StackFit(NamedTuple):
 
     @property
     def ok(self):
-        """The datasets whose every group passes the rank check with
-        finite moments, (...)."""
+        """The datasets whose every group passes the definiteness test
+        with finite moments, (...)."""
         return self.pivots_ok.all(axis=-1) & np.isfinite(self.rhs).all(axis=(-3, -2, -1))
 
     @property
@@ -422,27 +419,14 @@ class StackFit(NamedTuple):
         return self.S.mean(axis=-3)
 
 
-def rank_check(S):
-    """The rank check of each matrix of a (..., p, p) stack of scatters.
-
-    Returns (pivots, ok): the squared Cholesky pivots, NaN where a
-    matrix cannot be factored, and whether each was factored with a
-    pivot ratio above _PIVOT_RTOL.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        pivots = np.diagonal(nan_where_singular(np.linalg.cholesky, S),
-                             axis1=-2, axis2=-1) ** 2
-        return pivots, pivots.min(axis=-1) > _PIVOT_RTOL * pivots.max(axis=-1)
-
-
 def fit_stack(X, y, ridge_jitter=0.0):
     """Per-group least squares over a (..., G, n, p) stack of datasets.
 
     One batched pass: Grams and moments (an overflow leaves them
-    non-finite, and a non-finite scatter fails the rank check), one
-    rank_check, one solve for the datasets that pass, and the residual
-    variance on G (n - p) degrees of freedom, or G n when p >= n.
-    Returns a StackFit.
+    non-finite, and a non-finite scatter fails the test), one verdict of
+    positive_definite, the one definiteness test, on every scatter, one
+    solve for the datasets that pass, and the residual variance on
+    G (n - p) degrees of freedom, or G n when p >= n. Returns a StackFit.
     """
     G, n, p = X.shape[-3:]
     Xt = X.swapaxes(-1, -2)
@@ -450,7 +434,7 @@ def fit_stack(X, y, ridge_jitter=0.0):
         S = (Xt @ X) / n + ridge_jitter * np.eye(p)
         rhs = (Xt @ y[..., None]) / n
     fitted = StackFit(np.full(S.shape[:-1], np.nan), S, rhs,
-                      np.full(S.shape[:-3], np.nan), *rank_check(S))
+                      np.full(S.shape[:-3], np.nan), *positive_definite(S))
     ok = fitted.ok
     if ok.any():
         sel = Ellipsis if ok.all() else ok  # a view, not a copy, when all pass
@@ -470,9 +454,9 @@ def fit(dataset, ridge_jitter=0.0):
     X_g^T y_g / n. The dataset goes through fit_stack as a stack of
     one, and its verdict is the only check: the first group that fails
     it raises. A scatter that is not finite (it overflowed), cannot be
-    factored or is numerically rank-deficient raises SingularFitError
-    naming the group; non-finite moments raise ValueError. Sigma_hat is
-    the mean of the group scatters, X^T X / (nG) + jitter Id.
+    factored or fails positive_definite, the one definiteness test,
+    raises SingularFitError naming the group; non-finite moments raise
+    ValueError. Sigma_hat is X^T X / (nG) + jitter Id, the scatters' mean.
 
     Parameters
     ----------

@@ -26,8 +26,7 @@ import numpy as np
 
 from .confidence import chi2_quantile
 from .errors import BudgetError, SingularFitError
-from .geometry import SigmaMetric
-from .linmodel import rank_check
+from .geometry import SigmaMetric, positive_definite
 from .magging import capped_error, maximin_point, sigma_gram, stacked_simplex_qp
 
 # Most lattice centers covering_region builds before raising BudgetError.
@@ -76,16 +75,16 @@ def group_confidence_boxes(estimates, alpha):
     Splits the miscoverage evenly: each group's ellipsoid has level
     1 - alpha/G, so the intersection covers the full coefficient matrix
     with probability at least 1 - alpha by the union bound. A box needs
-    the raw scatter n (S_g - jitter Id) of its group to pass
-    linmodel.rank_check; a jittered fit with n < p has a singular one,
-    and the first such group column (1-based) raises SingularFitError.
+    its group's raw scatter n (S_g - jitter Id) to pass positive_definite,
+    the one definiteness test; a jittered fit with n < p fails it, and
+    the first such group column (1-based) raises SingularFitError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     p, G, n = estimates.p, estimates.G, estimates.n
     jitter = estimates.ridge_jitter_used
     scatters = n * (estimates.Sigma_g_hat - jitter * np.eye(p))
-    _, full_rank = rank_check(scatters)
+    _, full_rank = positive_definite(scatters)
     if not full_rank.all():
         g = int(np.argmin(full_rank)) + 1
         raise SingularFitError(f"group column {g}: raw design scatter is not positive"

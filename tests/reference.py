@@ -239,7 +239,8 @@ def fit(dataset, ridge_jitter=0.0):
                 " a positive ridge_jitter is required",
                 group=dataset.labels[g],
             ) from None
-        pivots = np.abs(np.diag(factor[0])) ** 2
+        # the equilibrated pivots L_ii^2 / S_ii, as geometry.positive_definite
+        pivots = np.diag(factor[0]) ** 2 / np.diag(S)
         if pivots.min() <= 1e-12 * pivots.max():
             raise SingularFitError(
                 f"group {dataset.labels[g]}: design scatter is numerically"

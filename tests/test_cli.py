@@ -501,12 +501,19 @@ def test_degenerate_geometry_exits_six(tmp_path, capsys):
 
 
 def test_indefinite_known_sigma_exits_nine(data_csv, tmp_path, capsys):
+    # a rank-2 Gram A A^T that Cholesky factors in rounding is refused too
+    A = np.random.default_rng(3).standard_normal((2, 3, 2))[1]
+    rank2 = "".join(",".join(map(repr, row)) + "\n" for row in (A @ A.T).tolist())
+    data3 = tmp_path / "groups3.csv"
+    _write_grouped_csv(data3, ScenarioSpec(p=3, G=3, n=40, seed=1))
     sigma = tmp_path / "sigma.csv"
-    for text, message in (("1,2\n2,1\n", "not positive definite"),
-                          ("1,0.5\n0,1\n", "not symmetric")):
+    for data, text, message in ((data_csv, "1,2\n2,1\n", "not positive definite"),
+                                (data_csv, "1,0.5\n0,1\n", "not symmetric"),
+                                (data3, rank2, "not positive definite")):
         sigma.write_text(text, encoding="utf-8")
-        assert main(["region", str(data_csv), "--known-sigma", str(sigma)]) == EXIT_DEFINITENESS
-        assert message in capsys.readouterr().err
+        for command in ("estimate", "region"):
+            assert main([command, str(data), "--known-sigma", str(sigma)]) == EXIT_DEFINITENESS
+            assert f"definiteness: Sigma is {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error, code", [

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from maximin.errors import DefinitenessError, DegenerateGeometryError, DimensionError, RankError
 from maximin.geometry import Face, SigmaMetric
@@ -16,6 +17,9 @@ def corpus():
 
 ASYMMETRIC = np.array([[1.0, 0.5], [0.0, 1.0]])
 INDEFINITE = np.diag([1.0, -1.0])
+# a rank-2 Gram A A^T that Cholesky factors in rounding
+_A = np.random.default_rng(3).standard_normal((2, 3, 2))[1]
+SINGULAR = _A @ _A.T
 
 
 def test_metric_validation():
@@ -23,28 +27,32 @@ def test_metric_validation():
         SigmaMetric(np.ones((2, 3)))
     with pytest.raises(DefinitenessError, match="^Sigma is not symmetric$"):
         SigmaMetric(ASYMMETRIC)
-    with pytest.raises(DefinitenessError, match="^Sigma is not positive definite$"):
-        SigmaMetric(INDEFINITE)
+    for matrix in (INDEFINITE, SINGULAR):
+        with pytest.raises(DefinitenessError, match="^Sigma is not positive definite$"):
+            SigmaMetric(matrix)
 
 
 def test_a_metric_stack_keeps_each_refusal_at_its_index():
     # a stack raises nothing; each matrix that fails a check has its error
     # and a NaN factor, and the others keep the factor they have alone
-    stack = SigmaMetric(np.stack([np.eye(2), INDEFINITE, ASYMMETRIC, 2.0 * np.eye(2)]))
+    matrices = [np.eye(3), block_diag(INDEFINITE, 1.0), block_diag(ASYMMETRIC, 1.0),
+                SINGULAR, 2.0 * np.eye(3)]
+    stack = SigmaMetric(np.stack(matrices))
     assert [None if e is None else (type(e), str(e)) for e in stack.errors] == [
         None,
         (DefinitenessError, "Sigma is not positive definite"),
         (DefinitenessError, "Sigma is not symmetric"),
+        (DefinitenessError, "Sigma is not positive definite"),
         None,
     ]
-    assert np.isnan(stack.L[1:3]).all()
-    for i, alone in ((1, INDEFINITE), (2, ASYMMETRIC)):
+    assert np.isnan(stack.L[1:4]).all()
+    for i in (1, 2, 3):
         with pytest.raises(DefinitenessError, match=f"^{stack.errors[i]}$"):
-            SigmaMetric(alone)
-    for i, alone in ((0, np.eye(2)), (3, 2.0 * np.eye(2))):
-        assert stack.L[i].tobytes() == SigmaMetric(alone).L.tobytes()
+            SigmaMetric(matrices[i])
+    for i in (0, 4):
+        assert stack.L[i].tobytes() == SigmaMetric(matrices[i]).L.tobytes()
     assert list(stack[2:].errors) == list(stack.errors[2:])
-    assert stack[[0, 3]].errors.tolist() == [None, None]
+    assert stack[[0, 4]].errors.tolist() == [None, None]
 
 
 def test_metric_operations():

@@ -4,6 +4,8 @@ Each property runs analyze_dataset on a generated dataset and on a
 transformed copy, and compares the maximin point M and the covariance W
 with what the transformation implies. Draws the analysis rejects as
 degenerate are skipped; the transformed copy must then analyze too.
+Rescaling the design's columns is checked on estimate_dataset alone:
+W's relative eigenvalue-ratio test still refuses such scales.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from maximin.errors import EstimationError
 from maximin.linmodel import GroupedDataset, ScenarioSpec, generate
-from maximin.pipeline import analyze_dataset
+from maximin.pipeline import analyze_dataset, estimate_dataset
 
 _RTOL = 1e-10
 # X -> XA passes through A^{-1} twice; A's condition number is at most 4.
@@ -75,3 +77,19 @@ def test_reparametrising_the_design_maps_the_ellipsoid(dataset, seed):
     A_inv = np.linalg.inv(A)
     assert _rel(moved.solution.M, A_inv @ base.solution.M) <= _RTOL_REPARAM
     assert _rel(moved.covariance.W, A_inv @ base.covariance.W @ A_inv.T) <= _RTOL_REPARAM
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(dataset=datasets, data=st.data())
+def test_rescaling_the_design_columns_rescales_M(dataset, data):
+    try:
+        _, base, _ = estimate_dataset(dataset)
+    except EstimationError:
+        reject()
+    exponents = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=dataset.p,
+                                   max_size=dataset.p))
+    d = 10.0 ** np.array(exponents)
+    _, scaled, _ = estimate_dataset(GroupedDataset(
+        tuple((X * d, y) for X, y in dataset.groups), labels=dataset.labels))
+    assert _rel(scaled.M, base.M / d) <= _RTOL
+    assert np.max(np.abs(scaled.alpha - base.alpha)) <= _RTOL
