@@ -17,25 +17,31 @@ stacked_simplex_qp, which takes a stack of such programs:
   of the face's equality-constrained KKT system. Every face of at most
   p + 1 columns, of every program in the stack, is padded to one size
   and solved in a single np.linalg.solve; the face whose weights are
-  nonnegative and whose objective is lowest wins. Singular faces
-  (duplicated columns) are discarded, never raised.
-- A primal active-set method, for larger G: hold a working set of
-  nonzero weights, solve the equality-constrained subproblem through
-  its KKT system, step to the nearest feasibility boundary when the
-  solution leaves the simplex, and grow the working set by the most
-  negative multiplier otherwise. Exact linear solves make the method
-  finite. It runs on each program of the stack in turn.
+  nonnegative and whose objective is lowest wins. A face holding a
+  duplicated column is singular and discarded, never raised, unless
+  rounding hides that; it then ties with the faces of either copy.
+- A primal active-set method, for larger G, run over the whole stack
+  in lockstep. Each program starts at its best vertex. An iteration
+  grows the working set of every program at its face's solution by the
+  most negative multiplier, then solves the face of every program whose
+  working set changed, laid out as the enumeration lays out a face, in
+  one padded np.linalg.solve; a solution off the simplex moves the
+  program's point up to the first weight that reaches zero and drops
+  that column. Exact solves make the method finite, and where no two
+  faces tie it ends on the bits the enumeration returns.
 
 stacked_maximin forms those programs for a stack of coefficient
 matrices and metrics; maximin_point is its stack of one.
 
-The switch sits at the measured single-call crossover. With p = G, 50
-random programs per G, one BLAS thread, NumPy 2.4 on a 2-core Xeon VM,
-enumeration took 78/84/100/104/204/409/804 us per program at
-G = 2..8 against 155/200/254/264/329/361/439 us for the active-set
-loop (1.4 to 4.0 iterations): enumeration wins up to G = 6 and loses
-from G = 7, where the face count (2^G - 1 at p >= G - 1) outgrows the
-loop's few iterations.
+The switch sits at G = 6. In us per program at G = 2..8 (p = G, one
+BLAS thread, NumPy 2.4, 2-core Xeon VM, best of 3), enumeration against
+the loop (0.3 to 3.3 solves a program) took 39/44/50/66/104/203/432
+against 68/110/153/181/203/248/286 for a single call, 2.8/5.5/13/29/82/
+189/449 against 3.9/10/15/20/25/40/53 for stacks of 32, and 1.7/4.3/11/
+29/83/207/528 against 1.1/2.7/4.7/7.6/9.6/13/15 for stacks of 256. A
+single call favours enumeration through G = 7, stacks of 32 the loop
+from G = 5 and stacks of 256 from G = 2: the loop pays its overhead
+once a stack, enumeration its 2^G - 1 faces (p >= G - 1) once a program.
 """
 
 import functools
@@ -64,8 +70,8 @@ class MaggingSolution:
 
     active holds the indices g with alpha_g above ACTIVITY_THRESHOLD.
     kkt_residual is measured on the face the solver returned.
-    iterations counts the faces solved when G is at most
-    ENUMERATION_MAX_G, and the active-set iterations otherwise.
+    iterations counts the bordered face systems solved: every face's
+    when G is at most ENUMERATION_MAX_G, the active-set loop's otherwise.
     """
 
     M: np.ndarray
@@ -74,24 +80,6 @@ class MaggingSolution:
     objective: float
     kkt_residual: float
     iterations: int = 0
-
-
-def _kkt_solve(H, c, free):
-    """Minimize x^T H x + c^T x over sum(x) = 1 on the free coordinates."""
-    k = len(free)
-    idx = np.ix_(free, free)
-    K = np.zeros((k + 1, k + 1))
-    K[:k, :k] = 2.0 * H[idx]
-    K[:k, k] = 1.0
-    K[k, :k] = 1.0
-    rhs = np.concatenate([-c[free], [1.0]])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    if not np.all(np.isfinite(sol)):
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    return sol[:k]
 
 
 def _residual(H, c, gamma, support):
@@ -107,128 +95,148 @@ def _residual(H, c, gamma, support):
     return res, grad, lam
 
 
-def _simplex_qp(H, c=None):
-    """Solve min gamma^T H gamma + c^T gamma over the probability simplex.
-
-    Returns (gamma, support, iterations), support being the final
-    working set; _residual(H, c, gamma, support) is the KKT residual.
-    H must be symmetric positive semidefinite; c defaults to zero. A
-    multiplier gap of at most 1e-10 times the larger of |trace(H)| / G
-    and max|c| counts as optimal. A loop that hits the cap of 100 G
-    iterations returns NaN weights.
-    """
-    G = H.shape[0]
-    if c is None:
-        c = np.zeros(G)
-    max_iter = 100 * G
-    tol = 1e-10 * max(abs(np.trace(H)) / G, float(np.max(np.abs(c))) if G else 0.0)
-    if G == 1:
-        return np.ones(1), [0], 0
-    start = int(np.argmin(np.diag(H) + c))
-    gamma = np.zeros(G)
-    gamma[start] = 1.0
-    free = [start]
-    for it in range(1, max_iter + 1):
-        x = _kkt_solve(H, c, free)
-        if np.all(x >= -_FEAS_TOL):
-            gamma = np.zeros(G)
-            gamma[free] = np.clip(x, 0.0, None)
-            gamma /= gamma.sum()
-            _, grad, lam = _residual(H, c, gamma, free)
-            rest = [g for g in range(G) if g not in free]
-            if not rest:
-                return gamma, free, it
-            j = rest[int(np.argmin(grad[rest]))]
-            if lam - grad[j] <= tol:
-                return gamma, free, it
-            free.append(j)
-        else:
-            # Step from the current face iterate toward x until the first
-            # coordinate hits zero, then drop it from the working set.
-            cur = gamma[free]
-            step = x - cur
-            blocking = [i for i in range(len(free)) if x[i] < -_FEAS_TOL]
-            ts = [cur[i] / (cur[i] - x[i]) for i in blocking]
-            t = min(ts)
-            hit = blocking[int(np.argmin(ts))]
-            moved = cur + t * step
-            moved[hit] = 0.0
-            gamma = np.zeros(G)
-            gamma[free] = np.clip(moved, 0.0, None)
-            gamma /= gamma.sum()
-            free = [g for i, g in enumerate(free) if i != hit]
-    return np.full(G, np.nan), free, max_iter
-
-
 def capped_error(G):
     """The ConvergenceError of a simplex QP in G weights that hit the cap."""
     return ConvergenceError(f"simplex QP did not converge within {100 * G} iterations")
 
 
-class _Faces(NamedTuple):
-    scale: np.ndarray
-    base: np.ndarray
-    cslots: np.ndarray
-    cscale: np.ndarray
-    rhs: np.ndarray
-    onehot: np.ndarray
-    members: np.ndarray
+def _faces(cols, real):
+    """Bordered KKT systems of faces, both solvers' one layout: cols
+    (S, F, K) lists each face's columns in its first slots, ascending,
+    and real marks them. Returns (cslots, scale, base, cscale, rhs),
+    read-only: a face's system is base + scale * H[cslots, cslots], its
+    right-hand side rhs - cscale * c[cslots], that is 2 H on the face,
+    the border last, and on each padded slot an identity row and a zero
+    right-hand side (weight 0, whatever finite H the slot reads)."""
+    K = cols.shape[-1]
+    border = np.zeros(real.shape[:-1] + (1,), dtype=bool)
+    inner = np.concatenate([real, border], axis=-1)
+    base = np.zeros(inner.shape + (K + 1,))
+    base[..., range(K), range(K)] = ~real
+    base[..., :, K] = inner
+    base[..., K, :] = inner
+    rhs = np.zeros(inner.shape + (1,))
+    rhs[..., K, 0] = 1.0
+    cslots = np.concatenate([np.where(real, cols, 0), border], axis=-1)
+    layout = (cslots, 2.0 * (inner[..., :, None] & inner[..., None, :]), base,
+              inner.astype(float), rhs)
+    for value in layout:
+        value.flags.writeable = False
+    return layout
 
 
 @functools.lru_cache(maxsize=None)
 def _face_table(G, size):
-    """Bordered KKT systems of every face of at most size columns of G.
-
-    Each face is padded to size slots plus the border. A face's system
-    is base + scale * H[cslots, cslots] with right-hand side rhs -
-    cscale * c[cslots], so padded slots get an identity row and a zero
-    right-hand side and solve to weight exactly 0. onehot (F, size, G)
-    maps slot weights onto columns; members (F, G) marks each face's
-    columns.
-    """
+    """The _faces of every face of at most size columns of G, shared by
+    every program of a stack; onehot (F, K, G) maps slot weights onto
+    columns and members (F, G) marks each face's columns."""
     faces = [f for k in range(1, size + 1) for f in itertools.combinations(range(G), k)]
-    F, K = len(faces), size
-    cslots = np.zeros((F, K + 1), dtype=int)
-    real = np.zeros((F, K + 1), dtype=bool)
-    onehot = np.zeros((F, K, G))
-    for i, face in enumerate(faces):
-        cslots[i, :len(face)] = face
-        real[i, :len(face)] = True
-        onehot[i, range(len(face)), face] = 1.0
-    pad = ~real
-    pad[:, K] = False
-    base = np.zeros((F, K + 1, K + 1))
-    base[:, range(K), range(K)] = pad[:, :K]
-    base[:, :, K] = real
-    base[:, K, :] = real
-    # A leading stack axis keeps rhs.ndim == kkt.ndim, which NumPy 1.x
-    # needs to read rhs as a stack of column vectors.
-    rhs = np.zeros((1, F, K + 1, 1))
-    rhs[..., K, 0] = 1.0
-    table = _Faces(
-        scale=2.0 * (real[:, :, None] & real[:, None, :]),
-        base=base,
-        cslots=cslots,
-        cscale=real.astype(float),
-        rhs=rhs,
-        onehot=onehot,
-        members=onehot.any(axis=1),
-    )
-    for value in table:
+    real = np.arange(size) < np.array([len(f) for f in faces])[:, None]
+    cols = np.zeros(real.shape, dtype=int)
+    cols[real] = [g for f in faces for g in f]
+    onehot = (cols[:, :, None] == np.arange(G)) & real[:, :, None]
+    members, onehot = onehot.any(axis=1), onehot.astype(float)
+    for value in (onehot, members):
         value.flags.writeable = False
-    return table
+    return _faces(cols[None], real[None]), onehot, members
+
+
+@functools.lru_cache(maxsize=None)
+def _working_sets(G):
+    """_faces of the working sets {0 .. k}, k < G, one program each; a
+    working set of k + 1 columns differs from them in cslots alone."""
+    real = np.arange(G) <= np.arange(G)[:, None]
+    return _faces(np.broadcast_to(np.arange(G), (G, 1, G)), real[:, None])
+
+
+def _face_solutions(H, c, faces):
+    """The systems kkt (R, F, K + 1, K + 1) of programs H (R, G, G) and
+    c (R, G) or None on _faces whose cslots they share, right-hand sides
+    rhs with kkt's number of axes (as NumPy 1.x needs), and slot weights
+    x (R, F, K) from one np.linalg.solve, NaN where a system is singular."""
+    s, scale, base, cscale, rhs = faces
+    kkt = base + scale * H[:, s[0, :, :, None], s[0, :, None, :]]
+    rhs = rhs if c is None else rhs - (cscale * c[:, s[0]])[..., None]
+    return kkt, rhs, nan_where_singular(np.linalg.solve, kkt, rhs)[..., :-1, 0]
+
+
+def _face_weights(x):
+    """Which face solutions x (..., K) are feasible, and their weights:
+    clipped at zero and, where feasible, normalised to sum to one."""
+    feasible = x.min(axis=-1) >= -_FEAS_TOL
+    w = np.clip(x, 0.0, None)
+    w /= np.where(feasible, w.sum(axis=-1), 1.0)[..., None]
+    return feasible, w
+
+
+def _lockstep_qp(H, c=None):
+    """The module's active-set method on a stack of simplex QPs, each
+    working set padded to G slots. A multiplier gap of at most 1e-10 times
+    the larger of |trace(H)| / G and max|c| is optimal. A program not
+    optimal after 100 G solves, or whose face system is singular (exact
+    arithmetic never adds a column on the working set's affine hull),
+    gets NaN weights. Returns (gamma, support, solves)."""
+    R, G, _ = H.shape
+    rows = np.arange(R)
+    linear = np.zeros((R, G)) if c is None else c
+    tol = 1e-10 * np.maximum(np.abs(np.trace(H, axis1=1, axis2=2)) / G,
+                             np.abs(linear).max(axis=1))
+    work = np.zeros((R, G), dtype=bool)
+    work[rows, np.argmin(np.diagonal(H, axis1=1, axis2=2) + linear, axis=1)] = True
+    gamma = work.astype(float)
+    at_point, running = np.ones(R, dtype=bool), np.ones(R, dtype=bool)
+    optimal, solves = np.zeros(R, dtype=bool), np.zeros(R, dtype=int)
+    while True:
+        grad = 2.0 * matvec(H, gamma) + linear
+        lam = (gamma * grad).sum(axis=1)
+        grad[work] = np.inf
+        j = np.argmin(grad, axis=1)
+        done = running & at_point & (lam - grad[rows, j] <= tol)
+        optimal |= done
+        running &= ~done & (solves < 100 * G)
+        grow = running & at_point
+        work[grow, j[grow]] = True
+        now = np.flatnonzero(running)
+        if not now.size:
+            gamma[~optimal] = np.nan
+            return gamma, work, solves
+        solves += running
+        # each program's columns reordered, working columns first and in
+        # ascending order: its working set is the face {0 .. k}
+        cols = np.argsort(~work[now], axis=1, kind="stable")
+        k = work[now].sum(axis=1) - 1
+        slots, *layout = _working_sets(G)
+        x = _face_solutions(H[now[:, None, None], cols[:, :, None], cols[:, None, :]],
+                            None if c is None else c[now[:, None], cols],
+                            (slots[-1:], *(a[k] for a in layout)))[2][:, 0]
+        feasible, w = _face_weights(x)
+        gamma[now[feasible, None], cols[feasible]] = w[feasible]
+        at_point[now] = feasible
+        if feasible.all():
+            continue
+        singular = np.isnan(x).any(axis=1)
+        running[now[singular]] = False
+        # step toward x until the first weight reaches zero, and drop it
+        step = ~feasible & ~singular
+        now, cols, x = now[step], cols[step], x[step]
+        cur = gamma[now[:, None], cols]
+        blocking = x < -_FEAS_TOL
+        ts = np.where(blocking, cur / np.where(blocking, cur - x, 1.0), np.inf)
+        hit = np.argmin(ts, axis=1)
+        m = np.arange(now.size)
+        moved = np.clip(cur + ts[m, hit][:, None] * (x - cur), 0.0, None)
+        moved[m, hit] = 0.0
+        gamma[now[:, None], cols] = moved / moved.sum(axis=1)[:, None]
+        work[now, cols[m, hit]] = False
 
 
 def program_bytes(G, p):
-    """Bytes of one program's bordered KKT systems in stacked_simplex_qp.
-
-    The systems of every face are held at once for G up to
-    ENUMERATION_MAX_G; above it programs are solved one at a time and
-    this is 0.
-    """
+    """Bytes of one program's bordered KKT systems in stacked_simplex_qp:
+    every face's for G up to ENUMERATION_MAX_G, and 0 above it, where
+    the active-set loop holds one (G + 1)^2 system per program."""
     if G > ENUMERATION_MAX_G:
         return 0
-    return _face_table(G, min(G, p + 1)).base.nbytes
+    return _face_table(G, min(G, p + 1))[0][2].nbytes  # the systems' base
 
 
 def stacked_simplex_qp(H, p, c=None):
@@ -251,38 +259,28 @@ def stacked_simplex_qp(H, p, c=None):
     (gamma, support, iterations)
         gamma (R, G) optimal weights; support (R, G) marks the face each
         solution was read from, the set _residual measures the KKT
-        conditions on; iterations (R,) counts faces solved for G <=
-        ENUMERATION_MAX_G and active-set iterations above it. A program
-        of the active-set path (G > ENUMERATION_MAX_G) that hits the
-        iteration cap has NaN weights; capped_error(G) describes it.
-        Nothing is raised.
+        conditions on; iterations (R,) counts the face systems solved
+        for each program: every face's for G <= ENUMERATION_MAX_G, the
+        lockstep active-set loop's above it. A program of the loop
+        (G > ENUMERATION_MAX_G) that hits its cap of 100 G solves has
+        NaN weights; capped_error(G) describes it. Nothing is raised.
     """
     H = np.asarray(H, dtype=float)
     R, G, _ = H.shape
     if c is not None:
         c = np.asarray(c, dtype=float)
     if G > ENUMERATION_MAX_G:
-        gamma = np.empty((R, G))
-        support = np.zeros((R, G), dtype=bool)
-        iterations = np.empty(R, dtype=int)
-        for r in range(R):
-            gamma[r], free, iterations[r] = _simplex_qp(H[r], None if c is None else c[r])
-            support[r, free] = True
-        return gamma, support, iterations
-    t = _face_table(G, min(G, p + 1))
-    F, K = t.onehot.shape[:2]
-    kkt = t.base + t.scale * H[:, t.cslots[:, :, None], t.cslots[:, None, :]]
-    rhs = t.rhs if c is None else t.rhs - (t.cscale * c[:, t.cslots])[..., None]
-    x = nan_where_singular(np.linalg.solve, kkt, rhs)[..., :K, 0]
-    feasible = np.all(x >= -_FEAS_TOL, axis=-1)
-    w = np.clip(x, 0.0, None)
-    w /= np.where(feasible, w.sum(axis=-1), 1.0)[..., None]
+        return _lockstep_qp(H, c)
+    faces, onehot, members = _face_table(G, min(G, p + 1))
+    kkt, rhs, x = _face_solutions(H, c, faces)
+    feasible, w = _face_weights(x)
+    K = x.shape[-1]
     half_grad = 0.5 * (kkt[..., :K, :K] @ w[..., None])[..., 0] - rhs[..., :K, 0]
     obj = np.sum(w * half_grad, axis=-1)
     # Vertices always solve to weight 1, so every row keeps a finite entry.
     best = np.argmin(np.where(feasible & np.isfinite(obj), obj, np.inf), axis=1)
-    gamma = (w[np.arange(R), best][:, None, :] @ t.onehot[best])[:, 0, :]
-    return gamma, t.members[best], np.full(R, F)
+    gamma = (w[np.arange(R), best][:, None, :] @ onehot[best])[:, 0, :]
+    return gamma, members[best], np.full(R, len(members))
 
 
 def active_mask(gamma):
@@ -320,8 +318,8 @@ def stacked_maximin(B, Sigma):
     with NaN weights, and its error names the first group column g whose
     b_g^T Sigma b_g overflowed (or is not finite, for a non-finite b_g);
     as |H_gh| <= max(H_gg, H_hh), no other entry overflows alone. A
-    program that hits the active-set cap keeps its NaN weights, and its
-    error is capped_error(G).
+    program the active-set loop leaves unsolved at its cap keeps its NaN
+    weights, and its error is capped_error(G).
     """
     B = np.asarray(B, dtype=float)
     R, p, G = B.shape
@@ -339,9 +337,9 @@ def stacked_maximin(B, Sigma):
             cause = "overflowed" if np.isfinite(B[r, :, g]).all() else "is not finite"
             errors[r] = ConvergenceError(
                 f"B^T Sigma B {cause} in group column {g + 1}; the simplex QP has no finite solution")
-    if G > ENUMERATION_MAX_G:  # the active-set loop's cap leaves NaN weights
-        for r in np.flatnonzero(np.isnan(gamma).any(axis=1) & np.isfinite(H).all(axis=(-2, -1))):
-            errors[r] = capped_error(G)
+    if G > ENUMERATION_MAX_G:  # the active-set loop leaves NaN weights at its cap
+        for r in np.flatnonzero(np.isnan(gamma).any(axis=1)):
+            errors[r] = errors[r] or capped_error(G)
     return MaximinStack(H, gamma, support, iterations, matvec(B, gamma), tuple(errors))
 
 

@@ -186,8 +186,8 @@ def contains_relaxed(region, M):
     columns, a simplex QP with linear term -2 B^T Sigma M. Pieces that
     pass the shell test are tested in fixed-size chunks, in piece order,
     one stacked solve per chunk, stopping at the first chunk with a hit.
-    A hull program that hits the active-set iteration cap (G > 6) raises
-    ConvergenceError.
+    A hull program that hits the active-set loop's cap of 100 G solves
+    (G > 6) raises ConvergenceError.
     """
     metric = SigmaMetric(region.Sigma0)
     M = np.asarray(M, dtype=float)

@@ -54,8 +54,9 @@ from maximin.errors import (
 from maximin.geometry import Face, SigmaMetric, symmetric
 from maximin.geometry import quadratic_form as _quadratic_form
 from maximin.linmodel import GroupedDataset, GroupEstimates, generate
-from maximin.magging import _simplex_qp, maximin_point
+from maximin.magging import maximin_point
 from maximin.pipeline import estimate_dataset
+from maximin.selfcheck import brute_force_oracle
 
 _RANK_RTOL = 1e-12
 _DEGENERACY_TOL = 1e-10
@@ -268,14 +269,11 @@ def fit(dataset, ridge_jitter=0.0):
 
 
 def hull_distance(B, metric, M):
-    """Sigma-norm distance from M to the convex hull of B's columns."""
-    Sigma = metric.Sigma
-    H = B.T @ Sigma @ B
-    H = (H + H.T) / 2.0
-    c = -2.0 * (B.T @ (Sigma @ M))
-    gamma, _, _ = _simplex_qp(H, c)
-    d2 = float(gamma @ H @ gamma + c @ gamma + M @ Sigma @ M)
-    return math.sqrt(max(d2, 0.0))
+    """Sigma-norm distance from M to the convex hull of B's columns: the
+    norm of the exhaustive oracle's minimum-norm point of the columns
+    shifted by M."""
+    z = brute_force_oracle(B - M[:, None], metric.Sigma)
+    return math.sqrt(max(float(z @ metric.Sigma @ z), 0.0))
 
 
 def contains_relaxed(region, M, slack=1e-9):

@@ -15,8 +15,8 @@ from maximin.geometry import SigmaMetric
 from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, fit_stack, generate
 from maximin.magging import (
     ENUMERATION_MAX_G,
+    _lockstep_qp,
     _residual,
-    _simplex_qp,
     maximin_point,
     stacked_maximin,
     stacked_simplex_qp,
@@ -71,14 +71,46 @@ def test_stacked_qp_matches_the_active_set_loop_and_the_oracle(G, p, flags, seed
         scale = max(1.0, float(np.abs(H_r).max()), float(np.abs(c_r).max()))
         free = [int(j) for j in np.flatnonzero(support[r])]
         assert _residual(H_r, c_r, g, free)[0] <= 1e-8 * scale
-        loop, _, loop_iterations = _simplex_qp(H_r, c_r)
-        obj = float(g @ H_r @ g + c_r @ g)
-        assert obj <= float(loop @ H_r @ loop + c_r @ loop) + 1e-9 * scale
-        if G > ENUMERATION_MAX_G:
-            assert np.array_equal(g, loop) and iterations[r] == loop_iterations
-        # The oracle's minimum-norm point of the shifted columns is B g - m.
-        d = B @ g - m - brute_force_oracle(B - m[:, None], Sigma)
+        # The oracle's minimum-norm point of the shifted columns is B g - m,
+        # and the objective is its squared norm less m^T Sigma m.
+        z = brute_force_oracle(B - m[:, None], Sigma)
+        d = B @ g - m - z
         assert float(np.sqrt(d @ Sigma @ d)) <= 1e-6
+        obj = float(g @ H_r @ g + c_r @ g)
+        assert obj <= float(z @ Sigma @ z - m @ Sigma @ m) + 1e-9 * scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    p=st.integers(1, 5),
+    data=st.data(),
+    flags=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    linear=st.booleans(),
+)
+def test_the_lockstep_loop_returns_the_enumerated_bits(p, data, flags, seed, linear):
+    # Wherever the enumeration solves every face (G <= p + 1), the
+    # active-set loop ends on the face it picks, laid out as it lays it
+    # out, and so returns its bits. A duplicated column makes two faces
+    # tie up to rounding, and which of them the enumeration picks is
+    # rounding too: there the loop only reaches the same point.
+    G = data.draw(st.integers(1, min(ENUMERATION_MAX_G, p + 1)), label="G")
+    shifted = [s and linear for s, _ in flags]
+    duplicates = [d and G > 1 for _, d in flags]
+    programs = _programs(seed, len(flags), p, G, shifted, duplicates)
+    H = np.stack([h for h, *_ in programs])
+    c = np.stack([cv for _, cv, *_ in programs]) if linear else None
+    enumerated = stacked_simplex_qp(H, p, c)
+    gamma, support, solves = _lockstep_qp(H, c)
+    assert solves.max() <= 100 * G
+    for r, (H_r, c_r, B, Sigma, _) in enumerate(programs):
+        if not duplicates[r]:
+            assert gamma[r].tobytes() == enumerated[0][r].tobytes()
+            assert np.array_equal(support[r], enumerated[1][r])
+            continue
+        d = B @ (gamma[r] - enumerated[0][r])
+        scale = max(1.0, float(np.abs(H_r).max()), float(np.abs(c_r).max()))
+        assert float(d @ Sigma @ d) <= 1e-12 * scale
 
 
 def test_exactly_duplicated_columns_do_not_raise():
@@ -128,16 +160,20 @@ def test_a_program_whose_gram_is_not_finite_is_refused_alone(G):
 
 def test_a_capped_program_is_refused_alone(monkeypatch):
     # One G = 8 program's active-set loop cycles to the cap: on H = 4 I it
-    # grows the working set {1} by column 2, whose solve then steps straight
-    # back to {1}. Its row alone is refused; the hull test raises the error.
-    kkt_solve = magging._kkt_solve
+    # grows the working set {0} by column 1, whose face solution then
+    # steps straight back to {0}. Its row alone is refused; the hull test
+    # raises the error.
+    face_solutions = magging._face_solutions
 
-    def cycling(H, c, free):
-        if not np.array_equal(H, 4.0 * np.eye(8)):
-            return kkt_solve(H, c, free)
-        return np.array([1.0]) if len(free) == 1 else np.array([1.5, -0.5])
+    def cycling(H, c, faces):
+        kkt, rhs, x = face_solutions(H, c, faces)
+        for r in range(len(H)):
+            if np.array_equal(H[r], 4.0 * np.eye(8)):
+                # slot 1 is padding on the vertex face, so its border entry is 0
+                x[r, 0, :2] = [1.0, 0.0] if kkt[r, 0, 1, -1] == 0.0 else [1.5, -0.5]
+        return kkt, rhs, x
 
-    monkeypatch.setattr(magging, "_kkt_solve", cycling)
+    monkeypatch.setattr(magging, "_face_solutions", cycling)
     programs = _programs(5, 3, 8, 8, [False] * 3, [False] * 3)
     B = np.stack([b for _, _, b, _, _ in programs])
     Sigma = np.stack([S for *_, S, _ in programs])
@@ -252,8 +288,10 @@ def test_stacked_solves_pass_column_right_hand_sides(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", strict)
     B = np.array([[1.0, 1.0, 0.0], [0.5, 0.5, 1.0]])
+    wide = np.stack([h for h, *_ in _programs(4, 2, 8, 8, [False] * 2, [False] * 2)])
     for linear in (None, np.ones((2, 3))):
         stacked_simplex_qp(np.stack([B.T @ B, np.eye(3)]), 2, linear)
+        stacked_simplex_qp(wide, 8, None if linear is None else np.ones((2, 8)))
     dataset, _ = generate(ScenarioSpec(p=3, G=3, n=20, seed=1))
     fit(dataset)
 
