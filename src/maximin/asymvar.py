@@ -122,9 +122,9 @@ def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
     metric, where term_V vanishes. Returns (W, term_B, term_V, used,
     vertex, errors): W and its terms, NaN where a row failed; the used
     columns (R, G); the single-column rows (R,); and per row None, a
-    DegenerateGeometryError naming the face's first column within 1e-10
-    of the others' hull, or else, when C_hat is given, a RankError for
-    rank-deficient differences.
+    DegenerateGeometryError naming, as a 1-based group column, the
+    face's first column within 1e-10 of the others' hull, or else, when
+    C_hat is given, a RankError for rank-deficient differences.
     """
     R, p, _ = Bhat.shape
     vertex = active.sum(axis=1) == 1
@@ -150,7 +150,8 @@ def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
         first = np.argmax(face.degenerate, axis=1)
         for i in np.flatnonzero(bad):
             errors[pick[i]] = DegenerateGeometryError(
-                f"active column {first[i]} lies in the affine hull of the others")
+                f"group column {cols[i, first[i]] + 1} lies in the affine hull of the"
+                " other used columns")
         for i in np.flatnonzero(rank):
             errors[pick[i]] = RankError("active-column differences are rank deficient")
         ok = ~(bad | rank)

@@ -23,11 +23,12 @@ Both closed-form differentials are methods of ``Face``:
 
 These, the complement projector and the metric term of the covariance
 all read one factorisation of the face, made when the ``Face`` is
-built: the thin SVD D = U S V^T of D = (b_2 - b_1, ..., b_k - b_1)
-gives the rank check, and the Cholesky factor R of U^T Sigma U (as well
-conditioned as Sigma, whatever the spectrum of D) gives the
-Sigma-orthonormal basis E = U R^{-T} of the difference span. So the Gram Gamma = D^T Sigma D
-has D Gamma^{-1} D^T = E E^T and Pi_B = I - E E^T Sigma. With
+built: the thin SVD L^T D = U S V^T of D = (b_2 - b_1, ..., b_k - b_1)
+whitened by Sigma = L L^T. E = L^{-T} U is a Sigma-orthonormal basis of
+the difference span and D = E S V^T, so the Gram Gamma = D^T Sigma D
+has D Gamma^{-1} D^T = E E^T and Pi_B = I - E E^T Sigma. X -> XA maps
+L^T D to Q^T L^T D, Q orthogonal, so S and the rank cut on it do not
+depend on the design's units (van der Sluis, Numer. Math. 14, 1969). With
 N = [-1^T; I] (weights summing to zero, D = B N), Q = N Gamma^{-1} N^T
 is the top-left block of the inverse of the bordered Gram
 K = [[B^T Sigma B, 1], [1^T, 0]], and yields every leave-one-out
@@ -60,10 +61,10 @@ from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import DefinitenessError, DegenerateGeometryError, DimensionError, RankError
 
-# Relative cutoff for rank decisions on D and on equilibrated pivots.
+# Relative cutoff for rank decisions on L^T D and on equilibrated pivots.
 _RANK_RTOL = 1e-12
 
-# Projections drop singular values of D below this fraction of the
+# Projections drop singular values of L^T D below this fraction of the
 # largest (a pseudo-inverse cutoff of _RANK_RTOL on the Gram's spectrum).
 _PINV_RTOL = _RANK_RTOL ** 0.5
 
@@ -199,7 +200,7 @@ class SigmaMetric:
 
 
 class Face:
-    """The affine hull of the used columns B_A, factorised once.
+    """The affine hull of the used columns B_A: one SVD of L^T D per face.
 
     B_active is (p, k), or a (..., p, k) stack of faces with one metric
     per face; every result then carries the same leading axes. The
@@ -219,18 +220,15 @@ class Face:
         batch = self.B.shape[:-2]
         D = self.B[..., 1:] - self.B[..., :1]
         if self.k == 1:  # a single point: nothing to factorise
-            U, self._s = D, np.zeros(batch + (0,))
-            self._Vt = self._Rinv = np.zeros(batch + (0, 0))
+            self._E, s, self._Vt = D, np.zeros(batch + (0,)), np.zeros(batch + (0, 0))
             self.full_rank = np.ones(batch, dtype=bool)
         else:
-            U, self._s, self._Vt = np.linalg.svd(D, full_matrices=False)
-            gram = U.swapaxes(-1, -2) @ metric.Sigma @ U
-            self._Rinv = np.linalg.inv(np.linalg.cholesky(gram))
-            s = self._s
+            Lt = metric.L.swapaxes(-1, -2)
+            U, s, self._Vt = np.linalg.svd(Lt @ D, full_matrices=False)
+            self._E = np.linalg.solve(Lt, U)
             self.full_rank = (s.shape[-1] == self.k - 1) & ~(
                 s[..., -1] <= _RANK_RTOL * s[..., 0])
-        self._E = U @ self._Rinv.swapaxes(-1, -2)
-        s = self._s
+        self._s = s
         kept = s > _PINV_RTOL * s.max(axis=-1, initial=0.0, keepdims=True)
         self._E_kept = self._E * kept[..., None, :]
 
@@ -262,7 +260,7 @@ class Face:
         with np.errstate(divide="ignore", invalid="ignore"):
             N = np.concatenate(
                 [-Vt.sum(axis=-1)[..., None, :], Vt.swapaxes(-1, -2)], axis=-2)
-            Y = (N / s[..., None, :]) @ self._Rinv.swapaxes(-1, -2)
+            Y = N / s[..., None, :]
             q = np.einsum("...gm,...gm->...g", Y, Y)
             U = self._E @ Y.swapaxes(-1, -2) / q[..., None, :]
             unorm = 1.0 / np.sqrt(q)

@@ -184,6 +184,10 @@ def assemble_W(estimates, solution, C_hat, Sigma):
         W = symmetric(term_B + term_V)
     else:
         face = Face(Bhat[:, list(used)], metric)
+        if face.degenerate.any():
+            g = used[int(np.argmax(face.degenerate))]
+            raise DegenerateGeometryError(
+                f"group column {g + 1} lies in the affine hull of the other used columns")
         W, term_B, term_V = face_covariance(
             face, solution.M, sigma2, metric.inverse(), C_hat)
     return AsymptoticCovariance(

@@ -492,12 +492,15 @@ def test_overflowing_data_exit_with_a_mapped_error(tmp_path, capsys, G):
 
 
 def test_degenerate_geometry_exits_six(tmp_path, capsys):
-    # the lone active column lies in the affine hull of the others
+    # g3 is the lone active column; its ties enlarge the face, and the
+    # message names tied group column 1, which lies in the others' hull
     path = tmp_path / "hull.csv"
     spec = ScenarioSpec(p=2, G=6, n=4, coefficient_rule="shared-plus-noise", seed=9)
     _write_grouped_csv(path, spec)
     assert main(["region", str(path)]) == EXIT_DEGENERATE
-    assert "degenerate geometry" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "maximin: degenerate geometry: group column 1 lies in the affine hull"
+        " of the other used columns\n")
 
 
 def test_indefinite_known_sigma_exits_nine(data_csv, tmp_path, capsys):

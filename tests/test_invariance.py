@@ -4,14 +4,17 @@ Each property runs analyze_dataset on a generated dataset and on a
 transformed copy, and compares the maximin point M and the covariance W
 with what the transformation implies. Draws the analysis rejects as
 degenerate are skipped; the transformed copy must then analyze too.
-Rescaling the design's columns is checked on estimate_dataset alone:
-W's relative eigenvalue-ratio test still refuses such scales.
+Rescaling the design's columns, X -> XA with A = diag(d) or Q diag(d)
+of condition number up to 1e16 or 1e8, is checked on M and W from
+estimate_dataset, empirical_C and assemble_W: the region's relative
+eigenvalue-ratio test on W still refuses such scales.
 """
 
 import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from maximin.asymvar import assemble_W, empirical_C
 from maximin.errors import EstimationError
 from maximin.linmodel import GroupedDataset, ScenarioSpec, generate
 from maximin.pipeline import analyze_dataset, estimate_dataset
@@ -79,17 +82,28 @@ def test_reparametrising_the_design_maps_the_ellipsoid(dataset, seed):
     assert _rel(moved.covariance.W, A_inv @ base.covariance.W @ A_inv.T) <= _RTOL_REPARAM
 
 
+def _covariance(dataset):
+    """M and W of a dataset without the region's spectrum test."""
+    estimates, solution, metric = estimate_dataset(dataset)
+    C_hat = empirical_C(dataset.design_stack(), solution.M, dataset.G)
+    return solution, assemble_W(estimates, solution, C_hat, Sigma=metric).W
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
-@given(dataset=datasets, data=st.data())
-def test_rescaling_the_design_columns_rescales_M(dataset, data):
+@given(dataset=datasets, rotate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_rescaling_the_design_columns_rescales_M(dataset, rotate, seed):
     try:
-        _, base, _ = estimate_dataset(dataset)
+        base, W = _covariance(dataset)
     except EstimationError:
         reject()
-    exponents = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=dataset.p,
-                                   max_size=dataset.p))
-    d = 10.0 ** np.array(exponents)
-    _, scaled, _ = estimate_dataset(GroupedDataset(
-        tuple((X * d, y) for X, y in dataset.groups), labels=dataset.labels))
-    assert _rel(scaled.M, base.M / d) <= _RTOL
+    rng = np.random.default_rng(seed)
+    span = 4.0 if rotate else 8.0
+    A = np.diag(10.0 ** rng.uniform(-span, span, dataset.p))
+    if rotate:
+        A = np.linalg.qr(rng.standard_normal(A.shape))[0] @ A
+    scaled, W_scaled = _covariance(GroupedDataset(
+        tuple((X @ A, y) for X, y in dataset.groups), labels=dataset.labels))
+    assert _rel(A @ scaled.M, base.M) <= _RTOL
     assert np.max(np.abs(scaled.alpha - base.alpha)) <= _RTOL
+    scale = np.sqrt(np.outer(np.diag(W), np.diag(W)))
+    assert np.max(np.abs(A @ W_scaled @ A.T - W) / scale) <= _RTOL
