@@ -310,7 +310,8 @@ def stacked_maximin(B, Sigma):
     """Maximin points of a stack of coefficient matrices.
 
     B (R, p, G) holds each program's columns and Sigma (R, p, p) its
-    symmetric positive definite metric (a SigmaMetric's Sigma). Returns
+    symmetric positive definite metric (a SigmaMetric's Sigma), or one
+    (p, p) metric that every program shares. Returns
     a MaximinStack: H = B^T Sigma B, gamma, support and iterations from
     stacked_simplex_qp, the points M = B gamma (R, p), and errors, per
     program None or the ConvergenceError that refuses it; nothing is

@@ -17,8 +17,15 @@ for the maximin effect:
 Whenever the truth lands inside its boxes, some center is eps-close to
 it and the true maximin point satisfies that center's shell and hull
 conditions, so validity is inherited from the boxes.
+
+A CoveringRegion stores its lattice as the p * G coordinate axes and the
+shells |M(B_k)|, one per center; the (K, p, G) centers are formed from
+the axes on first read. covering_region reads each chunk of centers from
+the axes and solves the chunk's maximin points in one stacked_maximin
+call, so the build never holds the full lattice either.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,8 +33,8 @@ import numpy as np
 
 from .confidence import chi2_quantile
 from .errors import BudgetError, SingularFitError
-from .geometry import SigmaMetric, positive_definite
-from .magging import capped_error, maximin_point, sigma_gram, stacked_simplex_qp
+from .geometry import SigmaMetric, positive_definite, quadratic_form
+from .magging import capped_error, program_bytes, sigma_gram, stacked_maximin, stacked_simplex_qp
 
 # Most lattice centers covering_region builds before raising BudgetError.
 BUDGET = 10**6
@@ -39,6 +46,14 @@ _SLACK = 1e-9
 # chunk after an early hit; at G = 6 a chunk holds 64 x 63 bordered 7 x 7
 # systems, about 1.6 MB.
 _CHUNK = 64
+
+# Most lattice centers per stacked_maximin call in covering_region, fewer
+# where the centers' enumerated face systems (magging.program_bytes)
+# would exceed _BUILD_BYTES: at p = G = 2 a chunk holds 4096 centers, at
+# p >= 5, G = 6 (24.7 KB of systems each) 84, where 4096 took a 204 MB
+# tracemalloc peak and 84 took 4.2 MB at the same time per center.
+_BUILD_CHUNK = 4096
+_BUILD_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -107,9 +122,15 @@ def group_confidence_boxes(estimates, alpha):
 
 @dataclass(frozen=True)
 class CoveringRegion:
-    """Union of shell-and-hull pieces indexed by lattice centers."""
+    """Union of shell-and-hull pieces indexed by lattice centers.
 
-    centers: np.ndarray
+    axes holds the lattice's p * G coordinate vectors in (g, j) order:
+    axes[g * p + j] lists the values entry j of column g takes. Piece k
+    is the k-th point of their product in C order, the k-th entry of
+    centers, with shell shells[k] and radius radii[k].
+    """
+
+    axes: tuple
     radii: np.ndarray
     shells: np.ndarray
     Sigma0: np.ndarray
@@ -118,7 +139,12 @@ class CoveringRegion:
 
     @property
     def pieces(self):
-        return self.centers.shape[0]
+        return self.shells.shape[0]
+
+    @functools.cached_property
+    def centers(self):
+        """The (K, p, G) lattice centers, expanded from the axes once."""
+        return _lattice_points(self.axes, np.arange(self.pieces), self.Sigma0.shape[0])
 
     def to_dict(self):
         return {
@@ -132,19 +158,33 @@ class CoveringRegion:
         }
 
 
+def _lattice_points(axes, k, p):
+    """The centers (len(k), p, G) at lattice indices k, in C order over
+    axes, read digit by digit; unlike np.meshgrid or np.unravel_index,
+    this takes any number of axes."""
+    flat = np.empty((k.size, len(axes)))
+    for i in reversed(range(len(axes))):
+        k, digit = np.divmod(k, axes[i].size)
+        flat[:, i] = axes[i][digit]
+    return flat.reshape(-1, len(axes) // p, p).transpose(0, 2, 1)
+
+
 def covering_region(boxes, Sigma0, target_eps):
     """Cover the coefficient boxes by a lattice and precompute the pieces.
 
     The lattice spacing is chosen so that any point of a cell is within
     target_eps of the cell center in max-column Sigma0-norm. Raises
     BudgetError when the covering would need more than BUDGET centers;
-    enlarging target_eps shrinks the lattice.
+    enlarging target_eps shrinks the lattice. The shells are solved in
+    chunks of at most _BUILD_CHUNK centers, one stacked_maximin call a
+    chunk; the first center in lattice order whose program is refused
+    raises its ConvergenceError.
     """
     if target_eps <= 0:
         raise ValueError("target_eps must be > 0")
-    metric = SigmaMetric.ensure(Sigma0)
     p, G = boxes.p, boxes.G
-    lam_max = float(np.linalg.eigvalsh(metric.Sigma)[-1])
+    Sigma = SigmaMetric.ensure(Sigma0, p).Sigma
+    lam_max = float(np.linalg.eigvalsh(Sigma)[-1])
     h = 2.0 * target_eps / (math.sqrt(p) * math.sqrt(lam_max))
     positions = []
     total = 1
@@ -163,17 +203,20 @@ def covering_region(boxes, Sigma0, target_eps):
                 positions.append(np.array([c]))
             else:
                 positions.append(c - r + h / 2.0 + h * np.arange(count))
-    mesh = np.meshgrid(*positions, indexing="ij")
-    flat = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    centers = flat.reshape(-1, G, p).transpose(0, 2, 1)
-    shells = np.empty(centers.shape[0])
-    for k in range(centers.shape[0]):
-        shells[k] = metric.norm(maximin_point(centers[k], metric).M)
+    size = min(_BUILD_CHUNK, max(1, _BUILD_BYTES // max(1, program_bytes(G, p))))
+    shells = np.empty(total)
+    for start in range(0, total, size):
+        B = _lattice_points(positions, np.arange(start, min(start + size, total)), p)
+        solved = stacked_maximin(B, Sigma)
+        refused = next((e for e in solved.errors if e is not None), None)
+        if refused is not None:
+            raise refused
+        shells[start:start + size] = np.sqrt(np.maximum(quadratic_form(Sigma, solved.M), 0.0))
     return CoveringRegion(
-        centers=centers,
-        radii=np.full(centers.shape[0], float(target_eps)),
+        axes=tuple(positions),
+        radii=np.broadcast_to(float(target_eps), (total,)),
         shells=shells,
-        Sigma0=metric.Sigma,
+        Sigma0=Sigma,
         level=1.0 - boxes.alpha,
         spacing=h,
     )
@@ -196,7 +239,7 @@ def contains_relaxed(region, M):
     Sigma = metric.Sigma
     SM = Sigma @ M
     MSM = float(M @ SM)
-    p = region.centers.shape[1]
+    p = Sigma.shape[0]
     for start in range(0, passing.size, _CHUNK):
         pieces = passing[start:start + _CHUNK]
         B = region.centers[pieces]

@@ -5,10 +5,12 @@ evaluations the Face kernel in ``maximin.geometry`` replaced: every
 Jacobian refactorises the Gram of the remaining columns from scratch.
 fit, hull_distance and contains_relaxed are the group-by-group and
 piece-by-piece loops the batched versions in ``maximin.linmodel`` and
-``maximin.relaxation`` replaced, and run_block is the replicate-by-
-replicate loop the block engine in ``maximin.simulate`` replaced; it
-assembles W with tied_neighbors and assemble_W, the per-dataset choice
-of face that ``maximin.asymvar.covariance_stack`` made stacked.
+``maximin.relaxation`` replaced, covering_pieces is the meshgrid
+lattice and center-by-center shell loop that covering_region's chunked
+build replaced, and run_block is the replicate-by-replicate loop the
+block engine in ``maximin.simulate`` replaced; it assembles W with
+tied_neighbors and assemble_W, the per-dataset choice of face that
+``maximin.asymvar.covariance_stack`` made stacked.
 tied_neighbors is the plain NumPy vertex distance, with no Face.
 true_coefficients and generate_stack draw every stream from a fresh
 SeedSequence-seeded Philox, as ``maximin.linmodel`` did before it
@@ -292,6 +294,27 @@ def contains_relaxed(region, M, slack=1e-9):
         if hull_distance(region.centers[k], metric, M) <= eps + slack:
             return True
     return False
+
+
+def covering_pieces(boxes, Sigma0, target_eps):
+    """The lattice centers (K, p, G) of covering_region, expanded by one
+    meshgrid, and their shells, one maximin_point call per center."""
+    metric = SigmaMetric.ensure(Sigma0)
+    p, G = boxes.p, boxes.G
+    lam_max = float(np.linalg.eigvalsh(metric.Sigma)[-1])
+    h = 2.0 * target_eps / (math.sqrt(p) * math.sqrt(lam_max))
+    positions = []
+    for g in range(G):
+        for j in range(p):
+            c, r = boxes.centers[j, g], boxes.halfwidths[j, g]
+            count = max(1, math.ceil(2.0 * r / h))
+            positions.append(np.array([c]) if count == 1
+                             else c - r + h / 2.0 + h * np.arange(count))
+    mesh = np.meshgrid(*positions, indexing="ij")
+    flat = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    centers = flat.reshape(-1, G, p).transpose(0, 2, 1)
+    shells = np.array([metric.norm(maximin_point(c, metric).M) for c in centers])
+    return centers, shells
 
 
 def maximin_norm_gap(B, B_prime, Sigma0):

@@ -1,6 +1,8 @@
 """Lipschitz bound, per-group boxes, lattice covering, membership."""
 
 import json
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +12,13 @@ from maximin.errors import BudgetError, SingularFitError
 from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, generate
 from maximin.magging import maximin_point
 from maximin.relaxation import (
+    GroupBoxes,
     contains_relaxed,
     covering_region,
     group_confidence_boxes,
 )
 from maximin.simulate import scenario_presets, true_maximin
-from reference import boxes_contain, maximin_norm_gap
+from reference import boxes_contain, covering_pieces, maximin_norm_gap
 
 
 def test_norm_gap_trivial_pairs():
@@ -123,10 +126,92 @@ def test_covering_lattice_reaches_every_box_point():
 def test_covering_budget_is_enforced():
     est, _ = _fitted()
     boxes = group_confidence_boxes(est, alpha=0.05)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="^covering needs more than 1000000 centers at"
+                       " eps=0.0001; increase target_eps$"):
         covering_region(boxes, np.eye(2), target_eps=1e-4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^target_eps must be > 0$"):
         covering_region(boxes, np.eye(2), target_eps=0.0)
+
+
+def _lattice_boxes(centers, counts, Sigma, eps):
+    """GroupBoxes around centers (p, G) whose covering lattice at eps puts
+    counts[j, g] values on the axis of entry (j, g)."""
+    p = centers.shape[0]
+    h = 2.0 * eps / (math.sqrt(p) * math.sqrt(float(np.linalg.eigvalsh(Sigma)[-1])))
+    halfwidths = h * (np.asarray(counts) - 0.5) / 2.0
+    return GroupBoxes(centers=centers, scatters=None, sigma2=1.0, threshold=1.0,
+                      level_per_box=0.975, alpha=0.05, n=10, halfwidths=halfwidths)
+
+
+@pytest.mark.parametrize("counts", [
+    [[20], [20]],                                       # G = 1
+    [[9, 8], [9, 8]],                                   # G = 2, 5184 pieces: two chunks
+    [[5, 5, 1], [5, 4, 1]],                             # G = 3
+    [[3, 3, 2, 1, 1, 1], [3, 3, 1, 1, 1, 1]],           # G = 6, the last enumerated G
+    [[3, 3, 2, 1, 1, 1, 1], [3, 2, 1, 1, 1, 1, 1]],     # G = 7, the active-set loop
+    [[3, 3, 2, 1, 1, 1, 1, 1], [3, 2, 1, 1, 1, 1, 1, 1]],
+])
+@pytest.mark.parametrize("random_sigma", [False, True])
+def test_covering_shells_are_the_per_center_bits(counts, random_sigma):
+    # every center's columns lie in the positive orthant, so no hull holds
+    # the origin; where one does, M = 0 and faces tie up to rounding
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 6, len(counts[0])))))
+    p, G = np.shape(counts)
+    A = rng.standard_normal((p, p))
+    Sigma = A @ A.T + 0.5 * np.eye(p) if random_sigma else np.eye(p)
+    boxes = _lattice_boxes(rng.uniform(0.5, 2.0, (p, G)), counts, Sigma, 0.02)
+    region = covering_region(boxes, Sigma, target_eps=0.02)
+    centers, shells = covering_pieces(boxes, Sigma, 0.02)
+    assert region.pieces == shells.size == np.prod(counts)
+    assert np.array_equal(region.shells.view(np.uint64), shells.view(np.uint64))
+    export = {
+        "schema_version": 1, "pieces": shells.size, "level": 0.95,
+        "spacing": region.spacing, "radii": [0.02] * shells.size,
+        "shells": shells.tolist(), "centers": centers.tolist(),
+    }
+    assert json.dumps(region.to_dict()) == json.dumps(export)
+
+
+def _traced_build(boxes, eps):
+    """covering_region(boxes, I, eps) and its tracemalloc peak in bytes,
+    after a one-center build has made the solver's face tables."""
+    Sigma = np.eye(boxes.p)
+    covering_region(boxes, Sigma, target_eps=100.0)
+    tracemalloc.start()
+    try:
+        region = covering_region(boxes, Sigma, target_eps=eps)
+        return region, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_covering_build_holds_one_chunk_not_the_lattice():
+    # 7^6 = 117,649 centers at p = 3, G = 2. Expanding them, as a meshgrid
+    # and its stack, took a 13.3 MB tracemalloc peak; the chunked build
+    # peaks at 3.7 MB (0.9 MB of shells, one 4096-center chunk's face
+    # systems), measured on NumPy 2.4. The bound leaves 2x of that.
+    boxes = _lattice_boxes(np.ones((3, 2)) + np.arange(2), np.full((3, 2), 7), np.eye(3), 0.1)
+    region, peak = _traced_build(boxes, 0.1)
+    K = region.pieces
+    assert K == 7 ** 6
+    assert peak < 8e6 < 4 * K * 3 * 2 * 8
+    assert region.radii.strides == (0,)
+    assert "centers" not in region.__dict__
+    assert region.centers.shape == (K, 3, 2)
+    assert "centers" in region.__dict__
+
+
+def test_covering_build_chunks_by_face_system_bytes():
+    # 2^10 = 1024 centers at p = 5, G = 6, where each center's enumerated
+    # face systems take 24.7 KB: a chunk of 84 centers peaked at 4.3 MB of
+    # tracemalloc, one chunk of all 1024 at 51 MB (NumPy 2.4).
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 7))))
+    counts = np.ones((5, 6), dtype=int)
+    counts[:2, :5] = 2
+    boxes = _lattice_boxes(rng.uniform(0.5, 2.0, (5, 6)), counts, np.eye(5), 0.1)
+    region, peak = _traced_build(boxes, 0.1)
+    assert region.pieces == 1024
+    assert peak < 9e6
 
 
 def test_membership_holds_at_each_center_point():

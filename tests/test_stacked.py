@@ -1,5 +1,6 @@
 """Differential tests: the stacked kernels against their loop references."""
 
+import math
 import re
 
 import numpy as np
@@ -23,6 +24,7 @@ from maximin.magging import (
 )
 from maximin.relaxation import (
     CoveringRegion,
+    GroupBoxes,
     contains_relaxed,
     covering_region,
     group_confidence_boxes,
@@ -158,11 +160,10 @@ def test_a_program_whose_gram_is_not_finite_is_refused_alone(G):
     })
 
 
-def test_a_capped_program_is_refused_alone(monkeypatch):
-    # One G = 8 program's active-set loop cycles to the cap: on H = 4 I it
-    # grows the working set {0} by column 1, whose face solution then
-    # steps straight back to {0}. Its row alone is refused; the hull test
-    # raises the error.
+def _cycle_at_4I(monkeypatch):
+    """Make the G = 8 active-set loop cycle to its cap on H = 4 I: it grows
+    the working set {0} by column 1, whose face solution then steps
+    straight back to {0}."""
     face_solutions = magging._face_solutions
 
     def cycling(H, c, faces):
@@ -174,16 +175,42 @@ def test_a_capped_program_is_refused_alone(monkeypatch):
         return kkt, rhs, x
 
     monkeypatch.setattr(magging, "_face_solutions", cycling)
+
+
+def test_a_capped_program_is_refused_alone(monkeypatch):
+    # One G = 8 program cycles to the cap. Its row alone is refused; the
+    # hull test raises the error.
+    _cycle_at_4I(monkeypatch)
     programs = _programs(5, 3, 8, 8, [False] * 3, [False] * 3)
     B = np.stack([b for _, _, b, _, _ in programs])
     Sigma = np.stack([S for *_, S, _ in programs])
     B[1], Sigma[1] = 2.0 * np.eye(8), np.eye(8)
     message = "simplex QP did not converge within 800 iterations"
     _assert_refused_alone(B, Sigma, {1: message})
-    region = CoveringRegion(centers=B[1:2], radii=np.ones(1), shells=np.zeros(1),
-                            Sigma0=np.eye(8), level=0.95, spacing=1.0)
+    # the one center B[1], as one length-1 axis per entry in (g, j) order
+    region = CoveringRegion(axes=tuple(B[1].T.reshape(-1, 1)), radii=np.ones(1),
+                            shells=np.zeros(1), Sigma0=np.eye(8), level=0.95, spacing=1.0)
     with pytest.raises(ConvergenceError, match=f"^{message}$"):
         contains_relaxed(region, np.zeros(8))
+
+
+def test_the_covering_build_raises_its_first_capped_center(monkeypatch):
+    # Entry (0, 1) takes the values -h, 0 and h, exactly, so of the three
+    # lattice centers 2 I + t e_0 e_1^T only the middle one, 2 I, cycles.
+    _cycle_at_4I(monkeypatch)
+    eps = 0.5
+    h = 2.0 * eps / math.sqrt(8)
+    halfwidths = np.zeros((8, 8))
+    halfwidths[0, 1] = 1.5 * h
+    boxes = GroupBoxes(centers=2.0 * np.eye(8), scatters=None, sigma2=1.0, threshold=1.0,
+                       level_per_box=0.99, alpha=0.05, n=10, halfwidths=halfwidths)
+    with pytest.raises(ConvergenceError,
+                       match="^simplex QP did not converge within 800 iterations$"):
+        covering_region(boxes, np.eye(8), target_eps=eps)
+    monkeypatch.undo()
+    region = covering_region(boxes, np.eye(8), target_eps=eps)
+    assert region.axes[8].tolist() == [-h, 0.0, h]
+    assert region.pieces == 3 and np.isfinite(region.shells).all()
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
