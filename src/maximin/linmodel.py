@@ -313,7 +313,9 @@ def generate_stack(spec, seeds):
     group's design and noise come from their own Philox streams keyed
     by (seed, purpose, group), drawn straight into the stack. The keys
     of all streams are hashed in one _philox_keys pass, and one
-    generator is reset to each stream in turn.
+    generator is reset to each stream in turn. The responses are formed
+    after the draws by one batched matmul of the designs with the
+    coefficient columns.
     """
     _check_seeds(seeds)
     R, G, n, p = len(seeds), spec.G, spec.n, spec.p
@@ -326,16 +328,23 @@ def generate_stack(spec, seeds):
     keys = _philox_keys(keys.reshape(-1, 3)).reshape(R, 2 * G + 1, 2)
     rng = np.random.Generator(np.random.Philox(key=0))
     X = np.empty((R, G, n, p))
-    y = np.empty((R, G, n))
-    eps = np.empty(n)
-    B0 = None if spec.coefficient_rule == "shared-plus-noise" else true_coefficients(spec)
+    y = np.empty((R, G, n))  # the noise draws, until the responses are added
+    if spec.coefficient_rule == "shared-plus-noise":
+        B = np.empty((R, p, G))
+    else:
+        B = true_coefficients(spec)
     for r, key in enumerate(keys):
         key = key.tolist()  # the state setter reads Python ints fastest
-        B = B0 if B0 is not None else _coefficients(spec, lambda: _reset(rng, key[0]))
+        if B.ndim == 3:
+            B[r] = _coefficients(spec, lambda: _reset(rng, key[0]))
         for g in range(G):
             _reset(rng, key[1 + g]).standard_normal(out=X[r, g])
-            _reset(rng, key[1 + G + g]).standard_normal(out=eps)
-            y[r, g] = X[r, g] @ B[:, g] + spec.noise_sd * eps
+            _reset(rng, key[1 + G + g]).standard_normal(out=y[r, g])
+    # One batched matmul, bitwise the per-group gemv X[r, g] @ B[:, g]
+    # when each column is read with B's stride, as here; a contiguous
+    # copy of B^T rounds otherwise at n = 1, p >= 5.
+    y *= spec.noise_sd
+    y += (X @ B.swapaxes(-1, -2)[..., None])[..., 0]
     return X, y
 
 

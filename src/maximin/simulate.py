@@ -41,6 +41,15 @@ its extra memory stays at a small multiple of the budget whatever the
 cell; past a few dozen small replicates a larger chunk gains little, as
 generate_stack's per-stream normal draws dominate and do not shrink with
 it (a chunk pays one key hash, and each stream one generator reset).
+
+With jobs > 1 the blocks go to a process pool that the module keeps
+across run_cell calls, and so across the cells of a grid: its jobs
+workers are forked, by the default start method, on the first call that
+asks for them, and the pool is replaced when a call asks for another
+worker count or after it broke (BrokenProcessPool, which that call
+still raises). Forking and joining a pool costs about as much as a small
+cell's work. The kept workers run the package as it was when they were
+forked; the interpreter's exit joins them.
 """
 
 import hashlib
@@ -48,6 +57,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,6 +88,10 @@ CSV_HEADER = "table,p,n,replicates,coverage,halfwidth,degenerate_count,mean_max_
 # n = 500. 1 MiB added 3.2, 2.2 and 0.0 MB, but at p = G = 12 it holds
 # one 576 KB replicate a chunk, and that cell ran 13% slower.
 CHUNK_BYTES = 1 << 21
+
+# The worker pool run_cell keeps across calls, and its worker count.
+_pool = None
+_pool_jobs = 0
 
 
 @dataclass(frozen=True)
@@ -213,7 +227,11 @@ def run_cell(spec, replicates, alpha, jobs=1):
     replicates : int
     alpha : float
     jobs : int
-        Worker processes; results are identical for any value.
+        Worker processes; results are identical for any value. For
+        jobs > 1 the workers are forked on first use and kept across
+        calls (they run the package as it was when forked); the pool is
+        replaced when jobs changes or after a BrokenProcessPool, which
+        the call that meets it raises.
 
     Returns
     -------
@@ -233,12 +251,14 @@ def run_cell(spec, replicates, alpha, jobs=1):
         workers = min(jobs, max(1, replicates))
         chunk = math.ceil(len(items) / workers)
         blocks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_block, spec, alpha, M0, block) for block in blocks
-            ]
+        pool = _kept_pool(jobs)
+        try:
+            futures = [pool.submit(_run_block, spec, alpha, M0, block) for block in blocks]
             for future in futures:
                 rows.extend(future.result())
+        except BrokenProcessPool:
+            _drop_pool()  # the next call forks a fresh pool
+            raise
     rows.sort(key=lambda r: r[0])
     covered = sum(r[1] for r in rows if not r[3])
     degenerate = sum(1 for r in rows if r[3])
@@ -264,6 +284,25 @@ def run_cell(spec, replicates, alpha, jobs=1):
         coverage_all=coverage_all,
         vertex_count=vertex,
     )
+
+
+def _kept_pool(jobs):
+    """The pool of jobs workers kept across run_cell calls, made on the
+    first call and replaced when jobs changes."""
+    global _pool, _pool_jobs
+    if _pool is not None and _pool_jobs != jobs:
+        _drop_pool()
+    if _pool is None:
+        _pool, _pool_jobs = ProcessPoolExecutor(max_workers=jobs), jobs
+    return _pool
+
+
+def _drop_pool():
+    """Shut the kept pool down, joining its workers; the next call makes one."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown()
 
 
 def run_grid(tables, p_values, n_values, replicates, alpha=0.05,

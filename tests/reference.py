@@ -14,12 +14,15 @@ tied_neighbors and assemble_W, the per-dataset choice of face that
 tied_neighbors is the plain NumPy vertex distance, with no Face.
 true_coefficients and generate_stack draw every stream from a fresh
 SeedSequence-seeded Philox, as ``maximin.linmodel`` did before it
-hashed all keys of a stack in one vectorised pass. load_grouped_csv,
-load_group_csvs and load_matrix_csv read every row with csv.reader and
-every cell with float(), as ``maximin.linmodel`` did before it parsed
-plain files with np.loadtxt. split_groups is the one-mask-per-label
-split of labelled rows that GroupedDataset.from_rows replaced with one
-stable sort. They stay here as the oracles for the differential tests.
+hashed all keys of a stack in one vectorised pass, and form each
+group's responses by its own gemv, as it did before one batched matmul.
+load_grouped_csv, load_group_csvs and load_matrix_csv read every row
+with csv.reader and every cell with float(), as ``maximin.linmodel``
+did before it parsed plain files with np.loadtxt. split_groups is the
+one-mask-per-label split of labelled rows that GroupedDataset.from_rows
+replaced with one stable sort, and nan_where_singular the item-by-item
+retry of a failing stack that ``maximin.geometry`` replaced by
+bisection. They stay here as the oracles for the differential tests.
 explained_variance states the objective the maximin point is defined
 by, for the defining-property test. maximin_norm_gap, boxes_contain and
 quadratic_form measure what the tests check of the package: the
@@ -56,7 +59,7 @@ from maximin.errors import (
 from maximin.geometry import Face, SigmaMetric, symmetric
 from maximin.geometry import quadratic_form as _quadratic_form
 from maximin.linmodel import GroupedDataset, GroupEstimates, generate
-from maximin.magging import maximin_point
+from maximin.magging import maximin_point, stacked_maximin
 from maximin.pipeline import estimate_dataset
 from maximin.selfcheck import brute_force_oracle
 
@@ -317,21 +320,55 @@ def covering_pieces(boxes, Sigma0, target_eps):
     return centers, shells
 
 
-def maximin_norm_gap(B, B_prime, Sigma0):
-    """Gap in maximin norms against the column-shift bound.
+def nan_where_singular(kernel, A, *rest):
+    """kernel(A, *rest) over a stack of matrices A; when the stack fails,
+    item by item, NaN for each item that fails alone."""
+    try:
+        return kernel(A, *rest)
+    except np.linalg.LinAlgError:
+        pass
+    batch = A.shape[:-2]
+    rest = [np.broadcast_to(b, batch + b.shape[-2:]) for b in rest]
+    out = np.full(batch + (rest[0] if rest else A).shape[-2:], np.nan)
+    for i in np.ndindex(batch):
+        try:
+            out[i] = kernel(A[i], *(b[i] for b in rest))
+        except np.linalg.LinAlgError:
+            pass
+    return out
 
-    Returns (gap, bound) with gap = | |M(B')| - |M(B)| | and bound the
-    largest Sigma0-norm column difference. The gap never exceeds the
-    bound (up to solver slack); the covering region relies on that
-    inequality.
+
+def maximin_norm_gap(B, B_prime, Sigma0):
+    """Gaps in maximin norms against the column-shift bound.
+
+    B and B_prime are (p, G) or a (..., p, G) stack of programs, Sigma0
+    (p, p) or one positive definite metric per program. Returns (gap,
+    bound) over the stack axes, with gap = | |M(B')| - |M(B)| | and bound
+    the largest Sigma0-norm column difference. Each side is one
+    stacked_maximin call. The gap never exceeds the bound (up to solver
+    slack); the covering region relies on that inequality.
     """
-    metric = SigmaMetric.ensure(Sigma0)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Bp = np.atleast_2d(np.asarray(B_prime, dtype=float))
-    norm = metric.norm(maximin_point(B, metric).M)
-    norm_p = metric.norm(maximin_point(Bp, metric).M)
-    bound = max(metric.norm(Bp[:, g] - B[:, g]) for g in range(B.shape[1]))
-    return abs(norm_p - norm), bound
+    B = np.asarray(B, dtype=float)
+    Bp = np.asarray(B_prime, dtype=float)
+    *batch, p, G = B.shape
+    metric = SigmaMetric(np.broadcast_to(Sigma0, (*batch, p, p)))
+    _raise_first(metric.errors.flat)
+    Sigma = metric.Sigma.reshape(-1, p, p)
+    norms = []
+    for C in (B, Bp):
+        solution = stacked_maximin(C.reshape(-1, p, G), Sigma)
+        _raise_first(solution.errors)
+        norms.append(np.sqrt(np.maximum(_quadratic_form(Sigma, solution.M), 0.0)))
+    D = (Bp - B).reshape(-1, p, G).swapaxes(-1, -2)  # (R, G, p) column differences
+    shifts = np.maximum(_quadratic_form(Sigma[:, None], D), 0.0).max(axis=-1)
+    return (np.abs(norms[1] - norms[0]).reshape(batch),
+            np.sqrt(shifts).reshape(batch))
+
+
+def _raise_first(errors):
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def boxes_contain(boxes, B0):
@@ -406,7 +443,7 @@ def true_coefficients(spec):
 def generate_stack(spec, seeds):
     """(X, y) of shapes (R, G, n, p) and (R, G, n), one fresh stream per
     key: (seed, 1, g) for group g's design and (seed, 2, g) for its
-    noise."""
+    noise, and one gemv per group for its responses."""
     R, G, n, p = len(seeds), spec.G, spec.n, spec.p
     X = np.empty((R, G, n, p))
     y = np.empty((R, G, n))

@@ -176,7 +176,7 @@ def test_criterion_09_solver_agrees_with_oracle():
 
 def test_criterion_10_relaxation_bound_and_membership():
     rng = np.random.default_rng(np.random.SeedSequence((MASTER_SEED, 10)))
-    violations = 0
+    instances = {}  # (p, G) -> the (B, B2, Sigma0) of that shape, in draw order
     for _ in range(10_000):
         p = int(rng.integers(1, 5))
         G = int(rng.integers(1, 6))
@@ -185,8 +185,11 @@ def test_criterion_10_relaxation_bound_and_membership():
         B2 = B + scale * rng.standard_normal((p, G))
         A = rng.standard_normal((p, p))
         Sigma0 = A @ A.T + 0.5 * np.eye(p)
-        gap, bound = maximin_norm_gap(B, B2, Sigma0)
-        violations += gap > bound + 1e-8
+        instances.setdefault((p, G), []).append((B, B2, Sigma0))
+    violations = 0
+    for stack in instances.values():
+        gap, bound = maximin_norm_gap(*map(np.array, zip(*stack)))
+        violations += int(np.count_nonzero(gap > bound + 1e-8))
 
     spec0 = scenario_presets(1, 2, 100)
     base = cell_seed(MASTER_SEED, 1, 2, 100)

@@ -2,6 +2,13 @@
 
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import maximin
 import reference
 from maximin import simulate
 from maximin.confidence import contains, max_eigenvalue
@@ -118,6 +126,75 @@ def test_run_cell_is_deterministic_and_worker_invariant():
         assert other.vertex_count == r1.vertex_count
         assert other.degenerate_count == r1.degenerate_count
         assert other.mean_max_eigenvalue == r1.mean_max_eigenvalue
+
+
+def _csv_row(report):
+    """The report as a grid CSV, floats by repr."""
+    return grid_to_csv([(1, 2, 40, report)])
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _wait_gone(pids, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not any(map(_alive, pids))
+
+
+def test_kept_workers_do_not_outlive_the_interpreter():
+    # no __main__ guard: the default start method forks, so the script
+    # is not re-imported by its workers
+    script = textwrap.dedent("""
+        from dataclasses import replace
+        from maximin import simulate
+        spec = replace(simulate.scenario_presets(1, 2, 40), seed=99)
+        simulate.run_cell(spec, 6, 0.05, jobs=2)
+        print(*simulate._pool._processes)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maximin.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    pids = [int(pid) for pid in result.stdout.split()]
+    assert len(pids) == 2
+    assert not any(map(_alive, pids))
+
+
+def test_a_killed_worker_breaks_one_call_and_the_next_forks_a_fresh_pool():
+    spec = replace(scenario_presets(1, 2, 40), seed=99)
+    expected = _csv_row(run_cell(spec, 6, 0.05, jobs=1))
+    run_cell(spec, 6, 0.05, jobs=2)
+    pids = list(simulate._pool._processes)
+    os.kill(pids[0], signal.SIGKILL)
+    assert _wait_gone(pids)  # the pool has seen its worker die and joined both
+    with pytest.raises(BrokenProcessPool):
+        run_cell(spec, 6, 0.05, jobs=2)
+    assert simulate._pool is None
+    assert _csv_row(run_cell(spec, 6, 0.05, jobs=2)) == expected
+    assert not set(simulate._pool._processes) & set(pids)
+
+
+def test_the_pool_is_kept_while_jobs_stays_and_replaced_when_it_changes():
+    spec = replace(scenario_presets(1, 2, 40), seed=99)
+    expected = _csv_row(run_cell(spec, 7, 0.05, jobs=1))
+    simulate._drop_pool()
+    pools = []
+    for jobs in (2, 2, 3, 2):
+        assert _csv_row(run_cell(spec, 7, 0.05, jobs=jobs)) == expected
+        pools.append((simulate._pool, sorted(simulate._pool._processes)))
+    (first, workers), second, (third, workers3), (fourth, _) = pools
+    assert second == (first, workers)  # the same pool and the same two workers
+    assert third is not first and len(workers3) == 3
+    assert fourth is not third
+    assert not any(map(_alive, workers + workers3))  # a replaced pool joined its workers
 
 
 def test_report_invariants():
@@ -233,6 +310,20 @@ def test_generated_stack_is_bitwise_generate(table):
         assert y[r].tobytes() == dataset.y.tobytes()
         B_ref = reference.true_coefficients(replace(spec, seed=seed))
         assert B0.tobytes() == B_ref.tobytes()
+
+
+@pytest.mark.parametrize("rule", COEFFICIENT_RULES)
+@pytest.mark.parametrize("R, G, n, p", [
+    (291, 3, 100, 3), (26, 4, 500, 5), (3, 12, 500, 12), (5, 6, 10, 6), (7, 8, 30, 8),
+    (4, 2, 200, 2), (6, 6, 1, 8)])
+def test_batched_responses_are_the_per_group_gemv_bits(rule, R, G, n, p):
+    # (6, 6, 1, 8): a contiguous copy of B^T would round differently at n = 1
+    spec = ScenarioSpec(p=p, G=G, n=n, coefficient_rule=rule)
+    seeds = [_derive_seed(R, G, n, p, r) for r in range(R)]
+    X, y = generate_stack(spec, seeds)
+    X_ref, y_ref = reference.generate_stack(spec, seeds)
+    assert X.tobytes() == X_ref.tobytes()
+    assert y.tobytes() == y_ref.tobytes()
 
 
 @pytest.mark.parametrize("cell", ENGINE_CELLS)
