@@ -88,39 +88,26 @@ def quadratic_form(A, x):
 
 
 def nan_where_singular(kernel, A, *rest):
-    """kernel(A, *rest) over a stack of matrices A, bisected on failure.
+    """kernel(A, *rest) over a stack of matrices A, item by item on failure.
 
     A batched numpy.linalg kernel raises LinAlgError for the whole stack
-    when one item cannot be factored. Here a failing stack is split in
-    two and each half retried, down to single items; the items that
-    still fail come back as NaN and the others as the kernel computes
-    them, with the same bits, as the kernel factors each item by its own
-    LAPACK call in any stack. The result has the shape of A, or of
-    rest[0] broadcast over A's stack axes.
+    when one item cannot be factored. Here such items come back as NaN
+    and the others as the kernel computes them. The result has the
+    shape of A, or of rest[0] broadcast over A's stack axes.
     """
     try:
         return kernel(A, *rest)
     except np.linalg.LinAlgError:
         pass
     batch = A.shape[:-2]
-    rest = [np.broadcast_to(b, batch + b.shape[-2:]).reshape((-1,) + b.shape[-2:])
-            for b in rest]
-    out = _bisect(kernel, A.reshape((-1,) + A.shape[-2:]), rest)
-    return out.reshape(batch + out.shape[-2:])
-
-
-def _bisect(kernel, A, rest):
-    """nan_where_singular over a flat (N, m, m) stack that failed whole."""
-    if len(A) == 1:
-        return np.full((1,) + (rest[0] if rest else A).shape[-2:], np.nan)
-    parts = []
-    for half in (slice(None, len(A) // 2), slice(len(A) // 2, None)):
-        part = [b[half] for b in rest]
+    rest = [np.broadcast_to(b, batch + b.shape[-2:]) for b in rest]
+    out = np.full(batch + (rest[0] if rest else A).shape[-2:], np.nan)
+    for i in np.ndindex(batch):
         try:
-            parts.append(kernel(A[half], *part))
+            out[i] = kernel(A[i], *(b[i] for b in rest))
         except np.linalg.LinAlgError:
-            parts.append(_bisect(kernel, A[half], part))
-    return np.concatenate(parts)
+            pass
+    return out
 
 
 def positive_definite(S):

@@ -43,13 +43,13 @@ generate_stack's per-stream normal draws dominate and do not shrink with
 it (a chunk pays one key hash, and each stream one generator reset).
 
 With jobs > 1 the blocks go to a process pool that the module keeps
-across run_cell calls, and so across the cells of a grid: its jobs
-workers are forked, by the default start method, on the first call that
-asks for them, and the pool is replaced when a call asks for another
-worker count or after it broke (BrokenProcessPool, which that call
-still raises). Forking and joining a pool costs about as much as a small
-cell's work. The kept workers run the package as it was when they were
-forked; the interpreter's exit joins them.
+across run_cell calls, and so across the cells of a grid: its
+min(jobs, replicates) workers are forked, by the default start method,
+on the first call that asks for them, and the pool is replaced when a
+call needs another worker count or after it broke (BrokenProcessPool,
+which that call still raises). Forking and joining a pool costs about
+as much as a small cell's work. The kept workers run the package as it
+was when they were forked; the interpreter's exit joins them.
 """
 
 import hashlib
@@ -91,7 +91,7 @@ CHUNK_BYTES = 1 << 21
 
 # The worker pool run_cell keeps across calls, and its worker count.
 _pool = None
-_pool_jobs = 0
+_pool_workers = 0
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,12 @@ def run_cell(spec, replicates, alpha, jobs=1):
     replicates : int
     alpha : float
     jobs : int
-        Worker processes; results are identical for any value. For
-        jobs > 1 the workers are forked on first use and kept across
-        calls (they run the package as it was when forked); the pool is
-        replaced when jobs changes or after a BrokenProcessPool, which
-        the call that meets it raises.
+        Worker processes, at most one per replicate; results are
+        identical for any value. For jobs > 1 the workers are forked on
+        first use and kept across calls (they run the package as it was
+        when forked); the pool is replaced when a call needs another
+        worker count or after a BrokenProcessPool, which the call that
+        meets it raises.
 
     Returns
     -------
@@ -251,7 +252,7 @@ def run_cell(spec, replicates, alpha, jobs=1):
         workers = min(jobs, max(1, replicates))
         chunk = math.ceil(len(items) / workers)
         blocks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-        pool = _kept_pool(jobs)
+        pool = _kept_pool(workers)
         try:
             futures = [pool.submit(_run_block, spec, alpha, M0, block) for block in blocks]
             for future in futures:
@@ -286,14 +287,14 @@ def run_cell(spec, replicates, alpha, jobs=1):
     )
 
 
-def _kept_pool(jobs):
-    """The pool of jobs workers kept across run_cell calls, made on the
-    first call and replaced when jobs changes."""
-    global _pool, _pool_jobs
-    if _pool is not None and _pool_jobs != jobs:
+def _kept_pool(workers):
+    """The pool of workers processes kept across run_cell calls, made on
+    the first call and replaced when the worker count changes."""
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != workers:
         _drop_pool()
     if _pool is None:
-        _pool, _pool_jobs = ProcessPoolExecutor(max_workers=jobs), jobs
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
     return _pool
 
 

@@ -20,9 +20,8 @@ load_grouped_csv, load_group_csvs and load_matrix_csv read every row
 with csv.reader and every cell with float(), as ``maximin.linmodel``
 did before it parsed plain files with np.loadtxt. split_groups is the
 one-mask-per-label split of labelled rows that GroupedDataset.from_rows
-replaced with one stable sort, and nan_where_singular the item-by-item
-retry of a failing stack that ``maximin.geometry`` replaced by
-bisection. They stay here as the oracles for the differential tests.
+replaced with one stable sort. They stay here as the oracles for the
+differential tests.
 explained_variance states the objective the maximin point is defined
 by, for the defining-property test. maximin_norm_gap, boxes_contain and
 quadratic_form measure what the tests check of the package: the
@@ -318,24 +317,6 @@ def covering_pieces(boxes, Sigma0, target_eps):
     centers = flat.reshape(-1, G, p).transpose(0, 2, 1)
     shells = np.array([metric.norm(maximin_point(c, metric).M) for c in centers])
     return centers, shells
-
-
-def nan_where_singular(kernel, A, *rest):
-    """kernel(A, *rest) over a stack of matrices A; when the stack fails,
-    item by item, NaN for each item that fails alone."""
-    try:
-        return kernel(A, *rest)
-    except np.linalg.LinAlgError:
-        pass
-    batch = A.shape[:-2]
-    rest = [np.broadcast_to(b, batch + b.shape[-2:]) for b in rest]
-    out = np.full(batch + (rest[0] if rest else A).shape[-2:], np.nan)
-    for i in np.ndindex(batch):
-        try:
-            out[i] = kernel(A[i], *(b[i] for b in rest))
-        except np.linalg.LinAlgError:
-            pass
-    return out
 
 
 def maximin_norm_gap(B, B_prime, Sigma0):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-import reference
 from maximin.errors import DefinitenessError, DegenerateGeometryError, DimensionError, RankError
-from maximin.geometry import Face, SigmaMetric, nan_where_singular
+from maximin.geometry import Face, SigmaMetric
 from maximin.magging import maximin_point
 from maximin.selfcheck import separated_instances
 
@@ -21,26 +20,6 @@ INDEFINITE = np.diag([1.0, -1.0])
 # a rank-2 Gram A A^T that Cholesky factors in rounding
 _A = np.random.default_rng(3).standard_normal((2, 3, 2))[1]
 SINGULAR = _A @ _A.T
-
-
-@pytest.mark.parametrize("singular", [(), (5,), (0, 3, 4, 11), tuple(range(12))])
-@pytest.mark.parametrize("kernel", ["cholesky", "solve"])
-def test_bisection_keeps_the_item_loop_bits_and_nan_positions(singular, kernel):
-    # 12 matrices in a (3, 4) stack: none, one, several or all of them
-    # singular (a zero first row and column, which LU and Cholesky both
-    # refuse); solve shares one right-hand side
-    rng = np.random.default_rng(len(singular))
-    A = rng.standard_normal((12, 4, 4))
-    S = A @ A.swapaxes(-1, -2) + 0.1 * np.eye(4)
-    S[list(singular), 0, :] = S[list(singular), :, 0] = 0.0
-    S = S.reshape(3, 4, 4, 4)
-    args = (np.linalg.cholesky, S) if kernel == "cholesky" else (
-        np.linalg.solve, S, rng.standard_normal((4, 1)))
-    got, expected = nan_where_singular(*args), reference.nan_where_singular(*args)
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
-    failed = np.isnan(got).all(axis=(-2, -1)).ravel()
-    assert np.flatnonzero(failed).tolist() == list(singular)
 
 
 def test_metric_validation():

@@ -197,6 +197,18 @@ def test_the_pool_is_kept_while_jobs_stays_and_replaced_when_it_changes():
     assert not any(map(_alive, workers + workers3))  # a replaced pool joined its workers
 
 
+def test_the_pool_has_no_more_workers_than_replicates():
+    spec = replace(scenario_presets(1, 2, 40), seed=99)
+    expected = _csv_row(run_cell(spec, 3, 0.05, jobs=1))
+    simulate._drop_pool()
+    for _ in range(2):
+        assert _csv_row(run_cell(spec, 3, 0.05, jobs=8)) == expected
+        assert len(simulate._pool._processes) == 3
+    pool = simulate._pool
+    run_cell(spec, 3, 0.05, jobs=3)  # the same three workers
+    assert simulate._pool is pool
+
+
 def test_report_invariants():
     spec = replace(scenario_presets(1, 2, 40), seed=5)
     rep = run_cell(spec, 25, 0.05)
