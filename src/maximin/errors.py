@@ -48,10 +48,10 @@ class DefinitenessError(EstimationError):
 
 
 class ConvergenceError(EstimationError):
-    """A simplex QP has no solution: its B^T Sigma B is not finite, or,
-    for G > 6, the lockstep active-set loop left it unsolved (at its cap
-    of 100 G face solves). stacked_maximin keeps one per refused program
-    as a value; maximin_point and contains_relaxed raise it."""
+    """A simplex QP has no solution: its B^T Sigma B is not finite, or the
+    lockstep active-set loop left it unsolved (at its cap of 100 G face
+    solves). stacked_maximin keeps one per refused program as a value;
+    maximin_point and contains_relaxed raise it."""
 
 
 class DegenerateGeometryError(EstimationError):

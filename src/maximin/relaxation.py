@@ -34,7 +34,7 @@ import numpy as np
 from .confidence import chi2_quantile
 from .errors import BudgetError, SingularFitError
 from .geometry import SigmaMetric, positive_definite, quadratic_form
-from .magging import capped_error, program_bytes, sigma_gram, stacked_maximin, stacked_simplex_qp
+from .magging import capped_error, sigma_gram, stacked_maximin, stacked_simplex_qp
 
 # Most lattice centers covering_region builds before raising BudgetError.
 BUDGET = 10**6
@@ -43,17 +43,13 @@ _SLACK = 1e-9
 
 # Shell-passing pieces per stacked hull-distance solve in contains_relaxed.
 # Larger chunks amortise the per-solve overhead but waste the tail of a
-# chunk after an early hit; at G = 6 a chunk holds 64 x 63 bordered 7 x 7
-# systems, about 1.6 MB.
+# chunk after an early hit; a chunk's solve holds 64 bordered
+# (G + 1) x (G + 1) systems.
 _CHUNK = 64
 
-# Most lattice centers per stacked_maximin call in covering_region, fewer
-# where the centers' enumerated face systems (magging.program_bytes)
-# would exceed _BUILD_BYTES: at p = G = 2 a chunk holds 4096 centers, at
-# p >= 5, G = 6 (24.7 KB of systems each) 84, where 4096 took a 204 MB
-# tracemalloc peak and 84 took 4.2 MB at the same time per center.
+# Most lattice centers per stacked_maximin call in covering_region. A
+# full chunk at p = 5, G = 6 peaks at 7.8 MB of tracemalloc (NumPy 2.4).
 _BUILD_CHUNK = 4096
-_BUILD_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -203,15 +199,14 @@ def covering_region(boxes, Sigma0, target_eps):
                 positions.append(np.array([c]))
             else:
                 positions.append(c - r + h / 2.0 + h * np.arange(count))
-    size = min(_BUILD_CHUNK, max(1, _BUILD_BYTES // max(1, program_bytes(G, p))))
     shells = np.empty(total)
-    for start in range(0, total, size):
-        B = _lattice_points(positions, np.arange(start, min(start + size, total)), p)
-        solved = stacked_maximin(B, Sigma)
+    for start in range(0, total, _BUILD_CHUNK):
+        end = min(start + _BUILD_CHUNK, total)
+        solved = stacked_maximin(_lattice_points(positions, np.arange(start, end), p), Sigma)
         refused = next((e for e in solved.errors if e is not None), None)
         if refused is not None:
             raise refused
-        shells[start:start + size] = np.sqrt(np.maximum(quadratic_form(Sigma, solved.M), 0.0))
+        shells[start:end] = np.sqrt(np.maximum(quadratic_form(Sigma, solved.M), 0.0))
     return CoveringRegion(
         axes=tuple(positions),
         radii=np.broadcast_to(float(target_eps), (total,)),
@@ -229,8 +224,8 @@ def contains_relaxed(region, M):
     columns, a simplex QP with linear term -2 B^T Sigma M. Pieces that
     pass the shell test are tested in fixed-size chunks, in piece order,
     one stacked solve per chunk, stopping at the first chunk with a hit.
-    A hull program that hits the active-set loop's cap of 100 G solves
-    (G > 6) raises ConvergenceError.
+    A hull program the active-set loop leaves unsolved (at its cap of
+    100 G solves) raises ConvergenceError.
     """
     metric = SigmaMetric(region.Sigma0)
     M = np.asarray(M, dtype=float)
@@ -239,13 +234,12 @@ def contains_relaxed(region, M):
     Sigma = metric.Sigma
     SM = Sigma @ M
     MSM = float(M @ SM)
-    p = Sigma.shape[0]
     for start in range(0, passing.size, _CHUNK):
         pieces = passing[start:start + _CHUNK]
         B = region.centers[pieces]
         H = sigma_gram(B, Sigma)
         c = -2.0 * (B.transpose(0, 2, 1) @ SM)
-        gamma, _, _ = stacked_simplex_qp(H, p, c)
+        gamma, _, _ = stacked_simplex_qp(H, c)
         if np.isnan(gamma).any():
             raise capped_error(gamma.shape[1])
         d2 = np.sum(gamma * ((H @ gamma[:, :, None])[:, :, 0] + c), axis=1) + MSM

@@ -32,15 +32,15 @@ fails the conditioning test, is degenerate: it is excluded from the
 coverage denominator, and the report also carries the all-replicates
 ratio so both conventions are visible.
 
-A chunk holds as many replicates as fit into CHUNK_BYTES. A replicate
-counts its design, or the bordered KKT systems of its enumerated QP
-(magging.program_bytes) when those are larger, as at G = 6 and small
-n. The stacked pass holds a few such arrays of the chunk at once (the
-stack, empirical_C's forms, the fit's residuals, the QP's systems), so
-its extra memory stays at a small multiple of the budget whatever the
-cell; past a few dozen small replicates a larger chunk gains little, as
-generate_stack's per-stream normal draws dominate and do not shrink with
-it (a chunk pays one key hash, and each stream one generator reset).
+A chunk holds as many replicates as fit into CHUNK_BYTES; a replicate
+counts its design. The stacked pass holds a few such arrays of the chunk
+at once (the stack, empirical_C's forms, the fit's residuals), so at
+large n its extra memory stays at a small multiple of the budget; at
+small n its own per-replicate arrays outweigh the design, and it holds
+more (figures at CHUNK_BYTES). Past a few dozen small replicates a
+larger chunk gains little, as generate_stack's per-stream normal draws
+dominate and do not shrink with it (a chunk pays one key hash, and each
+stream one generator reset).
 
 With jobs > 1 the blocks go to a process pool that the module keeps
 across run_cell calls, and so across the cells of a grid: its
@@ -73,20 +73,22 @@ from .confidence import (
 )
 from .geometry import SigmaMetric
 from .linmodel import ScenarioSpec, fit_stack, generate_stack
-from .magging import active_mask, program_bytes, stacked_maximin
+from .magging import active_mask, stacked_maximin
 
 TABLE_IDS = (1, 2, 3, 4, 5)
 
 CSV_HEADER = "table,p,n,replicates,coverage,halfwidth,degenerate_count,mean_max_eig"
 
 # A chunk holds as many replicates as fit into this many bytes, at least
-# one; a replicate counts its (G, n, p) design or, when larger, the face
-# systems of its enumerated QP (G <= 6). The stacked pass holds two to
-# three times the budget at its peak. Peak RSS over the replicate-by-
-# replicate loop, one BLAS thread: 2 MiB adds 5.9 MB at p = G = 3,
-# n = 100, 4.5 MB at p = G = 6, n = 10 and 2.2 MB at p = G = 12,
-# n = 500. 1 MiB added 3.2, 2.2 and 0.0 MB, but at p = G = 12 it holds
-# one 576 KB replicate a chunk, and that cell ran 13% slower.
+# one; a replicate counts its (G, n, p) design. At large n the stacked
+# pass holds two to three times the budget at its peak. Peak RSS over
+# the replicate-by-replicate loop, one BLAS thread: 2 MiB adds 5.9 MB at
+# p = G = 3, n = 100 and 2.2 MB at p = G = 12, n = 500. 1 MiB added 3.2
+# and 0.0 MB, but at p = G = 12 it holds one 576 KB replicate a chunk,
+# and that cell ran 13% slower. At small n the pass holds about 12 KB a
+# replicate at p = G = 6, more than the design: 2 MiB adds 10.6 MB at
+# p = G = 6, n = 10 and 29 MB for table 4 at p = 6, n = 3 (2,500
+# replicates, 2,427 a chunk).
 CHUNK_BYTES = 1 << 21
 
 # The worker pool run_cell keeps across calls, and its worker count.
@@ -181,8 +183,8 @@ def _run_block(spec, alpha, M0, items):
 
 
 def _replicate_bytes(spec):
-    """What one replicate adds to a chunk: its design or its QP's systems."""
-    return max(8 * spec.G * spec.n * spec.p, program_bytes(spec.G, spec.p))
+    """What one replicate adds to a chunk: its (G, n, p) design."""
+    return 8 * spec.G * spec.n * spec.p
 
 
 def _stacked_pass(X, y, ridge_jitter, alpha, M0):

@@ -229,9 +229,9 @@ def test_json_output_is_strict(tmp_path, capsys):
 
 
 def test_simulate_beyond_the_oracle_budget(capsys):
-    # G = 20 groups, past the exhaustive oracle's G <= 15 and the face
-    # enumeration's G <= 6; run_cell scores against the closed-form
-    # reference point, which the tests certify at any G
+    # G = 20 groups, past the exhaustive oracle's G <= 15; run_cell
+    # scores against the closed-form reference point, which the tests
+    # certify at any G
     code = main(
         [
             "simulate",
@@ -475,7 +475,7 @@ def _write_noise_csv(path, G, scale, scaled=None):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("G", [3, 8])  # enumerated and active-set QP
+@pytest.mark.parametrize("G", [3, 8])
 def test_overflowing_data_exit_with_a_mapped_error(tmp_path, capsys, G):
     path = tmp_path / "huge.csv"
     # B^T Sigma B overflows, in every group column or in the last one only

@@ -143,23 +143,10 @@ def _lattice_boxes(centers, counts, Sigma, eps):
                       level_per_box=0.975, alpha=0.05, n=10, halfwidths=halfwidths)
 
 
-@pytest.mark.parametrize("counts", [
-    [[20], [20]],                                       # G = 1
-    [[9, 8], [9, 8]],                                   # G = 2, 5184 pieces: two chunks
-    [[5, 5, 1], [5, 4, 1]],                             # G = 3
-    [[3, 3, 2, 1, 1, 1], [3, 3, 1, 1, 1, 1]],           # G = 6, the last enumerated G
-    [[3, 3, 2, 1, 1, 1, 1], [3, 2, 1, 1, 1, 1, 1]],     # G = 7, the active-set loop
-    [[3, 3, 2, 1, 1, 1, 1, 1], [3, 2, 1, 1, 1, 1, 1, 1]],
-])
-@pytest.mark.parametrize("random_sigma", [False, True])
-def test_covering_shells_are_the_per_center_bits(counts, random_sigma):
-    # every center's columns lie in the positive orthant, so no hull holds
-    # the origin; where one does, M = 0 and faces tie up to rounding
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 6, len(counts[0])))))
-    p, G = np.shape(counts)
-    A = rng.standard_normal((p, p))
-    Sigma = A @ A.T + 0.5 * np.eye(p) if random_sigma else np.eye(p)
-    boxes = _lattice_boxes(rng.uniform(0.5, 2.0, (p, G)), counts, Sigma, 0.02)
+def _assert_covering_bits(centers, counts, Sigma):
+    """covering_region's shells and export at eps = 0.02 are bitwise those
+    of reference.covering_pieces, the center-by-center loop."""
+    boxes = _lattice_boxes(centers, counts, Sigma, 0.02)
     region = covering_region(boxes, Sigma, target_eps=0.02)
     centers, shells = covering_pieces(boxes, Sigma, 0.02)
     assert region.pieces == shells.size == np.prod(counts)
@@ -172,9 +159,47 @@ def test_covering_shells_are_the_per_center_bits(counts, random_sigma):
     assert json.dumps(region.to_dict()) == json.dumps(export)
 
 
+def _metric(rng, p, random_sigma):
+    A = rng.standard_normal((p, p))
+    return A @ A.T + 0.5 * np.eye(p) if random_sigma else np.eye(p)
+
+
+@pytest.mark.parametrize("counts", [
+    [[20], [20]],                                       # G = 1
+    [[9, 8], [9, 8]],                                   # G = 2, 5184 pieces: two chunks
+    [[5, 5, 1], [5, 4, 1]],                             # G = 3
+    [[3, 3, 2, 1, 1, 1], [3, 3, 1, 1, 1, 1]],           # G = 6
+    [[3, 3, 2, 1, 1, 1, 1], [3, 2, 1, 1, 1, 1, 1]],     # G = 7
+    [[3, 3, 2, 1, 1, 1, 1, 1], [3, 2, 1, 1, 1, 1, 1, 1]],
+])
+@pytest.mark.parametrize("random_sigma", [False, True])
+def test_covering_shells_are_the_per_center_bits(counts, random_sigma):
+    # every center's columns lie in the positive orthant
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 6, len(counts[0])))))
+    p, G = np.shape(counts)
+    Sigma = _metric(rng, p, random_sigma)
+    _assert_covering_bits(rng.uniform(0.5, 2.0, (p, G)), counts, Sigma)
+
+
+@pytest.mark.parametrize("counts", [
+    [[3, 3, 2, 1], [3, 2, 1, 1]],                       # G = 4, 108 pieces
+    [[3, 3, 1, 1, 1, 1], [3, 3, 2, 1, 1, 1]],           # G = 6, 162 pieces
+])
+@pytest.mark.parametrize("random_sigma", [False, True])
+def test_covering_shells_are_the_per_center_bits_where_hulls_hold_the_origin(
+        counts, random_sigma):
+    # centred columns: every center's hull holds the origin, where M = 0
+    # and several faces tie up to rounding
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 8, len(counts[0])))))
+    p, G = np.shape(counts)
+    Sigma = _metric(rng, p, random_sigma)
+    centers = rng.uniform(-1.0, 1.0, (p, G))
+    _assert_covering_bits(centers - centers.mean(axis=1, keepdims=True), counts, Sigma)
+
+
 def _traced_build(boxes, eps):
     """covering_region(boxes, I, eps) and its tracemalloc peak in bytes,
-    after a one-center build has made the solver's face tables."""
+    after a one-center build has made the solver's working-set layouts."""
     Sigma = np.eye(boxes.p)
     covering_region(boxes, Sigma, target_eps=100.0)
     tracemalloc.start()
@@ -188,8 +213,8 @@ def _traced_build(boxes, eps):
 def test_covering_build_holds_one_chunk_not_the_lattice():
     # 7^6 = 117,649 centers at p = 3, G = 2. Expanding them, as a meshgrid
     # and its stack, took a 13.3 MB tracemalloc peak; the chunked build
-    # peaks at 3.7 MB (0.9 MB of shells, one 4096-center chunk's face
-    # systems), measured on NumPy 2.4. The bound leaves 2x of that.
+    # peaks at 2.2 MB (0.9 MB of shells, one 4096-center chunk's QP
+    # arrays), measured on NumPy 2.4. The bound leaves 3.6x of that.
     boxes = _lattice_boxes(np.ones((3, 2)) + np.arange(2), np.full((3, 2), 7), np.eye(3), 0.1)
     region, peak = _traced_build(boxes, 0.1)
     K = region.pieces
@@ -201,17 +226,17 @@ def test_covering_build_holds_one_chunk_not_the_lattice():
     assert "centers" in region.__dict__
 
 
-def test_covering_build_chunks_by_face_system_bytes():
-    # 2^10 = 1024 centers at p = 5, G = 6, where each center's enumerated
-    # face systems take 24.7 KB: a chunk of 84 centers peaked at 4.3 MB of
-    # tracemalloc, one chunk of all 1024 at 51 MB (NumPy 2.4).
+def test_covering_build_at_p_5_G_6_stays_in_its_memory_bound():
+    # 2^10 = 1024 centers at p = 5, G = 6 in one chunk, where the
+    # active-set loop holds one bordered 7 x 7 system per center: a 0.9 MB
+    # tracemalloc peak (NumPy 2.4). The bound leaves 2x of that.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 7))))
     counts = np.ones((5, 6), dtype=int)
     counts[:2, :5] = 2
     boxes = _lattice_boxes(rng.uniform(0.5, 2.0, (5, 6)), counts, np.eye(5), 0.1)
     region, peak = _traced_build(boxes, 0.1)
     assert region.pieces == 1024
-    assert peak < 9e6
+    assert peak < 2e6
 
 
 def test_membership_holds_at_each_center_point():

@@ -31,7 +31,7 @@ from maximin.linmodel import (
     generate_stack,
     true_coefficients,
 )
-from maximin.magging import ENUMERATION_MAX_G, maximin_point, program_bytes
+from maximin.magging import maximin_point
 from maximin.pipeline import analyze_dataset
 from maximin.selfcheck import brute_force_oracle
 from maximin.simulate import (
@@ -48,7 +48,7 @@ from maximin.simulate import (
 
 # (table, p, n, replicates): an interior cell, a tie-heavy cell, a cell
 # with degenerate replicates (p >= n leaves no residual, so W = 0) and
-# vertices, and a cell past the face-enumeration switch (G = 8 > 6).
+# vertices, and a cell of G = 8 groups.
 ENGINE_CELLS = [(1, 3, 100, 60), (3, 5, 500, 40), (1, 3, 3, 40), (1, 8, 50, 12)]
 
 
@@ -372,17 +372,14 @@ def test_rows_do_not_depend_on_the_chunk_size(cell, monkeypatch):
 @pytest.mark.parametrize("p", [3, 6, 8])
 @pytest.mark.parametrize("n", [3, 10, 500])
 def test_a_chunk_keeps_its_designs_and_qp_systems_in_the_budget(table, p, n):
-    # At small n the enumerated QP's face systems outweigh the designs.
+    # A replicate counts its design alone: the active-set loop holds one
+    # bordered (G + 1)^2 system per program, no larger than the design in
+    # any of these cells.
     spec = scenario_presets(table, p, n)
-    design, systems = 8 * spec.G * spec.n * spec.p, program_bytes(spec.G, spec.p)
-    if spec.G > ENUMERATION_MAX_G:
-        assert systems == 0
-    else:  # one bordered (K + 1)^2 system for each face of at most K columns
-        K = min(spec.G, p + 1)
-        faces = sum(math.comb(spec.G, k) for k in range(1, K + 1))
-        assert systems == 8 * faces * (K + 1) ** 2
-    size = max(1, simulate.CHUNK_BYTES // simulate._replicate_bytes(spec))
-    assert size == 1 or size * max(design, systems) <= simulate.CHUNK_BYTES
+    design, system = 8 * spec.G * spec.n * spec.p, 8 * (spec.G + 1) ** 2
+    assert simulate._replicate_bytes(spec) == design >= system
+    size = max(1, simulate.CHUNK_BYTES // design)
+    assert size == 1 or size * design <= simulate.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("stage", ["SigmaMetric", "stacked_maximin"])
@@ -471,8 +468,7 @@ def _scenarios(draw):
 @example(spec=ScenarioSpec(p=2, G=16, n=50, coefficient_rule="shared-plus-noise"))
 def test_reference_point_is_the_certified_maximin_point(spec):
     # run_cell scores every replicate against true_maximin without
-    # solving for it; this is the certificate, at any G (G > 6 takes
-    # the active-set QP)
+    # solving for it; this is the certificate, at any G
     if spec.coefficient_rule == "shared-plus-noise":
         assume(_mixed_signs(true_coefficients(spec)))
     _assert_certified(spec)
