@@ -59,14 +59,21 @@ def empirical_C(X, M, G):
         The p x p sample covariance (divisor nG) of the vectors
         (1/sqrt(G)) x_k (x_k . M) over all rows x_k, with X's leading
         axes; zero for a single row.
+
+    With w = X M, the forms are the rows of X * w and their mean is
+    X^T w / N, so they are centred against one matrix-vector product and
+    the 1/G goes into the one Gram's divisor N G. The centring stays: the
+    uncentred Gram minus the outer product of the mean cancels
+    catastrophically on designs far from the origin.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[-2] < 1:
+    N = X.shape[-2]
+    if N < 1:
         raise DimensionError("empirical_C needs at least one row")
-    V = X * matvec(X, np.asarray(M, dtype=float))[..., None]
-    V /= np.sqrt(G)
-    V -= V.mean(axis=-2, keepdims=True)
-    return (V.swapaxes(-1, -2) @ V) / X.shape[-2]
+    w = matvec(X, np.asarray(M, dtype=float))
+    V = X * w[..., None]
+    V -= matvec(X.swapaxes(-1, -2), w)[..., None, :] / N
+    return (V.swapaxes(-1, -2) @ V) / (N * G)
 
 
 def _tie_mask(B, active, metric, sigma2, n, Sigma_g):

@@ -73,8 +73,10 @@ _DEGENERACY_TOL = 1e-10
 
 
 def symmetric(A):
-    """(A + A^T) / 2 over the last two axes."""
-    return (A + A.swapaxes(-1, -2)) / 2.0
+    """A / 2 + A^T / 2 over the last two axes: halving first keeps every
+    representable A finite, and it is (A + A^T) / 2 bit for bit unless
+    an entry's half is subnormal."""
+    return A / 2.0 + A.swapaxes(-1, -2) / 2.0
 
 
 def matvec(A, x):
@@ -175,10 +177,8 @@ class SigmaMetric:
 
     def __getitem__(self, index):
         """The metrics at index of a stack, sharing their checked factors."""
-        metric = object.__new__(SigmaMetric)
-        metric.Sigma, metric.L = self.Sigma[index], self.L[index]
-        metric.errors = np.asarray(self.errors[index], dtype=object)
-        return metric
+        return _checked_metric(self.Sigma[index], self.L[index],
+                               np.asarray(self.errors[index], dtype=object))
 
     @property
     def p(self):
@@ -197,6 +197,20 @@ class SigmaMetric:
         for i in np.ndindex(self.L.shape[:-2]):
             out[i] = _potrs(self.L[i], eye, lower=1)[0]
         return symmetric(out)
+
+
+def _checked_metric(Sigma, L, errors):
+    """A SigmaMetric of factors and verdicts already checked."""
+    metric = object.__new__(SigmaMetric)
+    metric.Sigma, metric.L, metric.errors = Sigma, L, errors
+    return metric
+
+
+def concatenate_metrics(metrics):
+    """SigmaMetric stacks joined along their first axis, sharing their
+    checked factors and verdicts."""
+    return _checked_metric(*(np.concatenate([getattr(m, name) for m in metrics])
+                             for name in ("Sigma", "L", "errors")))
 
 
 class Face:

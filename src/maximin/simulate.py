@@ -12,15 +12,20 @@ scored against the cell's analytic maximin point, true_maximin(spec);
 the test suite certifies that closed form by the simplex QP's KKT
 conditions for every coefficient rule, so a run does not re-solve it.
 
-Each worker runs its replicates in chunks through a block engine.
-The chunk's datasets are drawn into one (R, G, n, p) design stack by
-linmodel.generate_stack, bitwise equal to generate, and all of them go
-through one stacked pass of the kernels the single-dataset path is
-built from: fit_stack, the SigmaMetric check, stacked_maximin,
-empirical_C, asymvar.covariance_stack (vertices and ties included),
-spectrum and the region test. A single dataset is a stack of one to
-those kernels, so a replicate gets the same bits from either path and
-the rows do not depend on the chunk size.
+Each worker runs its replicates through a block engine in two halves,
+built from the kernels of the single-dataset path. The front half
+takes one design chunk at a time: its datasets are drawn into one
+(R, G, n, p) design stack by linmodel.generate_stack, bitwise equal to
+generate, and go through fit_stack, the SigmaMetric check,
+stacked_maximin and empirical_C. Of each live row it keeps only arrays
+in p and G: Bhat, the active set, M, the metric, sigma2, the per-group
+grams and C_hat. The back half takes a batch of those rows at once:
+asymvar.covariance_stack (vertices and ties included), spectrum and
+the region test. Its arrays do not grow with n, so where designs are
+large a batch spans several chunks, and its per-call cost is paid once
+a batch. A single dataset is a stack of one to every kernel, so a
+replicate gets the same bits from either path and the rows depend on
+neither the chunk nor the batch size.
 
 Each kernel keeps its refusals as values, one per row, and a refused
 row drops out of the rest of the pass: a fit that fails the pivot check
@@ -32,15 +37,19 @@ fails the conditioning test, is degenerate: it is excluded from the
 coverage denominator, and the report also carries the all-replicates
 ratio so both conventions are visible.
 
-A chunk holds as many replicates as fit into CHUNK_BYTES; a replicate
-counts its design. The stacked pass holds a few such arrays of the chunk
-at once (the stack, empirical_C's forms, the fit's residuals), so at
-large n its extra memory stays at a small multiple of the budget; at
-small n its own per-replicate arrays outweigh the design, and it holds
-more (figures at CHUNK_BYTES). Past a few dozen small replicates a
-larger chunk gains little, as generate_stack's per-stream normal draws
-dominate and do not shrink with it (a chunk pays one key hash, and each
-stream one generator reset).
+A design chunk holds as many replicates as fit into CHUNK_BYTES, where
+a replicate counts its design, its per-group grams and its QP system
+(_replicate_bytes). The front half holds a few design-sized arrays of
+the chunk at once (the stack, empirical_C's forms, the fit's
+residuals), so its peak stays at two to three budgets. A back batch
+holds as many replicates as fit into CHUNK_BYTES by its own count, six
+G p^2 arrays and a few p^2 ones a replicate (_batch_bytes): whole
+chunks where a chunk is smaller than a batch, else one chunk in
+batch-sized slices (figures at CHUNK_BYTES). Past a few dozen small
+replicates a larger chunk gains little, as generate_stack's per-stream
+normal draws dominate and do not shrink with it (a chunk pays one key
+hash, and each stream one generator reset); at large G the QP's
+lockstep loop pays its Python cost once a chunk.
 
 With jobs > 1 the blocks go to a process pool that the module keeps
 across run_cell calls, and so across the cells of a grid: its
@@ -59,6 +68,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +81,7 @@ from .confidence import (
     region_radius2,
     spectrum,
 )
-from .geometry import SigmaMetric
+from .geometry import SigmaMetric, concatenate_metrics
 from .linmodel import ScenarioSpec, fit_stack, generate_stack
 from .magging import active_mask, stacked_maximin
 
@@ -79,16 +89,17 @@ TABLE_IDS = (1, 2, 3, 4, 5)
 
 CSV_HEADER = "table,p,n,replicates,coverage,halfwidth,degenerate_count,mean_max_eig"
 
-# A chunk holds as many replicates as fit into this many bytes, at least
-# one; a replicate counts its (G, n, p) design. At large n the stacked
-# pass holds two to three times the budget at its peak. Peak RSS over
-# the replicate-by-replicate loop, one BLAS thread: 2 MiB adds 5.9 MB at
-# p = G = 3, n = 100 and 2.2 MB at p = G = 12, n = 500. 1 MiB added 3.2
-# and 0.0 MB, but at p = G = 12 it holds one 576 KB replicate a chunk,
-# and that cell ran 13% slower. At small n the pass holds about 12 KB a
-# replicate at p = G = 6, more than the design: 2 MiB adds 10.6 MB at
-# p = G = 6, n = 10 and 29 MB for table 4 at p = 6, n = 3 (2,500
-# replicates, 2,427 a chunk).
+# A design chunk and a back batch each hold as many replicates as fit
+# into this many bytes by their own per-replicate counts, at least one.
+# At large n the front half holds two to three times the budget at its
+# peak. Peak RSS over the replicate-by-replicate loop, one BLAS thread:
+# 2 MiB adds 4.8 MB at p = G = 3, n = 100 (2,000 replicates) and 1.4 MB
+# at p = G = 12, n = 500 (300). 1 MiB held one 576 KB replicate a chunk
+# at p = G = 12, and that cell ran 13% slower. At small n the arrays in
+# p and G outweigh the design; counting them, 2 MiB adds 4.1 MB at
+# p = G = 6, n = 10 and 4.6 MB for table 4 at p = 6, n = 3 (2,500
+# replicates; 10.4 and 28.2 MB when a replicate counted its design
+# alone), and 2.9 MB at p = G = 20, n = 60 (1,500; 5.3 MB).
 CHUNK_BYTES = 1 << 21
 
 # The worker pool run_cell keeps across calls, and its worker count.
@@ -169,54 +180,103 @@ def _run_block(spec, alpha, M0, items):
     """Worker: replicate indices with their seeds -> per-replicate rows.
 
     Rows are (replicate, covered, top eigenvalue, degenerate, vertex),
-    in the order of items; the block runs in chunks of CHUNK_BYTES, each
-    through one stacked pass.
+    in the order of items; a degenerate row is (rep, 0, nan, True,
+    False). The block's design chunks go through the front half one at
+    a time, and the back half takes as many whole chunks at once as fit
+    into its batch, or one chunk in batch-sized slices (_chunk_sizes).
     """
-    size = max(1, CHUNK_BYTES // _replicate_bytes(spec))
-    rows = []
-    for start in range(0, len(items), size):
-        chunk = items[start:start + size]
-        X, y = generate_stack(spec, [seed for _, seed in chunk])
-        rows += [(rep,) + row for (rep, _), row in
-                 zip(chunk, _stacked_pass(X, y, spec.ridge_jitter, alpha, M0))]
-    return rows
+    R = len(items)
+    covered, eig, vertex = np.zeros(R, dtype=bool), np.full(R, np.nan), np.zeros(R, dtype=bool)
+    front, batch = _chunk_sizes(spec)
+    step = max(1, batch // front) * front
+    for start in range(0, R, step):
+        parts = []
+        for first in range(start, min(start + step, R), front):
+            X, y = generate_stack(spec, [seed for _, seed in items[first:first + front]])
+            parts.append(_front_pass(X, y, spec.ridge_jitter, first))
+        _back_pass(parts, batch, spec.n, alpha, M0, covered, eig, vertex)
+    return [(rep, int(c), float(e), bool(np.isnan(e)), bool(v))
+            for (rep, _), c, e, v in zip(items, covered, eig, vertex)]
+
+
+def _chunk_sizes(spec):
+    """(front, batch): the replicates of a design chunk and of a back
+    batch, each as many as fit into CHUNK_BYTES by its own per-replicate
+    count, at least one."""
+    return (max(1, CHUNK_BYTES // _replicate_bytes(spec)),
+            max(1, CHUNK_BYTES // _batch_bytes(spec)))
 
 
 def _replicate_bytes(spec):
-    """What one replicate adds to a chunk: its (G, n, p) design."""
-    return 8 * spec.G * spec.n * spec.p
+    """What one replicate adds to a design chunk: its (G, n, p) design
+    and the front half's arrays in p and G."""
+    G, p = spec.G, spec.p
+    return 8 * (G * spec.n * p + G * p * p + 4 * p * p + (G + 1) ** 2)
 
 
-def _stacked_pass(X, y, ridge_jitter, alpha, M0):
-    """Rows (covered, top eigenvalue, degenerate, vertex) of the datasets
-    X (R, G, n, p), y (R, G, n), through the stacked kernels; a degenerate
-    row is (0, nan, True, False)."""
+def _batch_bytes(spec):
+    """What one replicate adds to a back batch: the front's arrays it
+    holds and covariance_stack's, spectrum's and the region test's."""
+    G, p = spec.G, spec.p
+    return 8 * (6 * G * p * p + 16 * p * p + 64 * p)
+
+
+class _Front(NamedTuple):
+    """The live rows of a design chunk, as indices into its block, with
+    the arrays of theirs the back half reads."""
+
+    rows: np.ndarray
+    Bhat: np.ndarray
+    active: np.ndarray
+    M: np.ndarray
+    sigma2: np.ndarray
+    S: np.ndarray
+    C_hat: np.ndarray
+    metric: SigmaMetric
+
+
+def _front_pass(X, y, ridge_jitter, first):
+    """fit_stack, the SigmaMetric check, stacked_maximin and empirical_C
+    over the datasets X (R, G, n, p), y (R, G, n), which are rows first,
+    first + 1, ... of their block. A refused row drops out here."""
     R, G, n, p = X.shape
-    covered = np.zeros(R, dtype=bool)
-    eig = np.full(R, np.nan)
-    vertex = np.zeros(R, dtype=bool)
     fitted = fit_stack(X, y, ridge_jitter)
     live = np.flatnonzero(fitted.ok)
     if live.size:
         metric = SigmaMetric(fitted.Sigma_hat[live])
         solution = stacked_maximin(fitted.Bhat[live], metric.Sigma)
         solved = np.equal(metric.errors, None) & np.equal(solution.errors, None)
-        live, metric, M = live[solved], metric[solved], solution.M[solved]  # refused rows drop out
+        live, metric, M = live[solved], metric[solved], solution.M[solved]
         active = active_mask(solution.gamma[solved])
-    if live.size:
-        designs = X if live.size == R else X[live]  # no copy when every row is live
-        C_hat = empirical_C(designs.reshape(live.size, G * n, p), M, G)
+    if not live.size:
+        return None
+    designs = X if live.size == R else X[live]  # no copy when every row is live
+    C_hat = empirical_C(designs.reshape(live.size, G * n, p), M, G)
+    return _Front(first + live, fitted.Bhat[live], active, M, fitted.sigma2[live],
+                  fitted.S[live], C_hat, metric)
+
+
+def _back_pass(parts, batch, n, alpha, M0, covered, eig, vertex):
+    """covariance_stack, spectrum and the region test over the live rows
+    of the front parts, batch rows at a time, written into the block's
+    covered, eig and vertex at those rows; a row whose W fails the
+    spectrum stays degenerate."""
+    parts = [part for part in parts if part is not None]
+    if not parts:
+        return
+    if len(parts) > 1:
+        parts = [_Front(*(np.concatenate(arrays) for arrays in zip(*(part[:-1] for part in parts))),
+                        concatenate_metrics([part.metric for part in parts]))]
+    rows, Bhat, active, M, sigma2, S, C_hat, metric = parts[0]
+    for s in (slice(i, i + batch) for i in range(0, rows.size, batch)):
         W, _, _, _, vertex_mode, _ = covariance_stack(
-            fitted.Bhat[live], active, M, metric, fitted.sigma2[live], n, fitted.S[live],
-            C_hat)
+            Bhat[s], active[s], M[s], metric[s], sigma2[s], n, S[s], C_hat[s])
         vals, vecs, ok = spectrum(W)
-        reps = live[ok]
-        covered[reps] = covers(precision_matrix(vals[ok], vecs[ok]), M[ok], M0,
-                               region_radius2(p, n, alpha))
+        reps = rows[s][ok]
+        covered[reps] = covers(precision_matrix(vals[ok], vecs[ok]), M[s][ok], M0,
+                               region_radius2(M0.size, n, alpha))
         eig[reps] = max_eigenvalue(W[ok])
         vertex[reps] = vertex_mode[ok]
-    return [(int(c), float(e), bool(np.isnan(e)), bool(v))
-            for c, e, v in zip(covered, eig, vertex)]
 
 
 def run_cell(spec, replicates, alpha, jobs=1):

@@ -37,6 +37,43 @@ def test_empirical_C_needs_rows_and_reference_is_capped():
         fourth_moment_reference(np.ones((10, 5)), G=1)
 
 
+def _centred_C_long_double(X, M, G):
+    """empirical_C's covariance formed in long double, centred by the mean."""
+    X, M = X.astype(np.longdouble), M.astype(np.longdouble)
+    V = X * (X @ M)[:, None]
+    V -= V.mean(axis=0)
+    return (V.T @ V) / (X.shape[0] * G)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_empirical_C_stays_centred_on_offset_designs(seed):
+    # Rows offset by 1e3: the centred forms lose nothing (about 3e-15
+    # relative to a long-double reference), where the uncentred one-Gram
+    # form (X^T diag(w^2) X / N - m m^T) / G cancels to 7e-11 .. 2e-9.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((26, seed))))
+    G, N, p = 4, 2000, 5
+    X = rng.standard_normal((N, p)) + 1e3
+    M = rng.standard_normal(p) / 3
+    expected = _centred_C_long_double(X, M, G)
+
+    def error(C):
+        return float(np.abs(C - expected).max() / np.abs(expected).max())
+
+    assert error(empirical_C(X, M, G)) <= 1e-12
+    w = X @ M
+    m = X.T @ w / N
+    assert error(((X.T * w ** 2) @ X / N - np.outer(m, m)) / G) > 1e-12
+
+
+def test_empirical_C_rows_of_a_stack_are_stacks_of_one():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((26, 9))))
+    X = rng.standard_normal((5, 300, 4)) + np.array([0.0, 1.0, 10.0, 1e3])
+    M = rng.standard_normal((5, 4))
+    C = empirical_C(X, M, 3)
+    for r in range(5):
+        assert C[r].tobytes() == empirical_C(X[r], M[r], 3).tobytes()
+
+
 def test_population_C_closed_form():
     M = np.array([1.0, 0.0])
     C = gaussian_population_C(np.eye(2), M, G=2)

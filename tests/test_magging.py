@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maximin.errors import BudgetError, ConvergenceError, DefinitenessError, DimensionError
-from maximin.magging import maximin_point
+from maximin.magging import maximin_point, sigma_gram
 from maximin.selfcheck import brute_force_oracle
 from reference import explained_variance
 
@@ -18,6 +18,17 @@ def test_symmetric_basis_splits_weight_evenly():
     assert sol.active == (0, 1, 2)
     assert abs(sol.objective - 1.0 / 3.0) < 1e-12
     assert sol.kkt_residual <= 1e-10
+
+
+def test_a_representable_gram_does_not_overflow():
+    # b_1^T b_1 = 1.69e308 is below the float maximum, but the sum of the
+    # entry and its transpose is not: halve before adding
+    B = np.array([[1.2e154, 1.2e154], [0.5e154, -0.5e154]])
+    H = sigma_gram(B, np.eye(2))
+    assert np.isfinite(H).all()
+    diagonal, off = 1.2e154 ** 2 + 0.5e154 ** 2, 1.2e154 ** 2 - 0.5e154 ** 2
+    assert H[0, 1] == H[1, 0]
+    assert np.allclose(H, [[diagonal, off], [off, diagonal]], rtol=1e-15, atol=0.0)
 
 
 def test_single_group_is_returned_whole():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -359,27 +360,83 @@ def test_engine_cells_cover_every_path():
 
 @pytest.mark.parametrize("cell", ENGINE_CELLS)
 def test_rows_do_not_depend_on_the_chunk_size(cell, monkeypatch):
+    # every design chunk size crossed with every back batch size: whole
+    # chunks per batch, and a chunk in batch-sized slices
     spec, M0, items = _engine_cell(*cell)
-    per_replicate = simulate._replicate_bytes(spec)
-    runs = []
-    for size in (1, 7, len(items)):
-        monkeypatch.setattr(simulate, "CHUNK_BYTES", size * per_replicate)
-        runs.append(_bits(simulate._run_block(spec, 0.05, M0, items)))
-    assert runs[0] == runs[1] == runs[2]
+    sizes = (1, 7, len(items))
+    runs = set()
+    for front in sizes:
+        for batch in sizes:
+            monkeypatch.setattr(simulate, "_chunk_sizes", lambda spec: (front, batch))
+            runs.add(tuple(_bits(simulate._run_block(spec, 0.05, M0, items))))
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("table", [1, 3, 4])
 @pytest.mark.parametrize("p", [3, 6, 8])
 @pytest.mark.parametrize("n", [3, 10, 500])
 def test_a_chunk_keeps_its_designs_and_qp_systems_in_the_budget(table, p, n):
-    # A replicate counts its design alone: the active-set loop holds one
-    # bordered (G + 1)^2 system per program, no larger than the design in
-    # any of these cells.
+    # A replicate counts its design, its scatters S (G p^2) and its
+    # bordered (G + 1)^2 QP system in a design chunk; a back batch counts
+    # about six G p^2 arrays a replicate (the Jacobians and their
+    # products), more than the design at small n.
     spec = scenario_presets(table, p, n)
-    design, system = 8 * spec.G * spec.n * spec.p, 8 * (spec.G + 1) ** 2
-    assert simulate._replicate_bytes(spec) == design >= system
-    size = max(1, simulate.CHUNK_BYTES // design)
-    assert size == 1 or size * design <= simulate.CHUNK_BYTES
+    G = spec.G
+    design, scatters, system = 8 * G * n * p, 8 * G * p * p, 8 * (G + 1) ** 2
+    assert simulate._replicate_bytes(spec) >= design + scatters + system
+    assert simulate._batch_bytes(spec) >= 6 * scatters
+    front, batch = simulate._chunk_sizes(spec)
+    assert front == 1 or front * simulate._replicate_bytes(spec) <= simulate.CHUNK_BYTES
+    assert batch == 1 or batch * simulate._batch_bytes(spec) <= simulate.CHUNK_BYTES
+
+
+def test_a_back_batch_stays_in_the_budget(monkeypatch):
+    # p = G = 20, n = 60: seven replicates a design chunk and, by the
+    # count, four a back batch. Each back pass, with the front arrays it
+    # holds, stays within CHUNK_BYTES: at most 1.25 MB, 0.54 MB of it
+    # held, measured with NumPy 2.4. A back half without a budget of its
+    # own takes the whole block: 9.3 MB for these 40 replicates, and
+    # 1,500 took the peak RSS from 71 MB to 397 MB.
+    spec = replace(scenario_presets(1, 20, 60), seed=cell_seed(7, 1, 20, 60))
+    front, batch = simulate._chunk_sizes(spec)
+    assert 1 < batch < front
+    back_pass, used = simulate._back_pass, []
+
+    def measured(parts, *args):
+        held = sum(a.nbytes for part in parts for a in part[:-1])
+        held += sum(part.metric.Sigma.nbytes + part.metric.L.nbytes for part in parts)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back_pass(parts, *args)
+        used.append(held + tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(simulate, "_back_pass", measured)
+    items = _items(spec, 40)
+    tracemalloc.start()
+    try:
+        rows = simulate._run_block(spec, 0.05, true_maximin(spec), items)
+    finally:
+        tracemalloc.stop()
+    assert len(used) == 6 and max(used) <= simulate.CHUNK_BYTES
+    assert not any(r[3] for r in rows)
+
+
+def test_a_small_n_block_stays_in_the_budget():
+    # table 4 at p = 6, n = 3: the design is 864 bytes, and counting it
+    # alone put 2,427 replicates in a chunk (a 29.5 MB tracemalloc peak
+    # over 2,500). Counting the per-replicate arrays too, a chunk holds
+    # 507 and the block peaks at about 4.4 MB (NumPy 2.4): the two to
+    # three budgets a chunk's pass holds at large n as well.
+    spec = replace(scenario_presets(4, 6, 3), seed=cell_seed(7, 4, 6, 3))
+    items = _items(spec, 1200)
+    simulate._run_block(spec, 0.05, true_maximin(spec), items[:2])
+    tracemalloc.start()
+    try:
+        simulate._run_block(spec, 0.05, true_maximin(spec), items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * simulate.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("stage", ["SigmaMetric", "stacked_maximin"])
@@ -421,8 +478,8 @@ def test_stacked_rows_equal_the_per_replicate_analysis(cell):
     # included, has the bits of the library's single-dataset analysis.
     spec, M0, items = _engine_cell(*cell)
     X, y = generate_stack(spec, [seed for _, seed in items])
-    rows = simulate._stacked_pass(X, y, spec.ridge_jitter, 0.05, M0)
-    for i, (covered, eig, degenerate, vertex) in enumerate(rows):
+    rows = simulate._run_block(spec, 0.05, M0, items)
+    for i, (_, covered, eig, degenerate, vertex) in enumerate(rows):
         dataset = GroupedDataset(tuple(zip(X[i], y[i])))
         try:
             analysis = analyze_dataset(dataset, alpha=0.05, ridge_jitter=spec.ridge_jitter)
