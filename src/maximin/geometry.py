@@ -89,13 +89,16 @@ def quadratic_form(A, x):
     return ((x[..., None, :] @ A) @ x[..., :, None])[..., 0, 0]
 
 
-def nan_where_singular(kernel, A, *rest):
-    """kernel(A, *rest) over a stack of matrices A, item by item on failure.
+def nan_where_singular(kernel, A, *rest, regular=None):
+    """kernel(A, *rest) over a stack of matrices A, NaN where an item fails.
 
     A batched numpy.linalg kernel raises LinAlgError for the whole stack
     when one item cannot be factored. Here such items come back as NaN
-    and the others as the kernel computes them. The result has the
-    shape of A, or of rest[0] broadcast over A's stack axes.
+    and the others as the kernel computes them, each with the bits of its
+    stack of one. regular(A), when given, marks without raising the items
+    the kernel can factor; after a failure the kernel runs once more on
+    those, and only items it still refuses are retried one at a time. The
+    result has the shape of A, or of rest[0] broadcast over A's stack axes.
     """
     try:
         return kernel(A, *rest)
@@ -104,12 +107,27 @@ def nan_where_singular(kernel, A, *rest):
     batch = A.shape[:-2]
     rest = [np.broadcast_to(b, batch + b.shape[-2:]) for b in rest]
     out = np.full(batch + (rest[0] if rest else A).shape[-2:], np.nan)
-    for i in np.ndindex(batch):
+    todo = np.ones(batch, dtype=bool)
+    if regular is not None:
+        todo = regular(A)
         try:
-            out[i] = kernel(A[i], *(b[i] for b in rest))
+            out[todo] = kernel(A[todo], *(b[todo] for b in rest))
+            return out
         except np.linalg.LinAlgError:
             pass
+    for i in np.ndindex(batch):
+        if todo[i]:
+            try:
+                out[i] = kernel(A[i], *(b[i] for b in rest))
+            except np.linalg.LinAlgError:
+                pass
     return out
+
+
+def nonsingular(A):
+    """Which matrices of a stack LU factors with no zero pivot, the test
+    np.linalg.solve fails on, found without raising."""
+    return np.linalg.slogdet(A)[0] != 0
 
 
 def positive_definite(S):

@@ -21,6 +21,16 @@ to the first weight that reaches zero and drops that column. Exact
 solves make the method finite, and a program's bits do not depend on the
 stack it is solved in.
 
+On the loop's first pass, the programs not optimal at their best vertex
+try their full face, all G columns, in one batched solve. A face's
+solution depends only on the face, so a program whose full face the loop
+would reach takes its weights from this trial and skips the G - 1 growth
+solves from its vertex: interior programs take one face solve. The trial
+accepts a feasible solution whose every column passes the loop's growth
+test at the face without it (_full_face); every other program goes on
+from its best vertex, as without the trial. When G > p + 1 the full face
+is singular (H has rank at most p), so there is no trial.
+
 stacked_maximin forms those programs for a stack of coefficient
 matrices and metrics; maximin_point is its stack of one.
 """
@@ -32,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import SigmaMetric, matvec, nan_where_singular, symmetric
+from .geometry import SigmaMetric, matvec, nan_where_singular, nonsingular, symmetric
 
 # Weights above this count as active.
 ACTIVITY_THRESHOLD = 1e-6
@@ -47,7 +57,10 @@ class MaggingSolution:
 
     active holds the indices g with alpha_g above ACTIVITY_THRESHOLD.
     kkt_residual is measured on the face the solver returned.
-    iterations counts the bordered face systems the active-set loop solved.
+    iterations counts the bordered face systems solved for the program:
+    the full-face trial's, when it takes one, then the active-set loop's.
+    An interior program the trial accepts reports 1, a program optimal
+    at its best vertex 0.
     """
 
     M: np.ndarray
@@ -99,24 +112,76 @@ def _working_sets(G):
     return layout
 
 
-def _face_solutions(H, c, k):
-    """Slot weights x (R, G) on the working sets {0 .. k_r} of programs
-    H (R, G, G) and c (R, G) or None whose working columns come first:
-    one np.linalg.solve of their _working_sets systems, with right-hand
-    sides of the systems' number of axes (as NumPy 1.x needs), and NaN
-    where a system is singular."""
+def _face_systems(H, c, k):
+    """The _working_sets systems (kkt, rhs) of the working sets {0 .. k_r}
+    of programs H (R, G, G) and c (R, G) or None whose working columns
+    come first, with right-hand sides of the systems' number of axes (as
+    NumPy 1.x needs)."""
     G = H.shape[-1]
+    if (k == k[:1]).all():
+        k = k[:1]  # one working-set size: its layout broadcasts over the stack
     scale, base, cscale, rhs = (a[k] for a in _working_sets(G))
     slots = np.append(np.arange(G), 0)  # the border reads column 0; scale zeroes it
-    kkt = base + scale * H[:, slots[:, None], slots]
+    kkt = H[:, slots[:, None], slots]
+    kkt *= scale
+    kkt += base
     if c is not None:
         rhs = rhs - (cscale * c[:, slots])[..., None]
-    return nan_where_singular(np.linalg.solve, kkt, rhs)[:, :-1, 0]
+    return kkt, rhs
 
 
-def stacked_simplex_qp(H, c=None):
+def _face_solutions(H, c, k):
+    """Slot weights x (R, G) of the _face_systems of H, c and k: one
+    np.linalg.solve, NaN where a system is singular."""
+    kkt, rhs = _face_systems(H, c, k)
+    return nan_where_singular(np.linalg.solve, kkt, rhs, regular=nonsingular)[:, :-1, 0]
+
+
+def _clipped(x):
+    """Which face solutions x (R, G) are feasible, and their weights
+    clipped at zero and, on the feasible rows, scaled to sum to one."""
+    feasible = x.min(axis=1) >= -_FEAS_TOL
+    w = np.clip(x, 0.0, None)
+    w /= np.where(feasible, w.sum(axis=1), 1.0)[:, None]
+    return feasible, w
+
+
+def _full_face(H, c, tol):
+    """The trial: every program's full face {0 .. G-1} in one
+    _face_solutions call. Returns which programs accept it, and the
+    weights the loop would read from it.
+
+    A program accepts a feasible solution x whose every column j passes
+    the loop's growth test at the face without j. From that face's
+    solution the multiplier gap of column j is x_j / (K^{-1})_jj =
+    2 |u_j|^2 x_j, K the full face's bordered system and |u_j| the
+    H-distance of column j from the other columns' affine hull (the
+    geometry module's leave-one-out residual), so the loop, standing
+    there, would grow j and solve this face. As |u_j|^2 is at least
+    H's smallest eigenvalue, a positive Gershgorin bound g on it passes
+    every gap above 2 g x_j at once; the other feasible programs read
+    their gaps from K^{-1}. A singular face comes back NaN, and one that
+    is singular up to rounding (a column on the others' affine hull) has
+    gaps of rounding size, so neither is accepted.
+    """
+    R, G, _ = H.shape
+    full = np.full(R, G - 1)
+    accept, w = _clipped(_face_solutions(H, c, full))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gershgorin = (2.0 * np.diagonal(H, 0, 1, 2) - np.abs(H).sum(axis=2)).min(axis=1)
+        doubt = accept & ~(2.0 * gershgorin * w.min(axis=1) > tol)
+    if doubt.any():
+        kkt, _ = _face_systems(H[doubt], None, full[doubt])
+        inverse = nan_where_singular(np.linalg.inv, kkt, regular=nonsingular)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps = w[doubt] / np.diagonal(inverse, 0, 1, 2)[:, :-1]
+        accept[doubt] = (gaps > tol[doubt, None]).all(axis=1)
+    return accept, w
+
+
+def stacked_simplex_qp(H, c=None, *, p):
     """Solve a stack of simplex QPs  min a^T H_r a + c_r^T a  over the simplex
-    by the module's active-set method, in lockstep.
+    by the module's full-face trial and active-set method, in lockstep.
 
     Parameters
     ----------
@@ -124,6 +189,9 @@ def stacked_simplex_qp(H, c=None):
         Symmetric positive semidefinite, H_r = B_r^T Sigma B_r.
     c : ndarray, shape (R, G), optional
         Linear terms; zero by default.
+    p : int
+        The row count of the B_r, which bounds the rank of H_r: the trial
+        runs when 1 < G <= p + 1, as a larger full face is singular.
 
     Returns
     -------
@@ -131,8 +199,10 @@ def stacked_simplex_qp(H, c=None):
         gamma (R, G) optimal weights; support (R, G) marks the working
         set each solution was read from, the set _residual measures the
         KKT conditions on; iterations (R,) counts each program's face
-        solves. A multiplier gap of at most 1e-10 times the larger of
-        |trace(H_r)| / G and max|c_r| is optimal. A program not optimal
+        solves, the trial's included: 0 for a program optimal at its best
+        vertex, 1 for one the trial accepts, 1 plus the loop's solves for
+        one it refuses. A multiplier gap of at most 1e-10 times the larger
+        of |trace(H_r)| / G and max|c_r| is optimal. A program not optimal
         after 100 G solves, or whose face system is singular (exact
         arithmetic never adds a column on the working set's affine hull),
         has NaN weights; capped_error(G) describes it. Nothing is raised.
@@ -143,13 +213,17 @@ def stacked_simplex_qp(H, c=None):
         c = np.asarray(c, dtype=float)
     rows = np.arange(R)
     linear = np.zeros((R, G)) if c is None else c
-    tol = 1e-10 * np.maximum(np.abs(np.trace(H, axis1=1, axis2=2)) / G,
-                             np.abs(linear).max(axis=1))
+    # trace(H_r) / G, summed at scale 2^-e (2^e > G) so that the sum of
+    # finite diagonals cannot overflow; bit for bit trace / G otherwise
+    e = G.bit_length()
+    mean_diag = np.ldexp(np.ldexp(np.diagonal(H, 0, 1, 2), -e).sum(axis=1) / G, e)
+    tol = 1e-10 * np.maximum(np.abs(mean_diag), np.abs(linear).max(axis=1))
     work = np.zeros((R, G), dtype=bool)
     work[rows, np.argmin(np.diagonal(H, axis1=1, axis2=2) + linear, axis=1)] = True
     gamma = work.astype(float)
     at_point, running = np.ones(R, dtype=bool), np.ones(R, dtype=bool)
     optimal, solves = np.zeros(R, dtype=bool), np.zeros(R, dtype=int)
+    trial = 1 < G <= p + 1
     while True:
         grad = 2.0 * matvec(H, gamma) + linear
         lam = (gamma * grad).sum(axis=1)
@@ -158,6 +232,15 @@ def stacked_simplex_qp(H, c=None):
         done = running & at_point & (lam - grad[rows, j] <= tol)
         optimal |= done
         running &= ~done & (solves < 100 * G)
+        if trial and running.any():
+            # first pass only: the programs not optimal at their best
+            # vertex try their full face
+            trial, tried = False, np.flatnonzero(running)
+            full, w = _full_face(H[tried], None if c is None else c[tried], tol[tried])
+            solves[tried] += 1
+            tried = tried[full]
+            work[tried], gamma[tried] = True, w[full]
+            optimal[tried], running[tried] = True, False
         grow = running & at_point
         work[grow, j[grow]] = True
         now = np.flatnonzero(running)
@@ -171,10 +254,7 @@ def stacked_simplex_qp(H, c=None):
         x = _face_solutions(H[now[:, None, None], cols[:, :, None], cols[:, None, :]],
                             None if c is None else c[now[:, None], cols],
                             work[now].sum(axis=1) - 1)
-        # a feasible solution's weights, clipped at zero, sum to one
-        feasible = x.min(axis=1) >= -_FEAS_TOL
-        w = np.clip(x, 0.0, None)
-        w /= np.where(feasible, w.sum(axis=1), 1.0)[:, None]
+        feasible, w = _clipped(x)
         gamma[now[feasible, None], cols[feasible]] = w[feasible]
         at_point[now] = feasible
         if feasible.all():
@@ -225,9 +305,9 @@ def stacked_maximin(B, Sigma):
     symmetric positive definite metric (a SigmaMetric's Sigma), or one
     (p, p) metric that every program shares. Returns
     a MaximinStack: H = B^T Sigma B, gamma, support and iterations from
-    stacked_simplex_qp, the points M = B gamma (R, p), and errors, per
-    program None or the ConvergenceError that refuses it; nothing is
-    raised. A program whose H is not finite is left out of the solve,
+    stacked_simplex_qp (given B's p), the points M = B gamma (R, p), and
+    errors, per program None or the ConvergenceError that refuses it;
+    nothing is raised. A program whose H is not finite is left out of the solve,
     with NaN weights, and its error names the first group column g whose
     b_g^T Sigma b_g overflowed (or is not finite, for a non-finite b_g);
     as |H_gh| <= max(H_gg, H_hh), no other entry overflows alone. A
@@ -235,16 +315,16 @@ def stacked_maximin(B, Sigma):
     and its error is capped_error(G).
     """
     B = np.asarray(B, dtype=float)
-    R, _, G = B.shape
+    R, p, G = B.shape
     H = sigma_gram(B, Sigma)
     errors = [None] * R
     if np.isfinite(H).all():
-        gamma, support, iterations = stacked_simplex_qp(H)
+        gamma, support, iterations = stacked_simplex_qp(H, p=p)
     else:
         finite = np.isfinite(H).all(axis=(-2, -1))
         gamma, support = np.full((R, G), np.nan), np.zeros((R, G), dtype=bool)
         iterations = np.zeros(R, dtype=int)
-        gamma[finite], support[finite], iterations[finite] = stacked_simplex_qp(H[finite])
+        gamma[finite], support[finite], iterations[finite] = stacked_simplex_qp(H[finite], p=p)
         for r in np.flatnonzero(~finite):
             g = int(np.argmax(~np.isfinite(np.diagonal(H[r]))))
             cause = "overflowed" if np.isfinite(B[r, :, g]).all() else "is not finite"

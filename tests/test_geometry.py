@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from maximin.errors import DefinitenessError, DegenerateGeometryError, DimensionError, RankError
-from maximin.geometry import Face, SigmaMetric
+from maximin.geometry import Face, SigmaMetric, nan_where_singular, nonsingular
 from maximin.magging import maximin_point
 from maximin.selfcheck import separated_instances
 
@@ -190,3 +190,32 @@ def test_metric_derivative_validation():
     with pytest.raises(RankError):
         Face(bad, metric).dsigma(np.zeros(2), np.eye(2))
 
+
+def test_a_singular_stack_is_screened_in_one_batch(monkeypatch):
+    # rows 3 and 7 are exactly singular; the screen finds them without
+    # raising, the rest are solved again in one batch, and no row is
+    # solved alone. Every row keeps the bits of its stack of one.
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((10, 4, 4))
+    A[3, 2] = 0.0
+    A[7, :, 1] = 0.0
+    b = rng.standard_normal((10, 4, 1))
+    solve, calls = np.linalg.solve, []
+
+    def counted(a, rhs):
+        calls.append(a.shape)
+        return solve(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    x = nan_where_singular(np.linalg.solve, A, b, regular=nonsingular)
+    assert calls == [(10, 4, 4), (8, 4, 4)]
+    assert nonsingular(A).tolist() == [r not in (3, 7) for r in range(10)]
+    for r in range(10):
+        if r in (3, 7):
+            assert np.isnan(x[r]).all()
+        else:
+            assert x[r].tobytes() == solve(A[r:r + 1], b[r:r + 1])[0].tobytes()
+    # without a screen the failing stack goes item by item
+    calls.clear()
+    assert nan_where_singular(np.linalg.solve, A, b).tobytes() == x.tobytes()
+    assert calls == [(10, 4, 4)] + [(4, 4)] * 10

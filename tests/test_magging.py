@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maximin.errors import BudgetError, ConvergenceError, DefinitenessError, DimensionError
+from maximin.linmodel import GroupedDataset
 from maximin.magging import maximin_point, sigma_gram
+from maximin.pipeline import estimate_dataset
 from maximin.selfcheck import brute_force_oracle
 from reference import explained_variance
 
@@ -29,6 +31,27 @@ def test_a_representable_gram_does_not_overflow():
     diagonal, off = 1.2e154 ** 2 + 0.5e154 ** 2, 1.2e154 ** 2 - 0.5e154 ** 2
     assert H[0, 1] == H[1, 0]
     assert np.allclose(H, [[diagonal, off], [off, diagonal]], rtol=1e-15, atol=0.0)
+
+
+def test_a_gram_whose_trace_overflows_keeps_its_weights():
+    # Noise-only responses times 4e154 (G = 8, n = 50, p = 2): every
+    # H_gg is finite, but their sum is not. The QP's tolerance is formed
+    # without the sum, so the weights are those of the same data at scale
+    # 1 (0.383 on g1, 0.498 on g6, 0.119 on g7), not the vertex [1, 0, ...].
+    rng = np.random.default_rng(1)
+    draws = [(rng.standard_normal((50, 2)), rng.standard_normal(50)) for _ in range(8)]
+    solutions = []
+    for scale in (1.0, 4e154):
+        dataset = GroupedDataset(tuple((X, y * scale) for X, y in draws))
+        estimates, solution, _ = estimate_dataset(dataset)
+        solutions.append(solution)
+    H = sigma_gram(estimates.Bhat, estimates.Sigma_hat)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(H).all() and np.isinf(np.trace(H))
+    small, large = solutions
+    assert large.active == small.active == (0, 5, 6)
+    assert np.allclose(large.alpha, small.alpha, rtol=0.0, atol=1e-12)
+    assert large.kkt_residual <= 1e-10 * np.diagonal(H).max()
 
 
 def test_single_group_is_returned_whole():

@@ -12,9 +12,15 @@ from hypothesis import strategies as st
 import reference
 from maximin import magging
 from maximin.errors import ConvergenceError, SingularFitError
-from maximin.geometry import SigmaMetric
+from maximin.geometry import SigmaMetric, matvec
 from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, fit_stack, generate
-from maximin.magging import _residual, maximin_point, stacked_maximin, stacked_simplex_qp
+from maximin.magging import (
+    _residual,
+    maximin_point,
+    sigma_gram,
+    stacked_maximin,
+    stacked_simplex_qp,
+)
 from maximin.relaxation import (
     CoveringRegion,
     GroupBoxes,
@@ -56,7 +62,7 @@ def test_stacked_qp_matches_the_active_set_loop_and_the_oracle(G, p, flags, seed
     programs = _programs(seed, len(flags), p, G, shifted, [d for _, d in flags])
     H = np.stack([h for h, *_ in programs])
     c = np.stack([cv for _, cv, *_ in programs]) if linear else None
-    gamma, support, iterations = stacked_simplex_qp(H, c)
+    gamma, support, iterations = stacked_simplex_qp(H, c, p=p)
     assert iterations.max() <= 100 * G
     assert gamma.shape == (len(flags), G) and support.shape == (len(flags), G)
     for r, (H_r, c_r, B, Sigma, m) in enumerate(programs):
@@ -79,13 +85,157 @@ def test_stacked_qp_matches_the_active_set_loop_and_the_oracle(G, p, flags, seed
 def test_exactly_duplicated_columns_do_not_raise():
     B = np.array([[1.0, 1.0, 1.0, -0.5], [0.5, 0.5, 0.5, 2.0]])
     H = np.stack([B.T @ B, np.ones((4, 4))])
-    gamma, support, iterations = stacked_simplex_qp(H)
+    gamma, support, iterations = stacked_simplex_qp(H, p=2)
     assert np.allclose(gamma.sum(axis=1), 1.0)
     M = B @ gamma[0]
     assert np.allclose(M, brute_force_oracle(B, np.eye(2)), atol=1e-12)
     # the first program grows its best vertex, column 0, by column 3 and
     # stops; every vertex of the second is optimal
     assert iterations.tolist() == [1, 0]
+
+
+def _none_accepted(H, c, tol):
+    """A full-face trial that accepts no program: the loop alone."""
+    return np.zeros(len(H), dtype=bool), np.zeros(H.shape[:2])
+
+
+_KINDS = ("interior", "edge", "vertex", "duplicate", "collinear")
+
+
+def _mixed_programs(seed, p, G, kinds, linear):
+    """B (R, p, G), Sigma (R, p, p) and targets m (R, p), one program per
+    kind: interior puts the origin (c = None) or m (linear) inside the
+    hull with positive weights, edge offsets standard-normal columns,
+    vertex spreads the columns along a ray from the one nearest the
+    target, duplicate copies column 0 of an interior program into the
+    last column, and collinear puts every column on one line."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 74))))
+    Bs, Sigmas, ms = [], [], []
+    for kind in kinds:
+        B = rng.standard_normal((p, G))
+        inside = B @ rng.dirichlet(np.ones(G))
+        m = inside if linear else np.zeros(p)
+        if kind in ("interior", "duplicate") and not linear:
+            B -= inside[:, None]
+        if kind == "duplicate" and G > 1:
+            B[:, -1] = B[:, 0]
+        elif kind == "edge":
+            B += rng.uniform(0.5, 2.0)
+        elif kind == "vertex":
+            v = rng.standard_normal(p)
+            B = np.outer(v, 1.0 + rng.uniform(0.0, 2.0, G)) + 0.01 * B
+            B[:, 0] = v
+            m = 0.5 * v if linear else m
+        elif kind == "collinear":
+            B = np.outer(rng.standard_normal(p), rng.standard_normal(G)) + rng.standard_normal((p, 1))
+        A = rng.standard_normal((p, p))
+        Bs.append(B)
+        Sigmas.append(A @ A.T + 0.5 * np.eye(p))
+        ms.append(m)
+    return np.array(Bs), np.array(Sigmas), np.array(ms)
+
+
+def _solved(B, Sigma, m, linear):
+    """gamma, support, iterations and M of the programs: stacked_maximin
+    for c = None, the hull-distance QP for linear."""
+    if not linear:
+        got = stacked_maximin(B, Sigma)
+        return got.gamma, got.support, got.iterations, got.M
+    c = -2.0 * matvec(B.swapaxes(1, 2), matvec(Sigma, m))
+    gamma, support, iterations = stacked_simplex_qp(sigma_gram(B, Sigma), c, p=B.shape[1])
+    return gamma, support, iterations, matvec(B, gamma)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    G=st.integers(1, 12),
+    p=st.integers(1, 12),
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    linear=st.booleans(),
+)
+def test_the_full_face_trial_keeps_the_loop_bits(G, p, kinds, seed, linear):
+    # Whatever the trial accepts, the loop reaches on the same face with
+    # the same bits; G > p + 1 stacks take no trial.
+    B, Sigma, m = _mixed_programs(seed, p, G, kinds, linear)
+    full_face, trials = magging._full_face, []
+
+    def counted(H, c, tol):
+        trials.append(len(H))
+        return full_face(H, c, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magging, "_full_face", counted)
+        gamma, support, iterations, M = _solved(B, Sigma, m, linear)
+    # one trial at most, on the programs not optimal at their best vertex
+    assert len(trials) <= (1 < G <= p + 1) and all(0 < t <= len(kinds) for t in trials)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magging, "_full_face", _none_accepted)
+        loop = _solved(B, Sigma, m, linear)
+    for field, got, expected in zip(("gamma", "support", "M"), (gamma, support, M),
+                                    (loop[0], loop[1], loop[3])):
+        assert got.tobytes() == expected.tobytes(), field
+    assert (iterations <= loop[2]).all()
+    for r in range(len(kinds)):
+        alone = _solved(B[r:r + 1], Sigma[r:r + 1], m[r:r + 1], linear)
+        for got, single in zip((gamma, support, iterations, M), alone):
+            assert got[r].tobytes() == single[0].tobytes()
+
+
+def test_an_interior_program_takes_one_face_solve(monkeypatch):
+    # p = G = 12, columns near the basis vectors: the maximin point has
+    # every weight positive. The trial's face solve is the only one. With
+    # the trial refusing it, the loop grows the best vertex by one column
+    # a solve, G - 1 of them, after the refused trial's solve.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((12, 75))))
+    B = (np.eye(12) + 0.05 * rng.standard_normal((12, 12)))[None]
+    Sigma = np.eye(12)[None]
+    got = stacked_maximin(B, Sigma)
+    assert got.iterations.tolist() == [1] and got.support.all()
+    assert (got.gamma > 0.0).all()
+    monkeypatch.setattr(magging, "_full_face", _none_accepted)
+    loop = stacked_maximin(B, Sigma)
+    assert loop.iterations.tolist() == [12]
+    for field, stacked, single in zip(got._fields, got[:-1], loop[:-1]):
+        if field != "iterations":
+            assert stacked.tobytes() == single.tobytes(), field
+
+
+def test_the_trial_solves_no_system_alone(monkeypatch):
+    # Hull distances from interior points m of 66 programs at p = G = 6.
+    # Two programs have two zero columns, so their full faces are singular
+    # and the trial's batched solve raises; their best vertices are not
+    # optimal, so they do take the trial. The screen takes them out and
+    # the rest are solved again in one batch: no system is solved on its
+    # own. The loop then takes the two to their points m.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((6, 76))))
+    B = np.eye(6) + 0.05 * rng.standard_normal((66, 6, 6))
+    B[[5, 40], :, 4:] = 0.0
+    a = rng.dirichlet(np.ones(6), size=66)
+    a[[5, 40], 4:] = 0.0
+    a /= a.sum(axis=1, keepdims=True)
+    c = -2.0 * matvec(B.swapaxes(1, 2), matvec(B, a))
+    solve, calls = np.linalg.solve, []
+
+    def counted(A, rhs):
+        try:
+            return solve(A, rhs)
+        except np.linalg.LinAlgError:
+            calls.append((A.ndim, "raised"))
+            raise
+        finally:
+            calls.append((A.ndim, "called"))
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    gamma, support, iterations = stacked_simplex_qp(sigma_gram(B, np.eye(6)), c, p=6)
+    assert (3, "raised") in calls
+    assert all(ndim == 3 for ndim, _ in calls)
+    refused = [5, 40]
+    assert (iterations[refused] > 1).all()
+    assert np.allclose(matvec(B[refused], gamma[refused]), matvec(B[refused], a[refused]),
+                       rtol=0.0, atol=1e-12)
+    live = np.setdiff1d(np.arange(66), refused)
+    assert iterations[live].tolist() == [1] * 64 and support[live].all()
 
 
 def _assert_refused_alone(B, Sigma, messages):
@@ -288,8 +438,8 @@ def test_stacked_solves_pass_column_right_hand_sides(monkeypatch):
     B = np.array([[1.0, 1.0, 0.0], [0.5, 0.5, 1.0]])
     wide = np.stack([h for h, *_ in _programs(4, 2, 8, 8, [False] * 2, [False] * 2)])
     for linear in (None, np.ones((2, 3))):
-        stacked_simplex_qp(np.stack([B.T @ B, np.eye(3)]), linear)
-        stacked_simplex_qp(wide, None if linear is None else np.ones((2, 8)))
+        stacked_simplex_qp(np.stack([B.T @ B, np.eye(3)]), linear, p=2)
+        stacked_simplex_qp(wide, None if linear is None else np.ones((2, 8)), p=8)
     dataset, _ = generate(ScenarioSpec(p=3, G=3, n=20, seed=1))
     fit(dataset)
 
