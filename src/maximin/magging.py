@@ -29,7 +29,9 @@ solves from its vertex: interior programs take one face solve. The trial
 accepts a feasible solution whose every column passes the loop's growth
 test at the face without it (_full_face); every other program goes on
 from its best vertex, as without the trial. When G > p + 1 the full face
-is singular (H has rank at most p), so there is no trial.
+is singular in exact arithmetic (H has rank at most p): some column lies
+on the others' affine hull, its gap is of rounding size, and the trial
+refuses the face as the loop would never grow it.
 
 stacked_maximin forms those programs for a stack of coefficient
 matrices and metrics; maximin_point is its stack of one.
@@ -160,26 +162,29 @@ def _full_face(H, c, tol):
     there, would grow j and solve this face. As |u_j|^2 is at least
     H's smallest eigenvalue, a positive Gershgorin bound g on it passes
     every gap above 2 g x_j at once; the other feasible programs read
-    their gaps from K^{-1}. A singular face comes back NaN, and one that
-    is singular up to rounding (a column on the others' affine hull) has
-    gaps of rounding size, so neither is accepted.
+    their gaps from K^{-1}, whose batched inverse costs twice the solve.
+    A singular face comes back NaN, and one that is singular up to
+    rounding (a column on the others' affine hull, as some are whenever
+    G > p + 1) has gaps of rounding size, so neither is accepted. A face
+    whose system overflows (2 H_gg beyond the largest float, on a face
+    the loop may never form) is formed without a warning; its solve
+    gives that column no weight, or NaN, and it is refused too.
     """
     R, G, _ = H.shape
     full = np.full(R, G - 1)
-    accept, w = _clipped(_face_solutions(H, c, full))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        accept, w = _clipped(_face_solutions(H, c, full))
         gershgorin = (2.0 * np.diagonal(H, 0, 1, 2) - np.abs(H).sum(axis=2)).min(axis=1)
         doubt = accept & ~(2.0 * gershgorin * w.min(axis=1) > tol)
-    if doubt.any():
-        kkt, _ = _face_systems(H[doubt], None, full[doubt])
-        inverse = nan_where_singular(np.linalg.inv, kkt, regular=nonsingular)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        if doubt.any():
+            kkt, _ = _face_systems(H[doubt], None, full[doubt])
+            inverse = nan_where_singular(np.linalg.inv, kkt, regular=nonsingular)
             gaps = w[doubt] / np.diagonal(inverse, 0, 1, 2)[:, :-1]
-        accept[doubt] = (gaps > tol[doubt, None]).all(axis=1)
+            accept[doubt] = (gaps > tol[doubt, None]).all(axis=1)
     return accept, w
 
 
-def stacked_simplex_qp(H, c=None, *, p):
+def stacked_simplex_qp(H, c=None):
     """Solve a stack of simplex QPs  min a^T H_r a + c_r^T a  over the simplex
     by the module's full-face trial and active-set method, in lockstep.
 
@@ -189,9 +194,6 @@ def stacked_simplex_qp(H, c=None, *, p):
         Symmetric positive semidefinite, H_r = B_r^T Sigma B_r.
     c : ndarray, shape (R, G), optional
         Linear terms; zero by default.
-    p : int
-        The row count of the B_r, which bounds the rank of H_r: the trial
-        runs when 1 < G <= p + 1, as a larger full face is singular.
 
     Returns
     -------
@@ -203,9 +205,10 @@ def stacked_simplex_qp(H, c=None, *, p):
         vertex, 1 for one the trial accepts, 1 plus the loop's solves for
         one it refuses. A multiplier gap of at most 1e-10 times the larger
         of |trace(H_r)| / G and max|c_r| is optimal. A program not optimal
-        after 100 G solves, or whose face system is singular (exact
-        arithmetic never adds a column on the working set's affine hull),
-        has NaN weights; capped_error(G) describes it. Nothing is raised.
+        after 100 G loop solves (the trial's is not counted), or whose
+        face system is singular (exact arithmetic never adds a column on
+        the working set's affine hull), has NaN weights; capped_error(G)
+        describes it. Nothing is raised.
     """
     H = np.asarray(H, dtype=float)
     R, G, _ = H.shape
@@ -223,7 +226,7 @@ def stacked_simplex_qp(H, c=None, *, p):
     gamma = work.astype(float)
     at_point, running = np.ones(R, dtype=bool), np.ones(R, dtype=bool)
     optimal, solves = np.zeros(R, dtype=bool), np.zeros(R, dtype=int)
-    trial = 1 < G <= p + 1
+    trial, trials = True, np.zeros(R, dtype=int)
     while True:
         grad = 2.0 * matvec(H, gamma) + linear
         lam = (gamma * grad).sum(axis=1)
@@ -237,7 +240,7 @@ def stacked_simplex_qp(H, c=None, *, p):
             # vertex try their full face
             trial, tried = False, np.flatnonzero(running)
             full, w = _full_face(H[tried], None if c is None else c[tried], tol[tried])
-            solves[tried] += 1
+            trials[tried] = 1
             tried = tried[full]
             work[tried], gamma[tried] = True, w[full]
             optimal[tried], running[tried] = True, False
@@ -246,7 +249,7 @@ def stacked_simplex_qp(H, c=None, *, p):
         now = np.flatnonzero(running)
         if not now.size:
             gamma[~optimal] = np.nan
-            return gamma, work, solves
+            return gamma, work, solves + trials
         solves += running
         # each program's columns reordered, working columns first and in
         # ascending order: its working set is the face {0 .. k}
@@ -305,9 +308,9 @@ def stacked_maximin(B, Sigma):
     symmetric positive definite metric (a SigmaMetric's Sigma), or one
     (p, p) metric that every program shares. Returns
     a MaximinStack: H = B^T Sigma B, gamma, support and iterations from
-    stacked_simplex_qp (given B's p), the points M = B gamma (R, p), and
-    errors, per program None or the ConvergenceError that refuses it;
-    nothing is raised. A program whose H is not finite is left out of the solve,
+    stacked_simplex_qp, the points M = B gamma (R, p), and errors, per
+    program None or the ConvergenceError that refuses it; nothing is
+    raised. A program whose H is not finite is left out of the solve,
     with NaN weights, and its error names the first group column g whose
     b_g^T Sigma b_g overflowed (or is not finite, for a non-finite b_g);
     as |H_gh| <= max(H_gg, H_hh), no other entry overflows alone. A
@@ -315,16 +318,16 @@ def stacked_maximin(B, Sigma):
     and its error is capped_error(G).
     """
     B = np.asarray(B, dtype=float)
-    R, p, G = B.shape
+    R, _, G = B.shape
     H = sigma_gram(B, Sigma)
     errors = [None] * R
     if np.isfinite(H).all():
-        gamma, support, iterations = stacked_simplex_qp(H, p=p)
+        gamma, support, iterations = stacked_simplex_qp(H)
     else:
         finite = np.isfinite(H).all(axis=(-2, -1))
         gamma, support = np.full((R, G), np.nan), np.zeros((R, G), dtype=bool)
         iterations = np.zeros(R, dtype=int)
-        gamma[finite], support[finite], iterations[finite] = stacked_simplex_qp(H[finite], p=p)
+        gamma[finite], support[finite], iterations[finite] = stacked_simplex_qp(H[finite])
         for r in np.flatnonzero(~finite):
             g = int(np.argmax(~np.isfinite(np.diagonal(H[r]))))
             cause = "overflowed" if np.isfinite(B[r, :, g]).all() else "is not finite"

@@ -239,7 +239,7 @@ def contains_relaxed(region, M):
         B = region.centers[pieces]
         H = sigma_gram(B, Sigma)
         c = -2.0 * (B.transpose(0, 2, 1) @ SM)
-        gamma, _, _ = stacked_simplex_qp(H, c, p=B.shape[1])
+        gamma, _, _ = stacked_simplex_qp(H, c)
         if np.isnan(gamma).any():
             raise capped_error(gamma.shape[1])
         d2 = np.sum(gamma * ((H @ gamma[:, :, None])[:, :, 0] + c), axis=1) + MSM

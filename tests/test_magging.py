@@ -54,6 +54,20 @@ def test_a_gram_whose_trace_overflows_keeps_its_weights():
     assert large.kkt_residual <= 1e-10 * np.diagonal(H).max()
 
 
+def test_a_full_face_that_overflows_is_refused_quietly():
+    # 2 H_22 overflows on the full face, which the trial forms, but on no
+    # face the loop forms ({0}, then {0, 1}). The trial refuses it without
+    # a warning, and the loop stops on the edge {0, 1}.
+    B = np.array([[1e150, -1e150, 1e154], [0.0, 1e149, 3e153]])
+    H = sigma_gram(B, np.eye(2))
+    with np.errstate(over="ignore"):
+        assert np.isfinite(H).all() and np.isinf(2.0 * H[2, 2])
+    solution = maximin_point(B, np.eye(2))
+    assert solution.active == (0, 1) and solution.iterations == 2
+    t = 2.0 / 4.01  # the edge's closest point to the origin
+    assert np.allclose(solution.alpha, [1.0 - t, t, 0.0], rtol=1e-12, atol=0.0)
+
+
 def test_single_group_is_returned_whole():
     B = np.array([[2.0], [1.0]])
     sol = maximin_point(B, np.eye(2))

@@ -62,7 +62,7 @@ def test_stacked_qp_matches_the_active_set_loop_and_the_oracle(G, p, flags, seed
     programs = _programs(seed, len(flags), p, G, shifted, [d for _, d in flags])
     H = np.stack([h for h, *_ in programs])
     c = np.stack([cv for _, cv, *_ in programs]) if linear else None
-    gamma, support, iterations = stacked_simplex_qp(H, c, p=p)
+    gamma, support, iterations = stacked_simplex_qp(H, c)
     assert iterations.max() <= 100 * G
     assert gamma.shape == (len(flags), G) and support.shape == (len(flags), G)
     for r, (H_r, c_r, B, Sigma, m) in enumerate(programs):
@@ -85,13 +85,14 @@ def test_stacked_qp_matches_the_active_set_loop_and_the_oracle(G, p, flags, seed
 def test_exactly_duplicated_columns_do_not_raise():
     B = np.array([[1.0, 1.0, 1.0, -0.5], [0.5, 0.5, 0.5, 2.0]])
     H = np.stack([B.T @ B, np.ones((4, 4))])
-    gamma, support, iterations = stacked_simplex_qp(H, p=2)
+    gamma, support, iterations = stacked_simplex_qp(H)
     assert np.allclose(gamma.sum(axis=1), 1.0)
     M = B @ gamma[0]
     assert np.allclose(M, brute_force_oracle(B, np.eye(2)), atol=1e-12)
-    # the first program grows its best vertex, column 0, by column 3 and
-    # stops; every vertex of the second is optimal
-    assert iterations.tolist() == [1, 0]
+    # the first program's full face (G = 4 > p + 1) is singular, so it
+    # refuses the trial's solve, then grows its best vertex, column 0, by
+    # column 3 and stops; every vertex of the second is optimal
+    assert iterations.tolist() == [2, 0]
 
 
 def _none_accepted(H, c, tol):
@@ -142,7 +143,7 @@ def _solved(B, Sigma, m, linear):
         got = stacked_maximin(B, Sigma)
         return got.gamma, got.support, got.iterations, got.M
     c = -2.0 * matvec(B.swapaxes(1, 2), matvec(Sigma, m))
-    gamma, support, iterations = stacked_simplex_qp(sigma_gram(B, Sigma), c, p=B.shape[1])
+    gamma, support, iterations = stacked_simplex_qp(sigma_gram(B, Sigma), c)
     return gamma, support, iterations, matvec(B, gamma)
 
 
@@ -156,7 +157,8 @@ def _solved(B, Sigma, m, linear):
 )
 def test_the_full_face_trial_keeps_the_loop_bits(G, p, kinds, seed, linear):
     # Whatever the trial accepts, the loop reaches on the same face with
-    # the same bits; G > p + 1 stacks take no trial.
+    # the same bits. A G > p + 1 full face is singular in exact
+    # arithmetic, and neither the trial nor the loop ever stands on it.
     B, Sigma, m = _mixed_programs(seed, p, G, kinds, linear)
     full_face, trials = magging._full_face, []
 
@@ -168,7 +170,9 @@ def test_the_full_face_trial_keeps_the_loop_bits(G, p, kinds, seed, linear):
         patch.setattr(magging, "_full_face", counted)
         gamma, support, iterations, M = _solved(B, Sigma, m, linear)
     # one trial at most, on the programs not optimal at their best vertex
-    assert len(trials) <= (1 < G <= p + 1) and all(0 < t <= len(kinds) for t in trials)
+    assert len(trials) <= (G > 1) and all(0 < t <= len(kinds) for t in trials)
+    if G > p + 1:
+        assert not support.all(axis=1).any()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(magging, "_full_face", _none_accepted)
         loop = _solved(B, Sigma, m, linear)
@@ -227,7 +231,7 @@ def test_the_trial_solves_no_system_alone(monkeypatch):
             calls.append((A.ndim, "called"))
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    gamma, support, iterations = stacked_simplex_qp(sigma_gram(B, np.eye(6)), c, p=6)
+    gamma, support, iterations = stacked_simplex_qp(sigma_gram(B, np.eye(6)), c)
     assert (3, "raised") in calls
     assert all(ndim == 3 for ndim, _ in calls)
     refused = [5, 40]
@@ -296,6 +300,15 @@ def _cycle_at_4I(monkeypatch):
         return x
 
     monkeypatch.setattr(magging, "_face_solutions", cycling)
+
+
+def test_the_trial_solve_leaves_the_loop_its_cap(monkeypatch):
+    # The cycling program refuses the trial (its full face reads
+    # [1.5, -0.5, ...]). That solve is counted in iterations but not
+    # against the cap, so the loop still makes its 100 G solves.
+    _cycle_at_4I(monkeypatch)
+    gamma, _, iterations = stacked_simplex_qp(4.0 * np.eye(8)[None])
+    assert np.isnan(gamma).all() and iterations.tolist() == [801]
 
 
 def test_a_capped_program_is_refused_alone(monkeypatch):
@@ -438,8 +451,8 @@ def test_stacked_solves_pass_column_right_hand_sides(monkeypatch):
     B = np.array([[1.0, 1.0, 0.0], [0.5, 0.5, 1.0]])
     wide = np.stack([h for h, *_ in _programs(4, 2, 8, 8, [False] * 2, [False] * 2)])
     for linear in (None, np.ones((2, 3))):
-        stacked_simplex_qp(np.stack([B.T @ B, np.eye(3)]), linear, p=2)
-        stacked_simplex_qp(wide, None if linear is None else np.ones((2, 8)), p=8)
+        stacked_simplex_qp(np.stack([B.T @ B, np.eye(3)]), linear)
+        stacked_simplex_qp(wide, None if linear is None else np.ones((2, 8)))
     dataset, _ = generate(ScenarioSpec(p=3, G=3, n=20, seed=1))
     fit(dataset)
 
