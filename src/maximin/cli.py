@@ -27,8 +27,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import pipeline, simulate
 from .confidence import max_eigenvalue
 from .errors import (
@@ -155,17 +153,6 @@ def _emit(text, out_path):
             handle.write(text)
 
 
-def _unique_weights(Bhat, active):
-    """Whether the active columns are linearly independent.
-
-    Only then are the weights, not just the maximin point, unique.
-    """
-    if not active:
-        return False
-    s = np.linalg.svd(Bhat[:, list(active)], compute_uv=False)
-    return bool(np.sum(s > 1e-12 * s[0]) == len(active))
-
-
 def _estimate_payload(dataset, est, sol, known_sigma):
     return {
         "schema_version": SCHEMA_VERSION,
@@ -185,7 +172,7 @@ def _estimate_payload(dataset, est, sol, known_sigma):
         "diagnostics": {
             "objective": sol.objective,
             "kkt_residual": sol.kkt_residual,
-            "unique_weights": _unique_weights(est.Bhat, sol.active),
+            "unique_weights": sol.unique_weights,
             "vertex_mode": len(sol.active) == 1,
             "sigma2_approximate": est.sigma2_approximate,
             "known_sigma": known_sigma,

@@ -49,9 +49,9 @@ SigmaMetric and Face, like the helpers below, work over leading stack
 axes: a (..., p, p) stack of metrics, a (..., p, k) stack of faces with
 one metric each. A single face is the stack with no leading axes, so
 the coverage harness's batched pass and the per-dataset pipeline run
-the same formulas, item for item. Both keep their refusals as values
-on a stack, as NaN factors or results for the items they refuse; only
-a single matrix or face raises.
+the same formulas, item for item. Both keep their refusals as values,
+as NaN factors or results for the items they refuse; only a single
+matrix given to SigmaMetric raises.
 """
 
 import functools
@@ -59,7 +59,7 @@ import functools
 import numpy as np
 from scipy.linalg.lapack import dpotrs as _potrs
 
-from .errors import DefinitenessError, DegenerateGeometryError, DimensionError, RankError
+from .errors import DefinitenessError, DimensionError
 
 # Relative cutoff for rank decisions on L^T D and on equilibrated pivots.
 _RANK_RTOL = 1e-12
@@ -237,12 +237,11 @@ class Face:
     B_active is (p, k), or a (..., p, k) stack of faces with one metric
     per face; every result then carries the same leading axes. The
     complement projector follows pseudo-inverse semantics and never
-    refuses. Jacobians refuse a single column and a column within 1e-10
-    of the hull of the others (DegenerateGeometryError); the metric
-    response and term_V refuse rank deficient D (RankError). A single
-    face raises the refusal; a stack returns NaN for the faces it
-    refuses, and ``degenerate`` and ``full_rank`` say which faces and
-    columns those are.
+    refuses. Jacobians refuse a single column and a face with a column
+    within 1e-10 of the hull of the others; the metric response and
+    term_V refuse rank deficient D. Nothing is raised, for a single face
+    or a stack: a refused face's results are NaN, and ``degenerate`` and
+    ``full_rank`` say which faces and columns those are.
     """
 
     def __init__(self, B_active, metric):
@@ -269,18 +268,6 @@ class Face:
         """Pi_B = I - E E^T Sigma."""
         E = self._E_kept
         return np.eye(self.p) - E @ (E.swapaxes(-1, -2) @ self.metric.Sigma)
-
-    def _refuse(self, refused, error):
-        """The (...) mask of refused faces; a single refused face raises error()."""
-        if self.B.ndim == 2 and refused:
-            raise error()
-        return np.broadcast_to(refused, self.B.shape[:-2])
-
-    def _full_rank_basis(self):
-        """E (empty for a single column) and the mask of rank deficient D."""
-        refused = self._refuse(~self.full_rank, lambda: RankError(
-            "active-column differences are rank deficient"))
-        return self._E, refused
 
     @functools.cached_property
     def _closed_form(self):
@@ -331,15 +318,11 @@ class Face:
         return self._residuals[1] < _DEGENERACY_TOL
 
     def jacobians(self, M):
-        """Stacked J_g for every column, shape (..., k, p, p)."""
+        """Stacked J_g for every column, shape (..., k, p, p); NaN for a
+        single column and on a face with a ``degenerate`` column."""
         if self.k < 2:
-            self._refuse(True, lambda: DegenerateGeometryError(
-                "vertex solution: the maximin map is not differentiable for a"
-                " single active column"))
             return np.full(self.B.shape[:-2] + (1, self.p, self.p), np.nan)
-        degenerate = self.degenerate
-        refused = self._refuse(degenerate.any(axis=-1), lambda: DegenerateGeometryError(
-            f"active column {np.argmax(degenerate)} lies in the affine hull of the others"))
+        refused = self.degenerate.any(axis=-1)
         U, unorm = self._residuals
         Sigma, M = self.metric.Sigma, np.asarray(M, dtype=float)
         Pi = self.complement
@@ -357,20 +340,22 @@ class Face:
         return np.where(refused[..., None, None, None], np.nan, J)
 
     def dsigma(self, M, Delta):
-        """-D Gamma^{-1} D^T Delta M = -E E^T Delta M; zero for one column."""
+        """-D Gamma^{-1} D^T Delta M = -E E^T Delta M; zero for one column,
+        NaN where D is not ``full_rank``."""
         Delta = np.asarray(Delta, dtype=float)
         if Delta.shape != (self.p, self.p):
             raise DimensionError(f"Delta must be {self.p} x {self.p}")
         scale = float(np.max(np.abs(Delta))) or 1.0
         if np.max(np.abs(Delta - Delta.T)) > 1e-8 * scale:
             raise ValueError("Delta must be symmetric")
-        E, refused = self._full_rank_basis()
+        E, refused = self._E, ~self.full_rank
         dM = -matvec(E, matvec(E.swapaxes(-1, -2), matvec(Delta, np.asarray(M, dtype=float))))
         return np.where(refused[..., None], np.nan, dM)
 
     def term_V(self, C_hat):
-        """P C_hat P with P = D Gamma^{-1} D^T = E E^T; zero for one column."""
-        E, refused = self._full_rank_basis()
+        """P C_hat P with P = D Gamma^{-1} D^T = E E^T; zero for one column,
+        NaN where D is not ``full_rank``."""
+        E, refused = self._E, ~self.full_rank
         P = E @ E.swapaxes(-1, -2)
         V = symmetric(P @ np.asarray(C_hat, dtype=float) @ P)
         return np.where(refused[..., None, None], np.nan, V)

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import SigmaMetric, matvec, nan_where_singular, nonsingular, symmetric
+from .geometry import Face, SigmaMetric, matvec, nan_where_singular, nonsingular, symmetric
 
 # Weights above this count as active.
 ACTIVITY_THRESHOLD = 1e-6
@@ -62,7 +62,9 @@ class MaggingSolution:
     iterations counts the bordered face systems solved for the program:
     the full-face trial's, when it takes one, then the active-set loop's.
     An interior program the trial accepts reports 1, a program optimal
-    at its best vertex 0.
+    at its best vertex 0. unique_weights says whether the active columns
+    are affinely independent under the solve's metric (Face.full_rank):
+    only then are the weights, not just M, unique.
     """
 
     M: np.ndarray
@@ -70,6 +72,7 @@ class MaggingSolution:
     active: tuple
     objective: float
     kkt_residual: float
+    unique_weights: bool
     iterations: int = 0
 
 
@@ -367,18 +370,20 @@ def maximin_point(B, Sigma):
         finite, or the active-set loop hit its iteration cap.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    Sigma = SigmaMetric.ensure(Sigma, B.shape[0]).Sigma
-    H, gamma, support, iterations, M, errors = stacked_maximin(B[None], Sigma[None])
+    metric = SigmaMetric.ensure(Sigma, B.shape[0])
+    H, gamma, support, iterations, M, errors = stacked_maximin(B[None], metric.Sigma[None])
     if errors[0] is not None:
         raise errors[0]
     alpha, M = gamma[0], M[0]
     free = [int(g) for g in np.flatnonzero(support[0])]
     res, _, _ = _residual(H[0], np.zeros(B.shape[1]), alpha, free)
+    active = tuple(int(g) for g in np.flatnonzero(active_mask(alpha)))
     return MaggingSolution(
         M=M,
         alpha=alpha,
-        active=tuple(int(g) for g in np.flatnonzero(active_mask(alpha))),
-        objective=float(M @ Sigma @ M),
+        active=active,
+        objective=float(M @ metric.Sigma @ M),
         kkt_residual=float(res),
+        unique_weights=bool(Face(B[:, list(active)], metric).full_rank),
         iterations=int(iterations[0]),
     )

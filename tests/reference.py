@@ -192,6 +192,8 @@ def assemble_W(estimates, solution, C_hat, Sigma):
             g = used[int(np.argmax(face.degenerate))]
             raise DegenerateGeometryError(
                 f"group column {g + 1} lies in the affine hull of the other used columns")
+        if C_hat is not None and not face.full_rank:
+            raise RankError("active-column differences are rank deficient")
         W, term_B, term_V = face_covariance(
             face, solution.M, sigma2, metric.inverse(), C_hat)
     return AsymptoticCovariance(

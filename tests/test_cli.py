@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from maximin import pipeline, selfcheck
+from maximin import magging, pipeline, selfcheck
 from maximin.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -18,12 +18,12 @@ from maximin.cli import (
     EXIT_RANK,
     EXIT_SINGULAR,
     EXIT_USAGE,
-    _unique_weights,
     build_parser,
     main,
 )
 from maximin.errors import ConvergenceError, RankError, SingularFitError
 from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, generate
+from maximin.magging import maximin_point
 
 
 def _write_grouped_csv(path, spec):
@@ -58,11 +58,36 @@ def test_estimate_json_payload(data_csv, capsys):
     assert payload["diagnostics"]["kkt_residual"] <= 1e-8
 
 
-def test_unique_weights_needs_independent_active_columns():
-    assert _unique_weights(np.eye(3), (0, 1, 2))
-    # collinear active columns: many weight vectors give the same point
-    assert not _unique_weights(np.array([[1.0, -1.0], [0.0, 0.0]]), (0, 1))
-    assert not _unique_weights(np.eye(2), ())
+def test_unique_weights_needs_independent_active_columns(tmp_path, capsys, monkeypatch):
+    # M = 0 inside a triangle of p = 2 columns: three columns in R^2 are
+    # linearly dependent, but affinely independent, so the weights are unique
+    rng = np.random.default_rng(0)
+    groups = []
+    for b in ((1.0, 0.2), (-1.0, 0.2), (0.0, -1.0)):
+        X = rng.standard_normal((200, 2))
+        groups.append((X, X @ np.array(b) + 0.01 * rng.standard_normal(200)))
+    path = tmp_path / "triangle.csv"
+    _write_dataset_csv(path, GroupedDataset(tuple(groups), labels=("g1", "g2", "g3")))
+    assert main(["estimate", str(path)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["active"] == ["g1", "g2", "g3"]
+    assert np.linalg.norm(payload["M"]) <= 1e-12
+    assert payload["diagnostics"]["unique_weights"] is True
+    # three collinear columns: the QP puts its weight on two of them. With
+    # weight on all three, many weight vectors give the same point.
+    B = np.array([[-1.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
+    assert maximin_point(B, np.eye(2)).unique_weights
+    solve = magging.stacked_maximin
+
+    def spread(B, Sigma):
+        out = solve(B, Sigma)
+        gamma = np.full_like(out.gamma, 1.0 / 3.0)
+        return out._replace(gamma=gamma, support=np.ones_like(out.support),
+                            M=np.einsum("rpg,rg->rp", B, gamma))
+
+    monkeypatch.setattr(magging, "stacked_maximin", spread)
+    solution = maximin_point(B, np.eye(2))
+    assert solution.active == (0, 1, 2) and not solution.unique_weights
 
 
 def test_estimate_survives_a_failing_inference_step(tmp_path, capsys):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from maximin.errors import DefinitenessError, DegenerateGeometryError, DimensionError, RankError
+from maximin.errors import DefinitenessError, DimensionError
 from maximin.geometry import Face, SigmaMetric, nan_where_singular, nonsingular
 from maximin.magging import maximin_point
-from maximin.selfcheck import separated_instances
+from maximin.selfcheck import finite_difference_errors, separated_instances
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +122,13 @@ def test_complement_project_single_column_is_identity():
 
 
 def test_jacobian_rejects_degenerate_configurations():
+    # a refused face gives NaN Jacobians; it raises nothing
     metric = SigmaMetric(np.eye(2))
-    with pytest.raises(DegenerateGeometryError):
-        Face(np.array([[1.0], [0.0]]), metric).jacobians(np.array([1.0, 0.0]))
+    assert np.isnan(Face(np.array([[1.0], [0.0]]), metric).jacobians(np.array([1.0, 0.0]))).all()
     # collinear columns: each lies in the affine hull of the other two
-    B = np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
-    with pytest.raises(DegenerateGeometryError, match="active column 0"):
-        Face(B, metric).jacobians(np.zeros(2))
+    face = Face(np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]]), metric)
+    assert face.degenerate.all() and np.argmax(face.degenerate) == 0
+    assert np.isnan(face.jacobians(np.zeros(2))).all()
 
 
 def test_jacobian_matches_finite_differences(corpus):
@@ -175,6 +175,17 @@ def test_metric_derivative_matches_finite_differences(corpus):
         assert np.linalg.norm(fd - dv) <= 1e-4 * max(np.linalg.norm(fd), 1e-8)
 
 
+def test_a_refused_face_fails_the_finite_difference_check():
+    # a vertex has no Jacobian: its NaN counts as a failed check, and the
+    # metric response, zero on one column, passes
+    B = np.array([[1.0, 3.0], [0.0, 1.0]])
+    solution = maximin_point(B, np.eye(2))
+    assert solution.active == (0,)
+    checked, failed, _ = finite_difference_errors(
+        [(B, np.eye(2), solution)], np.random.default_rng(0))
+    assert (checked, failed) == (2, 1)
+
+
 def test_metric_derivative_validation():
     metric = SigmaMetric(np.eye(2))
     M = np.array([0.5, 0.5])
@@ -185,10 +196,11 @@ def test_metric_derivative_validation():
         face.dsigma(M, np.eye(3))
     with pytest.raises(ValueError):
         face.dsigma(M, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    # duplicated columns make the difference matrix rank deficient
-    bad = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(RankError):
-        Face(bad, metric).dsigma(np.zeros(2), np.eye(2))
+    # duplicated columns make the difference matrix rank deficient: the
+    # response is NaN, and full_rank says why
+    bad = Face(np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]), metric)
+    assert not bad.full_rank
+    assert np.isnan(bad.dsigma(np.zeros(2), np.eye(2))).all()
 
 
 def test_a_singular_stack_is_screened_in_one_batch(monkeypatch):

@@ -105,5 +105,6 @@ def test_rescaling_the_design_columns_rescales_M(dataset, rotate, seed):
         tuple((X @ A, y) for X, y in dataset.groups), labels=dataset.labels))
     assert _rel(A @ scaled.M, base.M) <= _RTOL
     assert np.max(np.abs(scaled.alpha - base.alpha)) <= _RTOL
+    assert scaled.unique_weights == base.unique_weights
     scale = np.sqrt(np.outer(np.diag(W), np.diag(W)))
     assert np.max(np.abs(A @ W_scaled @ A.T - W) / scale) <= _RTOL
