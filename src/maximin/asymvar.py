@@ -113,14 +113,14 @@ def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
     """Plug-in covariances of sqrt(n) (M_hat - M) for R solved datasets.
 
     The one place that picks the columns W differentiates through. An
-    interior solution uses its active columns. A single active column
-    has no Jacobian: when _tie_mask finds columns the data cannot
-    separate from it, the winner and its ties form the face, and their
-    small hull distances inflate W along the ambiguous directions; a
-    cleanly isolated vertex is one group's least squares, and W falls
-    back to sigma^2 Sigma^{-1}. Faces of equal size k >= 2 share one
-    stacked ``Face`` and face_covariance, which leave the refused faces
-    NaN.
+    interior solution uses its active columns. When _tie_mask finds
+    columns the data cannot separate from a single active column, the
+    winner and its ties form the face, and their small hull distances
+    inflate W along the ambiguous directions. A cleanly isolated vertex
+    is a face of one column, one group's least squares: its Jacobian is
+    the identity and its term_V vanishes, so W is sigma^2 Sigma^{-1}.
+    Faces of equal size share one stacked ``Face`` and face_covariance,
+    which leave the refused faces NaN.
 
     Bhat (R, p, G), active (R, G) and M (R, p) describe the solutions,
     metric is the (R, p, p) SigmaMetric stack of their solve, Sigma_g
@@ -145,11 +145,6 @@ def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
     k = used.sum(axis=1)
     for size in np.unique(k):
         pick = np.flatnonzero(k == size)
-        if size == 1:
-            term_B[pick] = sigma2[pick, None, None] * metric[pick].inverse()
-            term_V[pick] = 0.0
-            W[pick] = symmetric(term_B[pick] + term_V[pick])
-            continue
         cols = np.nonzero(used[pick])[1].reshape(pick.size, size)
         face = Face(np.take_along_axis(Bhat[pick], cols[:, None, :], axis=2), metric[pick])
         bad = face.degenerate.any(axis=1)

@@ -14,8 +14,8 @@ Both closed-form differentials are methods of ``Face``:
   where u_g is the residual of b_g after affine projection onto the
   remaining active columns, w_g the same residual of M, |.| the Sigma
   norm, and Pi_B the Sigma-orthogonal projector onto the complement of
-  the difference span. Derivatives with respect to inactive columns
-  vanish.
+  the difference span. A single active column has J_1 = I, and
+  derivatives with respect to inactive columns vanish.
 
 * Face.dsigma: the response of M to a symmetric perturbation Delta
   of the metric, -D (D^T Sigma D)^{-1} D^T Delta M with D the matrix
@@ -95,10 +95,11 @@ def nan_where_singular(kernel, A, *rest, regular=None):
     A batched numpy.linalg kernel raises LinAlgError for the whole stack
     when one item cannot be factored. Here such items come back as NaN
     and the others as the kernel computes them, each with the bits of its
-    stack of one. regular(A), when given, marks without raising the items
-    the kernel can factor; after a failure the kernel runs once more on
-    those, and only items it still refuses are retried one at a time. The
-    result has the shape of A, or of rest[0] broadcast over A's stack axes.
+    stack of one. regular(A), when given, marks without raising exactly
+    the items the kernel can factor, and after a failure the kernel runs
+    once more on those alone; without it (Cholesky has no such screen)
+    the items are retried one at a time. The result has the shape of A,
+    or of rest[0] broadcast over A's stack axes.
     """
     try:
         return kernel(A, *rest)
@@ -107,26 +108,23 @@ def nan_where_singular(kernel, A, *rest, regular=None):
     batch = A.shape[:-2]
     rest = [np.broadcast_to(b, batch + b.shape[-2:]) for b in rest]
     out = np.full(batch + (rest[0] if rest else A).shape[-2:], np.nan)
-    todo = np.ones(batch, dtype=bool)
     if regular is not None:
-        todo = regular(A)
+        ok = regular(A)
+        out[ok] = kernel(A[ok], *(b[ok] for b in rest))
+        return out
+    for i in np.ndindex(batch):
         try:
-            out[todo] = kernel(A[todo], *(b[todo] for b in rest))
-            return out
+            out[i] = kernel(A[i], *(b[i] for b in rest))
         except np.linalg.LinAlgError:
             pass
-    for i in np.ndindex(batch):
-        if todo[i]:
-            try:
-                out[i] = kernel(A[i], *(b[i] for b in rest))
-            except np.linalg.LinAlgError:
-                pass
     return out
 
 
 def nonsingular(A):
-    """Which matrices of a stack LU factors with no zero pivot, the test
-    np.linalg.solve fails on, found without raising."""
+    """Which matrices of a stack LU factors with no zero pivot, found
+    without raising. slogdet's zero sign and the LinAlgError of
+    np.linalg.solve and inv come from the same getrf pivot, so this is
+    exactly the set those kernels factor."""
     return np.linalg.slogdet(A)[0] != 0
 
 
@@ -237,11 +235,13 @@ class Face:
     B_active is (p, k), or a (..., p, k) stack of faces with one metric
     per face; every result then carries the same leading axes. The
     complement projector follows pseudo-inverse semantics and never
-    refuses. Jacobians refuse a single column and a face with a column
-    within 1e-10 of the hull of the others; the metric response and
-    term_V refuse rank deficient D. Nothing is raised, for a single face
-    or a stack: a refused face's results are NaN, and ``degenerate`` and
-    ``full_rank`` say which faces and columns those are.
+    refuses. A single column is a face too, a lone vertex: its Jacobian
+    is the identity and its metric response and term_V vanish. Jacobians
+    refuse a face with a column within 1e-10 of the hull of the others;
+    the metric response and term_V refuse rank deficient D. Nothing is
+    raised, for a single face or a stack: a refused face's results are
+    NaN, and ``degenerate`` and ``full_rank`` say which faces and columns
+    those are.
     """
 
     def __init__(self, B_active, metric):
@@ -318,10 +318,12 @@ class Face:
         return self._residuals[1] < _DEGENERACY_TOL
 
     def jacobians(self, M):
-        """Stacked J_g for every column, shape (..., k, p, p); NaN for a
-        single column and on a face with a ``degenerate`` column."""
-        if self.k < 2:
-            return np.full(self.B.shape[:-2] + (1, self.p, self.p), np.nan)
+        """Stacked J_g for every column, shape (..., k, p, p); NaN on a
+        face with a ``degenerate`` column. A single column's is the
+        identity: M = b_1 moves with its column."""
+        if self.k == 1:
+            shape = self.B.shape[:-2] + (1, self.p, self.p)
+            return np.broadcast_to(np.eye(self.p), shape).copy()
         refused = self.degenerate.any(axis=-1)
         U, unorm = self._residuals
         Sigma, M = self.metric.Sigma, np.asarray(M, dtype=float)

@@ -22,7 +22,8 @@ A CoveringRegion stores its lattice as the p * G coordinate axes and the
 shells |M(B_k)|, one per center; the (K, p, G) centers are formed from
 the axes on first read. covering_region reads each chunk of centers from
 the axes and solves the chunk's maximin points in one stacked_maximin
-call, so the build never holds the full lattice either.
+call, and contains_relaxed reads only the chunks it tests, so neither
+the build nor a query holds the full lattice.
 """
 
 import functools
@@ -123,7 +124,9 @@ class CoveringRegion:
     axes holds the lattice's p * G coordinate vectors in (g, j) order:
     axes[g * p + j] lists the values entry j of column g takes. Piece k
     is the k-th point of their product in C order, the k-th entry of
-    centers, with shell shells[k] and radius radii[k].
+    centers, with shell shells[k] and radius radii[k]. Sigma0 is the
+    symmetrised metric covering_region checked, and queries use it as
+    it is.
     """
 
     axes: tuple
@@ -225,18 +228,17 @@ def contains_relaxed(region, M):
     pass the shell test are tested in fixed-size chunks, in piece order,
     one stacked solve per chunk, stopping at the first chunk with a hit.
     A hull program the active-set loop leaves unsolved (at its cap of
-    100 G solves) raises ConvergenceError.
+    100 G solves) raises ConvergenceError. Each chunk's centers are read
+    from the lattice axes, so a query never forms the whole lattice.
     """
-    metric = SigmaMetric(region.Sigma0)
-    M = np.asarray(M, dtype=float)
-    norm = metric.norm(M)
+    Sigma, M = region.Sigma0, np.asarray(M, dtype=float)
+    norm = np.sqrt(max(float(M @ Sigma @ M), 0.0))
     passing = np.flatnonzero(np.abs(norm - region.shells) <= region.radii + _SLACK)
-    Sigma = metric.Sigma
     SM = Sigma @ M
     MSM = float(M @ SM)
     for start in range(0, passing.size, _CHUNK):
         pieces = passing[start:start + _CHUNK]
-        B = region.centers[pieces]
+        B = _lattice_points(region.axes, pieces, Sigma.shape[0])
         H = sigma_gram(B, Sigma)
         c = -2.0 * (B.transpose(0, 2, 1) @ SM)
         gamma, _, _ = stacked_simplex_qp(H, c)

@@ -35,7 +35,8 @@ QP whose B^T Sigma B is not finite or that hits its iteration cap, and
 a face covariance_stack refuses. Such a replicate, and one whose W
 fails the conditioning test, is degenerate: it is excluded from the
 coverage denominator, and the report also carries the all-replicates
-ratio so both conventions are visible.
+ratio so both conventions are visible. A chunk left with no live rows
+goes on as an empty stack, which every kernel takes.
 
 A design chunk holds as many replicates as fit into CHUNK_BYTES, where
 a replicate counts its design, its per-group grams and its QP system
@@ -176,27 +177,28 @@ def cell_seed(master_seed, table, p, n):
     return _derive_seed(master_seed, table, p, n)
 
 
-def _run_block(spec, alpha, M0, items):
-    """Worker: replicate indices with their seeds -> per-replicate rows.
+def _run_block(spec, alpha, M0, seeds):
+    """Worker: replicate seeds -> (covered, eig, vertex), arrays in seed order.
 
-    Rows are (replicate, covered, top eigenvalue, degenerate, vertex),
-    in the order of items; a degenerate row is (rep, 0, nan, True,
-    False). The block's design chunks go through the front half one at
+    covered and vertex are boolean, eig holds each W's top eigenvalue;
+    a degenerate replicate has NaN there and is neither covered nor a
+    vertex. The block's design chunks go through the front half one at
     a time, and the back half takes as many whole chunks at once as fit
     into its batch, or one chunk in batch-sized slices (_chunk_sizes).
     """
-    R = len(items)
+    R = len(seeds)
     covered, eig, vertex = np.zeros(R, dtype=bool), np.full(R, np.nan), np.zeros(R, dtype=bool)
     front, batch = _chunk_sizes(spec)
     step = max(1, batch // front) * front
     for start in range(0, R, step):
         parts = []
         for first in range(start, min(start + step, R), front):
-            X, y = generate_stack(spec, [seed for _, seed in items[first:first + front]])
+            # X, y stay bound until the next chunk is drawn: freeing them
+            # first made p = G = 12, n = 500 about 6% slower (NumPy 2.4)
+            X, y = generate_stack(spec, seeds[first:first + front])
             parts.append(_front_pass(X, y, spec.ridge_jitter, first))
         _back_pass(parts, batch, spec.n, alpha, M0, covered, eig, vertex)
-    return [(rep, int(c), float(e), bool(np.isnan(e)), bool(v))
-            for (rep, _), c, e, v in zip(items, covered, eig, vertex)]
+    return covered, eig, vertex
 
 
 def _chunk_sizes(spec):
@@ -238,18 +240,16 @@ class _Front(NamedTuple):
 def _front_pass(X, y, ridge_jitter, first):
     """fit_stack, the SigmaMetric check, stacked_maximin and empirical_C
     over the datasets X (R, G, n, p), y (R, G, n), which are rows first,
-    first + 1, ... of their block. A refused row drops out here."""
+    first + 1, ... of their block. A refused row drops out here, and a
+    chunk with no live rows is a stack of none."""
     R, G, n, p = X.shape
     fitted = fit_stack(X, y, ridge_jitter)
     live = np.flatnonzero(fitted.ok)
-    if live.size:
-        metric = SigmaMetric(fitted.Sigma_hat[live])
-        solution = stacked_maximin(fitted.Bhat[live], metric.Sigma)
-        solved = np.equal(metric.errors, None) & np.equal(solution.errors, None)
-        live, metric, M = live[solved], metric[solved], solution.M[solved]
-        active = active_mask(solution.gamma[solved])
-    if not live.size:
-        return None
+    metric = SigmaMetric(fitted.Sigma_hat[live])
+    solution = stacked_maximin(fitted.Bhat[live], metric.Sigma)
+    solved = np.equal(metric.errors, None) & np.equal(solution.errors, None)
+    live, metric, M = live[solved], metric[solved], solution.M[solved]
+    active = active_mask(solution.gamma[solved])
     designs = X if live.size == R else X[live]  # no copy when every row is live
     C_hat = empirical_C(designs.reshape(live.size, G * n, p), M, G)
     return _Front(first + live, fitted.Bhat[live], active, M, fitted.sigma2[live],
@@ -261,13 +261,9 @@ def _back_pass(parts, batch, n, alpha, M0, covered, eig, vertex):
     of the front parts, batch rows at a time, written into the block's
     covered, eig and vertex at those rows; a row whose W fails the
     spectrum stays degenerate."""
-    parts = [part for part in parts if part is not None]
-    if not parts:
-        return
-    if len(parts) > 1:
-        parts = [_Front(*(np.concatenate(arrays) for arrays in zip(*(part[:-1] for part in parts))),
-                        concatenate_metrics([part.metric for part in parts]))]
-    rows, Bhat, active, M, sigma2, S, C_hat, metric = parts[0]
+    rows, Bhat, active, M, sigma2, S, C_hat = (
+        np.concatenate(arrays) for arrays in zip(*(part[:-1] for part in parts)))
+    metric = concatenate_metrics([part.metric for part in parts])
     for s in (slice(i, i + batch) for i in range(0, rows.size, batch)):
         W, _, _, _, vertex_mode, _ = covariance_stack(
             Bhat[s], active[s], M[s], metric[s], sigma2[s], n, S[s], C_hat[s])
@@ -306,28 +302,26 @@ def run_cell(spec, replicates, alpha, jobs=1):
         raise ValueError("alpha must lie in (0, 1)")
     start = time.perf_counter()
     M0 = true_maximin(spec)
-    items = [(rep, _derive_seed(spec.seed, rep)) for rep in range(replicates)]
-    rows = []
+    seeds = [_derive_seed(spec.seed, rep) for rep in range(replicates)]
     if jobs <= 1 or replicates <= 1:
-        rows = _run_block(spec, alpha, M0, items)
+        blocks = [_run_block(spec, alpha, M0, seeds)]
     else:
-        workers = min(jobs, max(1, replicates))
-        chunk = math.ceil(len(items) / workers)
-        blocks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
+        workers = min(jobs, replicates)
+        chunk = math.ceil(replicates / workers)
         pool = _kept_pool(workers)
         try:
-            futures = [pool.submit(_run_block, spec, alpha, M0, block) for block in blocks]
-            for future in futures:
-                rows.extend(future.result())
+            futures = [pool.submit(_run_block, spec, alpha, M0, seeds[i:i + chunk])
+                       for i in range(0, replicates, chunk)]
+            blocks = [future.result() for future in futures]
         except BrokenProcessPool:
             _drop_pool()  # the next call forks a fresh pool
             raise
-    rows.sort(key=lambda r: r[0])
-    covered = sum(r[1] for r in rows if not r[3])
-    degenerate = sum(1 for r in rows if r[3])
-    vertex = sum(1 for r in rows if r[4])
-    eigs = np.array([r[2] for r in rows if not r[3]], dtype=float)
-    tested = replicates - degenerate
+    # the blocks hold consecutive replicates, so they join in replicate order
+    covered, eig, vertex = (np.concatenate(arrays) for arrays in zip(*blocks))
+    eigs = eig[~np.isnan(eig)]
+    # Python numbers: the CSV writes repr(float), which a NumPy scalar changes
+    covered, vertex, tested = int(covered.sum()), int(vertex.sum()), eigs.size
+    degenerate = replicates - tested
     coverage = covered / tested if tested else float("nan")
     coverage_all = covered / replicates if replicates else float("nan")
     if tested:
@@ -335,7 +329,7 @@ def run_cell(spec, replicates, alpha, jobs=1):
         halfwidth = z * math.sqrt(max(coverage * (1.0 - coverage), 0.0) / tested)
     else:
         halfwidth = float("nan")
-    mean_eig = float(eigs.mean()) if eigs.size else float("nan")
+    mean_eig = float(eigs.mean()) if tested else float("nan")
     return CoverageReport(
         replicates=replicates,
         covered=covered,

@@ -305,6 +305,11 @@ def test_usage_errors(data_csv, capsys):
         assert "--jitter must be finite and >= 0" in capsys.readouterr().err
     assert main(["simulate", "--tables", "1,x"]) == EXIT_USAGE
     assert "comma-separated list of integers" in capsys.readouterr().err
+    for flag, value, message in (("--alpha", "1.5", "--alpha must lie strictly inside (0, 1)"),
+                                 ("--replicates", "-1", "--replicates must be >= 0"),
+                                 ("--jobs", "0", "--jobs must be >= 1")):
+        assert main(["simulate", flag, value]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
     # one form per input: no output format on estimate, no config file
     assert main(["estimate", str(data_csv), "--format", "csv"]) == EXIT_USAGE
     assert main(["simulate", "--config", "grid.json"]) == EXIT_USAGE

@@ -1,7 +1,11 @@
 """Metric primitives, projections, and the closed-form differentials."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from maximin.errors import DefinitenessError, DimensionError
@@ -124,7 +128,6 @@ def test_complement_project_single_column_is_identity():
 def test_jacobian_rejects_degenerate_configurations():
     # a refused face gives NaN Jacobians; it raises nothing
     metric = SigmaMetric(np.eye(2))
-    assert np.isnan(Face(np.array([[1.0], [0.0]]), metric).jacobians(np.array([1.0, 0.0]))).all()
     # collinear columns: each lies in the affine hull of the other two
     face = Face(np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]]), metric)
     assert face.degenerate.all() and np.argmax(face.degenerate) == 0
@@ -175,15 +178,38 @@ def test_metric_derivative_matches_finite_differences(corpus):
         assert np.linalg.norm(fd - dv) <= 1e-4 * max(np.linalg.norm(fd), 1e-8)
 
 
-def test_a_refused_face_fails_the_finite_difference_check():
-    # a vertex has no Jacobian: its NaN counts as a failed check, and the
-    # metric response, zero on one column, passes
+def test_a_lone_vertex_has_the_identity_jacobian():
+    # M = b_1 at an isolated vertex: it moves with its column, so J_1 = I,
+    # in a stack or alone, and forward differences of the QP agree
     B = np.array([[1.0, 3.0], [0.0, 1.0]])
     solution = maximin_point(B, np.eye(2))
     assert solution.active == (0,)
+    J = Face(B[:, :1], SigmaMetric(np.eye(2))).jacobians(solution.M)
+    assert J.shape == (1, 2, 2) and np.array_equal(J[0], np.eye(2))
+    stack = Face(np.stack([B[:, :1]] * 3), SigmaMetric(np.stack([np.eye(2)] * 3)))
+    assert np.array_equal(stack.jacobians(np.stack([solution.M] * 3)),
+                          np.broadcast_to(np.eye(2), (3, 1, 2, 2)))
+    h = 1e-6
+    for d in np.eye(2):
+        moved = B.copy()
+        moved[:, 0] += h * d
+        fd = (maximin_point(moved, np.eye(2)).M - solution.M) / h
+        assert np.abs(fd - J[0] @ d).max() <= 1e-8
     checked, failed, _ = finite_difference_errors(
         [(B, np.eye(2), solution)], np.random.default_rng(0))
-    assert (checked, failed) == (2, 1)
+    assert (checked, failed) == (2, 0)
+
+
+def test_a_refused_face_fails_the_finite_difference_check():
+    # the QP's answer widened to a collinear face: its NaN Jacobians and
+    # NaN metric response count as failed checks
+    B = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    solution = replace(maximin_point(B, np.eye(2)), active=(0, 1, 2))
+    face = Face(B, SigmaMetric(np.eye(2)))
+    assert face.degenerate.all() and not face.full_rank
+    checked, failed, _ = finite_difference_errors(
+        [(B, np.eye(2), solution)], np.random.default_rng(0))
+    assert (checked, failed) == (4, 4)
 
 
 def test_metric_derivative_validation():
@@ -231,3 +257,53 @@ def test_a_singular_stack_is_screened_in_one_batch(monkeypatch):
     calls.clear()
     assert nan_where_singular(np.linalg.solve, A, b).tobytes() == x.tobytes()
     assert calls == [(10, 4, 4)] + [(4, 4)] * 10
+
+
+_SINGULAR_KINDS = ("none", "zero row", "zero column", "repeated row", "repeated column", "row sum")
+
+
+@st.composite
+def _stacks_with_singular_items(draw):
+    """A (R, p, p) stack of small integers, each item made exactly
+    singular in its own way or left alone, then columns scaled by
+    1e-300, 1 or 1e300, which keeps zero and repeated rows exact."""
+    p = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(_SINGULAR_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(-3, 4, (len(kinds), p, p)).astype(float)
+    for item, kind in zip(A, kinds):
+        i, j = rng.integers(p, size=2)
+        if kind == "zero row":
+            item[i] = 0.0
+        elif kind == "zero column":
+            item[:, i] = 0.0
+        elif kind == "repeated row":
+            item[i] = item[j]
+        elif kind == "repeated column":
+            item[:, i] = item[:, j]
+        elif kind == "row sum":
+            item[i] = item[j] + item[(j + 1) % p]
+    return A * 10.0 ** rng.choice([-300, 0, 300], size=p)
+
+
+def _raises_linalg_error(kernel, *args):
+    try:
+        kernel(*args)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(A=_stacks_with_singular_items())
+def test_the_lu_screen_is_exactly_what_solve_and_inv_factor(A):
+    # nan_where_singular trusts the screen: one batch after it, no retry
+    ok = nonsingular(A)
+    b = np.ones(A.shape[:-1] + (1,))
+    for i in range(len(A)):
+        assert _raises_linalg_error(np.linalg.solve, A[i], b[i]) == (not ok[i])
+        assert _raises_linalg_error(np.linalg.inv, A[i]) == (not ok[i])
+    with np.errstate(all="ignore"):  # 1e300 scales overflow in the factors
+        for kernel, rest in ((np.linalg.solve, (b,)), (np.linalg.inv, ())):
+            out = nan_where_singular(kernel, A, *rest, regular=nonsingular)
+            assert np.isnan(out[~ok]).all()

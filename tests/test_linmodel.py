@@ -47,6 +47,11 @@ def test_dataset_rejects_mismatched_group_shapes():
     X = np.ones((4, 2))
     with pytest.raises(DimensionError):
         GroupedDataset(((X, np.zeros(4)), (np.ones((3, 2)), np.zeros(3))))
+    with pytest.raises(DimensionError, match="^all groups must share the predictor count p$"):
+        GroupedDataset(((X, np.zeros(4)), (np.ones((4, 3)), np.zeros(4))))
+    for empty in (np.ones((0, 2)), np.ones((4, 0))):
+        with pytest.raises(DimensionError, match="^need n >= 1 and p >= 1$"):
+            GroupedDataset(((empty, np.zeros(len(empty))),) * 2)
 
 
 def test_dataset_rejects_flat_design():
@@ -68,6 +73,9 @@ def test_dataset_needs_at_least_one_group():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         ScenarioSpec(p=3, G=3, n=10, coefficient_rule="nope")
+    for p, G, n in ((0, 1, 10), (2, 0, 10), (2, 2, 0)):
+        with pytest.raises(DimensionError, match="^p, G and n must all be >= 1$"):
+            ScenarioSpec(p=p, G=G, n=n)
     # basis-vectors runs out of coordinates past G = p
     with pytest.raises(DimensionError):
         ScenarioSpec(p=2, G=3, n=10)
@@ -379,8 +387,16 @@ def test_from_rows_refuses_what_it_cannot_split():
     labels = np.array(["a", "a", "b", "b"])
     with pytest.raises(DimensionError, match="X must be 2-dimensional, got ndim=1"):
         GroupedDataset.from_rows(np.ones(4), y, labels)
+    for empty in (np.ones((0, 2)), np.ones((4, 0))):
+        with pytest.raises(DimensionError, match="^X must be nonempty$"):
+            GroupedDataset.from_rows(empty, y, labels)
     with pytest.raises(ValueError, match="X contains NaN or infinite entries") as info:
         GroupedDataset.from_rows(X * np.nan, y, labels)
+    assert type(info.value) is ValueError
+    with pytest.raises(DimensionError, match="^y must be 1-dimensional, got ndim=2$"):
+        GroupedDataset.from_rows(X, np.ones((4, 1)), labels)
+    with pytest.raises(ValueError, match="^y contains NaN or infinite entries$") as info:
+        GroupedDataset.from_rows(X, np.array([1.0, np.inf, 1.0, 1.0]), labels)
     assert type(info.value) is ValueError
     with pytest.raises(DimensionError, match="y has 3 entries but X has 4 rows"):
         GroupedDataset.from_rows(X, np.ones(3), labels)

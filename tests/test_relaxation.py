@@ -226,6 +226,27 @@ def test_covering_build_holds_one_chunk_not_the_lattice():
     assert "centers" in region.__dict__
 
 
+def test_a_covering_query_forms_only_the_pieces_it_tests():
+    # The same 117,649 centers: a query whose first chunk of passing
+    # pieces holds a hit. Reading those pieces through region.centers
+    # expanded the whole lattice, a 9.7 MB tracemalloc peak; reading
+    # them from the axes peaks at 2.0 MB (the shell test's arrays over
+    # all K pieces), measured on NumPy 2.4.
+    boxes = _lattice_boxes(np.ones((3, 2)) + np.arange(2), np.full((3, 2), 7), np.eye(3), 0.1)
+    contains_relaxed(covering_region(boxes, np.eye(3), target_eps=100.0), np.ones(3))
+    region = covering_region(boxes, np.eye(3), target_eps=0.1)
+    K = region.pieces
+    tracemalloc.start()
+    try:
+        assert contains_relaxed(region, np.ones(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K == 7 ** 6
+    assert peak < 3e6 < K * 3 * 2 * 8
+    assert "centers" not in region.__dict__
+
+
 def test_covering_build_at_p_5_G_6_stays_in_its_memory_bound():
     # 2^10 = 1024 centers at p = 5, G = 6 in one chunk, where the
     # active-set loop holds one bordered 7 x 7 system per center: a 0.9 MB

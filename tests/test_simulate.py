@@ -9,6 +9,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -20,8 +21,17 @@ from hypothesis import strategies as st
 import maximin
 import reference
 from maximin import simulate
-from maximin.confidence import contains, max_eigenvalue
+from maximin.asymvar import covariance_stack, empirical_C
+from maximin.confidence import (
+    contains,
+    covers,
+    max_eigenvalue,
+    precision_matrix,
+    region_radius2,
+    spectrum,
+)
 from maximin.errors import ConvergenceError, DefinitenessError
+from maximin.geometry import SigmaMetric
 from maximin.linmodel import (
     COEFFICIENT_RULES,
     GroupedDataset,
@@ -32,7 +42,7 @@ from maximin.linmodel import (
     generate_stack,
     true_coefficients,
 )
-from maximin.magging import maximin_point
+from maximin.magging import active_mask, maximin_point, stacked_maximin
 from maximin.pipeline import analyze_dataset
 from maximin.selfcheck import brute_force_oracle
 from maximin.simulate import (
@@ -62,8 +72,26 @@ def _engine_cell(table, p, n, replicates):
     return spec, true_maximin(spec), _items(spec, replicates)
 
 
-def _bits(rows):
-    return [(rep, c, float(e).hex(), d, v) for rep, c, e, d, v in rows]
+def _block(spec, M0, items):
+    """simulate._run_block over the seeds of items: (covered, eig, vertex)."""
+    return simulate._run_block(spec, 0.05, M0, [seed for _, seed in items])
+
+
+def _oracle(spec, M0, items):
+    """reference.run_block's rows as _run_block's arrays, in which a
+    degenerate replicate is the one with a NaN eigenvalue."""
+    rows = reference.run_block(spec, 0.05, M0, items)
+    assert [row[0] for row in rows] == [rep for rep, _ in items]
+    assert all(degenerate == math.isnan(eig) for _, _, eig, degenerate, _ in rows)
+    return (np.array([row[1] for row in rows], dtype=bool),
+            np.array([row[2] for row in rows], dtype=float),
+            np.array([row[4] for row in rows], dtype=bool))
+
+
+def _bits(covered, eig, vertex):
+    assert covered.dtype == vertex.dtype == bool and eig.dtype == float
+    return (tuple(covered.tolist()), tuple(float(e).hex() for e in eig),
+            tuple(vertex.tolist()))
 
 
 def test_presets_follow_the_generating_rules():
@@ -342,20 +370,43 @@ def test_batched_responses_are_the_per_group_gemv_bits(rule, R, G, n, p):
 @pytest.mark.parametrize("cell", ENGINE_CELLS)
 def test_engine_rows_match_the_replicate_loop(cell):
     spec, M0, items = _engine_cell(*cell)
-    got = simulate._run_block(spec, 0.05, M0, items)
-    expected = reference.run_block(spec, 0.05, M0, items)
-    assert _bits(got) == _bits(expected)
+    assert _bits(*_block(spec, M0, items)) == _bits(*_oracle(spec, M0, items))
 
 
 def test_engine_cells_cover_every_path():
-    def rows(cell):
-        spec, M0, items = _engine_cell(*cell)
-        return simulate._run_block(spec, 0.05, M0, items)
+    (_, _, ties), (_, eig, vertex) = (_block(*_engine_cell(*ENGINE_CELLS[i])) for i in (1, 2))
+    assert ties.sum() > ties.size // 2
+    assert 0 < np.isnan(eig).sum() < eig.size
+    assert vertex.sum() > 0
 
-    ties, small = rows(ENGINE_CELLS[1]), rows(ENGINE_CELLS[2])
-    assert sum(r[4] for r in ties) > len(ties) // 2
-    assert 0 < sum(r[3] for r in small) < len(small)
-    assert sum(r[4] for r in small) > 0
+
+@pytest.mark.parametrize("cell", ENGINE_CELLS)
+def test_every_stacked_kernel_takes_an_empty_stack(cell):
+    # a design chunk whose rows are all refused goes on through both
+    # halves as a stack of none, with no warning from any kernel
+    spec, M0, _ = _engine_cell(*cell)
+    G, n, p = spec.G, spec.n, spec.p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fitted = fit_stack(np.empty((0, G, n, p)), np.empty((0, G, n)), spec.ridge_jitter)
+        metric = SigmaMetric(fitted.Sigma_hat)
+        solution = stacked_maximin(fitted.Bhat, metric.Sigma)
+        C_hat = empirical_C(np.empty((0, G * n, p)), solution.M, G)
+        W, term_B, term_V, used, vertex, errors = covariance_stack(
+            fitted.Bhat, active_mask(solution.gamma), solution.M, metric, fitted.sigma2, n,
+            fitted.S, C_hat)
+        vals, vecs, ok = spectrum(W)
+        covered = covers(precision_matrix(vals, vecs), solution.M, M0,
+                         region_radius2(p, n, 0.05))
+        assert W.shape == term_V.shape == (0, p, p) and used.shape == (0, G)
+        assert covered.shape == ok.shape == vertex.shape == max_eigenvalue(W).shape == (0,)
+        assert metric.errors.shape == (0,) and solution.errors == errors == ()
+        part = simulate._front_pass(np.empty((0, G, n, p)), np.empty((0, G, n)),
+                                    spec.ridge_jitter, 0)
+        assert all(len(a) == 0 for a in part[:-1]) and part.metric.Sigma.shape == (0, p, p)
+        block = np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=bool)
+        simulate._back_pass([part, part], 1, n, 0.05, M0, *block)
+        assert _bits(*simulate._run_block(spec, 0.05, M0, [])) == ((), (), ())
 
 
 @pytest.mark.parametrize("cell", ENGINE_CELLS)
@@ -368,7 +419,7 @@ def test_rows_do_not_depend_on_the_chunk_size(cell, monkeypatch):
     for front in sizes:
         for batch in sizes:
             monkeypatch.setattr(simulate, "_chunk_sizes", lambda spec: (front, batch))
-            runs.add(tuple(_bits(simulate._run_block(spec, 0.05, M0, items))))
+            runs.add(_bits(*_block(spec, M0, items)))
     assert len(runs) == 1
 
 
@@ -414,11 +465,11 @@ def test_a_back_batch_stays_in_the_budget(monkeypatch):
     items = _items(spec, 40)
     tracemalloc.start()
     try:
-        rows = simulate._run_block(spec, 0.05, true_maximin(spec), items)
+        _, eig, _ = _block(spec, true_maximin(spec), items)
     finally:
         tracemalloc.stop()
     assert len(used) == 6 and max(used) <= simulate.CHUNK_BYTES
-    assert not any(r[3] for r in rows)
+    assert not np.isnan(eig).any()
 
 
 def test_a_small_n_block_stays_in_the_budget():
@@ -429,10 +480,10 @@ def test_a_small_n_block_stays_in_the_budget():
     # three budgets a chunk's pass holds at large n as well.
     spec = replace(scenario_presets(4, 6, 3), seed=cell_seed(7, 4, 6, 3))
     items = _items(spec, 1200)
-    simulate._run_block(spec, 0.05, true_maximin(spec), items[:2])
+    _block(spec, true_maximin(spec), items[:2])
     tracemalloc.start()
     try:
-        simulate._run_block(spec, 0.05, true_maximin(spec), items)
+        _block(spec, true_maximin(spec), items)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -447,7 +498,7 @@ def test_a_refused_row_comes_out_degenerate(stage, monkeypatch):
     X, y = generate_stack(spec, [seed for _, seed in items])
     assert fit_stack(X, y, spec.ridge_jitter).ok.all()  # row i of a stack is replicate i
     assert len(items) * simulate._replicate_bytes(spec) <= simulate.CHUNK_BYTES  # one chunk
-    expected = _bits(simulate._run_block(spec, 0.05, M0, items))
+    expected = _bits(*_block(spec, M0, items))
     kernel = getattr(simulate, stage)
     error = DefinitenessError if stage == "SigmaMetric" else ConvergenceError
 
@@ -463,13 +514,14 @@ def test_a_refused_row_comes_out_degenerate(stage, monkeypatch):
             return out._replace(errors=tuple(errors))
         return refuse
 
-    refused = _bits([(rep, 0, float("nan"), True, False) for rep, _ in items])
-    assert not expected[3][3]
+    R = len(items)
+    refused = _bits(np.zeros(R, dtype=bool), np.full(R, np.nan), np.zeros(R, dtype=bool))
+    assert expected[1][3] != refused[1][3]
     monkeypatch.setattr(simulate, stage, refusing([3]))
-    assert _bits(simulate._run_block(spec, 0.05, M0, items)) == (
-        expected[:3] + refused[3:4] + expected[4:])
-    monkeypatch.setattr(simulate, stage, refusing(range(len(items))))
-    assert _bits(simulate._run_block(spec, 0.05, M0, items)) == refused
+    assert _bits(*_block(spec, M0, items)) == tuple(
+        e[:3] + r[3:4] + e[4:] for e, r in zip(expected, refused))
+    monkeypatch.setattr(simulate, stage, refusing(range(R)))
+    assert _bits(*_block(spec, M0, items)) == refused
 
 
 @pytest.mark.parametrize("cell", ENGINE_CELLS)
@@ -478,17 +530,16 @@ def test_stacked_rows_equal_the_per_replicate_analysis(cell):
     # included, has the bits of the library's single-dataset analysis.
     spec, M0, items = _engine_cell(*cell)
     X, y = generate_stack(spec, [seed for _, seed in items])
-    rows = simulate._run_block(spec, 0.05, M0, items)
-    for i, (_, covered, eig, degenerate, vertex) in enumerate(rows):
+    for i, (covered, eig, vertex) in enumerate(zip(*_block(spec, M0, items))):
         dataset = GroupedDataset(tuple(zip(X[i], y[i])))
         try:
             analysis = analyze_dataset(dataset, alpha=0.05, ridge_jitter=spec.ridge_jitter)
         except reference.REPLICATE_ERRORS:
-            assert (covered, degenerate, vertex) == (0, True, False)
+            assert (bool(covered), np.isnan(eig), bool(vertex)) == (False, True, False)
             continue
         W = analysis.covariance.W
-        assert (covered, eig.hex(), degenerate, vertex) == (
-            int(contains(analysis.region, M0)), max_eigenvalue(W).hex(), False,
+        assert (bool(covered), float(eig).hex(), bool(vertex)) == (
+            bool(contains(analysis.region, M0)), max_eigenvalue(W).hex(),
             analysis.covariance.vertex_mode)
 
 
