@@ -63,8 +63,12 @@ class MaggingSolution:
     the full-face trial's, when it takes one, then the active-set loop's.
     An interior program the trial accepts reports 1, a program optimal
     at its best vertex 0. unique_weights says whether the active columns
-    are affinely independent under the solve's metric (Face.full_rank):
-    only then are the weights, not just M, unique.
+    are affinely independent under the solve's metric (Face.full_rank)
+    and every column off the solver's working set has a multiplier gap
+    grad_j - lam above the QP's tolerance, 1e-10 |trace H| / G: only
+    then are the weights, not just M, unique. A zero gap puts the column
+    on the supporting hyperplane <x, M>_Sigma = |M|^2_Sigma, where it
+    can take weight from the active columns.
     """
 
     M: np.ndarray
@@ -187,6 +191,18 @@ def _full_face(H, c, tol):
     return accept, w
 
 
+def _gap_tolerance(H, linear):
+    """The multiplier gap (R,) at or below which stacked_simplex_qp calls
+    a program (H, linear) optimal: 1e-10 times the larger of
+    |trace(H_r)| / G and max|linear_r|. The trace is summed at scale 2^-e
+    (2^e > G) so that the sum of finite diagonals cannot overflow; bit for
+    bit trace / G otherwise."""
+    G = H.shape[-1]
+    e = G.bit_length()
+    mean_diag = np.ldexp(np.ldexp(np.diagonal(H, 0, 1, 2), -e).sum(axis=1) / G, e)
+    return 1e-10 * np.maximum(np.abs(mean_diag), np.abs(linear).max(axis=1))
+
+
 def stacked_simplex_qp(H, c=None):
     """Solve a stack of simplex QPs  min a^T H_r a + c_r^T a  over the simplex
     by the module's full-face trial and active-set method, in lockstep.
@@ -219,11 +235,7 @@ def stacked_simplex_qp(H, c=None):
         c = np.asarray(c, dtype=float)
     rows = np.arange(R)
     linear = np.zeros((R, G)) if c is None else c
-    # trace(H_r) / G, summed at scale 2^-e (2^e > G) so that the sum of
-    # finite diagonals cannot overflow; bit for bit trace / G otherwise
-    e = G.bit_length()
-    mean_diag = np.ldexp(np.ldexp(np.diagonal(H, 0, 1, 2), -e).sum(axis=1) / G, e)
-    tol = 1e-10 * np.maximum(np.abs(mean_diag), np.abs(linear).max(axis=1))
+    tol = _gap_tolerance(H, linear)
     work = np.zeros((R, G), dtype=bool)
     work[rows, np.argmin(np.diagonal(H, axis1=1, axis2=2) + linear, axis=1)] = True
     gamma = work.astype(float)
@@ -375,15 +387,19 @@ def maximin_point(B, Sigma):
     if errors[0] is not None:
         raise errors[0]
     alpha, M = gamma[0], M[0]
+    linear = np.zeros((1, B.shape[1]))
     free = [int(g) for g in np.flatnonzero(support[0])]
-    res, _, _ = _residual(H[0], np.zeros(B.shape[1]), alpha, free)
+    res, grad, lam = _residual(H[0], linear[0], alpha, free)
     active = tuple(int(g) for g in np.flatnonzero(active_mask(alpha)))
+    # an off-support column within tolerance of the supporting hyperplane
+    # gives M a second weight vector
+    clear = (grad[~support[0]] - lam > _gap_tolerance(H, linear)[0]).all()
     return MaggingSolution(
         M=M,
         alpha=alpha,
         active=active,
         objective=float(M @ metric.Sigma @ M),
         kkt_residual=float(res),
-        unique_weights=bool(Face(B[:, list(active)], metric).full_rank),
+        unique_weights=bool(clear and Face(B[:, list(active)], metric).full_rank),
         iterations=int(iterations[0]),
     )

@@ -22,8 +22,15 @@ A CoveringRegion stores its lattice as the p * G coordinate axes and the
 shells |M(B_k)|, one per center; the (K, p, G) centers are formed from
 the axes on first read. covering_region reads each chunk of centers from
 the axes and solves the chunk's maximin points in one stacked_maximin
-call, and contains_relaxed reads only the chunks it tests, so neither
-the build nor a query holds the full lattice.
+call, and contains_relaxed reads the lattice in blocks of the same size,
+so neither the build nor a query holds the full lattice.
+
+A query solves one hull-distance QP per piece it cannot rule out. The
+first piece that passes the shell test is solved alone. If it misses,
+its nearest hull point z, the certificate of the minimum-norm-point
+method (Wolfe 1976), gives the direction u = z - M, and the hyperplane
+normal to u bounds the distance from M to every other hull from below:
+a piece whose bound exceeds its radius is dropped without a QP.
 """
 
 import functools
@@ -42,14 +49,18 @@ BUDGET = 10**6
 
 _SLACK = 1e-9
 
-# Shell-passing pieces per stacked hull-distance solve in contains_relaxed.
-# Larger chunks amortise the per-solve overhead but waste the tail of a
-# chunk after an early hit; a chunk's solve holds 64 bordered
-# (G + 1) x (G + 1) systems.
+# Pieces per stacked hull-distance solve in contains_relaxed, of those
+# that pass the shell test and the screen. On the perfbench covering
+# workload (seeds 1-5 and 11), a query off the hulls passes 540-650
+# shells, and 0-286 of those pieces pass the screen. Larger chunks
+# amortise the per-solve overhead but waste the tail of a chunk after an
+# early hit; a chunk's solve holds 64 bordered (G + 1) x (G + 1) systems.
 _CHUNK = 64
 
-# Most lattice centers per stacked_maximin call in covering_region. A
-# full chunk at p = 5, G = 6 peaks at 7.8 MB of tracemalloc (NumPy 2.4).
+# Most lattice centers per stacked_maximin call in covering_region, and
+# lattice indices per block of contains_relaxed's shell test and screen.
+# A full build chunk at p = 5, G = 6 peaks at 7.8 MB of tracemalloc
+# (NumPy 2.4).
 _BUILD_CHUNK = 4096
 
 
@@ -220,31 +231,83 @@ def covering_region(boxes, Sigma0, target_eps):
     )
 
 
+def _hull_tests(Sigma, B, SM, MSM, radii):
+    """Which pieces with centers B (n, p, G) hold M within radii of their
+    hull, and each hull's nearest weights gamma (n, G), from one stacked
+    hull-distance solve (SM = Sigma M, MSM = M^T Sigma M). A program the
+    active-set loop leaves unsolved raises its ConvergenceError."""
+    H = sigma_gram(B, Sigma)
+    c = -2.0 * (B.transpose(0, 2, 1) @ SM)
+    gamma, _, _ = stacked_simplex_qp(H, c)
+    if np.isnan(gamma).any():
+        raise capped_error(gamma.shape[1])
+    d2 = np.sum(gamma * ((H @ gamma[:, :, None])[:, :, 0] + c), axis=1) + MSM
+    return np.sqrt(np.maximum(d2, 0.0)) <= radii, gamma
+
+
+def _separations(Sigma, M, u, B):
+    """min_g <Sigma u, b_kg - M> for centers B (n, p, G): for any u, at
+    most |u|_Sigma times the Sigma-distance from M to hull k, since
+    |x - M|_Sigma |u|_Sigma >= <Sigma u, x - M> (Cauchy-Schwarz) and a
+    linear function's minimum over a hull is at a column."""
+    normal = Sigma @ u
+    return (normal @ B).min(axis=1) - normal @ M
+
+
 def contains_relaxed(region, M):
     """Whether M satisfies some piece's shell and inflated-hull conditions.
 
     The hull test is the Sigma-distance from M to the hull of a piece's
-    columns, a simplex QP with linear term -2 B^T Sigma M. Pieces that
-    pass the shell test are tested in fixed-size chunks, in piece order,
-    one stacked solve per chunk, stopping at the first chunk with a hit.
+    columns, a simplex QP with linear term -2 B^T Sigma M. The shell test
+    and the screen run over blocks of _BUILD_CHUNK lattice indices, with
+    the centers read from the axes, so a query forms no array over all K
+    pieces.
+
+    The first piece that passes the shell test is solved alone, and a hit
+    returns True. Otherwise its nearest hull point z gives u = z - M, and
+    the screen drops each later piece k whose bound
+
+        (min_g <Sigma u, b_kg> - <Sigma u, M>) / |u|_Sigma
+
+    on the distance from M to its hull (_separations) exceeds its
+    radius, with no QP. The bound holds for any u, however accurate the
+    first solve, so the answer can differ from solving every piece only
+    where a hull distance lies within rounding of its threshold. The
+    pieces that pass both tests are solved in chunks of _CHUNK, in piece
+    order, stopping at the first chunk with a hit.
+
     A hull program the active-set loop leaves unsolved (at its cap of
-    100 G solves) raises ConvergenceError. Each chunk's centers are read
-    from the lattice axes, so a query never forms the whole lattice.
+    100 G solves) raises ConvergenceError. The programs of dropped pieces,
+    like those of pieces after a hit, are never solved, so their caps
+    cannot raise.
     """
     Sigma, M = region.Sigma0, np.asarray(M, dtype=float)
+    p = Sigma.shape[0]
     norm = np.sqrt(max(float(M @ Sigma @ M), 0.0))
-    passing = np.flatnonzero(np.abs(norm - region.shells) <= region.radii + _SLACK)
     SM = Sigma @ M
     MSM = float(M @ SM)
-    for start in range(0, passing.size, _CHUNK):
-        pieces = passing[start:start + _CHUNK]
-        B = _lattice_points(region.axes, pieces, Sigma.shape[0])
-        H = sigma_gram(B, Sigma)
-        c = -2.0 * (B.transpose(0, 2, 1) @ SM)
-        gamma, _, _ = stacked_simplex_qp(H, c)
-        if np.isnan(gamma).any():
-            raise capped_error(gamma.shape[1])
-        d2 = np.sum(gamma * ((H @ gamma[:, :, None])[:, :, 0] + c), axis=1) + MSM
-        if np.any(np.sqrt(np.maximum(d2, 0.0)) <= region.radii[pieces] + _SLACK):
-            return True
+    u = None  # z - M, once the first passing piece has missed
+    for start in range(0, region.pieces, _BUILD_CHUNK):
+        end = min(start + _BUILD_CHUNK, region.pieces)
+        shell = np.abs(norm - region.shells[start:end]) <= region.radii[start:end] + _SLACK
+        pieces = start + np.flatnonzero(shell)
+        if u is None and pieces.size:
+            B = _lattice_points(region.axes, pieces[:1], p)
+            hit, gamma = _hull_tests(Sigma, B, SM, MSM, region.radii[pieces[:1]] + _SLACK)
+            if hit[0]:
+                return True
+            u = B[0] @ gamma[0] - M
+            scale = np.sqrt(max(float(u @ Sigma @ u), 0.0))
+            pieces = pieces[1:]
+        if not pieces.size:
+            continue
+        B = _lattice_points(region.axes, pieces, p)
+        radii = region.radii[pieces] + _SLACK
+        survive = _separations(Sigma, M, u, B) <= radii * scale
+        B, radii = B[survive], radii[survive]
+        for chunk in range(0, radii.size, _CHUNK):
+            hit, _ = _hull_tests(Sigma, B[chunk:chunk + _CHUNK], SM, MSM,
+                                 radii[chunk:chunk + _CHUNK])
+            if hit.any():
+                return True
     return False

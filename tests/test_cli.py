@@ -73,10 +73,12 @@ def test_unique_weights_needs_independent_active_columns(tmp_path, capsys, monke
     assert payload["active"] == ["g1", "g2", "g3"]
     assert np.linalg.norm(payload["M"]) <= 1e-12
     assert payload["diagnostics"]["unique_weights"] is True
-    # three collinear columns: the QP puts its weight on two of them. With
-    # weight on all three, many weight vectors give the same point.
+    # three collinear columns: the QP puts its weight on two of them, but
+    # the third lies on the same supporting line with a zero multiplier
+    # gap, so many weight vectors give the same point
     B = np.array([[-1.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
-    assert maximin_point(B, np.eye(2)).unique_weights
+    solution = maximin_point(B, np.eye(2))
+    assert solution.active == (0, 1) and not solution.unique_weights
     solve = magging.stacked_maximin
 
     def spread(B, Sigma):

@@ -98,6 +98,17 @@ def test_duplicate_columns_stay_solvable():
     assert abs(sol.alpha.sum() - 1.0) < 1e-12
 
 
+def test_weights_are_not_unique_where_an_off_support_column_has_no_gap():
+    # M = 0 = (b1 + b2) / 4 + b3 / 2 = (b3 + b4) / 2: the inactive b4 lies
+    # on the supporting hyperplane, and its multiplier gap is zero
+    B = np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, 1.0, -1.0, 1.0]])
+    sol = maximin_point(B, np.eye(2))
+    assert sol.active == (0, 1, 2) and np.allclose(sol.M, 0.0, atol=1e-12)
+    assert not sol.unique_weights
+    # a vertex whose other columns keep clear gaps has unique weights
+    assert maximin_point(np.array([[0.1, 5.0, 3.0], [0.0, 1.0, -4.0]]), np.eye(2)).unique_weights
+
+
 def test_metric_changes_the_answer():
     B = np.array([[1.0, 0.0], [0.0, 1.0]])
     lopsided = np.diag([100.0, 1.0])

@@ -7,18 +7,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maximin import relaxation
 from maximin.errors import BudgetError, SingularFitError
+from maximin.geometry import SigmaMetric
 from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, generate
-from maximin.magging import maximin_point
+from maximin.magging import maximin_point, stacked_simplex_qp
 from maximin.relaxation import (
     GroupBoxes,
+    _separations,
     contains_relaxed,
     covering_region,
     group_confidence_boxes,
 )
+from maximin.selfcheck import brute_force_oracle
 from maximin.simulate import scenario_presets, true_maximin
-from reference import boxes_contain, covering_pieces, maximin_norm_gap
+from reference import boxes_contain, covering_pieces, hull_distance, maximin_norm_gap
 
 
 def test_norm_gap_trivial_pairs():
@@ -226,15 +232,24 @@ def test_covering_build_holds_one_chunk_not_the_lattice():
     assert "centers" in region.__dict__
 
 
-def test_a_covering_query_forms_only_the_pieces_it_tests():
-    # The same 117,649 centers: a query whose first chunk of passing
-    # pieces holds a hit. Reading those pieces through region.centers
-    # expanded the whole lattice, a 9.7 MB tracemalloc peak; reading
-    # them from the axes peaks at 2.0 MB (the shell test's arrays over
-    # all K pieces), measured on NumPy 2.4.
+def _seven_to_the_sixth():
+    """The 117,649-center region at p = 3, G = 2, after a one-center
+    query has made the solver's working-set layouts."""
     boxes = _lattice_boxes(np.ones((3, 2)) + np.arange(2), np.full((3, 2), 7), np.eye(3), 0.1)
     contains_relaxed(covering_region(boxes, np.eye(3), target_eps=100.0), np.ones(3))
-    region = covering_region(boxes, np.eye(3), target_eps=0.1)
+    return covering_region(boxes, np.eye(3), target_eps=0.1)
+
+
+def test_a_covering_query_forms_only_the_pieces_it_tests():
+    # The same 117,649 centers: a query near the boundary, whose first
+    # passing piece misses and which makes 91 stacked solves before its
+    # hit.
+    # Reading its pieces through region.centers expanded the whole
+    # lattice, a 9.7 MB tracemalloc peak; testing the shells over all K
+    # pieces at once peaked at 2.0 MB. Tested in blocks of 4096 lattice
+    # indices, it peaks at 0.26 MB, measured on NumPy 2.4: less than one
+    # float array over all K pieces.
+    region = _seven_to_the_sixth()
     K = region.pieces
     tracemalloc.start()
     try:
@@ -243,8 +258,48 @@ def test_a_covering_query_forms_only_the_pieces_it_tests():
     finally:
         tracemalloc.stop()
     assert K == 7 ** 6
-    assert peak < 3e6 < K * 3 * 2 * 8
+    assert peak < 6e5 < K * 8
     assert "centers" not in region.__dict__
+
+
+def test_the_screen_leaves_one_program_where_the_first_piece_decides(monkeypatch):
+    # Programs solved, counted at the stacked QP on the 117,649 centers.
+    # M = (1.5, -1, 1.5) passes 3,430 shells; solving them all took 54
+    # stacked solves. The first piece's hyperplane rules out the other
+    # 3,429.
+    # The maximin point of the first center hits at its first passing
+    # piece, which is solved alone.
+    region = _seven_to_the_sixth()
+    programs = []
+
+    def counted(H, c=None):
+        programs.append(H.shape[0])
+        return stacked_simplex_qp(H, c)
+
+    monkeypatch.setattr(relaxation, "stacked_simplex_qp", counted)
+    assert not contains_relaxed(region, np.array([1.5, -1.0, 1.5]))
+    assert programs == [1]
+    first = np.array([axis[0] for axis in region.axes]).reshape(2, 3).T
+    programs.clear()
+    assert contains_relaxed(region, maximin_point(first, np.eye(3)).M)
+    assert programs == [1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 4), G=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       nearest=st.booleans())
+def test_the_screen_never_exceeds_the_hull_distance(p, G, seed, nearest):
+    # u is random, or the direction from M to its nearest hull point,
+    # where the bound is the distance itself
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 9, seed))))
+    B = rng.standard_normal((p, G)) + rng.uniform(-2.0, 2.0)
+    metric = SigmaMetric(_metric(rng, p, True))
+    M = 2.0 * rng.standard_normal(p)
+    u = brute_force_oracle(B - M[:, None], metric.Sigma) if nearest else rng.standard_normal(p)
+    distance = hull_distance(B, metric, M)
+    if metric.norm(u) > 0.0:
+        bound = _separations(metric.Sigma, M, u, B[None])[0] / metric.norm(u)
+        assert bound <= distance + 1e-12 * (1.0 + np.abs(B).max() + np.abs(M).max())
 
 
 def test_covering_build_at_p_5_G_6_stays_in_its_memory_bound():

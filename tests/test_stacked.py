@@ -420,6 +420,15 @@ def test_fit_stack_flags_only_the_failing_datasets():
         assert float(fitted.sigma2[r]) == alone.sigma2_hat
 
 
+def _assert_membership_matches_the_piece_loop(region, queries):
+    inside = 0
+    for M in queries:
+        got = contains_relaxed(region, M)
+        assert got == reference.contains_relaxed(region, M)
+        inside += got
+    assert 0 < inside < len(queries)
+
+
 def test_contains_relaxed_matches_the_piece_loop():
     estimates = fit(generate(ScenarioSpec(p=3, G=3, n=400, seed=12))[0])
     boxes = group_confidence_boxes(estimates, alpha=0.05)
@@ -429,12 +438,27 @@ def test_contains_relaxed_matches_the_piece_loop():
     center = np.full(3, 1.0 / 3.0)
     queries = [center + rng.uniform(-0.4, 0.4, size=3) for _ in range(40)]
     queries += [center * s for s in np.linspace(0.0, 2.0, 9)]
-    inside = 0
-    for M in queries:
-        got = contains_relaxed(region, M)
-        assert got == reference.contains_relaxed(region, M)
-        inside += got
-    assert 0 < inside < len(queries)
+    _assert_membership_matches_the_piece_loop(region, queries)
+    # Under I, and under a non-identity metric scaled so that distances
+    # exceed 1: far outside; on the shell band but turned away from the
+    # hulls, where the first piece's hyperplane rules out the rest; and
+    # along a ray from the maximin point, at right angles to it, that
+    # leaves the hulls while its norm stays in the band, so the screen
+    # keeps some pieces and hits follow misses.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((6, 74))))
+    A = rng.standard_normal((3, 3))
+    for Sigma, eps in ((np.eye(3), 0.15), (100.0 * (A @ A.T + 0.5 * np.eye(3)), 3.0)):
+        region = covering_region(boxes, Sigma, target_eps=eps)
+        metric = SigmaMetric(Sigma)
+        M0 = maximin_point(estimates.Bhat, metric).M
+        unit = M0 / metric.norm(M0)
+        queries = [10.0 * M0, -10.0 * M0]
+        queries += [-s * unit for s in np.quantile(region.shells, [0.1, 0.5, 0.9])]
+        d = rng.standard_normal(3)
+        d -= (d @ Sigma @ unit) * unit
+        d /= metric.norm(d)
+        queries += [M0 + t * eps * d for t in np.linspace(0.0, 10.0, 41)]
+        _assert_membership_matches_the_piece_loop(region, queries)
 
 
 def test_stacked_solves_pass_column_right_hand_sides(monkeypatch):
