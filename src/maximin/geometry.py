@@ -51,12 +51,15 @@ one metric each. A single face is the stack with no leading axes, so
 the coverage harness's batched pass and the per-dataset pipeline run
 the same formulas, item for item. Both keep their refusals as values,
 as NaN factors or results for the items they refuse; only a single
-matrix given to SigmaMetric raises.
+matrix given to SigmaMetric raises. Every batched Cholesky factor,
+solve and inverse that may meet a singular item is one stacked_linalg
+call, which returns NaN for that item instead of raising for the stack.
 """
 
 import functools
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import DefinitenessError, DimensionError
@@ -89,56 +92,34 @@ def quadratic_form(A, x):
     return ((x[..., None, :] @ A) @ x[..., :, None])[..., 0, 0]
 
 
-def nan_where_singular(kernel, A, *rest, regular=None):
-    """kernel(A, *rest) over a stack of matrices A, NaN where an item fails.
+def stacked_linalg(kernel, *arrays):
+    """numpy.linalg's gufunc kernel ("cholesky_lo", "solve" or "inv") over
+    a stack of matrices, NaN for each item it cannot factor.
 
-    A batched numpy.linalg kernel raises LinAlgError for the whole stack
-    when one item cannot be factored. Here such items come back as NaN
-    and the others as the kernel computes them, each with the bits of its
-    stack of one. regular(A), when given, marks without raising exactly
-    the items the kernel can factor, and after a failure the kernel runs
-    once more on those alone; without it (Cholesky has no such screen)
-    the items are retried one at a time. The result has the shape of A,
-    or of rest[0] broadcast over A's stack axes.
+    numpy.linalg.cholesky, solve and inv call these gufuncs of
+    numpy.linalg._umath_linalg (numpy/linalg/umath_linalg.cpp), which
+    fill an item that fails to factor with NaN and set the floating-point
+    invalid flag; the wrappers turn that flag into one LinAlgError for
+    the whole stack. With the flag ignored, every item that numpy.linalg
+    factors alone keeps its bits and every other item is NaN. solve reads
+    its right-hand side as a (..., m, k) stack on every NumPy version.
     """
-    try:
-        return kernel(A, *rest)
-    except np.linalg.LinAlgError:
-        pass
-    batch = A.shape[:-2]
-    rest = [np.broadcast_to(b, batch + b.shape[-2:]) for b in rest]
-    out = np.full(batch + (rest[0] if rest else A).shape[-2:], np.nan)
-    if regular is not None:
-        ok = regular(A)
-        out[ok] = kernel(A[ok], *(b[ok] for b in rest))
-        return out
-    for i in np.ndindex(batch):
-        try:
-            out[i] = kernel(A[i], *(b[i] for b in rest))
-        except np.linalg.LinAlgError:
-            pass
-    return out
-
-
-def nonsingular(A):
-    """Which matrices of a stack LU factors with no zero pivot, found
-    without raising. slogdet's zero sign and the LinAlgError of
-    np.linalg.solve and inv come from the same getrf pivot, so this is
-    exactly the set those kernels factor."""
-    return np.linalg.slogdet(A)[0] != 0
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        return getattr(_umath_linalg, kernel)(*arrays)
 
 
 def positive_definite(S):
     """The one positive-definiteness test, over a (..., p, p) stack.
 
-    Returns (L, ok): each matrix's Cholesky factor, NaN where it cannot
-    be factored, and whether min_i L_ii^2 / S_ii > _RANK_RTOL max_i
-    L_ii^2 / S_ii. Those ratios are the squared Cholesky pivots of
+    Returns (L, ok): each matrix's Cholesky factor from one
+    stacked_linalg call, NaN where it cannot be factored, and whether
+    min_i L_ii^2 / S_ii > _RANK_RTOL max_i L_ii^2 / S_ii: false for a
+    NaN factor. Those ratios are the squared Cholesky pivots of
     D^{-1/2} S D^{-1/2}, D = diag(S), so no diagonal scaling of S moves
     the verdict (van der Sluis, Numer. Math. 14, 1969).
     """
+    L = stacked_linalg("cholesky_lo", S)
     with np.errstate(invalid="ignore"):
-        L = nan_where_singular(np.linalg.cholesky, S)
         pivots = (np.diagonal(L, 0, -2, -1) / np.sqrt(np.diagonal(S, 0, -2, -1))) ** 2
         return L, pivots.min(axis=-1) > _RANK_RTOL * pivots.max(axis=-1)
 

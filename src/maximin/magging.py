@@ -15,8 +15,8 @@ Each program starts at its best vertex. An iteration grows the working
 set of every program at its face's solution by the most negative
 multiplier, then solves the face of every program whose working set
 changed: the face's equality-constrained KKT system, bordered by the
-sum-to-one row and padded to G + 1 slots, all of them in one
-np.linalg.solve. A solution off the simplex moves the program's point up
+sum-to-one row and padded to G + 1 slots, all of them in one batched
+solve. A solution off the simplex moves the program's point up
 to the first weight that reaches zero and drops that column. Exact
 solves make the method finite, and a program's bits do not depend on the
 stack it is solved in.
@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import Face, SigmaMetric, matvec, nan_where_singular, nonsingular, symmetric
+from .geometry import Face, SigmaMetric, matvec, stacked_linalg, symmetric
 
 # Weights above this count as active.
 ACTIVITY_THRESHOLD = 1e-6
@@ -80,17 +80,14 @@ class MaggingSolution:
     iterations: int = 0
 
 
-def _residual(H, c, gamma, support):
-    """KKT residual: multiplier spread on the support, violation off it."""
-    grad = 2.0 * (H @ gamma) + c
-    lam = float(gamma @ grad)
-    res = 0.0
-    if support:
-        res = float(np.max(np.abs(grad[support] - lam)))
-    rest = [g for g in range(len(gamma)) if g not in support]
-    if rest:
-        res = max(res, float(max(0.0, lam - np.min(grad[rest]))))
-    return res, grad, lam
+def _multipliers(H, gamma, linear):
+    """The gradient 2 H gamma + linear (R, G) of a stack of programs at
+    weights gamma, and the multiplier lam = gamma^T grad (R,) of the
+    sum-to-one row. Column j's multiplier gap is grad_j - lam: the loop
+    stops when no column off the working set has a gap below -tol, and
+    maximin_point's KKT certificate reads the same gaps."""
+    grad = 2.0 * matvec(H, gamma) + linear
+    return grad, (gamma * grad).sum(axis=1)
 
 
 def capped_error(G):
@@ -124,8 +121,7 @@ def _working_sets(G):
 def _face_systems(H, c, k):
     """The _working_sets systems (kkt, rhs) of the working sets {0 .. k_r}
     of programs H (R, G, G) and c (R, G) or None whose working columns
-    come first, with right-hand sides of the systems' number of axes (as
-    NumPy 1.x needs)."""
+    come first, with right-hand sides as (..., G + 1, 1) columns."""
     G = H.shape[-1]
     if (k == k[:1]).all():
         k = k[:1]  # one working-set size: its layout broadcasts over the stack
@@ -141,9 +137,9 @@ def _face_systems(H, c, k):
 
 def _face_solutions(H, c, k):
     """Slot weights x (R, G) of the _face_systems of H, c and k: one
-    np.linalg.solve, NaN where a system is singular."""
+    stacked_linalg solve, NaN where a system is singular."""
     kkt, rhs = _face_systems(H, c, k)
-    return nan_where_singular(np.linalg.solve, kkt, rhs, regular=nonsingular)[:, :-1, 0]
+    return stacked_linalg("solve", kkt, rhs)[:, :-1, 0]
 
 
 def _clipped(x):
@@ -169,13 +165,14 @@ def _full_face(H, c, tol):
     there, would grow j and solve this face. As |u_j|^2 is at least
     H's smallest eigenvalue, a positive Gershgorin bound g on it passes
     every gap above 2 g x_j at once; the other feasible programs read
-    their gaps from K^{-1}, whose batched inverse costs twice the solve.
-    A singular face comes back NaN, and one that is singular up to
-    rounding (a column on the others' affine hull, as some are whenever
-    G > p + 1) has gaps of rounding size, so neither is accepted. A face
-    whose system overflows (2 H_gg beyond the largest float, on a face
-    the loop may never form) is formed without a warning; its solve
-    gives that column no weight, or NaN, and it is refused too.
+    their gaps from K^{-1}, whose stacked_linalg inverse costs twice the
+    solve. A singular face comes back NaN from either stacked_linalg
+    call, and one that is singular up to rounding (a column on the
+    others' affine hull, as some are whenever G > p + 1) has gaps of
+    rounding size, so neither is accepted. A face whose system
+    overflows (2 H_gg beyond the largest float, on a face the loop may
+    never form) is formed without a warning; its solve gives that column
+    no weight, or NaN, and it is refused too.
     """
     R, G, _ = H.shape
     full = np.full(R, G - 1)
@@ -185,7 +182,7 @@ def _full_face(H, c, tol):
         doubt = accept & ~(2.0 * gershgorin * w.min(axis=1) > tol)
         if doubt.any():
             kkt, _ = _face_systems(H[doubt], None, full[doubt])
-            inverse = nan_where_singular(np.linalg.inv, kkt, regular=nonsingular)
+            inverse = stacked_linalg("inv", kkt)
             gaps = w[doubt] / np.diagonal(inverse, 0, 1, 2)[:, :-1]
             accept[doubt] = (gaps > tol[doubt, None]).all(axis=1)
     return accept, w
@@ -218,8 +215,8 @@ def stacked_simplex_qp(H, c=None):
     -------
     (gamma, support, iterations)
         gamma (R, G) optimal weights; support (R, G) marks the working
-        set each solution was read from, the set _residual measures the
-        KKT conditions on; iterations (R,) counts each program's face
+        set each solution was read from, the set maximin_point's KKT
+        certificate measures; iterations (R,) counts each program's face
         solves, the trial's included: 0 for a program optimal at its best
         vertex, 1 for one the trial accepts, 1 plus the loop's solves for
         one it refuses. A multiplier gap of at most 1e-10 times the larger
@@ -243,8 +240,7 @@ def stacked_simplex_qp(H, c=None):
     optimal, solves = np.zeros(R, dtype=bool), np.zeros(R, dtype=int)
     trial, trials = True, np.zeros(R, dtype=int)
     while True:
-        grad = 2.0 * matvec(H, gamma) + linear
-        lam = (gamma * grad).sum(axis=1)
+        grad, lam = _multipliers(H, gamma, linear)
         grad[work] = np.inf
         j = np.argmin(grad, axis=1)
         done = running & at_point & (lam - grad[rows, j] <= tol)
@@ -388,18 +384,20 @@ def maximin_point(B, Sigma):
         raise errors[0]
     alpha, M = gamma[0], M[0]
     linear = np.zeros((1, B.shape[1]))
-    free = [int(g) for g in np.flatnonzero(support[0])]
-    res, grad, lam = _residual(H[0], linear[0], alpha, free)
-    active = tuple(int(g) for g in np.flatnonzero(active_mask(alpha)))
-    # an off-support column within tolerance of the supporting hyperplane
+    grad, lam = _multipliers(H, gamma, linear)
+    gaps = grad - lam[:, None]
+    # the multiplier spread on the support and the violation off it; an
+    # off-support column within tolerance of the supporting hyperplane
     # gives M a second weight vector
-    clear = (grad[~support[0]] - lam > _gap_tolerance(H, linear)[0]).all()
+    res = np.where(support, np.abs(gaps), -gaps).max(axis=1, initial=0.0)
+    clear = (support | (gaps > _gap_tolerance(H, linear)[:, None])).all(axis=1)
+    active = tuple(int(g) for g in np.flatnonzero(active_mask(alpha)))
     return MaggingSolution(
         M=M,
         alpha=alpha,
         active=active,
         objective=float(M @ metric.Sigma @ M),
-        kkt_residual=float(res),
-        unique_weights=bool(clear and Face(B[:, list(active)], metric).full_rank),
+        kkt_residual=float(res[0]),
+        unique_weights=bool(clear[0] and Face(B[:, list(active)], metric).full_rank),
         iterations=int(iterations[0]),
     )

@@ -156,17 +156,6 @@ class CoveringRegion:
         """The (K, p, G) lattice centers, expanded from the axes once."""
         return _lattice_points(self.axes, np.arange(self.pieces), self.Sigma0.shape[0])
 
-    def to_dict(self):
-        return {
-            "schema_version": 1,
-            "pieces": int(self.pieces),
-            "level": self.level,
-            "spacing": self.spacing,
-            "radii": self.radii.tolist(),
-            "shells": self.shells.tolist(),
-            "centers": self.centers.tolist(),
-        }
-
 
 def _lattice_points(axes, k, p):
     """The centers (len(k), p, G) at lattice indices k, in C order over

@@ -22,6 +22,8 @@ did before it parsed plain files with np.loadtxt. split_groups is the
 one-mask-per-label split of labelled rows that GroupedDataset.from_rows
 replaced with one stable sort. They stay here as the oracles for the
 differential tests.
+kkt_residual is the program-by-program KKT residual, with list
+comprehensions, that maximin_point's stacked certificate replaced.
 explained_variance states the objective the maximin point is defined
 by, for the defining-property test. maximin_norm_gap, boxes_contain and
 quadratic_form measure what the tests check of the package: the
@@ -276,6 +278,20 @@ def fit(dataset, ridge_jitter=0.0):
         n=n,
         sigma2_approximate=approximate,
     )
+
+
+def kkt_residual(H, c, gamma, support):
+    """KKT residual of one simplex QP at weights gamma: the multiplier
+    spread on the support, and the violation off it."""
+    grad = 2.0 * (H @ gamma) + c
+    lam = float(gamma @ grad)
+    res = 0.0
+    if support:
+        res = float(np.max(np.abs(grad[support] - lam)))
+    rest = [g for g in range(len(gamma)) if g not in support]
+    if rest:
+        res = max(res, float(max(0.0, lam - np.min(grad[rest]))))
+    return res
 
 
 def hull_distance(B, metric, M):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from maximin.errors import DefinitenessError, DimensionError
-from maximin.geometry import Face, SigmaMetric, nan_where_singular, nonsingular
+from maximin.geometry import Face, SigmaMetric, stacked_linalg
 from maximin.magging import maximin_point
 from maximin.selfcheck import finite_difference_errors, separated_instances
 
@@ -229,36 +229,6 @@ def test_metric_derivative_validation():
     assert np.isnan(bad.dsigma(np.zeros(2), np.eye(2))).all()
 
 
-def test_a_singular_stack_is_screened_in_one_batch(monkeypatch):
-    # rows 3 and 7 are exactly singular; the screen finds them without
-    # raising, the rest are solved again in one batch, and no row is
-    # solved alone. Every row keeps the bits of its stack of one.
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((10, 4, 4))
-    A[3, 2] = 0.0
-    A[7, :, 1] = 0.0
-    b = rng.standard_normal((10, 4, 1))
-    solve, calls = np.linalg.solve, []
-
-    def counted(a, rhs):
-        calls.append(a.shape)
-        return solve(a, rhs)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    x = nan_where_singular(np.linalg.solve, A, b, regular=nonsingular)
-    assert calls == [(10, 4, 4), (8, 4, 4)]
-    assert nonsingular(A).tolist() == [r not in (3, 7) for r in range(10)]
-    for r in range(10):
-        if r in (3, 7):
-            assert np.isnan(x[r]).all()
-        else:
-            assert x[r].tobytes() == solve(A[r:r + 1], b[r:r + 1])[0].tobytes()
-    # without a screen the failing stack goes item by item
-    calls.clear()
-    assert nan_where_singular(np.linalg.solve, A, b).tobytes() == x.tobytes()
-    assert calls == [(10, 4, 4)] + [(4, 4)] * 10
-
-
 _SINGULAR_KINDS = ("none", "zero row", "zero column", "repeated row", "repeated column", "row sum")
 
 
@@ -286,24 +256,55 @@ def _stacks_with_singular_items(draw):
     return A * 10.0 ** rng.choice([-300, 0, 300], size=p)
 
 
-def _raises_linalg_error(kernel, *args):
-    try:
-        kernel(*args)
-    except np.linalg.LinAlgError:
-        return True
-    return False
+_SYMMETRIC_KINDS = ("full rank", "rank deficient", "indefinite", "nan", "inf", "-inf")
+
+
+@st.composite
+def _symmetric_stacks_with_failing_items(draw):
+    """A (R, p, p) stack of Grams A A^T of small integers, each of full
+    or deficient rank, or made indefinite by a negative diagonal entry,
+    or given a symmetric pair of NaN or infinite entries, then each item
+    scaled by 1e-300, 1 or 1e300."""
+    p = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(_SYMMETRIC_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = np.empty((len(kinds), p, p))
+    for item, kind in zip(S, kinds):
+        A = rng.integers(-3, 4, (p, rng.integers(p) if kind == "rank deficient" else p))
+        item[...] = A @ A.T
+        i, j = rng.integers(p, size=2)
+        if kind == "indefinite":
+            item[i, i] = -item[i, i] - 1.0
+        elif kind in ("nan", "inf", "-inf"):
+            item[i, j] = item[j, i] = float(kind)
+    return S * 10.0 ** rng.choice([-300, 0, 300], size=(len(kinds), 1, 1))
+
+
+def _assert_numpy_linalg_item_by_item(kernel, gufunc, *arrays):
+    """stacked_linalg(gufunc) over the stack is NaN on exactly the items
+    for which the numpy.linalg kernel, given that item alone, raises,
+    and bitwise equal to the kernel's result on every other item."""
+    out = stacked_linalg(gufunc, *arrays)
+    assert len(out) == len(arrays[0])
+    for i in range(len(out)):
+        try:
+            alone = kernel(*(a[i] for a in arrays))
+        except np.linalg.LinAlgError:
+            assert np.isnan(out[i]).all()
+        else:
+            assert (out[i].shape, out[i].tobytes()) == (alone.shape, alone.tobytes())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(A=_stacks_with_singular_items())
-def test_the_lu_screen_is_exactly_what_solve_and_inv_factor(A):
-    # nan_where_singular trusts the screen: one batch after it, no retry
-    ok = nonsingular(A)
-    b = np.ones(A.shape[:-1] + (1,))
-    for i in range(len(A)):
-        assert _raises_linalg_error(np.linalg.solve, A[i], b[i]) == (not ok[i])
-        assert _raises_linalg_error(np.linalg.inv, A[i]) == (not ok[i])
-    with np.errstate(all="ignore"):  # 1e300 scales overflow in the factors
-        for kernel, rest in ((np.linalg.solve, (b,)), (np.linalg.inv, ())):
-            out = nan_where_singular(kernel, A, *rest, regular=nonsingular)
-            assert np.isnan(out[~ok]).all()
+def test_stacked_solve_and_inv_are_numpy_linalg_item_by_item(A):
+    b = np.ones(A.shape[:-1] + (2,))
+    b[..., 1] = np.arange(A.shape[-1])
+    _assert_numpy_linalg_item_by_item(np.linalg.solve, "solve", A, b)
+    _assert_numpy_linalg_item_by_item(np.linalg.inv, "inv", A)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(S=_symmetric_stacks_with_failing_items())
+def test_stacked_cholesky_is_numpy_linalg_item_by_item(S):
+    _assert_numpy_linalg_item_by_item(np.linalg.cholesky, "cholesky_lo", S)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from maximin import geometry
 from maximin.errors import CsvFormatError, DimensionError, SingularFitError
 from maximin.linmodel import (
     GroupedDataset,
@@ -13,6 +14,7 @@ from maximin.linmodel import (
     _philox_keys,
     _reset,
     fit,
+    fit_stack,
     generate,
     generate_stack,
     load_group_csvs,
@@ -21,6 +23,7 @@ from maximin.linmodel import (
     true_coefficients,
 )
 from maximin.pipeline import analyze_dataset
+from maximin.simulate import scenario_presets
 
 
 def test_dataset_shapes_and_default_labels():
@@ -140,6 +143,32 @@ def test_fit_singular_scatter_names_the_group():
     with pytest.raises(SingularFitError) as info:
         fit(ds)
     assert info.value.group == "g1"
+
+
+def test_an_all_degenerate_stack_is_factored_in_one_call(monkeypatch):
+    # Table 1 at p = 8, n = 4: every group scatter has rank 4 < p. The
+    # whole (R, G, p, p) stack goes through one Cholesky call, not one
+    # call per scatter. Every verdict is false, and each factor is
+    # numpy.linalg's for its scatter alone: NaN where that raises.
+    X, y = generate_stack(scenario_presets(1, 8, 4), np.arange(20))
+    stacked_linalg, calls = geometry.stacked_linalg, []
+
+    def counted(kernel, *arrays):
+        calls.append((kernel, arrays[0].shape))
+        return stacked_linalg(kernel, *arrays)
+
+    monkeypatch.setattr(geometry, "stacked_linalg", counted)
+    fitted = fit_stack(X, y)
+    assert calls == [("cholesky_lo", (20, 8, 8, 8))]
+    assert not fitted.pivots_ok.any()
+    assert np.isnan(fitted.coef).all() and np.isnan(fitted.sigma2).all()
+    for S, L in zip(fitted.S.reshape(-1, 8, 8), fitted.pivots.reshape(-1, 8, 8)):
+        try:
+            alone = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            assert np.isnan(L).all()
+        else:
+            assert L.tobytes() == alone.tobytes()
 
 
 def test_fit_ridge_handles_n_below_p():
