@@ -1,6 +1,7 @@
 """Metric primitives, projections, and the closed-form differentials."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from maximin import geometry
 from maximin.errors import DefinitenessError, DimensionError
 from maximin.geometry import Face, SigmaMetric, stacked_linalg
 from maximin.magging import maximin_point
@@ -229,6 +231,32 @@ def test_metric_derivative_validation():
     assert np.isnan(bad.dsigma(np.zeros(2), np.eye(2))).all()
 
 
+def test_a_singular_stack_is_screened_in_one_batch(monkeypatch):
+    # rows 3 and 7 are exactly singular; one batched gufunc call fills
+    # them with NaN without raising, and no row is solved alone. Every
+    # other row keeps the bits of numpy.linalg.solve on it alone.
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((10, 4, 4))
+    A[3, 2] = 0.0
+    A[7, :, 1] = 0.0
+    b = rng.standard_normal((10, 4, 1))
+    solve, calls = geometry._umath_linalg.solve, []
+
+    def counted(a, rhs):
+        calls.append(a.shape)
+        return solve(a, rhs)
+
+    monkeypatch.setattr(geometry, "_umath_linalg", SimpleNamespace(solve=counted))
+    with np.errstate(all="raise"):
+        x = stacked_linalg("solve", A, b)
+    assert calls == [(10, 4, 4)]
+    for r in range(10):
+        if r in (3, 7):
+            assert np.isnan(x[r]).all()
+        else:
+            assert x[r].tobytes() == np.linalg.solve(A[r], b[r]).tobytes()
+
+
 _SINGULAR_KINDS = ("none", "zero row", "zero column", "repeated row", "repeated column", "row sum")
 
 
@@ -297,7 +325,9 @@ def _assert_numpy_linalg_item_by_item(kernel, gufunc, *arrays):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(A=_stacks_with_singular_items())
-def test_stacked_solve_and_inv_are_numpy_linalg_item_by_item(A):
+def test_the_lu_screen_is_exactly_what_solve_and_inv_factor(A):
+    # the screen is the LU factorisation inside the solve and inv
+    # gufuncs: NaN on exactly the items numpy.linalg refuses alone
     b = np.ones(A.shape[:-1] + (2,))
     b[..., 1] = np.arange(A.shape[-1])
     _assert_numpy_linalg_item_by_item(np.linalg.solve, "solve", A, b)
