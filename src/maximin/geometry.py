@@ -60,7 +60,6 @@ import functools
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg.lapack import dpotrs as _potrs
 
 from .errors import DefinitenessError, DimensionError
 
@@ -189,11 +188,10 @@ class SigmaMetric:
         return float(np.sqrt(max(v, 0.0)))
 
     def inverse(self):
-        """Sigma^{-1}, symmetrised; potrs on each factor of a stack."""
-        eye, out = np.eye(self.p), np.empty(self.L.shape)
-        for i in np.ndindex(self.L.shape[:-2]):
-            out[i] = _potrs(self.L[i], eye, lower=1)[0]
-        return symmetric(out)
+        """Sigma^{-1} = L^{-T} L^{-1}, symmetrised, from one stacked_linalg
+        inverse of the factors; NaN for a NaN factor."""
+        Linv = stacked_linalg("inv", self.L)
+        return symmetric(Linv.swapaxes(-1, -2) @ Linv)
 
 
 def _checked_metric(Sigma, L, errors):

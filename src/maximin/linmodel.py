@@ -401,7 +401,8 @@ class StackFit(NamedTuple):
     (..., G, p, 1) the moments X_g^T y_g / n, sigma2 (...) the pooled
     residual variances, and pivots (..., G, p, p) and pivots_ok (..., G)
     each scatter's factor and verdict from positive_definite, the one
-    definiteness test. coef and sigma2 are NaN for the datasets not ok.
+    definiteness test, false too for an unjittered scatter with n < p.
+    coef and sigma2 are NaN for the datasets not ok.
     """
 
     coef: np.ndarray
@@ -435,15 +436,19 @@ def fit_stack(X, y, ridge_jitter=0.0):
     non-finite, and a non-finite scatter fails the test), one verdict of
     positive_definite, the one definiteness test, on every scatter, one
     solve for the datasets that pass, and the residual variance on
-    G (n - p) degrees of freedom, or G n when p >= n. Returns a StackFit.
+    G (n - p) degrees of freedom, or G n when p >= n. An unjittered
+    scatter of n < p rows has rank n and fails by its shape, whatever
+    rounding makes of its last pivot. Returns a StackFit.
     """
     G, n, p = X.shape[-3:]
     Xt = X.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         S = (Xt @ X) / n + ridge_jitter * np.eye(p)
         rhs = (Xt @ y[..., None]) / n
+    L, ok = positive_definite(S)
+    ok &= (n >= p) | (ridge_jitter > 0)
     fitted = StackFit(np.full(S.shape[:-1], np.nan), S, rhs,
-                      np.full(S.shape[:-3], np.nan), *positive_definite(S))
+                      np.full(S.shape[:-3], np.nan), L, ok)
     ok = fitted.ok
     if ok.any():
         sel = Ellipsis if ok.all() else ok  # a view, not a copy, when all pass
@@ -462,10 +467,11 @@ def fit(dataset, ridge_jitter=0.0):
     Each coefficient vector solves (X_g^T X_g / n + jitter Id) b =
     X_g^T y_g / n. The dataset goes through fit_stack as a stack of
     one, and its verdict is the only check: the first group that fails
-    it raises. A scatter that is not finite (it overflowed), cannot be
-    factored or fails positive_definite, the one definiteness test,
-    raises SingularFitError naming the group; non-finite moments raise
-    ValueError. Sigma_hat is X^T X / (nG) + jitter Id, the scatters' mean.
+    it raises. A scatter that is not finite (it overflowed), has n < p
+    rows and no jitter, cannot be factored or fails positive_definite,
+    the one definiteness test, raises SingularFitError naming the group;
+    non-finite moments raise ValueError. Sigma_hat is X^T X / (nG) +
+    jitter Id, the scatters' mean.
 
     Parameters
     ----------
@@ -486,7 +492,7 @@ def fit(dataset, ridge_jitter=0.0):
         label = dataset.labels[g]
         if not np.isfinite(fitted.S[0, g]).all():
             problem = "is not finite"
-        elif np.isnan(fitted.pivots[0, g]).any():
+        elif np.isnan(fitted.pivots[0, g]).any() or dataset.n < dataset.p:
             problem = "is singular; a positive ridge_jitter is required"
         elif not fitted.pivots_ok[0, g]:
             problem = "is numerically rank-deficient"

@@ -245,6 +245,8 @@ def fit(dataset, ridge_jitter=0.0):
     for g, (X, y) in enumerate(dataset.groups):
         S = (X.T @ X) / n + ridge_jitter * np.eye(p)
         try:
+            if n < p and not ridge_jitter > 0:  # rank n < p: singular by shape
+                raise np.linalg.LinAlgError
             factor = np.linalg.cholesky(S), True
         except np.linalg.LinAlgError:
             raise SingularFitError(

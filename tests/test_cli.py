@@ -1,10 +1,15 @@
 """Command line surface: payloads, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import maximin
 from maximin import magging, pipeline, selfcheck
 from maximin.cli import (
     EXIT_BUDGET,
@@ -608,3 +613,44 @@ def test_failing_check_has_its_own_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(selfcheck, "battery", lambda seed: iter([("broken", False)]))
     assert main(["check"]) == EXIT_CHECK_FAILED
     assert capsys.readouterr().out == "FAIL  broken\n"
+
+
+def _run_python(script):
+    """stdout of a fresh interpreter running script with this package importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maximin.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_estimate_region_and_simulate_load_no_scipy(tmp_path):
+    # SciPy serves only the check command and the tests: the chi-squared
+    # quantile and Sigma^{-1} need NumPy and the standard library alone
+    path = tmp_path / "groups.csv"
+    _write_grouped_csv(path, ScenarioSpec(p=3, G=3, n=40, seed=1))
+    out = _run_python(f"""
+        import contextlib, io, sys
+        import maximin
+        import maximin.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [maximin.cli.main(["estimate", {str(path)!r}]),
+                     maximin.cli.main(["region", {str(path)!r}]),
+                     maximin.cli.main(["simulate", "--tables", "1", "--p-values", "2",
+                                       "--n-values", "30", "--replicates", "4"])]
+        print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    assert out.split("\n")[0] == f"{[EXIT_OK] * 3} []"
+
+
+def test_selfcheck_loads_scipy_linalg():
+    # perfbench's tracer counts scipy.linalg.cho_factor and finds the
+    # module in sys.modules once it has imported every maximin module
+    out = _run_python("""
+        import sys
+        import maximin.selfcheck
+        print("scipy.linalg" in sys.modules)
+    """)
+    assert out.strip() == "True"

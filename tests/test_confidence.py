@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,24 @@ def test_quantile_round_trip_is_tight():
     for dof in (1, 2, 3, 5, 17, 50):
         for prob in (0.5, 0.9, 0.95, 0.99):
             assert abs(chi2_cdf(dof, chi2_quantile(dof, prob)) - prob) <= 1e-10
+
+
+def test_quantile_and_cdf_match_scipy_special():
+    # the series, the continued fraction and the root search, from the far
+    # lower to the far upper tail and up to 10^4 degrees of freedom
+    probs = [1e-12, 0.01, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-12]
+    probs += [1.0 - 0.05 / G for G in range(1, 51)]
+    for dof in [*range(1, 201), 500, 1000, 10**4]:
+        for prob in probs:
+            ref = 2.0 * float(scipy.special.gammaincinv(dof / 2.0, prob))
+            assert abs(chi2_quantile(dof, prob) - ref) <= 1e-13 * ref, (dof, prob)
+            cdf = float(scipy.special.gammainc(dof / 2.0, ref / 2.0))
+            assert abs(chi2_cdf(dof, ref) - cdf) <= 1e-14, (dof, prob)
+
+
+def test_cdf_at_infinity_and_nan():
+    assert chi2_cdf(3, float("inf")) == 1.0
+    assert np.isnan(chi2_cdf(3, float("nan")))
 
 
 def test_quantile_validation():

@@ -57,6 +57,12 @@ def test_a_metric_stack_keeps_each_refusal_at_its_index():
             SigmaMetric(matrices[i])
     for i in (0, 4):
         assert stack.L[i].tobytes() == SigmaMetric(matrices[i]).L.tobytes()
+    # so does the stack's inverse: NaN for a NaN factor, and each other
+    # item's bits from the one stacked call as from the matrix alone
+    inverse = stack.inverse()
+    assert np.isnan(inverse[1:4]).all()
+    for i in (0, 4):
+        assert inverse[i].tobytes() == SigmaMetric(matrices[i]).inverse().tobytes()
     assert list(stack[2:].errors) == list(stack.errors[2:])
     assert stack[[0, 4]].errors.tolist() == [None, None]
 

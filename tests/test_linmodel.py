@@ -145,6 +145,17 @@ def test_fit_singular_scatter_names_the_group():
     assert info.value.group == "g1"
 
 
+def test_an_unjittered_scatter_with_fewer_rows_than_columns_fails_by_shape():
+    # rank n < p: rounding can leave the last Cholesky pivot of such a
+    # scatter about 1e-9 relative, which the pivot test alone passes
+    X, y = generate_stack(scenario_presets(2, 5, 4), np.arange(200))
+    assert not fit_stack(X, y).pivots_ok.any()
+    assert fit_stack(X, y, ridge_jitter=1e-4).pivots_ok.all()
+    ds, _ = generate(ScenarioSpec(p=5, G=1, n=4, coefficient_rule="shared-plus-noise", seed=78))
+    with pytest.raises(SingularFitError, match="singular; a positive ridge_jitter is required"):
+        fit(ds)
+
+
 def test_an_all_degenerate_stack_is_factored_in_one_call(monkeypatch):
     # Table 1 at p = 8, n = 4: every group scatter has rank 4 < p. The
     # whole (R, G, p, p) stack goes through one Cholesky call, not one

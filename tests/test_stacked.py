@@ -480,15 +480,20 @@ def test_a_stack_of_one_keeps_the_single_matrix_arithmetic():
     # The single-dataset outputs (simulate's grid bytes, estimate and
     # region JSON) keep their bits only if the stacked kernels repeat
     # the single-matrix calls: M = B @ alpha on the fitted layout and
-    # Sigma^{-1} from the Cholesky factor, symmetrised.
+    # Sigma^{-1} = L^{-T} L^{-1} from the inverse of the Cholesky factor,
+    # symmetrised. That inverse is as accurate as SciPy's cho_solve.
     for seed in range(8):
         dataset, _ = generate(ScenarioSpec(p=3, G=3, n=100, seed=seed))
         estimates = fit(dataset)
         metric = SigmaMetric(estimates.Sigma_hat)
         solution = maximin_point(estimates.Bhat, metric)
         assert solution.M.tobytes() == (estimates.Bhat @ solution.alpha).tobytes()
-        factor = scipy.linalg.cho_factor(estimates.Sigma_hat, lower=True)
-        inverse = scipy.linalg.cho_solve(factor, np.eye(3))
+        Linv = np.linalg.inv(np.linalg.cholesky(estimates.Sigma_hat))
+        inverse = Linv.T @ Linv
         assert metric.inverse().tobytes() == ((inverse + inverse.T) / 2.0).tobytes()
         stack = SigmaMetric(np.stack([estimates.Sigma_hat, 2.0 * np.eye(3)]))
         assert stack.inverse()[0].tobytes() == metric.inverse().tobytes()
+        factor = scipy.linalg.cho_factor(estimates.Sigma_hat, lower=True)
+        exact = scipy.linalg.cho_solve(factor, np.eye(3))
+        bound = 1e-13 * np.linalg.cond(estimates.Sigma_hat) * np.abs(exact).max()
+        assert np.abs(metric.inverse() - exact).max() <= bound
