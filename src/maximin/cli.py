@@ -28,7 +28,7 @@ import math
 import sys
 
 from . import pipeline, simulate
-from .confidence import max_eigenvalue
+from .confidence import SCHEMA_VERSION, max_eigenvalue
 from .errors import (
     BudgetError,
     ConditioningError,
@@ -56,8 +56,6 @@ EXIT_CHECK_FAILED = 10
 
 # Guard against accidentally enormous simulation requests.
 GRID_WORK_BUDGET = 10**7
-
-SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):

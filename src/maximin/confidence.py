@@ -23,6 +23,9 @@ import numpy as np
 from .errors import ConditioningError
 from .geometry import quadratic_form, symmetric
 
+# The schema version of every JSON payload: the region's, the grid's, the CLI's.
+SCHEMA_VERSION = 1
+
 # Refuse to invert W beyond this eigenvalue ratio.
 CONDITION_LIMIT = 1e12
 
@@ -225,7 +228,7 @@ class ConfidenceRegion:
 
     def to_dict(self):
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "center": self.center.tolist(),
             "precision": self.precision.tolist(),
             "radius2": self.radius2,

@@ -11,18 +11,20 @@ with c = 0 for the maximin point and c = -2 B^T Sigma m for the Sigma-
 distance from m to the hull. stacked_simplex_qp solves a stack of such
 programs by one primal active-set method (Wolfe's minimum-norm-point
 method, written in weight space), run over the whole stack in lockstep.
-Each program starts at its best vertex. An iteration grows the working
+Each program starts at its best vertex. A face is a boolean mask of the
+working columns, kept in column order. An iteration grows the working
 set of every program at its face's solution by the most negative
 multiplier, then solves the face of every program whose working set
-changed: the face's equality-constrained KKT system, bordered by the
-sum-to-one row and padded to G + 1 slots, all of them in one batched
-solve. A solution off the simplex moves the program's point up
-to the first weight that reaches zero and drops that column. Exact
+changed: the face's equality-constrained KKT system over all G columns,
+with an identity row for each column off the face and bordered by the
+sum-to-one row, all of them in one batched solve. A solution off the
+simplex moves the program's point up to the first weight that reaches
+zero and drops that column. Exact
 solves make the method finite, and a program's bits do not depend on the
 stack it is solved in.
 
 On the loop's first pass, the programs not optimal at their best vertex
-try their full face, all G columns, in one batched solve. A face's
+try their full face, the all-True mask, in one batched solve. A face's
 solution depends only on the face, so a program whose full face the loop
 would reach takes its weights from this trial and skips the G - 1 growth
 solves from its vertex: interior programs take one face solve. The trial
@@ -37,7 +39,6 @@ stacked_maximin forms those programs for a stack of coefficient
 matrices and metrics; maximin_point is its stack of one.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,50 +96,38 @@ def capped_error(G):
     return ConvergenceError(f"simplex QP did not converge within {100 * G} iterations")
 
 
-@functools.lru_cache(maxsize=None)
-def _working_sets(G):
-    """Bordered KKT layouts (scale, base, cscale, rhs) of the working sets
-    {0 .. k}, k < G, indexed by k and read-only. For a program whose
-    working columns come first, the set's system is base[k] + scale[k] * H
-    and its right-hand side rhs[k] - cscale[k] * c, over G + 1 slots with
-    the border last: 2 H on the set, and on each padded slot an identity
-    row and a zero right-hand side (weight 0, whatever finite H the slot
-    reads)."""
-    real = np.arange(G) <= np.arange(G)[:, None]
-    inner = np.concatenate([real, np.zeros((G, 1), dtype=bool)], axis=1)
-    base = np.zeros((G, G + 1, G + 1))
-    base[:, range(G), range(G)] = ~real
-    base[:, :, G] = inner
-    base[:, G, :] = inner
-    rhs = np.zeros((G, G + 1, 1))
-    rhs[:, G, 0] = 1.0
-    layout = (2.0 * (inner[:, :, None] & inner[:, None, :]), base, inner.astype(float), rhs)
-    for value in layout:
-        value.flags.writeable = False
-    return layout
-
-
-def _face_systems(H, c, k):
-    """The _working_sets systems (kkt, rhs) of the working sets {0 .. k_r}
-    of programs H (R, G, G) and c (R, G) or None whose working columns
-    come first, with right-hand sides as (..., G + 1, 1) columns."""
+def _face_systems(H, c, face):
+    """The bordered KKT systems (kkt, rhs) of programs H (R, G, G) and
+    c (R, G) or None on the faces of a mask face, (R, G) or one (1, G)
+    mask for the whole stack. Each system is in column order over G + 1
+    slots with the border last: 2 H where both columns are on the face
+    (formed without an overflow warning), an identity row and a zero
+    right-hand side for each column off it (weight 0, whatever finite H
+    the column reads), a border equal to the mask, and the right-hand
+    side [-c on the face; 1] as a (..., G + 1, 1) column."""
     G = H.shape[-1]
-    if (k == k[:1]).all():
-        k = k[:1]  # one working-set size: its layout broadcasts over the stack
-    scale, base, cscale, rhs = (a[k] for a in _working_sets(G))
-    slots = np.append(np.arange(G), 0)  # the border reads column 0; scale zeroes it
+    columns = np.arange(G)
+    inner = np.zeros((len(face), G + 1))  # the mask, with the border slot off
+    inner[:, :G] = face
+    base = np.zeros(inner.shape + (G + 1,))
+    base[:, :, G] = base[:, G] = inner
+    base[:, columns, columns] = ~face
+    slots = np.append(columns, 0)  # the border reads column 0; inner zeroes it
     kkt = H[:, slots[:, None], slots]
-    kkt *= scale
+    with np.errstate(over="ignore"):
+        kkt *= 2.0 * inner[:, :, None] * inner[:, None, :]
     kkt += base
+    rhs = np.zeros((len(face), G + 1, 1))
+    rhs[:, G] = 1.0
     if c is not None:
-        rhs = rhs - (cscale * c[:, slots])[..., None]
+        rhs = rhs - (inner * c[:, slots])[..., None]
     return kkt, rhs
 
 
-def _face_solutions(H, c, k):
-    """Slot weights x (R, G) of the _face_systems of H, c and k: one
+def _face_solutions(H, c, face):
+    """Weights x (R, G) of the _face_systems of H, c and face: one
     stacked_linalg solve, NaN where a system is singular."""
-    kkt, rhs = _face_systems(H, c, k)
+    kkt, rhs = _face_systems(H, c, face)
     return stacked_linalg("solve", kkt, rhs)[:, :-1, 0]
 
 
@@ -152,9 +141,9 @@ def _clipped(x):
 
 
 def _full_face(H, c, tol):
-    """The trial: every program's full face {0 .. G-1} in one
-    _face_solutions call. Returns which programs accept it, and the
-    weights the loop would read from it.
+    """The trial: every program's full face, the all-True mask of its G
+    columns, in one _face_solutions call. Returns which programs accept
+    it, and the weights the loop would read from it.
 
     A program accepts a feasible solution x whose every column j passes
     the loop's growth test at the face without j. From that face's
@@ -171,17 +160,15 @@ def _full_face(H, c, tol):
     others' affine hull, as some are whenever G > p + 1) has gaps of
     rounding size, so neither is accepted. A face whose system
     overflows (2 H_gg beyond the largest float, on a face the loop may
-    never form) is formed without a warning; its solve gives that column
-    no weight, or NaN, and it is refused too.
+    never form) gives that column no weight, or NaN, and is refused too.
     """
-    R, G, _ = H.shape
-    full = np.full(R, G - 1)
+    full = np.ones((1, H.shape[-1]), dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         accept, w = _clipped(_face_solutions(H, c, full))
         gershgorin = (2.0 * np.diagonal(H, 0, 1, 2) - np.abs(H).sum(axis=2)).min(axis=1)
         doubt = accept & ~(2.0 * gershgorin * w.min(axis=1) > tol)
         if doubt.any():
-            kkt, _ = _face_systems(H[doubt], None, full[doubt])
+            kkt, _ = _face_systems(H[doubt], None, full)
             inverse = stacked_linalg("inv", kkt)
             gaps = w[doubt] / np.diagonal(inverse, 0, 1, 2)[:, :-1]
             accept[doubt] = (gaps > tol[doubt, None]).all(axis=1)
@@ -214,17 +201,18 @@ def stacked_simplex_qp(H, c=None):
     Returns
     -------
     (gamma, support, iterations)
-        gamma (R, G) optimal weights; support (R, G) marks the working
-        set each solution was read from, the set maximin_point's KKT
-        certificate measures; iterations (R,) counts each program's face
-        solves, the trial's included: 0 for a program optimal at its best
-        vertex, 1 for one the trial accepts, 1 plus the loop's solves for
-        one it refuses. A multiplier gap of at most 1e-10 times the larger
-        of |trace(H_r)| / G and max|c_r| is optimal. A program not optimal
-        after 100 G loop solves (the trial's is not counted), or whose
-        face system is singular (exact arithmetic never adds a column on
-        the working set's affine hull), has NaN weights; capped_error(G)
-        describes it. Nothing is raised.
+        gamma (R, G) optimal weights; support (R, G) is the mask, in
+        column order, of the face each solution was read from, the set
+        maximin_point's KKT certificate measures; iterations (R,) counts
+        each program's face solves, the trial's included: 0 for a
+        program optimal at its best vertex, 1 for one the trial accepts,
+        1 plus the loop's solves for one it refuses. A multiplier gap of
+        at most 1e-10 times the larger of |trace(H_r)| / G and max|c_r|
+        is optimal. A program not optimal after 100 G loop solves (the
+        trial's is not counted), or whose face system is singular (exact
+        arithmetic never adds a column on the working set's affine hull)
+        or overflows (2 H_gg beyond the largest float), has NaN weights;
+        capped_error(G) describes it. Nothing is raised.
     """
     H = np.asarray(H, dtype=float)
     R, G, _ = H.shape
@@ -262,14 +250,9 @@ def stacked_simplex_qp(H, c=None):
             gamma[~optimal] = np.nan
             return gamma, work, solves + trials
         solves += running
-        # each program's columns reordered, working columns first and in
-        # ascending order: its working set is the face {0 .. k}
-        cols = np.argsort(~work[now], axis=1, kind="stable")
-        x = _face_solutions(H[now[:, None, None], cols[:, :, None], cols[:, None, :]],
-                            None if c is None else c[now[:, None], cols],
-                            work[now].sum(axis=1) - 1)
+        x = _face_solutions(H[now], None if c is None else c[now], work[now])
         feasible, w = _clipped(x)
-        gamma[now[feasible, None], cols[feasible]] = w[feasible]
+        gamma[now[feasible]] = w[feasible]
         at_point[now] = feasible
         if feasible.all():
             continue
@@ -277,16 +260,16 @@ def stacked_simplex_qp(H, c=None):
         running[now[singular]] = False
         # step toward x until the first weight reaches zero, and drop it
         step = ~feasible & ~singular
-        now, cols, x = now[step], cols[step], x[step]
-        cur = gamma[now[:, None], cols]
+        now, x = now[step], x[step]
+        cur = gamma[now]
         blocking = x < -_FEAS_TOL
         ts = np.where(blocking, cur / np.where(blocking, cur - x, 1.0), np.inf)
         hit = np.argmin(ts, axis=1)
         m = np.arange(now.size)
         moved = np.clip(cur + ts[m, hit][:, None] * (x - cur), 0.0, None)
         moved[m, hit] = 0.0
-        gamma[now[:, None], cols] = moved / moved.sum(axis=1)[:, None]
-        work[now, cols[m, hit]] = False
+        gamma[now] = moved / moved.sum(axis=1)[:, None]
+        work[now, hit] = False
 
 
 def active_mask(gamma):

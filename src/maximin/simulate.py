@@ -75,6 +75,7 @@ import numpy as np
 
 from .asymvar import covariance_stack, empirical_C
 from .confidence import (
+    SCHEMA_VERSION,
     chi2_quantile,
     covers,
     max_eigenvalue,
@@ -434,7 +435,7 @@ def grid_to_json(results):
                 "wall_time": rep.wall_time,
             }
         )
-    return {"schema_version": 1, "cells": cells}
+    return {"schema_version": SCHEMA_VERSION, "cells": cells}
 
 
 def grid_json_text(results):

@@ -68,6 +68,16 @@ def test_a_full_face_that_overflows_is_refused_quietly():
     assert np.allclose(solution.alpha, [1.0 - t, t, 0.0], rtol=1e-12, atol=0.0)
 
 
+def test_a_loop_face_that_overflows_is_refused_without_a_warning():
+    # The same columns with b_3's second entry negated: the loop grows the
+    # edge {0, 1} by column 2, and 2 H_22 overflows on that face. The face
+    # is formed without a warning (which this suite's filterwarnings would
+    # raise), and its solve refuses the program.
+    B = np.array([[1e150, -1e150, 1e154], [0.0, 1e149, -3e153]])
+    with pytest.raises(ConvergenceError):
+        maximin_point(B, np.eye(2))
+
+
 def test_single_group_is_returned_whole():
     B = np.array([[2.0], [1.0]])
     sol = maximin_point(B, np.eye(2))

@@ -226,6 +226,34 @@ def test_the_trial_solves_no_system_alone():
     assert iterations[live].tolist() == [1] * 64 and support[live].all()
 
 
+def test_a_face_mask_is_solved_in_column_order():
+    # Faces that are not prefixes of the columns: each weight off the face
+    # is 0, and the face's weights solve its compacted bordered system
+    # [[2 H_FF, 1], [1^T, 0]] [x_F; lam] = [-c_F; 1]. One (1, G) full
+    # mask gives the bytes of the (R, G) one.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 77))))
+    R, G = 300, 8
+    H = sigma_gram(np.eye(G) + 0.3 * rng.standard_normal((R, G, G)), np.eye(G))
+    c = rng.standard_normal((R, G))
+    face = rng.random((R, G)) < 0.5
+    prefix = (face == (np.arange(G) < face.sum(axis=1, keepdims=True))).all(axis=1)
+    H, c, face = H[~prefix], c[~prefix], face[~prefix]
+    assert len(face) > 200
+    for linear in (None, c):
+        x = magging._face_solutions(H, linear, face)
+        assert (x[~face] == 0.0).all()
+        for r, on in enumerate(face):
+            k = int(on.sum())
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k], kkt[k, k] = 2.0 * H[r][np.ix_(on, on)], 0.0
+            rhs = np.append(np.zeros(k) if linear is None else -linear[r, on], 1.0)
+            expected = np.linalg.solve(kkt, rhs)[:k]
+            assert np.abs(x[r, on] - expected).max() <= 1e-12 * np.abs(expected).max()
+        full = np.ones((len(H), G), dtype=bool)
+        assert (magging._face_solutions(H, linear, full[:1]).tobytes()
+                == magging._face_solutions(H, linear, full).tobytes())
+
+
 def _assert_refused_alone(B, Sigma, messages):
     """stacked_maximin refuses the rows messages names, with those
     ConvergenceError messages and NaN weights and points, and gives every
@@ -276,11 +304,12 @@ def _cycle_at_4I(monkeypatch):
     straight back to {0}."""
     face_solutions = magging._face_solutions
 
-    def cycling(H, c, k):
-        x = face_solutions(H, c, k)
+    def cycling(H, c, face):
+        x = face_solutions(H, c, face)
+        sizes = np.broadcast_to(face, x.shape).sum(axis=1)
         for r in range(len(H)):
             if np.array_equal(H[r], 4.0 * np.eye(8)):
-                x[r, :2] = [1.0, 0.0] if k[r] == 0 else [1.5, -0.5]
+                x[r, :2] = [1.0, 0.0] if sizes[r] == 1 else [1.5, -0.5]
         return x
 
     monkeypatch.setattr(magging, "_face_solutions", cycling)
