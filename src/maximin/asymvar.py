@@ -130,8 +130,8 @@ def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
     vertex, errors): W and its terms, NaN where a row failed; the used
     columns (R, G); the single-column rows (R,); and per row None, a
     DegenerateGeometryError naming, as a 1-based group column, the
-    face's first column within 1e-10 of the others' hull, or else, when
-    C_hat is given, a RankError for rank-deficient differences.
+    face's first column on the others' hull (Face.degenerate), or else,
+    when C_hat is given, a RankError for rank-deficient differences.
     """
     R, p, _ = Bhat.shape
     vertex = active.sum(axis=1) == 1

@@ -70,8 +70,9 @@ _RANK_RTOL = 1e-12
 # largest (a pseudo-inverse cutoff of _RANK_RTOL on the Gram's spectrum).
 _PINV_RTOL = _RANK_RTOL ** 0.5
 
-# Residual norms below this mean the configuration is degenerate.
-_DEGENERACY_TOL = 1e-10
+# Residual norms at or below this fraction of the face's largest column
+# Sigma-norm mean the configuration is degenerate.
+_DEGENERACY_RTOL = 1e-10
 
 
 def symmetric(A):
@@ -216,7 +217,8 @@ class Face:
     complement projector follows pseudo-inverse semantics and never
     refuses. A single column is a face too, a lone vertex: its Jacobian
     is the identity and its metric response and term_V vanish. Jacobians
-    refuse a face with a column within 1e-10 of the hull of the others;
+    refuse a face with a column within 1e-10 times the face's largest
+    column Sigma-norm of the hull of the others;
     the metric response and term_V refuse rank deficient D. Nothing is
     raised, for a single face or a stack: a refused face's results are
     NaN, and ``degenerate`` and ``full_rank`` say which faces and columns
@@ -265,11 +267,20 @@ class Face:
         return U, unorm
 
     @functools.cached_property
+    def _degeneracy_tol(self):
+        """(..., 1) residual norms at or below which a column is on the
+        others' hull: _DEGENERACY_RTOL times the largest column Sigma-norm,
+        so a response rescaled by c moves the bound with the residuals."""
+        norms2 = np.einsum("...pg,...pg->...g", self.B, self.metric.Sigma @ self.B)
+        return _DEGENERACY_RTOL * np.sqrt(norms2.max(axis=-1, keepdims=True))
+
+    @functools.cached_property
     def separated(self):
-        """Whether k - 1 <= p and every closed-form residual norm is >= 1e-10."""
+        """Whether k - 1 <= p and every closed-form residual norm is above
+        the degeneracy bound."""
         if self.k - 1 > self.p:
             return np.zeros(self.B.shape[:-2], dtype=bool)
-        return np.all(self._closed_form[1] >= _DEGENERACY_TOL, axis=-1)
+        return np.all(self._closed_form[1] > self._degeneracy_tol, axis=-1)
 
     @functools.cached_property
     def _residuals(self):
@@ -293,8 +304,9 @@ class Face:
 
     @functools.cached_property
     def degenerate(self):
-        """(..., k) mask of the columns within 1e-10 of the others' hull."""
-        return self._residuals[1] < _DEGENERACY_TOL
+        """(..., k) mask of the columns within the degeneracy bound of the
+        others' hull."""
+        return self._residuals[1] <= self._degeneracy_tol
 
     def jacobians(self, M):
         """Stacked J_g for every column, shape (..., k, p, p); NaN on a

@@ -20,16 +20,16 @@ one batched pass, judging each scatter by geometry.positive_definite,
 the one definiteness test; generate and fit are their stacks of one.
 
 Every CSV goes through one reader, _read_table. A regular file with no
-quote, carriage return or NUL has its data rows parsed in C by
-np.loadtxt. Every other file, and every file np.loadtxt declines, is
-read by csv.reader and float(): a cell only float() reads (1_000,
-non-ASCII digits), a non-finite value, a line of only whitespace or a
-row of the wrong width. Both readers give the same values bit for bit
-and the same CsvFormatError, line and column included. On 10^5 rows
-(p = 5, G = 5, one grouped file, one BLAS thread, fastest of 15),
-load_grouped_csv took 0.60 s of the 0.66 s of ``maximin region`` when
-csv.reader read every file; through np.loadtxt it takes 0.22 s of 0.24
-s, 0.16 s of it in the numeric columns and 0.04 s in the labels.
+quote, carriage return or NUL has its data rows, labels and numbers
+together, parsed in C by one np.loadtxt call. Every other file, and
+every file np.loadtxt declines, is read by csv.reader and float(): a
+cell only float() reads (1_000, non-ASCII digits), a non-finite value,
+a line of only whitespace or a row of the wrong width. Both readers
+give the same values bit for bit and the same CsvFormatError, line and
+column included. On 10^5 rows (p = 5, G = 5, one grouped file, one
+BLAS thread, fastest of 15, 2-core VM), ``maximin region`` takes about
+0.5 s through csv.reader and 0.16 s through np.loadtxt, 0.13 s of it in
+the np.loadtxt call.
 _read_table returns the rows in file order with their group cells;
 GroupedDataset.from_rows, the one split of labelled rows into groups,
 makes the dataset, for load_grouped_csv as for rows held in memory.
@@ -551,12 +551,12 @@ def _read_table(path, layout, header):
     data row, raises CsvFormatError; so does a row that _parse_rows
     refuses.
 
-    A regular file (which np.loadtxt can read again) of text without a
-    quote, NUL or carriage return outside a CRLF line end goes through
-    _loadtxt_rows; anything it declines, csv.reader and _parse_rows
-    read, which give the same values for what both accept. A csv.reader
-    error, such as a field over its size limit, raises CsvFormatError
-    naming path and the line.
+    A regular file (np.loadtxt opens it again after _read_text) of text
+    without a quote, NUL or carriage return outside a CRLF line end goes
+    through _loadtxt_rows; anything it declines, csv.reader and
+    _parse_rows read, which give the same values for what both accept.
+    A csv.reader error, such as a field over its size limit, raises
+    CsvFormatError naming path and the line.
     """
     text = _read_text(path)
     if os.path.isfile(path) and '"' not in text and "\0" not in text and (
@@ -590,15 +590,14 @@ def _loadtxt_rows(path, text, layout, header):
 
     text holds no quote, NUL or carriage return outside a CRLF line
     end, so its rows are its lines, less a trailing carriage return,
-    split on commas. np.loadtxt reads the ``columns`` cells and then
-    the key cells from path, in C, with CRLF as a line end; it parses
-    a number as float() does, and refuses what float() alone accepts
-    (``1_000``, digits outside ASCII). None, so that csv.reader reads
-    the file, when there is no data row, np.loadtxt refuses a row, a
-    number is not finite or a row has more fields than the first:
-    np.loadtxt skips empty lines only, and refuses a row too short for
-    its columns, so a comma count of rows x (fields - 1) means every
-    row has exactly as many fields.
+    split on commas. One np.loadtxt call reads the data rows of path in
+    C, with CRLF as a line end, one field per cell of the first row:
+    the key cell as an object, every other as a float, parsed as float()
+    does except what float() alone accepts (``1_000``, digits outside
+    ASCII). None, so that csv.reader reads the file, when there is no
+    data row, a number is not finite or np.loadtxt refuses a row, as it
+    does a row with another field count than its dtype's: it skips
+    empty lines only.
     """
     found = _CONTENT.search(text)
     if found is None:
@@ -615,18 +614,18 @@ def _loadtxt_rows(path, text, layout, header):
         begin, skip = end, skip + 1
     if not _CONTENT.search(text, begin):
         return None
-    kwargs = dict(delimiter=",", comments=None, skiprows=skip, encoding="utf-8")
+    # the key field holds str objects: a str field has a fixed width, and
+    # a label may be longer
+    fields = [(f"f{j}", object if j == key else float) for j in range(len(first))]
     try:
-        table = np.loadtxt(path, usecols=list(columns), ndmin=2, **kwargs)
-        # str cells as objects: a str dtype is read in chunks, which
-        # warns about every empty line
-        keys = None if key is None else np.loadtxt(
-            path, dtype=object, usecols=key, ndmin=1, **kwargs)
+        rows = np.loadtxt(path, dtype=fields, delimiter=",", comments=None,
+                          skiprows=skip, encoding="utf-8", ndmin=1)
     except ValueError:
         return None
-    if text.count(",", begin) != len(table) * (len(first) - 1) or not np.isfinite(table).all():
+    table = np.stack([rows[f"f{j}"] for j in columns], axis=-1)
+    if not np.isfinite(table).all():
         return None
-    return spec, table, keys
+    return spec, table, None if key is None else rows[f"f{key}"]
 
 
 def _parse_rows(path, rows, start, columns, names, key=None):

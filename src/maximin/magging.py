@@ -211,8 +211,8 @@ def stacked_simplex_qp(H, c=None):
         is optimal. A program not optimal after 100 G loop solves (the
         trial's is not counted), or whose face system is singular (exact
         arithmetic never adds a column on the working set's affine hull)
-        or overflows (2 H_gg beyond the largest float), has NaN weights;
-        capped_error(G) describes it. Nothing is raised.
+        or overflows (2 H_gg beyond the largest float), has NaN weights,
+        and support is the face it stopped on. Nothing is raised.
     """
     H = np.asarray(H, dtype=float)
     R, G, _ = H.shape
@@ -308,8 +308,10 @@ def stacked_maximin(B, Sigma):
     with NaN weights, and its error names the first group column g whose
     b_g^T Sigma b_g overflowed (or is not finite, for a non-finite b_g);
     as |H_gh| <= max(H_gg, H_hh), no other entry overflows alone. A
-    program the active-set loop leaves unsolved keeps its NaN weights,
-    and its error is capped_error(G).
+    program the active-set loop leaves unsolved keeps its NaN weights.
+    Its error names the first group column g on the face it stopped on
+    whose 2 b_g^T Sigma b_g overflows, as no face holding g can be
+    solved; otherwise it is capped_error(G).
     """
     B = np.asarray(B, dtype=float)
     R, _, G = B.shape
@@ -327,7 +329,13 @@ def stacked_maximin(B, Sigma):
             cause = "overflowed" if np.isfinite(B[r, :, g]).all() else "is not finite"
             errors[r] = ConvergenceError(
                 f"B^T Sigma B {cause} in group column {g + 1}; the simplex QP has no finite solution")
+    with np.errstate(over="ignore"):
+        unformed = support & np.isinf(2.0 * np.diagonal(H, 0, 1, 2))
     for r in np.flatnonzero(np.isnan(gamma).any(axis=1)):
+        if errors[r] is None and unformed[r].any():
+            errors[r] = ConvergenceError(
+                f"2 B^T Sigma B overflowed in group column {np.argmax(unformed[r]) + 1};"
+                " the simplex QP cannot solve a face that holds it")
         errors[r] = errors[r] or capped_error(G)
     return MaximinStack(H, gamma, support, iterations, matvec(B, gamma), tuple(errors))
 
@@ -358,7 +366,8 @@ def maximin_point(B, Sigma):
         If Sigma fails the symmetry or factorization check.
     ConvergenceError
         The program's error from stacked_maximin: H = B^T Sigma B is not
-        finite, or the active-set loop hit its iteration cap.
+        finite, 2 H overflows on a face the active-set loop grew, or the
+        loop hit its iteration cap.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     metric = SigmaMetric.ensure(Sigma, B.shape[0])

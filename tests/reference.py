@@ -65,7 +65,7 @@ from maximin.pipeline import estimate_dataset
 from maximin.selfcheck import brute_force_oracle
 
 _RANK_RTOL = 1e-12
-_DEGENERACY_TOL = 1e-10
+_DEGENERACY_RTOL = 1e-10
 
 
 def affine_project(x, points, metric):
@@ -106,7 +106,8 @@ def dmagging_dB(B_active, Sigma, g, M):
     others = np.delete(B, g, axis=1).T
     u = B[:, g] - affine_project(B[:, g], others, metric)
     nu = metric.norm(u)
-    if nu < _DEGENERACY_TOL:
+    # relative to the largest column's Sigma-norm, as in Face.degenerate
+    if nu <= _DEGENERACY_RTOL * max(metric.norm(b) for b in B.T):
         raise DegenerateGeometryError(
             f"active column {g} lies in the affine hull of the others"
         )

@@ -268,8 +268,9 @@ def test_monte_carlo_covariance_tracks_assembled_W():
 def _mixed_chunk():
     # One p = 2, G = 4 stack: an interior face, an isolated vertex, a
     # tie-enlarged vertex, a degenerate face (three collinear columns), a
-    # face with k - 1 > p, and a rank-deficient face whose columns are
-    # each more than 1e-10 off the others' hull.
+    # face with k - 1 > p, and a column 1e-7 off the line of two columns
+    # 1e6 apart, within the degeneracy bound of 1e-10 times the largest
+    # column norm.
     identity = np.eye(2)
     rows = []
     for B in ([[1.0, 0.0, 3.0, 9.0], [0.0, 1.0, 3.0, 9.0]],
@@ -290,12 +291,14 @@ def _mixed_chunk():
     return B, active, M, C
 
 
-@pytest.mark.parametrize("known", [False, True])
-def test_covariance_stack_rows_equal_the_oracle_and_each_row_alone(known):
-    B, active, M, C = _mixed_chunk()
-    R = len(B)
-    metric = SigmaMetric(np.stack((np.eye(2),) * R))
-    sigma2, n, Sigma_g = np.ones(R), 50, np.stack((np.eye(2),) * 4)
+def _oracle_kinds(B, active, M, C, known):
+    """Check covariance_stack on the rows B (R, p, G), in one stack and
+    each alone, against the oracle under Sigma = I, bit for bit; returns
+    each row's kind: its error's class name, the used-set size of a
+    vertex or "face"."""
+    R, p, G = B.shape
+    metric = SigmaMetric(np.stack((np.eye(p),) * R))
+    sigma2, n, Sigma_g = np.ones(R), 50, np.stack((np.eye(p),) * G)
     C_hat = None if known else C
     stack = covariance_stack(B, active, M, metric, sigma2, n,
                              np.stack((Sigma_g,) * R), C_hat)
@@ -304,11 +307,11 @@ def test_covariance_stack_rows_equal_the_oracle_and_each_row_alone(known):
         alone = covariance_stack(B[r:r + 1], active[r:r + 1], M[r:r + 1], metric[r:r + 1],
                                  sigma2[r:r + 1], n, Sigma_g[None],
                                  None if known else C[r:r + 1])
-        est = GroupEstimates(Bhat=B[r], Sigma_hat=np.eye(2), Sigma_g_hat=Sigma_g,
+        est = GroupEstimates(Bhat=B[r], Sigma_hat=np.eye(p), Sigma_g_hat=Sigma_g,
                              sigma2_hat=1.0, ridge_jitter_used=0.0, n=n)
         sol = SimpleNamespace(active=tuple(np.flatnonzero(active[r])), M=M[r])
         try:
-            expected = reference_assemble_W(est, sol, None if known else C[r], np.eye(2))
+            expected = reference_assemble_W(est, sol, None if known else C[r], np.eye(p))
         except (DegenerateGeometryError, RankError) as err:
             kinds.append(type(err).__name__)
             for got in (stack, alone):
@@ -327,5 +330,23 @@ def test_covariance_stack_rows_equal_the_oracle_and_each_row_alone(known):
                 assert value[i].tobytes() == want.tobytes()
             assert tuple(np.flatnonzero(used[i])) == expected.active_used
             assert vertex[i] == expected.vertex_mode
-    rank = "face" if known else "RankError"
-    assert kinds == ["face", 1, 2, "DegenerateGeometryError", "DegenerateGeometryError", rank]
+    return kinds
+
+
+@pytest.mark.parametrize("known", [False, True])
+def test_covariance_stack_rows_equal_the_oracle_and_each_row_alone(known):
+    assert _oracle_kinds(*_mixed_chunk(), known) == [
+        "face", 1, 2] + ["DegenerateGeometryError"] * 3
+
+
+@pytest.mark.parametrize("known", [False, True])
+def test_a_rank_deficient_face_off_the_degeneracy_bound_is_a_rank_error(known):
+    # The differences' singular values are about 1, 1.4e-7 and 7e-14, so
+    # D is rank deficient, yet every column lies 1e-7 or more off the
+    # others' hull, which each leave-one-out face's pseudo-inverse cuts
+    # to a line: the bound is 1e-10 times the largest column norm, 1.
+    B = np.array([[0.0, 0.0, 1e-7, -1.0], [0.0, 0.0, 1e-13, 0.0], [1e-7, 0.0, 0.0, 0.0]])
+    M = B.mean(axis=1)
+    C = gaussian_population_C(np.eye(3), M, 4)
+    kinds = _oracle_kinds(B[None], np.ones((1, 4), dtype=bool), M[None], C[None], known)
+    assert kinds == ["face" if known else "RankError"]

@@ -1,6 +1,7 @@
 """CSV ingest: the loaders held against the all-Python reader in
 ``reference`` on generated texts, and np.loadtxt's decline rules."""
 
+import csv
 import os
 import tempfile
 
@@ -128,12 +129,15 @@ def _outcome(load, paths):
             loaded.X.view(np.uint64).tolist(), loaded.y.view(np.uint64).tolist())
 
 
-# Mutation-checked: fails when _read_table stops declining quotes,
-# _loadtxt_rows drops the finite test, or GroupedDataset.from_rows drops
-# the first-appearance order of labels. A _loadtxt_rows without its
-# no-data check or comma count fails the decline table below and
-# test_csv_errors; from_rows without its stable row order fails the
-# from_rows property in test_linmodel.
+# Mutation-checked: fails when _read_table stops declining quotes or
+# GroupedDataset.from_rows drops the first-appearance order of labels. A
+# _loadtxt_rows without its finite test or its no-data check fails the
+# decline table below and test_csv_errors, not this property. A ragged
+# row (the decline table's ``a,1,2,3`` and ``b,1``) is declined by
+# np.loadtxt itself, whose dtype has one field per cell of the header;
+# a read with usecols, which accepts extra fields, fails the decline
+# table and test_csv_errors. from_rows without its stable row order
+# fails the from_rows property in test_linmodel.
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=csv_inputs())
 def test_loaders_match_the_csv_reader_oracle(case):
@@ -144,6 +148,30 @@ def test_loaders_match_the_csv_reader_oracle(case):
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         assert _outcome(LOADERS[kind], paths) == _outcome(ORACLES[kind], paths)
+
+
+@pytest.mark.parametrize("kind, texts", [
+    ("grouped", ["group,x1,y\na,1,2\n\nb,3,-0.5\n"]),
+    ("split", ["y,x1\n2,1\n", "y,x1\n4,3\n"]),
+    ("matrix", ["1,0\n0,1\n"]),
+])
+def test_a_clean_file_takes_one_loadtxt_call(tmp_path, monkeypatch, kind, texts):
+    # A structured read that declines would lose only speed: the
+    # csv.reader path gives the same values.
+    paths = [str(tmp_path / f"g{i}.csv") for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(fname, *args, **kwargs):
+        calls.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    monkeypatch.setattr(csv, "reader", lambda *args, **kwargs: pytest.fail("csv.reader ran"))
+    LOADERS[kind](paths)
+    assert calls == paths
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

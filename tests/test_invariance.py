@@ -59,7 +59,8 @@ def test_relabelling_groups_permutes_the_weights(dataset, data):
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
-@given(dataset=datasets, c=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
+@given(dataset=datasets, c=st.builds(lambda e, sign: sign * 10.0**e,
+                                      st.floats(-12.0, 12.0), st.sampled_from([1.0, -1.0])))
 def test_scaling_the_response_scales_M_and_W(dataset, c):
     base = _analyze(dataset)
     scaled = analyze_dataset(GroupedDataset(

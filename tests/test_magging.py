@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from maximin.errors import BudgetError, ConvergenceError, DefinitenessError, DimensionError
 from maximin.linmodel import GroupedDataset
-from maximin.magging import maximin_point, sigma_gram
+from maximin.magging import maximin_point, sigma_gram, stacked_maximin
 from maximin.pipeline import estimate_dataset
 from maximin.selfcheck import brute_force_oracle
 from reference import explained_variance
@@ -72,10 +72,12 @@ def test_a_loop_face_that_overflows_is_refused_without_a_warning():
     # The same columns with b_3's second entry negated: the loop grows the
     # edge {0, 1} by column 2, and 2 H_22 overflows on that face. The face
     # is formed without a warning (which this suite's filterwarnings would
-    # raise), and its solve refuses the program.
+    # raise), and its solve refuses the program three solves in, far
+    # from the cap, with an error that names the overflowing column.
     B = np.array([[1e150, -1e150, 1e154], [0.0, 1e149, -3e153]])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"^2 B\^T Sigma B overflowed in group column 3;"):
         maximin_point(B, np.eye(2))
+    assert stacked_maximin(B[None], np.eye(2)[None]).iterations.tolist() == [3]
 
 
 def test_single_group_is_returned_whole():
