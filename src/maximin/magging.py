@@ -135,7 +135,7 @@ def _clipped(x):
     """Which face solutions x (R, G) are feasible, and their weights
     clipped at zero and, on the feasible rows, scaled to sum to one."""
     feasible = x.min(axis=1) >= -_FEAS_TOL
-    w = np.clip(x, 0.0, None)
+    w = np.maximum(x, 0.0)
     w /= np.where(feasible, w.sum(axis=1), 1.0)[:, None]
     return feasible, w
 
@@ -266,7 +266,7 @@ def stacked_simplex_qp(H, c=None):
         ts = np.where(blocking, cur / np.where(blocking, cur - x, 1.0), np.inf)
         hit = np.argmin(ts, axis=1)
         m = np.arange(now.size)
-        moved = np.clip(cur + ts[m, hit][:, None] * (x - cur), 0.0, None)
+        moved = np.maximum(cur + ts[m, hit][:, None] * (x - cur), 0.0)
         moved[m, hit] = 0.0
         gamma[now] = moved / moved.sum(axis=1)[:, None]
         work[now, hit] = False

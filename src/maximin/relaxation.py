@@ -18,19 +18,26 @@ Whenever the truth lands inside its boxes, some center is eps-close to
 it and the true maximin point satisfies that center's shell and hull
 conditions, so validity is inherited from the boxes.
 
-A CoveringRegion stores its lattice as the p * G coordinate axes and the
-shells |M(B_k)|, one per center; the (K, p, G) centers are formed from
-the axes on first read. covering_region reads each chunk of centers from
-the axes and solves the chunk's maximin points in one stacked_maximin
-call, and contains_relaxed reads the lattice in blocks of the same size,
-so neither the build nor a query holds the full lattice.
+A CoveringRegion stores its lattice as the p * G coordinate axes, the
+shells |M(B_k)| and the maximin weights of every center, rounded to 8
+bits; the (K, p, G) centers are formed from the axes on first read.
+covering_region reads each chunk of centers from the axes and solves the
+chunk's maximin points in one stacked_maximin call, and contains_relaxed
+reads the lattice in blocks of the same size, so neither the build nor a
+query holds the full lattice. The weights cost K * G bytes, against
+8 K for the float64 shells.
 
-A query solves one hull-distance QP per piece it cannot rule out. The
-first piece that passes the shell test is solved alone. If it misses,
-its nearest hull point z, the certificate of the minimum-norm-point
-method (Wolfe 1976), gives the direction u = z - M, and the hyperplane
-normal to u bounds the distance from M to every other hull from below:
-a piece whose bound exceeds its radius is dropped without a QP.
+A query bounds each piece's hull distance before it solves any QP. The
+stored weights, renormalised, give a point P_k = B_k w_k of hull k
+however they were rounded: |M - P_k|_Sigma bounds the distance from
+above, and the supporting hyperplane of the hull normal to P_k bounds
+it from below. A piece whose upper bound is within its radius
+answers True; one whose lower bound exceeds it is dropped. The rest go
+through one hull-distance QP each. The first is solved alone. If it
+misses, its nearest hull point z, the certificate of the
+minimum-norm-point method (Wolfe 1976), gives the direction u = z - M,
+and the hyperplane normal to u bounds the distance from M to every
+other hull from below, the same bound in one shared direction.
 """
 
 import functools
@@ -50,15 +57,15 @@ BUDGET = 10**6
 _SLACK = 1e-9
 
 # Pieces per stacked hull-distance solve in contains_relaxed, of those
-# that pass the shell test and the screen. On the perfbench covering
-# workload (seeds 1-5 and 11), a query off the hulls passes 540-650
-# shells, and 0-286 of those pieces pass the screen. Larger chunks
-# amortise the per-solve overhead but waste the tail of a chunk after an
-# early hit; a chunk's solve holds 64 bordered (G + 1) x (G + 1) systems.
+# that pass the shell test and neither weight bound decides. On the
+# perfbench covering workload (seeds 1-12), the bounds leave 0-4 pieces
+# per 40 queries to the QP, at most one a query. Larger chunks amortise
+# the per-solve overhead but waste the tail of a chunk after an early
+# hit; a chunk's solve holds 64 bordered (G + 1) x (G + 1) systems.
 _CHUNK = 64
 
 # Most lattice centers per stacked_maximin call in covering_region, and
-# lattice indices per block of contains_relaxed's shell test and screen.
+# lattice indices per block of contains_relaxed's shell test and bounds.
 # A full build chunk at p = 5, G = 6 peaks at 7.8 MB of tracemalloc
 # (NumPy 2.4).
 _BUILD_CHUNK = 4096
@@ -135,14 +142,19 @@ class CoveringRegion:
     axes holds the lattice's p * G coordinate vectors in (g, j) order:
     axes[g * p + j] lists the values entry j of column g takes. Piece k
     is the k-th point of their product in C order, the k-th entry of
-    centers, with shell shells[k] and radius radii[k]. Sigma0 is the
-    symmetrised metric covering_region checked, and queries use it as
-    it is.
+    centers, with shell shells[k] and radius radii[k]. weights (K, G)
+    uint8 holds each center's maximin weights gamma as
+    rint(255 gamma_g / max gamma), K * G bytes; any nonnegative row with
+    a positive sum serves queries, as its renormalisation weights a
+    point of the center's hull. Sigma0 is
+    the symmetrised metric covering_region checked, and queries use it
+    as it is.
     """
 
     axes: tuple
     radii: np.ndarray
     shells: np.ndarray
+    weights: np.ndarray
     Sigma0: np.ndarray
     level: float
     spacing: float
@@ -174,10 +186,10 @@ def covering_region(boxes, Sigma0, target_eps):
     The lattice spacing is chosen so that any point of a cell is within
     target_eps of the cell center in max-column Sigma0-norm. Raises
     BudgetError when the covering would need more than BUDGET centers;
-    enlarging target_eps shrinks the lattice. The shells are solved in
-    chunks of at most _BUILD_CHUNK centers, one stacked_maximin call a
-    chunk; the first center in lattice order whose program is refused
-    raises its ConvergenceError.
+    enlarging target_eps shrinks the lattice. The shells and the 8-bit
+    weights are solved in chunks of at most _BUILD_CHUNK centers, one
+    stacked_maximin call a chunk; the first center in lattice order
+    whose program is refused raises its ConvergenceError.
     """
     if target_eps <= 0:
         raise ValueError("target_eps must be > 0")
@@ -203,6 +215,7 @@ def covering_region(boxes, Sigma0, target_eps):
             else:
                 positions.append(c - r + h / 2.0 + h * np.arange(count))
     shells = np.empty(total)
+    weights = np.empty((total, G), dtype=np.uint8)
     for start in range(0, total, _BUILD_CHUNK):
         end = min(start + _BUILD_CHUNK, total)
         solved = stacked_maximin(_lattice_points(positions, np.arange(start, end), p), Sigma)
@@ -210,10 +223,12 @@ def covering_region(boxes, Sigma0, target_eps):
         if refused is not None:
             raise refused
         shells[start:end] = np.sqrt(np.maximum(quadratic_form(Sigma, solved.M), 0.0))
+        weights[start:end] = _rounded_weights(solved.gamma)
     return CoveringRegion(
         axes=tuple(positions),
         radii=np.broadcast_to(float(target_eps), (total,)),
         shells=shells,
+        weights=weights,
         Sigma0=Sigma,
         level=1.0 - boxes.alpha,
         spacing=h,
@@ -235,12 +250,40 @@ def _hull_tests(Sigma, B, SM, MSM, radii):
 
 
 def _separations(Sigma, M, u, B):
-    """min_g <Sigma u, b_kg - M> for centers B (n, p, G): for any u, at
-    most |u|_Sigma times the Sigma-distance from M to hull k, since
-    |x - M|_Sigma |u|_Sigma >= <Sigma u, x - M> (Cauchy-Schwarz) and a
-    linear function's minimum over a hull is at a column."""
-    normal = Sigma @ u
-    return (normal @ B).min(axis=1) - normal @ M
+    """min_g <Sigma u_k, b_kg - M> for centers B (n, p, G) and directions
+    u, one (p,) for every piece or one (n, p) per piece: for any u_k, at
+    most |u_k|_Sigma times the Sigma-distance from M to hull k, since
+    |x - M|_Sigma |u_k|_Sigma >= <Sigma u_k, x - M> (Cauchy-Schwarz) and
+    a linear function's minimum over a hull is at a column."""
+    normal = u @ Sigma
+    return _reduce_rows(np.minimum, np.einsum("...j,...jg->...g", normal, B)) - normal @ M
+
+
+def _reduce_rows(ufunc, X):
+    """ufunc reduced over each row of X (n, G), on a (G, n) copy: NumPy
+    reduces a short last axis row by row, many times slower than across
+    rows."""
+    return ufunc.reduce(np.ascontiguousarray(X.T), axis=0)
+
+
+def _rounded_weights(gamma):
+    """Simplex weights gamma (n, G) as uint8, rint(255 gamma_g / max gamma):
+    every row keeps a 255, so its sum is positive for any G."""
+    return np.rint(255.0 * gamma / _reduce_rows(np.maximum, gamma)[:, None]).astype(np.uint8)
+
+
+def _weighted_points(B, weights):
+    """The points P_k = B_k w_k / sum(w_k) (n, p) of the hulls of centers
+    B (n, p, G) under nonnegative weights (n, G), each row with a positive
+    sum."""
+    w = weights.astype(float)
+    return np.einsum("npg,ng->np", B, w / _reduce_rows(np.add, w)[:, None])
+
+
+def _norms(Sigma, X):
+    """The Sigma-norms (n,) of the rows of X (n, p), from one product
+    X Sigma; geometry.quadratic_form's stacked matmul runs row by row."""
+    return np.sqrt(np.maximum(np.einsum("kj,kj->k", X @ Sigma, X), 0.0))
 
 
 def contains_relaxed(region, M):
@@ -248,52 +291,67 @@ def contains_relaxed(region, M):
 
     The hull test is the Sigma-distance from M to the hull of a piece's
     columns, a simplex QP with linear term -2 B^T Sigma M. The shell test
-    and the screen run over blocks of _BUILD_CHUNK lattice indices, with
+    and both bounds run over blocks of _BUILD_CHUNK lattice indices, with
     the centers read from the axes, so a query forms no array over all K
     pieces.
 
-    The first piece that passes the shell test is solved alone, and a hit
-    returns True. Otherwise its nearest hull point z gives u = z - M, and
-    the screen drops each later piece k whose bound
+    Each piece k that passes the shell test is first bounded with no QP,
+    from the point P_k = B_k w_k of its hull that the stored weights,
+    renormalised, give (_weighted_points). The upper bound |M - P_k|_Sigma
+    within its radius returns True. The lower bound
 
-        (min_g <Sigma u, b_kg> - <Sigma u, M>) / |u|_Sigma
+        (min_g <Sigma u, b_kg> - <Sigma u, M>) / |u|_Sigma,  u = P_k,
 
-    on the distance from M to its hull (_separations) exceeds its
-    radius, with no QP. The bound holds for any u, however accurate the
-    first solve, so the answer can differ from solving every piece only
-    where a hull distance lies within rounding of its threshold. The
-    pieces that pass both tests are solved in chunks of _CHUNK, in piece
-    order, stopping at the first chunk with a hit.
+    above its radius drops the piece (_separations). The pieces neither
+    bound decides take the QP: the first is solved alone, and a hit
+    returns True. Otherwise its nearest hull point z gives one shared
+    u = z - M, and the same lower bound drops each later undecided piece
+    it puts beyond its radius. The pieces left are solved in chunks of
+    _CHUNK, in piece order, stopping at the first chunk with a hit. Each
+    bound holds for any point of the hull and any u, however the weights
+    were rounded and however accurate the first solve, so the answer can
+    differ from solving every piece only where a hull distance lies
+    within rounding of its threshold.
 
     A hull program the active-set loop leaves unsolved (at its cap of
-    100 G solves) raises ConvergenceError. The programs of dropped pieces,
-    like those of pieces after a hit, are never solved, so their caps
-    cannot raise.
+    100 G solves) raises ConvergenceError. The programs of pieces the
+    bounds decide, like those of pieces after a hit, are never solved,
+    so their caps cannot raise.
     """
     Sigma, M = region.Sigma0, np.asarray(M, dtype=float)
     p = Sigma.shape[0]
     norm = np.sqrt(max(float(M @ Sigma @ M), 0.0))
     SM = Sigma @ M
     MSM = float(M @ SM)
-    u = None  # z - M, once the first passing piece has missed
+    u = None  # z - M, once the first undecided piece has missed
     for start in range(0, region.pieces, _BUILD_CHUNK):
         end = min(start + _BUILD_CHUNK, region.pieces)
         shell = np.abs(norm - region.shells[start:end]) <= region.radii[start:end] + _SLACK
         pieces = start + np.flatnonzero(shell)
-        if u is None and pieces.size:
-            B = _lattice_points(region.axes, pieces[:1], p)
-            hit, gamma = _hull_tests(Sigma, B, SM, MSM, region.radii[pieces[:1]] + _SLACK)
-            if hit[0]:
-                return True
-            u = B[0] @ gamma[0] - M
-            scale = np.sqrt(max(float(u @ Sigma @ u), 0.0))
-            pieces = pieces[1:]
         if not pieces.size:
             continue
         B = _lattice_points(region.axes, pieces, p)
         radii = region.radii[pieces] + _SLACK
-        survive = _separations(Sigma, M, u, B) <= radii * scale
+        weights = region.weights[pieces]
+        if u is not None:
+            survive = _separations(Sigma, M, u, B) <= radii * u_scale
+            B, radii, weights = B[survive], radii[survive], weights[survive]
+            if not radii.size:
+                continue
+        P = _weighted_points(B, weights)
+        if (_norms(Sigma, M - P) <= radii).any():
+            return True
+        survive = _separations(Sigma, M, P, B) <= radii * _norms(Sigma, P)
         B, radii = B[survive], radii[survive]
+        if u is None and radii.size:
+            hit, gamma = _hull_tests(Sigma, B[:1], SM, MSM, radii[:1])
+            if hit[0]:
+                return True
+            u = B[0] @ gamma[0] - M
+            u_scale = np.sqrt(max(float(u @ Sigma @ u), 0.0))
+            B, radii = B[1:], radii[1:]
+            survive = _separations(Sigma, M, u, B) <= radii * u_scale
+            B, radii = B[survive], radii[survive]
         for chunk in range(0, radii.size, _CHUNK):
             hit, _ = _hull_tests(Sigma, B[chunk:chunk + _CHUNK], SM, MSM,
                                  radii[chunk:chunk + _CHUNK])

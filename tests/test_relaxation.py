@@ -16,7 +16,10 @@ from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, generate
 from maximin.magging import maximin_point, stacked_simplex_qp
 from maximin.relaxation import (
     GroupBoxes,
+    _norms,
+    _rounded_weights,
     _separations,
+    _weighted_points,
     contains_relaxed,
     covering_region,
     group_confidence_boxes,
@@ -213,13 +216,16 @@ def _traced_build(boxes, eps):
 def test_covering_build_holds_one_chunk_not_the_lattice():
     # 7^6 = 117,649 centers at p = 3, G = 2. Expanding them, as a meshgrid
     # and its stack, took a 13.3 MB tracemalloc peak; the chunked build
-    # peaks at 2.2 MB (0.9 MB of shells, one 4096-center chunk's QP
-    # arrays), measured on NumPy 2.4. The bound leaves 3.6x of that.
+    # peaks at 2.4 MB (0.9 MB of shells, 0.2 MB of 8-bit weights, one
+    # 4096-center chunk's QP arrays), measured on NumPy 2.4. The bound
+    # leaves 3.3x of that.
     boxes = _lattice_boxes(np.ones((3, 2)) + np.arange(2), np.full((3, 2), 7), np.eye(3), 0.1)
     region, peak = _traced_build(boxes, 0.1)
     K = region.pieces
     assert K == 7 ** 6
     assert peak < 8e6 < 4 * K * 3 * 2 * 8
+    assert region.weights.dtype == np.uint8 and region.weights.nbytes == K * 2
+    assert (region.weights.max(axis=1) == 255).all()
     assert region.radii.strides == (0,)
     assert "centers" not in region.__dict__
     assert region.centers.shape == (K, 3, 2)
@@ -235,13 +241,12 @@ def _seven_to_the_sixth():
 
 
 def test_a_covering_query_forms_only_the_pieces_it_tests():
-    # The same 117,649 centers: a query near the boundary, whose first
-    # passing piece misses and which makes 91 stacked solves before its
-    # hit.
+    # The same 117,649 centers: a query near the boundary, which the
+    # weight bounds leave to 74 stacked solves before its hit.
     # Reading its pieces through region.centers expanded the whole
     # lattice, a 9.7 MB tracemalloc peak; testing the shells over all K
     # pieces at once peaked at 2.0 MB. Tested in blocks of 4096 lattice
-    # indices, it peaks at 0.26 MB, measured on NumPy 2.4: less than one
+    # indices, it peaks at 0.33 MB, measured on NumPy 2.4: less than one
     # float array over all K pieces.
     region = _seven_to_the_sixth()
     K = region.pieces
@@ -256,13 +261,15 @@ def test_a_covering_query_forms_only_the_pieces_it_tests():
     assert "centers" not in region.__dict__
 
 
-def test_the_screen_leaves_one_program_where_the_first_piece_decides(monkeypatch):
+def test_the_weight_bounds_leave_no_program_where_a_piece_decides(monkeypatch):
     # Programs solved, counted at the stacked QP on the 117,649 centers.
     # M = (1.5, -1, 1.5) passes 3,430 shells; solving them all took 54
-    # stacked solves. The first piece's hyperplane rules out the other
-    # 3,429.
-    # The maximin point of the first center hits at its first passing
-    # piece, which is solved alone.
+    # stacked solves, and the first passing piece's hyperplane, after one
+    # solve, ruled out the other 3,429. The stored weights' lower bound
+    # rules out all 3,430.
+    # The maximin point of the first center lies on that center's hull
+    # up to the 8-bit rounding of its weights, well within its radius:
+    # the upper bound returns True.
     region = _seven_to_the_sixth()
     programs = []
 
@@ -272,11 +279,12 @@ def test_the_screen_leaves_one_program_where_the_first_piece_decides(monkeypatch
 
     monkeypatch.setattr(relaxation, "stacked_simplex_qp", counted)
     assert not contains_relaxed(region, np.array([1.5, -1.0, 1.5]))
-    assert programs == [1]
+    assert programs == []
     first = np.array([axis[0] for axis in region.axes]).reshape(2, 3).T
-    programs.clear()
     assert contains_relaxed(region, maximin_point(first, np.eye(3)).M)
-    assert programs == [1]
+    assert programs == []
+    assert contains_relaxed(region, np.ones(3))
+    assert len(programs) == 74 and sum(programs) == 4524
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -294,6 +302,59 @@ def test_the_screen_never_exceeds_the_hull_distance(p, G, seed, nearest):
     if metric.norm(u) > 0.0:
         bound = _separations(metric.Sigma, M, u, B[None])[0] / metric.norm(u)
         assert bound <= distance + 1e-12 * (1.0 + np.abs(B).max() + np.abs(M).max())
+
+
+def test_each_weight_bound_decides_up_to_the_radius(monkeypatch):
+    # One piece at eps = 0.1 under I, its shell band passed by every
+    # query. Its hull is the segment (1, 0)-(2, 0), whose maximin point is
+    # the vertex (1, 0): above the vertex the upper bound is the hull
+    # distance, and the lower bound along (1, 0) is 0, so a miss takes
+    # the QP. Or its hull is the segment (1, -1)-(1, 1), with maximin
+    # point (1, 0): at height 0.5 the upper bound exceeds 0.5 and the
+    # lower bound is the hull distance, so only a hit takes the QP.
+    programs = []
+
+    def counted(H, c=None):
+        programs.append(H.shape[0])
+        return stacked_simplex_qp(H, c)
+
+    monkeypatch.setattr(relaxation, "stacked_simplex_qp", counted)
+    for columns, weights, M, inside, solved in (
+            ([[1.0, 2.0], [0.0, 0.0]], [255, 0], [1.0, 0.099], True, []),
+            ([[1.0, 2.0], [0.0, 0.0]], [255, 0], [1.0, 0.101], False, [1]),
+            ([[1.0, 1.0], [-1.0, 1.0]], [255, 255], [0.901, 0.5], True, [1]),
+            ([[1.0, 1.0], [-1.0, 1.0]], [255, 255], [0.899, 0.5], False, [])):
+        boxes = _lattice_boxes(np.array(columns), np.ones((2, 2), dtype=int), np.eye(2), 0.1)
+        region = covering_region(boxes, np.eye(2), target_eps=0.1)
+        assert region.weights.tolist() == [weights]
+        programs.clear()
+        assert contains_relaxed(region, np.array(M)) == inside
+        assert programs == solved
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(1, 4), G=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       source=st.sampled_from(["simplex", "rounded", "maximin"]))
+def test_the_weight_bounds_enclose_the_hull_distance(p, G, seed, source):
+    # Random simplex weights, their 8-bit rounding as covering_region
+    # stores it, or the rounded maximin weights weight a point P of the
+    # hull: |M - P| bounds the distance from above, and the screen along
+    # u = P from below.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 10, seed))))
+    B = rng.standard_normal((p, G)) + rng.uniform(-2.0, 2.0)
+    metric = SigmaMetric(_metric(rng, p, True))
+    M = 2.0 * rng.standard_normal(p)
+    gamma = rng.dirichlet(np.full(G, 0.5))[None]
+    if source == "maximin":
+        gamma = maximin_point(B, metric).alpha[None]
+    weights = gamma if source == "simplex" else _rounded_weights(gamma)
+    P = _weighted_points(B[None], weights)
+    distance = hull_distance(B, metric, M)
+    tol = 1e-12 * (1.0 + np.abs(B).max() + np.abs(M).max())
+    assert distance <= _norms(metric.Sigma, M - P)[0] + tol
+    scale = _norms(metric.Sigma, P)[0]
+    if scale > 0.0:
+        assert _separations(metric.Sigma, M, P, B[None])[0] / scale <= distance + tol
 
 
 def test_covering_build_at_p_5_G_6_stays_in_its_memory_bound():

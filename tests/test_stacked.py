@@ -334,9 +334,13 @@ def test_a_capped_program_is_refused_alone(monkeypatch):
     B[1], Sigma[1] = 2.0 * np.eye(8), np.eye(8)
     message = "simplex QP did not converge within 800 iterations"
     _assert_refused_alone(B, Sigma, {1: message})
-    # the one center B[1], as one length-1 axis per entry in (g, j) order
+    # the one center B[1], as one length-1 axis per entry in (g, j) order,
+    # with all its weight on column 0: neither bound decides the piece
+    weights = np.zeros((1, 8), dtype=np.uint8)
+    weights[0, 0] = 255
     region = CoveringRegion(axes=tuple(B[1].T.reshape(-1, 1)), radii=np.ones(1),
-                            shells=np.zeros(1), Sigma0=np.eye(8), level=0.95, spacing=1.0)
+                            shells=np.zeros(1), weights=weights, Sigma0=np.eye(8),
+                            level=0.95, spacing=1.0)
     with pytest.raises(ConvergenceError, match=f"^{message}$"):
         contains_relaxed(region, np.zeros(8))
 
