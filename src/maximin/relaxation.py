@@ -27,17 +27,19 @@ reads the lattice in blocks of the same size, so neither the build nor a
 query holds the full lattice. The weights cost K * G bytes, against
 8 K for the float64 shells.
 
-A query bounds each piece's hull distance before it solves any QP. The
-stored weights, renormalised, give a point P_k = B_k w_k of hull k
-however they were rounded: |M - P_k|_Sigma bounds the distance from
-above, and the supporting hyperplane of the hull normal to P_k bounds
-it from below. A piece whose upper bound is within its radius
-answers True; one whose lower bound exceeds it is dropped. The rest go
-through one hull-distance QP each. The first is solved alone. If it
-misses, its nearest hull point z, the certificate of the
-minimum-norm-point method (Wolfe 1976), gives the direction u = z - M,
-and the hyperplane normal to u bounds the distance from M to every
-other hull from below, the same bound in one shared direction.
+A query bounds each piece's hull distance before it solves the
+piece's QP. The stored weights, renormalised, give a point
+P_k = B_k w_k of hull k however they were rounded: |M - P_k|_Sigma
+bounds the distance from above, and the supporting hyperplane of the
+hull normal to P_k bounds it from below. A piece whose upper bound is
+within its radius answers True; one whose lower bound exceeds it is
+dropped. Each chunk of the rest is solved in one stacked QP. On a
+miss, a nearest hull point z, the certificate of the
+minimum-norm-point method (Wolfe 1976), gives the direction
+u = z - M, and the hyperplane normal to u bounds the distance from M
+to every other hull from below, the same bound in one shared
+direction, before the next chunk is solved: the separating-direction
+step of Gilbert, Johnson and Keerthi (1988), taken at every miss.
 """
 
 import functools
@@ -57,11 +59,14 @@ BUDGET = 10**6
 _SLACK = 1e-9
 
 # Pieces per stacked hull-distance solve in contains_relaxed, of those
-# that pass the shell test and neither weight bound decides. On the
-# perfbench covering workload (seeds 1-12), the bounds leave 0-4 pieces
-# per 40 queries to the QP, at most one a query. Larger chunks amortise
-# the per-solve overhead but waste the tail of a chunk after an early
-# hit; a chunk's solve holds 64 bordered (G + 1) x (G + 1) systems.
+# that pass the shell test, the latest miss's hyperplane and both weight
+# bounds. On the perfbench covering workload (seeds 1-12), 17 of the 480
+# queries make one solve each, of 6 to 64 programs, and none makes two.
+# At G = 2 a solve of 64 programs costs about what a solve of one does,
+# and the hyperplane of each missed chunk drops most of the rest: the
+# boundary query (1, 1, 1) on the 7^6 test lattice makes 13 solves of
+# 588 programs. A chunk's solve holds 64 bordered (G + 1) x (G + 1)
+# systems.
 _CHUNK = 64
 
 # Most lattice centers per stacked_maximin call in covering_region, and
@@ -85,9 +90,7 @@ class GroupBoxes:
     scatters: np.ndarray
     sigma2: float
     threshold: float
-    level_per_box: float
     alpha: float
-    n: int
     halfwidths: np.ndarray
 
     @property
@@ -128,9 +131,7 @@ def group_confidence_boxes(estimates, alpha):
         scatters=scatters,
         sigma2=sigma2,
         threshold=threshold,
-        level_per_box=1.0 - alpha / G,
         alpha=alpha,
-        n=n,
         halfwidths=halfwidths,
     )
 
@@ -156,8 +157,6 @@ class CoveringRegion:
     shells: np.ndarray
     weights: np.ndarray
     Sigma0: np.ndarray
-    level: float
-    spacing: float
 
     @property
     def pieces(self):
@@ -191,7 +190,7 @@ def covering_region(boxes, Sigma0, target_eps):
     stacked_maximin call a chunk; the first center in lattice order
     whose program is refused raises its ConvergenceError.
     """
-    if target_eps <= 0:
+    if not target_eps > 0:
         raise ValueError("target_eps must be > 0")
     p, G = boxes.p, boxes.G
     Sigma = SigmaMetric.ensure(Sigma0, p).Sigma
@@ -230,8 +229,6 @@ def covering_region(boxes, Sigma0, target_eps):
         shells=shells,
         weights=weights,
         Sigma0=Sigma,
-        level=1.0 - boxes.alpha,
-        spacing=h,
     )
 
 
@@ -290,28 +287,28 @@ def contains_relaxed(region, M):
     """Whether M satisfies some piece's shell and inflated-hull conditions.
 
     The hull test is the Sigma-distance from M to the hull of a piece's
-    columns, a simplex QP with linear term -2 B^T Sigma M. The shell test
-    and both bounds run over blocks of _BUILD_CHUNK lattice indices, with
-    the centers read from the axes, so a query forms no array over all K
-    pieces.
+    columns, a simplex QP with linear term -2 B^T Sigma M. The shell test,
+    the bounds and the solves run over blocks of _BUILD_CHUNK lattice
+    indices, with the centers read from the axes, so a query forms no
+    array over all K pieces.
 
-    Each piece k that passes the shell test is first bounded with no QP,
-    from the point P_k = B_k w_k of its hull that the stored weights,
-    renormalised, give (_weighted_points). The upper bound |M - P_k|_Sigma
-    within its radius returns True. The lower bound
+    The pieces of a block that pass the shell test go through one loop
+    until none are left. After a miss, the lower bound
 
-        (min_g <Sigma u, b_kg> - <Sigma u, M>) / |u|_Sigma,  u = P_k,
+        (min_g <Sigma u, b_kg> - <Sigma u, M>) / |u|_Sigma        (*)
 
-    above its radius drops the piece (_separations). The pieces neither
-    bound decides take the QP: the first is solved alone, and a hit
-    returns True. Otherwise its nearest hull point z gives one shared
-    u = z - M, and the same lower bound drops each later undecided piece
-    it puts beyond its radius. The pieces left are solved in chunks of
-    _CHUNK, in piece order, stopping at the first chunk with a hit. Each
-    bound holds for any point of the hull and any u, however the weights
-    were rounded and however accurate the first solve, so the answer can
-    differ from solving every piece only where a hull distance lies
-    within rounding of its threshold.
+    along the latest miss's u = z - M drops each piece it puts beyond
+    its radius (_separations); u carries over to later blocks. Each piece
+    left is then bounded from the point P_k = B_k w_k of its hull that
+    the stored weights, renormalised, give (_weighted_points): the upper
+    bound |M - P_k|_Sigma within its radius returns True, and (*) with
+    u = P_k above its radius drops the piece. The next _CHUNK pieces, in
+    piece order, are solved in one stacked call; a hit returns True, and
+    on a miss the nearest hull point z of the chunk's first piece
+    re-aims u. Each bound holds for any point of the hull and any u,
+    however the weights were rounded and however accurate the solves, so
+    the answer can differ from solving every piece only where a hull
+    distance lies within rounding of its threshold.
 
     A hull program the active-set loop leaves unsolved (at its cap of
     100 G solves) raises ConvergenceError. The programs of pieces the
@@ -323,7 +320,7 @@ def contains_relaxed(region, M):
     norm = np.sqrt(max(float(M @ Sigma @ M), 0.0))
     SM = Sigma @ M
     MSM = float(M @ SM)
-    u = None  # z - M, once the first undecided piece has missed
+    u = None  # z - M from the latest miss
     for start in range(0, region.pieces, _BUILD_CHUNK):
         end = min(start + _BUILD_CHUNK, region.pieces)
         shell = np.abs(norm - region.shells[start:end]) <= region.radii[start:end] + _SLACK
@@ -333,28 +330,20 @@ def contains_relaxed(region, M):
         B = _lattice_points(region.axes, pieces, p)
         radii = region.radii[pieces] + _SLACK
         weights = region.weights[pieces]
-        if u is not None:
-            survive = _separations(Sigma, M, u, B) <= radii * u_scale
+        while radii.size:
+            if u is not None:
+                survive = _separations(Sigma, M, u, B) <= radii * _norms(Sigma, u[None])
+                B, radii, weights = B[survive], radii[survive], weights[survive]
+            P = _weighted_points(B, weights)
+            if (_norms(Sigma, M - P) <= radii).any():
+                return True
+            survive = _separations(Sigma, M, P, B) <= radii * _norms(Sigma, P)
             B, radii, weights = B[survive], radii[survive], weights[survive]
             if not radii.size:
-                continue
-        P = _weighted_points(B, weights)
-        if (_norms(Sigma, M - P) <= radii).any():
-            return True
-        survive = _separations(Sigma, M, P, B) <= radii * _norms(Sigma, P)
-        B, radii = B[survive], radii[survive]
-        if u is None and radii.size:
-            hit, gamma = _hull_tests(Sigma, B[:1], SM, MSM, radii[:1])
-            if hit[0]:
-                return True
-            u = B[0] @ gamma[0] - M
-            u_scale = np.sqrt(max(float(u @ Sigma @ u), 0.0))
-            B, radii = B[1:], radii[1:]
-            survive = _separations(Sigma, M, u, B) <= radii * u_scale
-            B, radii = B[survive], radii[survive]
-        for chunk in range(0, radii.size, _CHUNK):
-            hit, _ = _hull_tests(Sigma, B[chunk:chunk + _CHUNK], SM, MSM,
-                                 radii[chunk:chunk + _CHUNK])
+                break
+            hit, gamma = _hull_tests(Sigma, B[:_CHUNK], SM, MSM, radii[:_CHUNK])
             if hit.any():
                 return True
+            u = B[0] @ gamma[0] - M
+            B, radii, weights = B[_CHUNK:], radii[_CHUNK:], weights[_CHUNK:]
     return False

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maximin import relaxation
+from maximin.confidence import chi2_quantile
 from maximin.errors import BudgetError, SingularFitError
 from maximin.geometry import SigmaMetric
 from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, generate
@@ -62,7 +63,7 @@ def _fitted(seed=0, p=2, n=80):
 def test_boxes_split_the_level_evenly():
     est, _ = _fitted()
     boxes = group_confidence_boxes(est, alpha=0.05)
-    assert boxes.level_per_box == pytest.approx(1.0 - 0.05 / est.G)
+    assert boxes.threshold == chi2_quantile(est.p, 1.0 - 0.05 / est.G)
     assert boxes.alpha == 0.05
     assert boxes.halfwidths.shape == (est.p, est.G)
     assert boxes_contain(boxes, est.Bhat)
@@ -139,6 +140,8 @@ def test_covering_budget_is_enforced():
         covering_region(boxes, np.eye(2), target_eps=1e-4)
     with pytest.raises(ValueError, match="^target_eps must be > 0$"):
         covering_region(boxes, np.eye(2), target_eps=0.0)
+    with pytest.raises(ValueError, match="^target_eps must be > 0$"):
+        covering_region(boxes, np.eye(2), target_eps=float("nan"))
 
 
 def _lattice_boxes(centers, counts, Sigma, eps):
@@ -148,7 +151,7 @@ def _lattice_boxes(centers, counts, Sigma, eps):
     h = 2.0 * eps / (math.sqrt(p) * math.sqrt(float(np.linalg.eigvalsh(Sigma)[-1])))
     halfwidths = h * (np.asarray(counts) - 0.5) / 2.0
     return GroupBoxes(centers=centers, scatters=None, sigma2=1.0, threshold=1.0,
-                      level_per_box=0.975, alpha=0.05, n=10, halfwidths=halfwidths)
+                      alpha=0.05, halfwidths=halfwidths)
 
 
 def _assert_covering_bits(centers, counts, Sigma):
@@ -241,12 +244,12 @@ def _seven_to_the_sixth():
 
 
 def test_a_covering_query_forms_only_the_pieces_it_tests():
-    # The same 117,649 centers: a query near the boundary, which the
-    # weight bounds leave to 74 stacked solves before its hit.
+    # The same 117,649 centers: a query near the boundary, which makes
+    # 13 stacked solves before its hit.
     # Reading its pieces through region.centers expanded the whole
     # lattice, a 9.7 MB tracemalloc peak; testing the shells over all K
     # pieces at once peaked at 2.0 MB. Tested in blocks of 4096 lattice
-    # indices, it peaks at 0.33 MB, measured on NumPy 2.4: less than one
+    # indices, it peaks at 0.23 MB, measured on NumPy 2.4: less than one
     # float array over all K pieces.
     region = _seven_to_the_sixth()
     K = region.pieces
@@ -270,6 +273,8 @@ def test_the_weight_bounds_leave_no_program_where_a_piece_decides(monkeypatch):
     # The maximin point of the first center lies on that center's hull
     # up to the 8-bit rounding of its weights, well within its radius:
     # the upper bound returns True.
+    # The boundary query (1, 1, 1) takes the QP: 13 stacked solves of 588
+    # programs, each chunk screened by the latest miss's hyperplane.
     region = _seven_to_the_sixth()
     programs = []
 
@@ -284,7 +289,64 @@ def test_the_weight_bounds_leave_no_program_where_a_piece_decides(monkeypatch):
     assert contains_relaxed(region, maximin_point(first, np.eye(3)).M)
     assert programs == []
     assert contains_relaxed(region, np.ones(3))
-    assert len(programs) == 74 and sum(programs) == 4524
+    assert len(programs) == 13 and sum(programs) == 588
+
+
+def test_re_aimed_screens_match_the_closed_form_segment_distances(monkeypatch):
+    # At G = 2 under I each hull is a segment, so whether M is within
+    # radius of some piece has a closed form over all 117,649 pieces.
+    # Queries: the boundary query (1, 1, 1), and on each of 14 rays from
+    # it the last point inside and the first outside of a 12-step
+    # bisection of the region's boundary. Just inside, few pieces hit, so
+    # a screen that dropped a piece within its radius would answer False,
+    # as one that kept only pieces within half their radius did for some.
+    # Most queries make several stacked solves, each after the latest
+    # miss has re-aimed the screen. Answers within 1e-7 of a threshold
+    # are skipped.
+    region = _seven_to_the_sixth()
+    a, b = region.centers[:, :, 0], region.centers[:, :, 1]
+    d = b - a
+    radii = region.radii + 1e-9
+
+    def gaps(M):
+        t = np.clip(np.einsum("kj,kj->k", M - a, d) / np.einsum("kj,kj->k", d, d), 0.0, 1.0)
+        shell_gap = np.abs(np.linalg.norm(M) - region.shells) - radii
+        return shell_gap, np.linalg.norm(a + t[:, None] * d - M, axis=1) - radii
+
+    def inside(M):
+        shell_gap, hull_gap = gaps(M)
+        return bool(((shell_gap <= 0.0) & (hull_gap <= 0.0)).any())
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 11))))
+    queries = [np.ones(3)]
+    for ray in rng.standard_normal((14, 3)):
+        ray /= np.linalg.norm(ray)
+        lo, hi = 0.0, 1.0
+        assert inside(1.0 + lo * ray) and not inside(1.0 + hi * ray)
+        for _ in range(12):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if inside(1.0 + mid * ray) else (lo, mid)
+        queries += [1.0 + lo * ray, 1.0 + hi * ray]
+    programs = []
+
+    def counted(H, c=None):
+        programs.append(H.shape[0])
+        return stacked_simplex_qp(H, c)
+
+    monkeypatch.setattr(relaxation, "stacked_simplex_qp", counted)
+    solves, answers = [], []
+    for M in queries:
+        programs.clear()
+        got = contains_relaxed(region, M)
+        solves.append(len(programs))
+        shell_gap, hull_gap = gaps(M)
+        passing = shell_gap <= 0.0
+        if min(np.abs(shell_gap).min(), np.abs(hull_gap[passing]).min(initial=1.0)) < 1e-7:
+            continue
+        assert got == (passing & (hull_gap <= 0.0)).any()
+        answers.append(got)
+    assert len(answers) >= 25 and 0 < sum(answers) < len(answers)
+    assert max(solves) >= 2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -339,8 +339,7 @@ def test_a_capped_program_is_refused_alone(monkeypatch):
     weights = np.zeros((1, 8), dtype=np.uint8)
     weights[0, 0] = 255
     region = CoveringRegion(axes=tuple(B[1].T.reshape(-1, 1)), radii=np.ones(1),
-                            shells=np.zeros(1), weights=weights, Sigma0=np.eye(8),
-                            level=0.95, spacing=1.0)
+                            shells=np.zeros(1), weights=weights, Sigma0=np.eye(8))
     with pytest.raises(ConvergenceError, match=f"^{message}$"):
         contains_relaxed(region, np.zeros(8))
 
@@ -354,7 +353,7 @@ def test_the_covering_build_raises_its_first_capped_center(monkeypatch):
     halfwidths = np.zeros((8, 8))
     halfwidths[0, 1] = 1.5 * h
     boxes = GroupBoxes(centers=2.0 * np.eye(8), scatters=None, sigma2=1.0, threshold=1.0,
-                       level_per_box=0.99, alpha=0.05, n=10, halfwidths=halfwidths)
+                       alpha=0.05, halfwidths=halfwidths)
     with pytest.raises(ConvergenceError,
                        match="^simplex QP did not converge within 800 iterations$"):
         covering_region(boxes, np.eye(8), target_eps=eps)
@@ -458,7 +457,8 @@ def test_contains_relaxed_matches_the_piece_loop():
     _assert_membership_matches_the_piece_loop(region, queries)
     # Under I, and under a non-identity metric scaled so that distances
     # exceed 1: far outside; on the shell band but turned away from the
-    # hulls, where the first piece's hyperplane rules out the rest; and
+    # hulls, where the stored weights' lower bound rules out every piece
+    # before any solve; and
     # along a ray from the maximin point, at right angles to it, that
     # leaves the hulls while its norm stays in the band, so the screen
     # keeps some pieces and hits follow misses.
