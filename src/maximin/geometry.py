@@ -92,6 +92,13 @@ def quadratic_form(A, x):
     return ((x[..., None, :] @ A) @ x[..., :, None])[..., 0, 0]
 
 
+def reduce_rows(ufunc, X):
+    """ufunc reduced over each row of X (n, G), on a (G, n) copy: NumPy
+    reduces a short last axis row by row, many times slower. A min, max or
+    any keeps its value (a zero may change sign); a sum may not from G = 8."""
+    return ufunc.reduce(np.ascontiguousarray(X.T), axis=0)
+
+
 def stacked_linalg(kernel, *arrays):
     """numpy.linalg's gufunc kernel ("cholesky_lo", "solve" or "inv") over
     a stack of matrices, NaN for each item it cannot factor.

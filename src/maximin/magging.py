@@ -35,6 +35,9 @@ is singular in exact arithmetic (H has rank at most p): some column lies
 on the others' affine hull, its gap is of rounding size, and the trial
 refuses the face as the loop would never grow it.
 
+Minimums, maximums and any-tests over the G weights run across the stack;
+sums stay row by row, as a sum across rows rounds differently from G = 8.
+
 stacked_maximin forms those programs for a stack of coefficient
 matrices and metrics; maximin_point is its stack of one.
 """
@@ -45,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import Face, SigmaMetric, matvec, stacked_linalg, symmetric
+from .geometry import Face, SigmaMetric, matvec, reduce_rows, stacked_linalg, symmetric
 
 # Weights above this count as active.
 ACTIVITY_THRESHOLD = 1e-6
@@ -81,14 +84,19 @@ class MaggingSolution:
     iterations: int = 0
 
 
-def _multipliers(H, gamma, linear):
+def _multipliers(H, gamma, linear, vertex=None):
     """The gradient 2 H gamma + linear (R, G) of a stack of programs at
     weights gamma, and the multiplier lam = gamma^T grad (R,) of the
     sum-to-one row. Column j's multiplier gap is grad_j - lam: the loop
     stops when no column off the working set has a gap below -tol, and
-    maximin_point's KKT certificate reads the same gaps."""
-    grad = 2.0 * matvec(H, gamma) + linear
-    return grad, (gamma * grad).sum(axis=1)
+    maximin_point's KKT certificate reads the same gaps. Given the vertex
+    (R,) where gamma is one-hot, grad is read from H and lam, whose terms
+    are grad_vertex and zeros (or NaN, 0 * inf), is summed across rows."""
+    if vertex is None:
+        grad = 2.0 * matvec(H, gamma) + linear
+        return grad, (gamma * grad).sum(axis=1)
+    grad = 2.0 * H[np.arange(len(vertex)), :, vertex] + linear
+    return grad, reduce_rows(np.add, gamma * grad)
 
 
 def capped_error(G):
@@ -134,7 +142,7 @@ def _face_solutions(H, c, face):
 def _clipped(x):
     """Which face solutions x (R, G) are feasible, and their weights
     clipped at zero and, on the feasible rows, scaled to sum to one."""
-    feasible = x.min(axis=1) >= -_FEAS_TOL
+    feasible = reduce_rows(np.minimum, x) >= -_FEAS_TOL
     w = np.maximum(x, 0.0)
     w /= np.where(feasible, w.sum(axis=1), 1.0)[:, None]
     return feasible, w
@@ -165,8 +173,8 @@ def _full_face(H, c, tol):
     full = np.ones((1, H.shape[-1]), dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         accept, w = _clipped(_face_solutions(H, c, full))
-        gershgorin = (2.0 * np.diagonal(H, 0, 1, 2) - np.abs(H).sum(axis=2)).min(axis=1)
-        doubt = accept & ~(2.0 * gershgorin * w.min(axis=1) > tol)
+        gershgorin = reduce_rows(np.minimum, 2.0 * np.diagonal(H, 0, 1, 2) - np.abs(H).sum(axis=2))
+        doubt = accept & ~(2.0 * gershgorin * reduce_rows(np.minimum, w) > tol)
         if doubt.any():
             kkt, _ = _face_systems(H[doubt], None, full)
             inverse = stacked_linalg("inv", kkt)
@@ -184,7 +192,7 @@ def _gap_tolerance(H, linear):
     G = H.shape[-1]
     e = G.bit_length()
     mean_diag = np.ldexp(np.ldexp(np.diagonal(H, 0, 1, 2), -e).sum(axis=1) / G, e)
-    return 1e-10 * np.maximum(np.abs(mean_diag), np.abs(linear).max(axis=1))
+    return 1e-10 * np.maximum(np.abs(mean_diag), reduce_rows(np.maximum, np.abs(linear)))
 
 
 def stacked_simplex_qp(H, c=None):
@@ -221,14 +229,14 @@ def stacked_simplex_qp(H, c=None):
     rows = np.arange(R)
     linear = np.zeros((R, G)) if c is None else c
     tol = _gap_tolerance(H, linear)
-    work = np.zeros((R, G), dtype=bool)
-    work[rows, np.argmin(np.diagonal(H, axis1=1, axis2=2) + linear, axis=1)] = True
+    vertex = np.argmin(np.diagonal(H, axis1=1, axis2=2) + linear, axis=1)
+    work = vertex[:, None] == np.arange(G)
     gamma = work.astype(float)
     at_point, running = np.ones(R, dtype=bool), np.ones(R, dtype=bool)
     optimal, solves = np.zeros(R, dtype=bool), np.zeros(R, dtype=int)
     trial, trials = True, np.zeros(R, dtype=int)
     while True:
-        grad, lam = _multipliers(H, gamma, linear)
+        grad, lam = _multipliers(H, gamma, linear, vertex if trial else None)
         grad[work] = np.inf
         j = np.argmin(grad, axis=1)
         done = running & at_point & (lam - grad[rows, j] <= tol)
@@ -256,7 +264,7 @@ def stacked_simplex_qp(H, c=None):
         at_point[now] = feasible
         if feasible.all():
             continue
-        singular = np.isnan(x).any(axis=1)
+        singular = reduce_rows(np.logical_or, np.isnan(x))
         running[now[singular]] = False
         # step toward x until the first weight reaches zero, and drop it
         step = ~feasible & ~singular
@@ -331,7 +339,7 @@ def stacked_maximin(B, Sigma):
                 f"B^T Sigma B {cause} in group column {g + 1}; the simplex QP has no finite solution")
     with np.errstate(over="ignore"):
         unformed = support & np.isinf(2.0 * np.diagonal(H, 0, 1, 2))
-    for r in np.flatnonzero(np.isnan(gamma).any(axis=1)):
+    for r in np.flatnonzero(reduce_rows(np.logical_or, np.isnan(gamma))):
         if errors[r] is None and unformed[r].any():
             errors[r] = ConvergenceError(
                 f"2 B^T Sigma B overflowed in group column {np.argmax(unformed[r]) + 1};"

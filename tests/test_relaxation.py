@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from maximin import relaxation
 from maximin.confidence import chi2_quantile
-from maximin.errors import BudgetError, SingularFitError
+from maximin.errors import BudgetError, DimensionError, SingularFitError
 from maximin.geometry import SigmaMetric
 from maximin.linmodel import GroupedDataset, ScenarioSpec, fit, generate
 from maximin.magging import maximin_point, stacked_simplex_qp
@@ -219,9 +219,9 @@ def _traced_build(boxes, eps):
 def test_covering_build_holds_one_chunk_not_the_lattice():
     # 7^6 = 117,649 centers at p = 3, G = 2. Expanding them, as a meshgrid
     # and its stack, took a 13.3 MB tracemalloc peak; the chunked build
-    # peaks at 2.4 MB (0.9 MB of shells, 0.2 MB of 8-bit weights, one
+    # peaks at 2.5 MB (0.9 MB of shells, 0.2 MB of 8-bit weights, one
     # 4096-center chunk's QP arrays), measured on NumPy 2.4. The bound
-    # leaves 3.3x of that.
+    # leaves 3.2x of that.
     boxes = _lattice_boxes(np.ones((3, 2)) + np.arange(2), np.full((3, 2), 7), np.eye(3), 0.1)
     region, peak = _traced_build(boxes, 0.1)
     K = region.pieces
@@ -441,6 +441,20 @@ def test_membership_holds_at_each_center_point():
         assert contains_relaxed(region, Mk)
     far = np.full(2, region.shells.max() + 10.0)
     assert not contains_relaxed(region, far)
+
+
+def test_a_malformed_query_is_refused():
+    # A NaN query answered False, an infinite one False with overflow
+    # warnings, and one of the wrong length failed inside a matmul.
+    est, _ = _fitted()
+    region = covering_region(group_confidence_boxes(est, alpha=0.05), np.eye(2), target_eps=0.3)
+    for wrong in (np.ones(3), np.ones((1, 2)), 1.0):
+        with pytest.raises(DimensionError, match=r"M must have shape \(2,\)"):
+            contains_relaxed(region, wrong)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="M must be finite"):
+            contains_relaxed(region, np.array([1.0, bad]))
+    assert not contains_relaxed(region, np.array([5.0, 5.0]))
 
 
 def test_membership_is_monotone_in_the_radii():

@@ -254,6 +254,49 @@ def test_a_face_mask_is_solved_in_column_order():
                 == magging._face_solutions(H, linear, full).tobytes())
 
 
+def _equal_up_to_zero_sign(a, b):
+    """Whether arrays a and b hold the same values, NaN where the other is
+    NaN, and the same bits wherever they are not zero."""
+    bits = a.view(np.uint64) == b.view(np.uint64)
+    return np.array_equal(a, b, equal_nan=True) and bool((bits | (a == 0.0)).all())
+
+
+_PALETTE = np.array([0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, 8.99e307, -1.2e308, 1.7e308])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    G=st.integers(2, 20),
+    R=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    huge_diagonal=st.booleans(),
+    linear_kind=st.sampled_from(["zero", "palette", "normal"]),
+)
+def test_the_first_pass_reads_the_multipliers_from_H(G, R, seed, huge_diagonal, linear_kind):
+    # Every program starts at a one-hot vertex, so the first pass reads the
+    # gradient from H's vertex column and sums lam across rows. Finite
+    # symmetric H with entries from the palette (signed zeros, subnormals,
+    # entries whose double overflows) or of any exponent; where an
+    # off-vertex gradient overflows, lam is NaN (0 * inf) either way.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 38))))
+    H = np.where(rng.random((R, G, G)) < 0.5, rng.choice(_PALETTE, (R, G, G)),
+                 rng.standard_normal((R, G, G)) * 10.0 ** rng.integers(-300, 300, (R, G, G)))
+    H = np.triu(H) + np.triu(H, 1).swapaxes(1, 2)
+    if huge_diagonal:
+        H[:, np.arange(G), np.arange(G)] = rng.uniform(0.5, 1.79, (R, G)) * 1e308
+    linear = {"zero": np.zeros((R, G)), "palette": rng.choice(_PALETTE[:6], (R, G)),
+              "normal": rng.standard_normal((R, G))}[linear_kind]
+    vertex = rng.integers(0, G, R)
+    gamma = np.zeros((R, G))
+    gamma[np.arange(R), vertex] = 1.0
+    assert np.isfinite(H).all() and (H == H.swapaxes(1, 2)).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = magging._multipliers(H, gamma, linear)
+        got = magging._multipliers(H, gamma, linear, vertex)
+    for e, g in zip(expected, got):
+        assert _equal_up_to_zero_sign(e, g)
+
+
 def _assert_refused_alone(B, Sigma, messages):
     """stacked_maximin refuses the rows messages names, with those
     ConvergenceError messages and NaN weights and points, and gives every
