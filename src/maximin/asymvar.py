@@ -143,7 +143,8 @@ def covariance_stack(Bhat, active, M, metric, sigma2, n, Sigma_g, C_hat):
     W, term_B, term_V = (np.full((R, p, p), np.nan) for _ in range(3))
     errors = [None] * R
     k = used.sum(axis=1)
-    for size in np.unique(k):
+    # not np.unique: on NumPy 2 it imports numpy.ma, a start-up cost no command needs
+    for size in np.flatnonzero(np.bincount(k)):
         pick = np.flatnonzero(k == size)
         cols = np.nonzero(used[pick])[1].reshape(pick.size, size)
         face = Face(np.take_along_axis(Bhat[pick], cols[:, None, :], axis=2), metric[pick])

@@ -89,14 +89,19 @@ def _multipliers(H, gamma, linear, vertex=None):
     weights gamma, and the multiplier lam = gamma^T grad (R,) of the
     sum-to-one row. Column j's multiplier gap is grad_j - lam: the loop
     stops when no column off the working set has a gap below -tol, and
-    maximin_point's KKT certificate reads the same gaps. Given the vertex
-    (R,) where gamma is one-hot, grad is read from H and lam, whose terms
-    are grad_vertex and zeros (or NaN, 0 * inf), is summed across rows."""
-    if vertex is None:
-        grad = 2.0 * matvec(H, gamma) + linear
-        return grad, (gamma * grad).sum(axis=1)
-    grad = 2.0 * H[np.arange(len(vertex)), :, vertex] + linear
-    return grad, reduce_rows(np.add, gamma * grad)
+    maximin_point's KKT certificate reads the same gaps. lam sums over
+    the columns of positive weight only, so a gradient that overflows to
+    inf (without a warning) off them leaves lam finite, not 0 * inf =
+    NaN, and its column's gap is +inf. Given the vertex (R,) where gamma
+    is one-hot, grad is read from H and lam, whose terms are grad_vertex
+    and zeros, is summed across rows."""
+    with np.errstate(over="ignore"):
+        if vertex is None:
+            grad = 2.0 * matvec(H, gamma) + linear
+        else:
+            grad = 2.0 * H[np.arange(len(vertex)), :, vertex] + linear
+    terms = gamma * np.where(gamma > 0.0, grad, 0.0)
+    return grad, terms.sum(axis=1) if vertex is None else reduce_rows(np.add, terms)
 
 
 def capped_error(G):

@@ -59,15 +59,17 @@ on the first call that asks for them, and the pool is replaced when a
 call needs another worker count or after it broke (BrokenProcessPool,
 which that call still raises). Forking and joining a pool costs about
 as much as a small cell's work. The kept workers run the package as it
-was when they were forked; the interpreter's exit joins them.
+was when they were forked. The pool modules (concurrent.futures.process
+and multiprocessing) are imported on the first jobs > 1 call, so a
+one-process run never pays for loading them, and an atexit hook joins
+the kept workers before the interpreter tears those modules down.
 """
 
+import atexit
 import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -309,6 +311,7 @@ def run_cell(spec, replicates, alpha, jobs=1):
     else:
         workers = min(jobs, replicates)
         chunk = math.ceil(replicates / workers)
+        from concurrent.futures.process import BrokenProcessPool
         pool = _kept_pool(workers)
         try:
             futures = [pool.submit(_run_block, spec, alpha, M0, seeds[i:i + chunk])
@@ -351,6 +354,7 @@ def _kept_pool(workers):
     if _pool is not None and _pool_workers != workers:
         _drop_pool()
     if _pool is None:
+        from concurrent.futures import ProcessPoolExecutor
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
     return _pool
 
@@ -361,6 +365,9 @@ def _drop_pool():
     pool, _pool = _pool, None
     if pool is not None:
         pool.shutdown()
+
+
+atexit.register(_drop_pool)
 
 
 def run_grid(tables, p_values, n_values, replicates, alpha=0.05,

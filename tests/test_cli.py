@@ -628,21 +628,34 @@ def _run_python(script):
 
 def test_estimate_region_and_simulate_load_no_scipy(tmp_path):
     # SciPy serves only the check command and the tests: the chi-squared
-    # quantile and Sigma^{-1} need NumPy and the standard library alone
+    # quantile and Sigma^{-1} need NumPy and the standard library alone.
+    # A one-process command loads no pool module (simulate imports them on
+    # its first jobs > 1 call) and no numpy.ma (np.unique imports it on
+    # NumPy 2), counted beyond what import numpy loads: NumPy 1.x loads
+    # numpy.ma itself.
     path = tmp_path / "groups.csv"
     _write_grouped_csv(path, ScenarioSpec(p=3, G=3, n=40, seed=1))
     out = _run_python(f"""
         import contextlib, io, sys
-        import maximin
+        import numpy as np
+        base = set(sys.modules)
         import maximin.cli
+        from maximin.linmodel import ScenarioSpec, fit, generate
+        from maximin.relaxation import contains_relaxed, covering_region, group_confidence_boxes
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [maximin.cli.main(["estimate", {str(path)!r}]),
                      maximin.cli.main(["region", {str(path)!r}]),
                      maximin.cli.main(["simulate", "--tables", "1", "--p-values", "2",
-                                       "--n-values", "30", "--replicates", "4"])]
-        print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+                                       "--n-values", "30", "--replicates", "4", "--jobs", "1"])]
+        est = fit(generate(ScenarioSpec(p=2, G=2, n=80, seed=0))[0])
+        region = covering_region(group_confidence_boxes(est, 0.05), np.eye(2), 0.35)
+        contains_relaxed(region, est.Bhat[:, 0])
+        added = set(sys.modules) - base
+        print(codes, sorted(m for m in added if m.split(".")[0] == "scipy"))
+        print(sorted(m for m in added if m.split(".")[0] in ("multiprocessing", "concurrent")
+                     or m.startswith("numpy.ma")))
     """)
-    assert out.split("\n")[0] == f"{[EXIT_OK] * 3} []"
+    assert out.split("\n")[:2] == [f"{[EXIT_OK] * 3} []", "[]"]
 
 
 def test_selfcheck_loads_scipy_linalg():

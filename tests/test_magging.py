@@ -80,6 +80,21 @@ def test_a_loop_face_that_overflows_is_refused_without_a_warning():
     assert stacked_maximin(B[None], np.eye(2)[None]).iterations.tolist() == [3]
 
 
+def test_a_vertex_whose_neighbour_gradient_overflows_is_optimal():
+    # H is about [[8.9e307, 9e307], [9e307, 1e308]]: finite and positive
+    # semidefinite, with 2 H_00 finite and the gradient 2 H_10 at vertex 0
+    # beyond the largest float. Vertex 0 is optimal, its gap 2 (H_10 -
+    # H_00) > 0; the inf off the support must not make lam 0 * inf = NaN,
+    # or the loop cycles to its cap. No overflow warning either.
+    B = np.linalg.cholesky(np.array([[8.9e307, 9e307], [9e307, 1e308]])).T
+    sol = maximin_point(B, np.eye(2))
+    assert sol.alpha.tolist() == [1.0, 0.0]
+    assert sol.active == (0,)
+    assert sol.kkt_residual == 0.0
+    assert sol.unique_weights
+    assert sol.iterations == 0
+
+
 def test_single_group_is_returned_whole():
     B = np.array([[2.0], [1.0]])
     sol = maximin_point(B, np.eye(2))

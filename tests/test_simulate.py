@@ -179,10 +179,16 @@ def _wait_gone(pids, timeout=30.0):
 
 def test_kept_workers_do_not_outlive_the_interpreter():
     # no __main__ guard: the default start method forks, so the script
-    # is not re-imported by its workers
+    # is not re-imported by its workers. The reference from sys keeps the
+    # module, and its pool, to the interpreter's last teardown step, as
+    # under pytest. That step wipes modules in reverse import order, the
+    # pool modules (imported after simulate) first, so a pool no exit hook
+    # has shut down is collected after them: an ignored AttributeError.
     script = textwrap.dedent("""
+        import sys
         from dataclasses import replace
         from maximin import simulate
+        sys.kept = simulate
         spec = replace(simulate.scenario_presets(1, 2, 40), seed=99)
         simulate.run_cell(spec, 6, 0.05, jobs=2)
         print(*simulate._pool._processes)
@@ -192,6 +198,7 @@ def test_kept_workers_do_not_outlive_the_interpreter():
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
     pids = [int(pid) for pid in result.stdout.split()]
     assert len(pids) == 2
     assert not any(map(_alive, pids))

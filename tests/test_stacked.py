@@ -276,8 +276,9 @@ def test_the_first_pass_reads_the_multipliers_from_H(G, R, seed, huge_diagonal, 
     # Every program starts at a one-hot vertex, so the first pass reads the
     # gradient from H's vertex column and sums lam across rows. Finite
     # symmetric H with entries from the palette (signed zeros, subnormals,
-    # entries whose double overflows) or of any exponent; where an
-    # off-vertex gradient overflows, lam is NaN (0 * inf) either way.
+    # entries whose double overflows) or of any exponent; lam sums the
+    # positive weights' terms only, so both branches give the gather
+    # grad_vertex even where an off-vertex gradient overflows.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 38))))
     H = np.where(rng.random((R, G, G)) < 0.5, rng.choice(_PALETTE, (R, G, G)),
                  rng.standard_normal((R, G, G)) * 10.0 ** rng.integers(-300, 300, (R, G, G)))
@@ -290,11 +291,11 @@ def test_the_first_pass_reads_the_multipliers_from_H(G, R, seed, huge_diagonal, 
     gamma = np.zeros((R, G))
     gamma[np.arange(R), vertex] = 1.0
     assert np.isfinite(H).all() and (H == H.swapaxes(1, 2)).all()
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = magging._multipliers(H, gamma, linear)
-        got = magging._multipliers(H, gamma, linear, vertex)
+    expected = magging._multipliers(H, gamma, linear)
+    got = magging._multipliers(H, gamma, linear, vertex)
     for e, g in zip(expected, got):
         assert _equal_up_to_zero_sign(e, g)
+    assert _equal_up_to_zero_sign(got[1], got[0][np.arange(R), vertex])
 
 
 def _assert_refused_alone(B, Sigma, messages):
