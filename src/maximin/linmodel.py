@@ -19,20 +19,29 @@ datasets into one (R, G, n, p) stack and fit_stack fits such a stack in
 one batched pass, judging each scatter by geometry.positive_definite,
 the one definiteness test; generate and fit are their stacks of one.
 
-Every CSV goes through one reader, _read_table. A regular file with no
-quote, carriage return or NUL has its data rows, labels and numbers
-together, parsed in C by one np.loadtxt call. Every other file, and
-every file np.loadtxt declines, is read by csv.reader and float(): a
-cell only float() reads (1_000, non-ASCII digits), a non-finite value,
-a line of only whitespace or a row of the wrong width. Both readers
-give the same values bit for bit and the same CsvFormatError, line and
-column included. On 10^5 rows (p = 5, G = 5, one grouped file, one
-BLAS thread, fastest of 15, 2-core VM), ``maximin region`` takes about
-0.5 s through csv.reader and 0.16 s through np.loadtxt, 0.13 s of it in
-the np.loadtxt call.
-_read_table returns the rows in file order with their group cells;
-GroupedDataset.from_rows, the one split of labelled rows into groups,
-makes the dataset, for load_grouped_csv as for rows held in memory.
+Every CSV goes through one reader, _read_table. A regular file whose
+bytes hold no quote, NUL or carriage return outside a CRLF has its data
+rows, labels and numbers together, parsed in C by one np.loadtxt call.
+That path never holds the file's text: its bytes are scanned 1 MiB at
+a time through one buffer, and only the lines up to the first data row
+are decoded. Every other file, and every file np.loadtxt declines, is
+read from its decoded text by csv.reader and float(): a cell only
+float() reads (1_000, non-ASCII digits), a non-finite value, a line of
+only whitespace, a row of the wrong width or a byte that is not UTF-8.
+Both readers give the same values bit for bit and the same
+CsvFormatError, line and column included. On 10^5 rows (12 MB, p = 5,
+G = 5, one grouped file, one BLAS thread, fastest of 15, 2-core VM),
+``maximin region`` takes about 0.54 s through csv.reader and 0.175 s
+through np.loadtxt, 0.15 s of it in the np.loadtxt call; the byte scan
+takes 1 ms, a decode of the whole file 9 ms.
+_read_table returns each column in file order, with the group cells;
+the split of GroupedDataset.from_rows, the one split of labelled rows
+into groups, gathers every column in group order straight into the
+dataset's stacks, for load_grouped_csv as for rows held in memory, so
+each value is copied once. Loading that file peaks at 16.3 MB of traced
+allocations (tracemalloc) for 4.8 MB of stacks: the structured read,
+its label strings and the stacks. A loader that also held the text and
+stacked per-group copies peaked at 28.2 MB.
 """
 
 import csv
@@ -145,6 +154,21 @@ def _check_seeds(seeds):
         raise ValueError("seed must be a 64-bit unsigned integer")
 
 
+def _check_groups(labels, shapes):
+    """Refuse groups of unequal sizes or predictor counts, or a label
+    that appears twice, with DimensionError. shapes holds each group's
+    (n_g, p_g), in label order."""
+    if len({n for n, _ in shapes}) > 1:
+        detail = ", ".join(f"{k}={n}" for k, (n, _) in zip(labels, shapes))
+        raise DimensionError(f"groups must have equal sizes, got {detail}")
+    if len({p for _, p in shapes}) > 1:
+        raise DimensionError("all groups must share the predictor count p")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise DimensionError(f"group label {label!r} appears more than once",
+                                 groups=(labels.index(label), i))
+
+
 @dataclass(frozen=True)
 class GroupedDataset:
     """Per-group (X_g, y_g) pairs, stacked once into read-only arrays.
@@ -174,19 +198,15 @@ class GroupedDataset:
                 raise DimensionError(
                     f"group {g + 1}: design must be 2-d with one response per row"
                 )
-        if len({len(y) for _, y in pairs}) > 1:
-            detail = ", ".join(f"{k}={len(y)}" for k, (_, y) in zip(labels, pairs))
-            raise DimensionError(f"groups must have equal sizes, got {detail}")
-        if len({X.shape[1] for X, _ in pairs}) > 1:
-            raise DimensionError("all groups must share the predictor count p")
-        for i, label in enumerate(labels):
-            if label in labels[:i]:
-                raise DimensionError(f"group label {label!r} appears more than once",
-                                     groups=(labels.index(label), i))
+        _check_groups(labels, [X.shape for X, _ in pairs])
         X = np.stack([X for X, _ in pairs])
         y = np.stack([y for _, y in pairs])
         if X.shape[1] < 1 or X.shape[2] < 1:
             raise DimensionError("need n >= 1 and p >= 1")
+        self._own(X, y, labels)
+
+    def _own(self, X, y, labels):
+        """Take the stacks X (G, n, p) and y (G, n) as the data, read-only."""
         X.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -205,7 +225,8 @@ class GroupedDataset:
         name "1", which the constructor refuses. An X that is not a
         nonempty 2-d array, a y that is not 1-d, or y or labels of
         another length than X raise DimensionError; a NaN or infinite
-        entry in X or y raises ValueError.
+        entry in X or y raises ValueError. Each value is copied once,
+        straight into the (G, n, p) and (G, n) stacks (see _split).
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
@@ -226,13 +247,32 @@ class GroupedDataset:
             raise DimensionError("groups must be 1-dimensional")
         if len(labels) != len(X):
             raise DimensionError(f"groups has {len(labels)} entries but X has {len(X)} rows")
+        return cls._split([*X.T, y], labels)
+
+    @classmethod
+    def _split(cls, columns, labels):
+        """from_rows on checked input: columns holds N finite floats per
+        predictor, then N responses, as 1-d arrays of any stride, and
+        labels the N labels. Each column is gathered in group order
+        straight into its place in the stacks, which the dataset then
+        owns: no per-group piece is made and stacked again.
+        """
         keys = labels.tolist()
         index = {key: g for g, key in enumerate(dict.fromkeys(keys))}
         ids = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
-        rows = np.argsort(ids, kind="stable")
-        cuts = np.cumsum(np.bincount(ids))[:-1]
-        groups = zip(np.split(X[rows], cuts), np.split(y[rows], cuts))
-        return cls(tuple(groups), labels=tuple(str(key) for key in index))
+        del keys  # as ids below: freed before the stacks are allocated
+        names = tuple(str(key) for key in index)
+        p = len(columns) - 1
+        _check_groups(names, [(size, p) for size in np.bincount(ids).tolist()])
+        order = np.argsort(ids, kind="stable")
+        del ids
+        X = np.empty((len(names), len(order) // len(names), p))
+        flat = X.reshape(-1, p)
+        for j, column in enumerate(columns[:-1]):
+            flat[:, j] = column[order]
+        dataset = object.__new__(cls)  # cls(...) would stack the groups again
+        dataset._own(X, columns[-1][order].reshape(X.shape[:2]), names)
+        return dataset
 
     @property
     def G(self):
@@ -537,33 +577,61 @@ def _read_text(path):
             f"{path}: not UTF-8 text (byte 0x{byte:02x}: {err.reason})") from None
 
 
+# the bytes _plain_bytes reads at a time, through one buffer
+_CHUNK = 1 << 20
+
+
+def _plain_bytes(path):
+    """Whether the file at path holds no quote, no NUL and no carriage
+    return outside a CRLF line end.
+
+    The bytes are read _CHUNK at a time into one reused buffer; a CRLF
+    split across two reads is one line end. Nothing is decoded.
+    """
+    buffer = bytearray(_CHUNK)
+    after_cr = False  # the last read ended in a carriage return
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            if buffer.find(b'"', 0, size) >= 0 or buffer.find(b"\0", 0, size) >= 0:
+                return False
+            if after_cr and buffer[0] != ord("\n"):
+                return False
+            after_cr = False
+            # `find` first: a count scans the whole read even with no CR in it
+            if buffer.find(b"\r", 0, size) >= 0:
+                after_cr = buffer.endswith(b"\r", 0, size)
+                lone = buffer.count(b"\r", 0, size) - buffer.count(b"\r\n", 0, size)
+                if lone != after_cr:
+                    return False
+    return not after_cr
+
+
 def _read_table(path, layout, header):
-    """The float rows of one CSV and the key cell of each.
+    """The float columns of one CSV and the key cell of each row.
 
     The first non-blank row sets the layout: ``layout(row, line)``
     returns (names, columns, key) or raises CsvFormatError. A blank row
     holds nothing but whitespace and commas; an empty line is one. With
     header, that row is the header and the data rows follow it; without,
-    it is the first data row. Returns (names, columns, key), the (N,
-    len(columns)) float array of the data rows' ``columns`` cells in
-    file order, and an (N,) object array of their ``key`` cells (None
-    when key is None). A file without a non-blank row, or without a
-    data row, raises CsvFormatError; so does a row that _parse_rows
-    refuses.
+    it is the first data row. Returns (names, columns, key), a list of
+    one (N,) float array per entry of ``columns``, the data rows' cells
+    of that column in file order, and an (N,) object array of their
+    ``key`` cells (None when key is None). A file without a non-blank
+    row, or without a data row, raises CsvFormatError; so does a row
+    that _parse_rows refuses.
 
-    A regular file (np.loadtxt opens it again after _read_text) of text
-    without a quote, NUL or carriage return outside a CRLF line end goes
-    through _loadtxt_rows; anything it declines, csv.reader and
-    _parse_rows read, which give the same values for what both accept.
-    A csv.reader error, such as a field over its size limit, raises
-    CsvFormatError naming path and the line.
+    A regular file whose bytes _plain_bytes passes goes through
+    _loadtxt_rows, which never holds the file's text; anything it
+    declines, csv.reader and _parse_rows read from the decoded text,
+    which give the same values for what both accept. A csv.reader
+    error, such as a field over its size limit, raises CsvFormatError
+    naming path and the line.
     """
-    text = _read_text(path)
-    if os.path.isfile(path) and '"' not in text and "\0" not in text and (
-            "\r" not in text or text.count("\r") == text.count("\r\n")):
-        read = _loadtxt_rows(path, text, layout, header)
+    if os.path.isfile(path) and _plain_bytes(path):
+        read = _loadtxt_rows(path, layout, header)
         if read is not None:
             return read
+    text = _read_text(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
@@ -578,54 +646,63 @@ def _read_table(path, layout, header):
     if not values:
         raise CsvFormatError(f"{path}: no data rows", line=start + 2)
     keys = None if key is None else np.array(keys, dtype=object)
-    return spec, np.array(values, dtype=float), keys
+    return spec, list(np.array(values, dtype=float).T), keys
 
 
 # a character that makes a row non-blank
 _CONTENT = re.compile(r"[^\s,]")
 
 
-def _loadtxt_rows(path, text, layout, header):
-    """What _read_table returns for text, parsed by np.loadtxt, or None.
+def _loadtxt_rows(path, layout, header):
+    """What _read_table returns for path, parsed by np.loadtxt, or None.
 
-    text holds no quote, NUL or carriage return outside a CRLF line
+    The file holds no quote, NUL or carriage return outside a CRLF line
     end, so its rows are its lines, less a trailing carriage return,
-    split on commas. One np.loadtxt call reads the data rows of path in
-    C, with CRLF as a line end, one field per cell of the first row:
-    the key cell as an object, every other as a float, parsed as float()
-    does except what float() alone accepts (``1_000``, digits outside
-    ASCII). None, so that csv.reader reads the file, when there is no
-    data row, a number is not finite or np.loadtxt refuses a row, as it
-    does a row with another field count than its dtype's: it skips
-    empty lines only.
+    split on commas. Only the leading lines are decoded here: up to the
+    first non-blank row, which goes to layout, and, with header, on to
+    the first non-blank line after it. One np.loadtxt call then reads
+    the data rows of path in C, with CRLF as a line end, one field per
+    cell of the first row: the key cell as an object, every other as a
+    float, parsed as float() does except what float() alone accepts
+    (``1_000``, digits outside ASCII). The columns are views of its
+    fields. None, so that csv.reader reads the file, when there is no
+    data row, a line is not UTF-8 (np.loadtxt raises UnicodeDecodeError,
+    a ValueError), a number is not finite or np.loadtxt refuses a row,
+    as it does a row with another field count than its dtype's: it
+    skips empty lines only. A layout error is raised once _read_text has
+    found the whole file to be UTF-8, in the order csv.reader's path
+    raises them.
     """
-    found = _CONTENT.search(text)
-    if found is None:
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = enumerate(handle)
+            skip, first = next(
+                ((i, line) for i, line in lines if _CONTENT.search(line)), (0, None))
+            if first is None:
+                return None
+            first = first.removesuffix("\n").removesuffix("\r").split(",")
+            try:
+                spec = layout(first, skip + 1)
+            except CsvFormatError:
+                _read_text(path)  # bytes that are not UTF-8 are reported first
+                raise
+            if header and not any(_CONTENT.search(line) for _, line in lines):
+                return None
+    except UnicodeDecodeError:
         return None
-    begin = text.rfind("\n", 0, found.start()) + 1
-    end = text.find("\n", begin)
-    if end < 0:
-        end = len(text)
-    first = text[begin:end].removesuffix("\r").split(",")
-    skip = text.count("\n", 0, begin)  # the lines before the first row
-    spec = layout(first, skip + 1)
     _, columns, key = spec
-    if header:
-        begin, skip = end, skip + 1
-    if not _CONTENT.search(text, begin):
-        return None
     # the key field holds str objects: a str field has a fixed width, and
     # a label may be longer
     fields = [(f"f{j}", object if j == key else float) for j in range(len(first))]
     try:
         rows = np.loadtxt(path, dtype=fields, delimiter=",", comments=None,
-                          skiprows=skip, encoding="utf-8", ndmin=1)
+                          skiprows=skip + 1 if header else skip, encoding="utf-8", ndmin=1)
     except ValueError:
         return None
-    table = np.stack([rows[f"f{j}"] for j in columns], axis=-1)
-    if not np.isfinite(table).all():
+    values = [rows[f"f{j}"] for j in columns]
+    if not all(np.isfinite(column).all() for column in values):
         return None
-    return spec, table, None if key is None else rows[f"f{key}"]
+    return spec, values, None if key is None else rows[f"f{key}"]
 
 
 def _parse_rows(path, rows, start, columns, names, key=None):
@@ -686,16 +763,16 @@ def _data_layout(path, header, line, grouped):
 
 
 def _load_table(path, grouped):
-    """The predictor names, data rows and key cells of one data CSV.
+    """The predictor names, data columns and key cells of one data CSV.
 
     The first non-blank row is the header (see _data_layout). Returns
-    (predictors, X, y, keys): the (N, p) predictor and (N,) response
-    cells in file order, and the (N,) ``group`` cells, None for a
-    per-group file.
+    (predictors, columns, keys): one (N,) array per predictor, then the
+    responses, each in file order, and the (N,) ``group`` cells, None
+    for a per-group file.
     """
-    (names, columns, _), table, keys = _read_table(
+    (names, columns, _), values, keys = _read_table(
         path, lambda header, line: _data_layout(path, header, line, grouped), header=True)
-    return [names[j] for j in columns[:-1]], table[:, :-1], table[:, -1], keys
+    return [names[j] for j in columns[:-1]], values, keys
 
 
 def load_grouped_csv(path):
@@ -703,11 +780,12 @@ def load_grouped_csv(path):
 
     The header row is required. The response column must be named ``y``;
     every remaining non-group column is a predictor, in header order.
-    GroupedDataset.from_rows splits the rows into groups.
+    The split of GroupedDataset.from_rows puts the rows into groups,
+    each cell copied once, from the parsed columns into the stacks.
     """
-    _, X, y, keys = _load_table(path, grouped=True)
+    _, columns, keys = _load_table(path, grouped=True)
     try:
-        return GroupedDataset.from_rows(X, y, keys)
+        return GroupedDataset._split(columns, keys)
     except DimensionError as err:
         raise CsvFormatError(f"{path}: {err}") from None
 
@@ -723,7 +801,7 @@ def load_group_csvs(paths):
     groups = []
     labels = []
     for path in paths:
-        predictors, X, y, _ = _load_table(path, grouped=False)
+        predictors, columns, _ = _load_table(path, grouped=False)
         if expected is None:
             expected = predictors
         elif predictors != expected:
@@ -731,7 +809,9 @@ def load_group_csvs(paths):
                 f"{path}: predictor columns {predictors} differ from {expected}",
                 line=1,
             )
-        groups.append((X, y))
+        table = np.stack(columns, axis=-1)
+        del columns  # views that keep the file's whole structured read alive
+        groups.append((table[:, :-1], table[:, -1]))
         labels.append(os.path.splitext(os.path.basename(path))[0])
     try:
         return GroupedDataset(tuple(groups), labels=tuple(labels))
@@ -747,7 +827,7 @@ def load_matrix_csv(path):
     rows are skipped and errors name path, line and column number, as
     for the data loaders. The CLI reads ``--known-sigma`` with it.
     """
-    _, table, _ = _read_table(
+    _, columns, _ = _read_table(
         path, lambda row, line: (range(1, len(row) + 1), range(len(row)), None),
         header=False)
-    return table
+    return np.stack(columns, axis=-1)

@@ -4,6 +4,8 @@
 import csv
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+import test_csv_errors
+from maximin import linmodel
 from maximin.errors import CsvFormatError
 from maximin.linmodel import (
     GroupedDataset,
@@ -129,6 +133,16 @@ def _outcome(load, paths):
             loaded.X.view(np.uint64).tolist(), loaded.y.view(np.uint64).tolist())
 
 
+def _match_oracle(case):
+    kind, texts = case
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [os.path.join(folder, name) for name in ("north.csv", "south.csv")[:len(texts)]]
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        assert _outcome(LOADERS[kind], paths) == _outcome(ORACLES[kind], paths)
+
+
 # Mutation-checked: fails when _read_table stops declining quotes or
 # GroupedDataset.from_rows drops the first-appearance order of labels. A
 # _loadtxt_rows without its finite test or its no-data check fails the
@@ -141,13 +155,25 @@ def _outcome(load, paths):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=csv_inputs())
 def test_loaders_match_the_csv_reader_oracle(case):
-    kind, texts = case
-    with tempfile.TemporaryDirectory() as folder:
-        paths = [os.path.join(folder, name) for name in ("north.csv", "south.csv")[:len(texts)]]
-        for path, text in zip(paths, texts):
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        assert _outcome(LOADERS[kind], paths) == _outcome(ORACLES[kind], paths)
+    _match_oracle(case)
+
+
+# Reads of a few bytes put read edges inside cells, CRLFs and UTF-8
+# sequences. Mutation-checked: fails when the scan stops after its first
+# read. A scan that takes a CR ending one read for a lone CR only sends
+# clean files to csv.reader, which the CRLF test below catches.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=csv_inputs(), chunk=st.integers(1, 7))
+def test_loaders_match_the_oracle_in_reads_of_a_few_bytes(case, chunk):
+    with mock.patch.object(linmodel, "_CHUNK", chunk):
+        _match_oracle(case)
+
+
+@pytest.mark.parametrize("loader, files, message, line, column", test_csv_errors.ERROR_TABLE)
+def test_pinned_csv_errors_in_reads_of_a_few_bytes(
+        tmp_path, capsys, monkeypatch, loader, files, message, line, column):
+    monkeypatch.setattr(linmodel, "_CHUNK", 3)
+    test_csv_errors.test_pinned_csv_error(tmp_path, capsys, loader, files, message, line, column)
 
 
 @pytest.mark.parametrize("kind, texts", [
@@ -170,8 +196,88 @@ def test_a_clean_file_takes_one_loadtxt_call(tmp_path, monkeypatch, kind, texts)
 
     monkeypatch.setattr(np, "loadtxt", counted)
     monkeypatch.setattr(csv, "reader", lambda *args, **kwargs: pytest.fail("csv.reader ran"))
+    # the clean path never holds the file's text
+    monkeypatch.setattr(linmodel, "_read_text", lambda path: pytest.fail("_read_text ran"))
     LOADERS[kind](paths)
     assert calls == paths
+
+
+def _spy(monkeypatch, module, name):
+    """The arguments of every call of module.name, which still runs."""
+    calls, function = [], getattr(module, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args[0])
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+CRLF = b"group,x1,y\r\na,1,2\r\nb,3,4\r\n\r\na,-0.5,6\r\nb,7,8e-3"
+
+
+def test_a_crlf_split_across_reads_takes_loadtxt(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(CRLF)
+    expected = _outcome(ORACLES["grouped"], [str(path)])
+    assert expected[0] == "dataset"
+    calls = _spy(monkeypatch, np, "loadtxt")
+    monkeypatch.setattr(linmodel, "_read_text", lambda path: pytest.fail("_read_text ran"))
+    # every read size splits some CRLF, the first at 11 bytes
+    for chunk in range(1, len(CRLF) + 1):
+        monkeypatch.setattr(linmodel, "_CHUNK", chunk)
+        assert _outcome(LOADERS["grouped"], [str(path)]) == expected, chunk
+    assert calls == [str(path)] * len(CRLF)
+
+
+FIRST_READ = b"group,x1,y\na,1,2\nb,3,4\n"
+
+
+@pytest.mark.parametrize("first, rest", [
+    (FIRST_READ, b'"a",5,6\nb,7,8\n'),  # a quote
+    (FIRST_READ, b"a,5,6\x00\nb,7,8\n"),  # a NUL
+    (FIRST_READ, b"a,5,6\rb,7,8\n"),  # a lone CR
+    (FIRST_READ, b"a,5,6\nb,7,8\r"),  # a lone CR that ends the file
+    (FIRST_READ, b"\ra,5,6\nb,7,8\n"),  # a lone CR after a LF that ends a read
+    (b"group,x1,y\na,1,2\r", b"b,3,4\n"),  # a CR that ends a read, not a line
+    (FIRST_READ, b"a,5,\xff\nb,7,8\n"),  # a byte that is not UTF-8, which np.loadtxt meets
+])
+def test_what_only_a_later_read_holds_sends_the_file_to_csv_reader(
+        tmp_path, monkeypatch, first, rest):
+    path = tmp_path / "data.csv"
+    path.write_bytes(first + rest)
+    expected = _outcome(ORACLES["grouped"], [str(path)])
+    monkeypatch.setattr(linmodel, "_CHUNK", len(first))
+    texts = _spy(monkeypatch, linmodel, "_read_text")
+    assert _outcome(LOADERS["grouped"], [str(path)]) == expected
+    assert texts == [str(path)]
+
+
+def test_a_grouped_file_loads_in_a_bounded_multiple_of_its_arrays(tmp_path):
+    # 2 * 10^4 repr-float rows in shuffled group order. The structured
+    # np.loadtxt read (floats and one label object a row), the label
+    # strings and the group stack it is gathered into peak at 3.4 times
+    # the returned arrays; holding the file's text as well, or gathering
+    # the rows and stacking them again, peaked at 5.9 times.
+    G, n, p = 5, 4000, 5
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((G * n, p)), rng.standard_normal(G * n)
+    labels = rng.permutation(np.repeat([f"g{g + 1}" for g in range(G)], n))
+    path = str(tmp_path / "data.csv")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("group," + ",".join(f"x{j + 1}" for j in range(p)) + ",y\n")
+        for label, row, value in zip(labels, X.tolist(), y.tolist()):
+            out.write(",".join([label, *map(repr, row), repr(value)]) + "\n")
+    load_grouped_csv(path)  # first-call allocations (imports, caches) aside
+    tracemalloc.start()
+    try:
+        dataset = load_grouped_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.X.shape == (G, n, p)
+    assert peak <= 4.0 * (dataset.X.nbytes + dataset.y.nbytes)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -205,11 +311,11 @@ def test_loadtxt_reads_plain_rows_and_declines_the_rest(tmp_path, text, parsed):
     def layout(header, line):
         return _data_layout(str(path), header, line, grouped=True)
 
-    read = _loadtxt_rows(str(path), text, layout, header=True)
+    read = _loadtxt_rows(str(path), layout, header=True)
     assert (read is not None) == parsed
     if parsed:
-        _, table, keys = read
-        dataset = GroupedDataset.from_rows(table[:, :-1], table[:, -1], keys)
+        _, columns, keys = read
+        dataset = GroupedDataset.from_rows(np.stack(columns[:-1], axis=-1), columns[-1], keys)
         expected = reference.load_grouped_csv(str(path))
         assert dataset.labels == expected.labels
         assert np.array_equal(dataset.X, expected.X) and np.array_equal(dataset.y, expected.y)

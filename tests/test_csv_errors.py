@@ -93,6 +93,10 @@ ERROR_TABLE = [
     # csv.reader's limit on a field (the quote sends the file to it)
     ("grouped", [("data.csv", 'group,x1,y\n"a",1,' + "1" * 200_000 + "\n")],
      "{0}: line 2: field larger than field limit (131072)", 2, None),
+    # a byte that is not UTF-8 is reported before a header error, also
+    # when it lies past the text decoded to read the header
+    ("grouped", [("data.csv", b"group,x1,x1,y\n" + b"a,1,2,3\n" * 4000 + b"a,1,\xff,3\n")],
+     "{0}: not UTF-8 text (byte 0xff: invalid start byte)", None, None),
 ]
 
 LOADERS = {
