@@ -27,8 +27,8 @@ import argparse
 import math
 import sys
 
-from . import pipeline, simulate
-from .confidence import SCHEMA_VERSION, max_eigenvalue
+from . import pipeline
+from .confidence import SCHEMA_VERSION, json_text, max_eigenvalue
 from .errors import (
     BudgetError,
     ConditioningError,
@@ -184,7 +184,7 @@ def cmd_estimate(args, parser):
         dataset, ridge_jitter=args.jitter, known_sigma=known
     )
     payload = _estimate_payload(dataset, estimates, solution, known is not None)
-    _emit(simulate.json_text(payload), args.out)
+    _emit(json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -207,7 +207,7 @@ def cmd_region(args, parser):
             dataset, analysis.estimates, analysis.solution, known is not None
         ),
     }
-    _emit(simulate.json_text(payload), args.out)
+    _emit(json_text(payload), args.out)
     axes = ", ".join(f"{v:.6g}" for v in region.semi_axes())
     print(
         f"confidence level {region.level:g}, n={region.n_used},"
@@ -231,6 +231,8 @@ def cmd_simulate(args, parser):
             f"grid asks for {cells} cells x {args.replicates} replicates,"
             f" beyond the {GRID_WORK_BUDGET} work budget"
         )
+    from . import simulate
+
     results = simulate.run_grid(
         args.tables, args.p_values, args.n_values, args.replicates,
         alpha=args.alpha, master_seed=args.seed, parallelism=args.jobs,
@@ -239,7 +241,7 @@ def cmd_simulate(args, parser):
     if args.format == "csv":
         _emit(simulate.grid_to_csv(results), args.out)
     else:
-        _emit(simulate.grid_json_text(results), args.out)
+        _emit(json_text(simulate.grid_to_json(results)), args.out)
     return EXIT_OK
 
 

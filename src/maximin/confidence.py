@@ -15,6 +15,7 @@ bracket.
 """
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,24 @@ from .geometry import quadratic_form, symmetric
 
 # The schema version of every JSON payload: the region's, the grid's, the CLI's.
 SCHEMA_VERSION = 1
+
+
+def json_text(payload):
+    """payload as indented, key-sorted strict JSON: a non-finite float
+    is written as null. The one writer of every JSON payload."""
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
 
 # Refuse to invert W beyond this eigenvalue ratio.
 CONDITION_LIMIT = 1e12

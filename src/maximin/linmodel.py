@@ -795,29 +795,42 @@ def load_group_csvs(paths):
 
     The files share one predictor header. Two files with one name (in
     different folders) are refused with a CsvFormatError naming both.
+    The (G, n, p) and (G, n) stacks are sized from the first file's rows,
+    and each file's columns are copied straight into them, so a file's
+    parsed table is freed before the next is read. A file of another
+    size is still read, and so are the rest, for the error to name every
+    file's size.
     """
     paths = list(paths)
-    expected = None
-    groups = []
-    labels = []
-    for path in paths:
+    if not paths:
+        raise CsvFormatError("need at least one group")
+    labels = tuple(os.path.splitext(os.path.basename(path))[0] for path in paths)
+    expected, shapes = None, []
+    for g, path in enumerate(paths):
         predictors, columns, _ = _load_table(path, grouped=False)
         if expected is None:
             expected = predictors
+            X = np.empty((len(paths), len(columns[0]), len(predictors)))
+            y = np.empty(X.shape[:2])
         elif predictors != expected:
             raise CsvFormatError(
                 f"{path}: predictor columns {predictors} differ from {expected}",
                 line=1,
             )
-        table = np.stack(columns, axis=-1)
+        shapes.append((len(columns[0]), len(predictors)))
+        if len(columns[0]) == X.shape[1]:
+            for j in range(X.shape[2]):
+                X[g, :, j] = columns[j]
+            y[g] = columns[-1]
         del columns  # views that keep the file's whole structured read alive
-        groups.append((table[:, :-1], table[:, -1]))
-        labels.append(os.path.splitext(os.path.basename(path))[0])
     try:
-        return GroupedDataset(tuple(groups), labels=tuple(labels))
+        _check_groups(labels, shapes)
     except DimensionError as err:
         named = " and ".join(str(paths[g]) for g in err.groups)
         raise CsvFormatError(f"{named}: {err}" if named else str(err)) from None
+    dataset = object.__new__(GroupedDataset)  # GroupedDataset(...) would stack again
+    dataset._own(X, y, labels)
+    return dataset
 
 
 def load_matrix_csv(path):

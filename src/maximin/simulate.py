@@ -67,7 +67,6 @@ the kept workers before the interpreter tears those modules down.
 
 import atexit
 import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass, replace
@@ -443,24 +442,3 @@ def grid_to_json(results):
             }
         )
     return {"schema_version": SCHEMA_VERSION, "cells": cells}
-
-
-def grid_json_text(results):
-    return json_text(grid_to_json(results))
-
-
-def json_text(payload):
-    """payload as indented, key-sorted strict JSON: a non-finite float
-    is written as null."""
-    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
-
-
-def _finite_or_null(value):
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
-    return value

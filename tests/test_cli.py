@@ -658,6 +658,59 @@ def test_estimate_region_and_simulate_load_no_scipy(tmp_path):
     assert out.split("\n")[:2] == [f"{[EXIT_OK] * 3} []", "[]"]
 
 
+def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path):
+    # the package namespace imports a module on first use, so start-up
+    # compiles only what the command runs
+    path = tmp_path / "groups.csv"
+    _write_grouped_csv(path, ScenarioSpec(p=3, G=3, n=40, seed=1))
+    out = _run_python(f"""
+        import contextlib, io, sys
+        base = set(sys.modules)
+        import maximin
+        print(sorted(m for m in set(sys.modules) - base if m.startswith("maximin.")))
+        from maximin.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [main(["estimate", {str(path)!r}]), main(["region", {str(path)!r}])]
+        print(codes, [m for m in ("simulate", "relaxation", "selfcheck")
+                      if "maximin." + m in sys.modules])
+    """)
+    assert out.splitlines() == ["[]", f"{[EXIT_OK] * 2} []"]
+
+    out = _run_python("""
+        import pkgutil, sys
+        import maximin.relaxation
+        print([m for m in ("simulate", "linmodel", "asymvar", "pipeline", "cli")
+               if "maximin." + m in sys.modules])
+        import maximin
+        print(sorted(set(maximin.__all__) - set(dir(maximin))))
+        try:
+            maximin.no_such_name
+        except AttributeError as err:
+            print(err)
+        print(maximin.simulate is sys.modules["maximin.simulate"])
+        star = {}
+        exec("from maximin import *", star)
+        del star["__builtins__"]
+        print(sorted(star) == sorted(maximin.__all__))
+        owned = {(name, id(value)) for mod in list(sys.modules.values())
+                 if mod is not None and mod.__name__.startswith("maximin.")
+                 for name, value in vars(mod).items()}
+        print([name for name in maximin.__all__ if (name, id(star[name])) not in owned
+               or getattr(maximin, name) is not star[name]])
+        print([info.name for info in pkgutil.iter_modules(maximin.__path__)
+               if getattr(maximin, info.name) is not sys.modules["maximin." + info.name]])
+    """)
+    assert out.splitlines() == [
+        "[]",
+        "[]",
+        "module 'maximin' has no attribute 'no_such_name'",
+        "True",
+        "True",
+        "[]",
+        "[]",
+    ]
+
+
 def test_selfcheck_loads_scipy_linalg():
     # perfbench's tracer counts scipy.linalg.cho_factor and finds the
     # module in sys.modules once it has imported every maximin module

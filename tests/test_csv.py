@@ -280,6 +280,35 @@ def test_a_grouped_file_loads_in_a_bounded_multiple_of_its_arrays(tmp_path):
     assert peak <= 4.0 * (dataset.X.nbytes + dataset.y.nbytes)
 
 
+def test_per_group_files_load_in_the_stacks_and_one_file_read(tmp_path):
+    # four files of 1.4 MB (12000 repr-float rows). Each file's columns
+    # are copied into stacks sized from the first file and freed before
+    # the next file is read, so the peak is the stacks and one file's
+    # read: 3.4 MB here. Holding every file's table and stacking them
+    # afterwards peaked at 4.6 MB, twice the returned arrays.
+    G, n, p = 4, 12000, 5
+    rng = np.random.default_rng(0)
+    paths = [str(tmp_path / f"g{g + 1}.csv") for g in range(G)]
+    for path in paths:
+        X, y = rng.standard_normal((n, p)), rng.standard_normal(n)
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(",".join(f"x{j + 1}" for j in range(p)) + ",y\n")
+            for row, value in zip(X.tolist(), y.tolist()):
+                out.write(",".join([*map(repr, row), repr(value)]) + "\n")
+    load_group_csvs(paths)  # first-call allocations (imports, caches) aside
+    tracemalloc.start()
+    try:
+        linmodel._load_table(paths[0], grouped=False)
+        one_read = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dataset = load_group_csvs(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.X.shape == (G, n, p)
+    assert peak <= dataset.X.nbytes + dataset.y.nbytes + one_read + 2**16
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_pipe_is_read_once():
     read, write = os.pipe()

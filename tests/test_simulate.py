@@ -25,6 +25,7 @@ from maximin.asymvar import covariance_stack, empirical_C
 from maximin.confidence import (
     contains,
     covers,
+    json_text,
     max_eigenvalue,
     precision_matrix,
     region_radius2,
@@ -49,8 +50,8 @@ from maximin.simulate import (
     CSV_HEADER,
     _derive_seed,
     cell_seed,
-    grid_json_text,
     grid_to_csv,
+    grid_to_json,
     run_cell,
     run_grid,
     scenario_presets,
@@ -310,7 +311,7 @@ def test_grid_csv_and_json_emitters():
     assert len(lines) == 2
     assert lines[1].startswith("1,2,30,10,")
 
-    payload = json.loads(grid_json_text(results))
+    payload = json.loads(json_text(grid_to_json(results)))
     assert payload["schema_version"] == 1
     cell = payload["cells"][0]
     assert (cell["table"], cell["p"], cell["n"]) == (1, 2, 30)
